@@ -3,53 +3,65 @@
 Weights are managed as units: input bundles (one up+gate column pair),
 intermediate bundles (down column, possibly fused with up/gate rows depending
 on scheme), and columns of matrices a scheme keeps dense.  Each (layer, unit
-group) pair owns one cache.  Per token, the active units are offered to the
-cache in descending selection-score order; residents count as hits, the rest
-as misses.  Misses are admitted while capacity remains, evicting only among
-residents that are not active this token; when nothing is evictable the miss
-is bypassed (streamed without caching).
+group) pair owns one cache, and a unit is named by its index in the group.
+Per token, the active units are offered to the cache in descending
+selection-score order; residents count as hits, the rest as misses.  Misses
+are admitted while capacity remains, evicting only among residents that are
+not active this token; when nothing is evictable the miss is bypassed
+(streamed without caching).
 
-Eviction policies: LFU (per-session frequency, ties by recency then lowest
-unit id), LRU, Belady's oracle (farthest next use from a precomputed table,
-never-used-again first), and NoCache (every access misses).
+Eviction policies: LFU (access count within the current residency span,
+reset on eviction; ties by recency then lowest unit index), LRU (ties by
+lowest index), Belady's oracle (farthest next use, never-used-again first,
+ties by lowest index), and NoCache (every access misses).
+
+One token is replayed as one batch over arrays indexed by unit.  This equals
+offering the units one at a time: a resident that is not active this token
+is not touched during the token, so its eviction key stays fixed, and a unit
+admitted during the token is active, so it cannot be evicted.  The victims of
+the token's misses are therefore the smallest-key non-active residents in key
+order, and the misses admitted are the first ones in admission order:
+
+1. hits: active units already resident; bump their count and recency;
+2. free slots: capacity minus resident count;
+3. evictions: of the misses that find no free slot, as many as there are
+   non-active residents evict those with the smallest keys (one lexsort);
+4. admission: the first misses, one per free or freed slot;
+5. bypass: the remaining misses.
+
+Belady keys come from a next-use table that stores, per access, the position
+of the same unit's next access.  Each access writes it into the cache, so a
+non-active resident holds the next use after its last access, which is its
+next use after now: every unit of a token's trace entry is accessed that
+token.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "Group",
-    "UnitId",
     "AccessStats",
     "CacheState",
     "NextUseTable",
     "belady_precompute",
     "EvictionPolicy",
-    "belady_evict",
     "cache_update",
     "resident_bitvector",
 ]
 
 
 class Group(IntEnum):
-    """Unit groups; the int values also order unit ids for tie-breaking."""
+    """Unit groups of a layer."""
 
     INPUT_BUNDLE = 0
     INTERMEDIATE_BUNDLE = 1
     DENSE_CHUNK = 2
-
-
-class UnitId(NamedTuple):
-    layer: int
-    group: Group
-    index: int
 
 
 @dataclass
@@ -75,53 +87,64 @@ class AccessStats:
 
 @dataclass
 class CacheState:
-    """Mutable cache of at most capacity_units units.
+    """Mutable cache of at most capacity_units of a group's universe units.
 
-    freq and last_use are defined exactly for resident units; eviction drops
-    both, so LFU counts are per residency span.  clock advances once per
-    cache_update call (one token).
+    Arrays are indexed by unit index.  freq, last_use and next_use are
+    defined exactly for resident units; admission resets freq, so LFU counts
+    are per residency span.  clock advances once per cache_update call (one
+    token).
     """
 
     capacity_units: int
-    layer: Optional[int] = None
-    resident: Set[UnitId] = field(default_factory=set)
-    freq: Dict[UnitId, int] = field(default_factory=dict)
-    last_use: Dict[UnitId, int] = field(default_factory=dict)
+    universe: int
+    is_resident: np.ndarray = field(init=False, repr=False)
+    freq: np.ndarray = field(init=False, repr=False)
+    last_use: np.ndarray = field(init=False, repr=False)
+    next_use: np.ndarray = field(init=False, repr=False)
     clock: int = 0
 
     def __post_init__(self):
         if self.capacity_units < 0:
             raise ValueError("capacity must be >= 0")
+        self.is_resident = np.zeros(self.universe, dtype=bool)
+        self.freq = np.zeros(self.universe, dtype=np.int64)
+        self.last_use = np.zeros(self.universe, dtype=np.int64)
+        self.next_use = np.zeros(self.universe, dtype=np.int64)
+
+    @property
+    def resident(self) -> np.ndarray:
+        """Indices of the resident units, ascending."""
+        return np.flatnonzero(self.is_resident)
 
 
+@dataclass(frozen=True)
 class NextUseTable:
-    """Next-occurrence lookups for Belady eviction, built in one pass over a
-    trace of per-token active-unit sets."""
+    """Belady next-use data for one cache's access trace.
 
-    def __init__(self, occurrences: Dict[UnitId, List[int]], length: int):
-        self._occ = occurrences
-        self.length = length
+    units[t] holds the units accessed at position t and next_use[t], aligned
+    with it, the position of each unit's next access (length when it is never
+    accessed again).
+    """
 
-    @classmethod
-    def from_trace(cls, trace: Sequence[Iterable[UnitId]]) -> "NextUseTable":
-        occ: Dict[UnitId, List[int]] = {}
-        for pos, units in enumerate(trace):
-            for u in units:
-                occ.setdefault(u, []).append(pos)
-        return cls(occ, len(trace))
+    units: List[np.ndarray]
+    next_use: List[np.ndarray]
 
-    def next_after(self, unit: UnitId, position: int) -> float:
-        """Index of the first occurrence strictly after position, or inf."""
-        positions = self._occ.get(unit)
-        if not positions:
-            return math.inf
-        i = bisect.bisect_right(positions, position)
-        return positions[i] if i < len(positions) else math.inf
+    @property
+    def length(self) -> int:
+        return len(self.units)
 
 
-def belady_precompute(trace: Sequence[Iterable[UnitId]]) -> NextUseTable:
-    """Next-use table for a full access trace (one active set per token)."""
-    return NextUseTable.from_trace(trace)
+def belady_precompute(trace: Sequence[Sequence[int]]) -> NextUseTable:
+    """Next-use table for a full access trace (the unit indices of each
+    token), built in one backward pass; memory is linear in the accesses."""
+    units = [np.asarray(t, dtype=np.intp) for t in trace]
+    size = max((int(u.max()) + 1 for u in units if u.size), default=0)
+    upcoming = np.full(size, len(units), dtype=np.int64)
+    next_use = [None] * len(units)
+    for pos in range(len(units) - 1, -1, -1):
+        next_use[pos] = upcoming[units[pos]]
+        upcoming[units[pos]] = pos
+    return NextUseTable(units, next_use)
 
 
 @dataclass(frozen=True)
@@ -154,96 +177,70 @@ class EvictionPolicy:
         return cls("nocache")
 
 
-def belady_evict(state: CacheState, table: NextUseTable, position: int,
-                 active: Iterable[UnitId] = ()) -> UnitId:
-    """Resident unit outside the active set with the farthest next use.
-
-    Units never used again (next use inf) are chosen first; ties resolve to
-    the lowest unit id.
-    """
-    active = set(active)
-    best = None
-    best_next = -1.0
-    for u in sorted(state.resident):
-        if u in active:
-            continue
-        nu = table.next_after(u, position)
-        if nu > best_next:
-            best, best_next = u, nu
-    if best is None:
-        raise ValueError("no evictable unit: all residents are active")
-    return best
-
-
-def _pick_victim(state: CacheState, policy: EvictionPolicy,
-                 candidates: Set[UnitId], position: Optional[int]) -> UnitId:
-    if policy.kind == "lfu":
-        return min(candidates, key=lambda u: (state.freq[u], state.last_use[u], u))
-    if policy.kind == "lru":
-        return min(candidates, key=lambda u: (state.last_use[u], u))
-    if policy.kind == "belady":
-        if position is None:
-            raise ValueError("belady eviction needs the current trace position")
-        # candidates == resident minus active, so the active filter is a no-op here
-        best = None
-        best_next = -1.0
-        for u in sorted(candidates):
-            nu = policy.next_use.next_after(u, position)
-            if nu > best_next:
-                best, best_next = u, nu
-        return best
-    raise ValueError(f"policy {policy.kind!r} does not evict")
-
-
-def cache_update(state: CacheState, active_units: Sequence[UnitId],
+def cache_update(state: CacheState, active_units: Sequence[int],
                  policy: EvictionPolicy, position: Optional[int] = None) -> AccessStats:
-    """Process one token's active units (ordered by descending admission
-    priority) against the cache.  Mutates state in place and returns the
-    hit/miss/bypass counts for this token.
+    """Process one token's active unit indices (ordered by descending
+    admission priority) against the cache.  Mutates state in place and
+    returns the hit/miss/bypass counts for this token.
 
     position is the token's index in the precomputed trace; required for the
     Belady policy, ignored otherwise.
     """
-    state.clock += 1
-    stats = AccessStats()
-    active_set = set(active_units)
-    if len(active_set) != len(active_units):
+    active = np.asarray(active_units, dtype=np.intp)
+    if active.ndim != 1:
+        raise ValueError("active units must be a flat sequence of unit indices")
+    if active.size and (active.min() < 0 or active.max() >= state.universe):
+        raise ValueError(f"unit index outside the cache universe [0, {state.universe})")
+    is_active = np.zeros(state.universe, dtype=bool)
+    is_active[active] = True
+    if np.count_nonzero(is_active) != active.size:
         raise ValueError("active units must be distinct")
-    if state.layer is not None:
-        for u in active_set:
-            if u.layer != state.layer:
-                raise ValueError(f"unit {u} does not belong to layer {state.layer}")
-    for u in active_units:
-        if u in state.resident:
-            stats.hits += 1
-            state.freq[u] += 1
-            state.last_use[u] = state.clock
-            continue
-        stats.misses += 1
-        if policy.kind == "nocache":
-            stats.bypassed += 1
-            continue
-        if len(state.resident) >= state.capacity_units:
-            candidates = state.resident - active_set
-            if not candidates:
-                stats.bypassed += 1
-                continue
-            victim = _pick_victim(state, policy, candidates, position)
-            state.resident.remove(victim)
-            del state.freq[victim]
-            del state.last_use[victim]
-        state.resident.add(u)
-        state.freq[u] = 1
-        state.last_use[u] = state.clock
+    if policy.kind == "belady":
+        if position is None:
+            raise ValueError("belady eviction needs the current trace position")
+        table = policy.next_use
+        state.next_use[table.units[position]] = table.next_use[position]
+    state.clock += 1
+
+    hit = state.is_resident[active]
+    hits = active[hit]
+    state.freq[hits] += 1
+    state.last_use[hits] = state.clock
+    misses = active[~hit]
+    stats = AccessStats(hits=hits.size, misses=misses.size)
+    if policy.kind == "nocache":
+        stats.bypassed = misses.size
+        return stats
+
+    admitted = min(misses.size,
+                   state.capacity_units - int(np.count_nonzero(state.is_resident)))
+    if misses.size > admitted:
+        candidates = np.flatnonzero(state.is_resident & ~is_active)
+        n_evict = min(misses.size - admitted, candidates.size)
+        if n_evict:
+            # candidates ascend by index and lexsort is stable, so ties go
+            # to the lowest index
+            if policy.kind == "lfu":
+                keys = (state.last_use[candidates], state.freq[candidates])
+            elif policy.kind == "lru":
+                keys = (state.last_use[candidates],)
+            else:
+                keys = (-state.next_use[candidates],)
+            victims = candidates[np.lexsort(keys)[:n_evict]]
+            state.is_resident[victims] = False
+            admitted += n_evict
+    admit = misses[:admitted]
+    state.is_resident[admit] = True
+    state.freq[admit] = 1
+    state.last_use[admit] = state.clock
+    stats.bypassed = misses.size - admitted
     return stats
 
 
-def resident_bitvector(state: CacheState, group: Group, size: int) -> np.ndarray:
-    """0/1 residency vector over a unit group, indexed by unit index."""
-    out = np.zeros(size, dtype=np.int8)
-    for u in state.resident:
-        if u.group == group:
-            if u.index >= size:
-                raise ValueError(f"resident unit index {u.index} outside group size {size}")
-            out[u.index] = 1
-    return out
+def resident_bitvector(state: CacheState) -> np.ndarray:
+    """0/1 residency vector over the cache's group, indexed by unit index.
+
+    A live int8 view of the cache's residency: it follows later updates, so
+    copy it to keep a snapshot.
+    """
+    return state.is_resident.view(np.int8)

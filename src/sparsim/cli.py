@@ -151,7 +151,7 @@ def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, d
 
 
 def _write_report(path: str, report: dict) -> None:
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    payload = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import masking
-from .cache import (AccessStats, CacheState, EvictionPolicy, Group, UnitId,
-                    belady_precompute, cache_update, resident_bitvector)
+from .cache import (CacheState, EvictionPolicy, Group, belady_precompute,
+                    cache_update, resident_bitvector)
 from .mlp import MlpWeights, Predictor, approx_error, mlp_dense_forward
 
 __all__ = [
@@ -316,10 +316,8 @@ def _masks_for_token(cfg: SchemeConfig, weights: Sequence[MlpWeights],
         elif cfg.name == "dip":
             out.append(masking.scheme_dip(weights[l], x, k_in, k_mid))
         elif cfg.name == "dip_ca":
-            c_in = resident_bitvector(caches[l][Group.INPUT_BUNDLE],
-                                      Group.INPUT_BUNDLE, geo.d_model)
-            c_mid = resident_bitvector(caches[l][Group.INTERMEDIATE_BUNDLE],
-                                       Group.INTERMEDIATE_BUNDLE, geo.d_ff)
+            c_in = resident_bitvector(caches[l][Group.INPUT_BUNDLE])
+            c_mid = resident_bitvector(caches[l][Group.INTERMEDIATE_BUNDLE])
             out.append(masking.scheme_dip_ca(
                 weights[l], x, c_in, c_mid, k_in, k_mid, gamma=cfg.gamma,
                 reweight_input=cfg.reweight_input,
@@ -329,26 +327,24 @@ def _masks_for_token(cfg: SchemeConfig, weights: Sequence[MlpWeights],
     return out
 
 
-def _ordered_active(mask: masking.SparsityMask, scores: Optional[np.ndarray],
-                    layer: int, group: Group) -> List[UnitId]:
-    """Active unit ids in descending-score admission order (ties by index)."""
-    idx = np.fromiter(mask.active, dtype=int, count=mask.count)
+def _ordered_active(mask: masking.SparsityMask, scores: Optional[np.ndarray]) -> np.ndarray:
+    """Active unit indices in descending-score admission order (ties by index)."""
+    idx = np.fromiter(mask.active, dtype=np.intp, count=mask.count)
     if scores is not None and idx.size:
         idx = idx[np.argsort(-np.asarray(scores, dtype=float)[idx], kind="stable")]
-    return [UnitId(layer, group, int(i)) for i in idx]
+    return idx
 
 
-def _active_units(ms: masking.MaskSet, groups: Sequence[GroupSpec],
-                  layer: int) -> List[Tuple[GroupSpec, List[UnitId]]]:
+def _active_units(ms: masking.MaskSet,
+                  groups: Sequence[GroupSpec]) -> List[Tuple[GroupSpec, np.ndarray]]:
     out = []
     for g in groups:
         if g.always_active:
-            units = [UnitId(layer, g.kind, i) for i in range(g.universe)]
+            units = np.arange(g.universe)
         elif g.kind == Group.INPUT_BUNDLE:
-            units = _ordered_active(ms.input_mask, ms.input_scores, layer, g.kind)
+            units = _ordered_active(ms.input_mask, ms.input_scores)
         elif g.kind == Group.INTERMEDIATE_BUNDLE:
-            units = _ordered_active(ms.intermediate_mask, ms.intermediate_scores,
-                                    layer, g.kind)
+            units = _ordered_active(ms.intermediate_mask, ms.intermediate_scores)
         else:
             raise SimulationError(f"group {g.kind!r} has no mask source")
         out.append((g, units))
@@ -372,7 +368,7 @@ def simulate_token(caches, masks: Sequence[masking.MaskSet], hw: HardwareConfig,
     dram = static
     hits = misses = bypassed = 0
     for l in range(geo.num_layers):
-        for g, units in _active_units(masks[l], groups, l):
+        for g, units in _active_units(masks[l], groups):
             if isinstance(policies, EvictionPolicy):
                 policy = policies
             else:
@@ -397,7 +393,7 @@ def simulate_token(caches, masks: Sequence[masking.MaskSet], hw: HardwareConfig,
 
 def _fresh_caches(geo: ModelGeometry, groups: Sequence[GroupSpec],
                   capacities: List[Dict[Group, int]]):
-    return [{g.kind: CacheState(capacity_units=capacities[l][g.kind], layer=l)
+    return [{g.kind: CacheState(capacity_units=capacities[l][g.kind], universe=g.universe)
              for g in groups} for l in range(geo.num_layers)]
 
 
@@ -423,6 +419,8 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
         raise SimulationError(
             f"trace shape {acts.shape} does not match geometry "
             f"[*, {geo.num_layers}, {geo.d_model}]")
+    if not np.isfinite(acts).all():
+        raise ValueError("trace activations must be finite")
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
     if policy == "belady" and scheme.name == "dip_ca":
@@ -457,8 +455,8 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
         unit_traces = {(l, g.kind): [] for l in range(geo.num_layers) for g in groups}
         for t in range(num_tokens):
             for l in range(geo.num_layers):
-                for g, units in _active_units(premasks[t][l], groups, l):
-                    unit_traces[(l, g.kind)].append(set(units))
+                for g, units in _active_units(premasks[t][l], groups):
+                    unit_traces[(l, g.kind)].append(units)
         policies = [{g.kind: EvictionPolicy.belady(belady_precompute(unit_traces[(l, g.kind)]))
                      for g in groups} for l in range(geo.num_layers)]
     else:

@@ -27,7 +27,6 @@ __all__ = [
     "PerTokenTopK",
     "ThresholdSpec",
     "apply_threshold",
-    "CacheAwareParams",
     "scheme_dense",
     "scheme_glu_pruning",
     "scheme_gate_pruning",
@@ -181,18 +180,6 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # ---------------------------------------------------------------------------
 # per-token sparsification schemes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CacheAwareParams:
-    """Re-weighting strength for cache-aware selection.  gamma=1 disables the
-    residency bias; smaller values favour already-cached units."""
-
-    gamma: float = DEFAULT_GAMMA
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-
 
 def scheme_dense(d_model: int, d_ff: int) -> MaskSet:
     """All-ones masks; the no-sparsity baseline."""

@@ -238,6 +238,8 @@ def read_trace(path) -> Trace:
         raw = r.take(4 * num_tokens * num_layers * d_model)
         r.done()
         acts = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.isfinite(acts).all():
+            raise TraceFormatError("trace file holds non-finite activations")
         acts = acts.reshape(num_tokens, num_layers, d_model)
         return Trace(num_layers=num_layers, d_model=d_model, d_ff=d_ff,
                      activations=acts)

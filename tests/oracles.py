@@ -1,10 +1,70 @@
-"""Independent oracles used by the unit and acceptance tests: an exhaustive
+"""Independent oracles used by the unit and acceptance tests: the per-unit
+cache replay that the simulator's batch replay must equal, an exhaustive
 search over demand-fill eviction schedules, and a central-finite-difference
 gradient checker.  Kept separate from any test module so both the per-module
 tests and the acceptance suite share one implementation."""
 import functools
+import math
 
 import numpy as np
+
+
+class ReferenceCache:
+    """One cache replayed one unit at a time, in admission order.
+
+    Each miss that finds the cache full scans every non-active resident for
+    the smallest eviction key: (freq, last_use, unit) for LFU, (last_use,
+    unit) for LRU, and for Belady the farthest next use in the trace (never
+    used again first), lowest unit on ties.  Evicting a unit drops its freq
+    and last_use.  This is the obvious form of sparsim.cache_update.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.resident = set()
+        self.freq = {}
+        self.last_use = {}
+        self.clock = 0
+
+    def update(self, active, kind, trace=None, position=None):
+        """Offer one token's units; returns (hits, misses, bypassed).  Belady
+        needs the full trace (one unit collection per token) and the token's
+        position in it."""
+        self.clock += 1
+        active_set = set(active)
+        hits = misses = bypassed = 0
+        for u in active:
+            if u in self.resident:
+                hits += 1
+                self.freq[u] += 1
+                self.last_use[u] = self.clock
+                continue
+            misses += 1
+            if kind == "nocache":
+                bypassed += 1
+                continue
+            if len(self.resident) >= self.capacity:
+                candidates = self.resident - active_set
+                if not candidates:
+                    bypassed += 1
+                    continue
+                victim = min(candidates, key=lambda v: self._key(v, kind, trace, position))
+                self.resident.remove(victim)
+                del self.freq[victim]
+                del self.last_use[victim]
+            self.resident.add(u)
+            self.freq[u] = 1
+            self.last_use[u] = self.clock
+        return hits, misses, bypassed
+
+    def _key(self, u, kind, trace, position):
+        if kind == "lfu":
+            return (self.freq[u], self.last_use[u], u)
+        if kind == "lru":
+            return (self.last_use[u], u)
+        next_use = next((p for p in range(position + 1, len(trace)) if u in trace[p]),
+                        math.inf)
+        return (-next_use, u)
 
 
 def brute_force_best_hits(trace, capacity):

@@ -29,7 +29,6 @@ from sparsim import (
     SchemeConfig,
     SparsityMask,
     SyntheticTraceSpec,
-    UnitId,
     approx_error,
     belady_precompute,
     cache_update,
@@ -108,14 +107,12 @@ def test_criterion_2_belady_optimality():
         n_units = int(rng.integers(2, 6))       # universe <= 5
         capacity = int(rng.integers(1, 4))      # capacity <= 3
         steps = int(rng.integers(1, 13))        # <= 12 accesses
-        trace = [[UnitId(0, Group.INTERMEDIATE_BUNDLE, int(rng.integers(n_units)))]
-                 for _ in range(steps)]
+        trace = [[int(rng.integers(n_units))] for _ in range(steps)]
 
         def run(kind):
-            state = CacheState(capacity_units=capacity)
+            state = CacheState(capacity_units=capacity, universe=n_units)
             if kind == "belady":
-                pol = EvictionPolicy.belady(
-                    belady_precompute([set(t) for t in trace]))
+                pol = EvictionPolicy.belady(belady_precompute(trace))
             else:
                 pol = EvictionPolicy(kind)
             total = AccessStats()

@@ -5,34 +5,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_best_hits as _brute_force_best_hits
+from oracles import ReferenceCache, brute_force_best_hits as _brute_force_best_hits
 
 from sparsim import (
     AccessStats,
     CacheState,
     EvictionPolicy,
-    Group,
-    NextUseTable,
-    UnitId,
-    belady_evict,
     belady_precompute,
     cache_update,
     resident_bitvector,
 )
 
 
-def _units(*indices, layer=0, group=Group.INTERMEDIATE_BUNDLE):
-    return [UnitId(layer, group, i) for i in indices]
+A, B, C = range(3)
+UNIVERSE = 5
 
 
-A, B, C, D, E = _units(0, 1, 2, 3, 4)
+def _resident(state):
+    return set(state.resident.tolist())
 
 
-def _run(trace, policy_kind, capacity, layer=None):
+def _run(trace, policy_kind, capacity):
     """Drive a unit-access trace through a fresh cache; returns (stats, state)."""
-    state = CacheState(capacity_units=capacity, layer=layer)
+    state = CacheState(capacity_units=capacity, universe=UNIVERSE)
     if policy_kind == "belady":
-        policy = EvictionPolicy.belady(belady_precompute([set(t) for t in trace]))
+        policy = EvictionPolicy.belady(belady_precompute(trace))
     else:
         policy = EvictionPolicy(policy_kind)
     total = AccessStats()
@@ -50,7 +47,7 @@ def test_lfu_hand_example():
     # then C are evicted -> 2 hits (A twice), 4 misses
     stats, state = _run([[A, B], [A, C], [A, B]], "lfu", capacity=2)
     assert (stats.hits, stats.misses) == (2, 4)
-    assert state.resident == {A, B}
+    assert _resident(state) == {A, B}
 
 
 def test_belady_beats_lru_hand_example():
@@ -67,17 +64,17 @@ def test_lru_evicts_least_recently_used():
     # A,B touch, then C forces eviction of A (oldest), so A misses again
     stats, state = _run([[A], [B], [C], [A]], "lru", capacity=2)
     assert stats.hits == 0
-    assert state.resident == {C, A}
+    assert _resident(state) == {C, A}
 
 
 def test_lfu_tie_breaks_by_lru_then_index():
     # equal counts: B older than C, so B goes first
-    state = CacheState(capacity_units=2)
+    state = CacheState(capacity_units=2, universe=UNIVERSE)
     pol = EvictionPolicy.lfu()
     cache_update(state, [B], pol)
     cache_update(state, [C], pol)
     cache_update(state, [A], pol)
-    assert state.resident == {C, A}
+    assert _resident(state) == {C, A}
 
 
 def test_nocache_always_bypasses():
@@ -85,28 +82,28 @@ def test_nocache_always_bypasses():
     assert stats.hits == 0
     assert stats.misses == 4
     assert stats.bypassed == 4
-    assert state.resident == set()
+    assert _resident(state) == set()
 
 
 def test_capacity_zero_bypasses_everything():
     stats, state = _run([[A], [A], [B]], "lfu", capacity=0)
     assert (stats.hits, stats.misses, stats.bypassed) == (0, 3, 3)
-    assert state.resident == set()
+    assert _resident(state) == set()
 
 
 def test_active_set_is_never_evicted():
     # capacity 2, both residents active: a third active unit is bypassed
     stats, state = _run([[A, B, C]], "lfu", capacity=2)
     assert stats.bypassed == 1
-    assert state.resident == {A, B}
+    assert _resident(state) == {A, B}
 
 
 def test_admission_order_matters_at_capacity():
     # units are offered in descending priority; the first fills the last slot
     stats1, state1 = _run([[A, B]], "lfu", capacity=1)
     stats2, state2 = _run([[B, A]], "lfu", capacity=1)
-    assert state1.resident == {A}
-    assert state2.resident == {B}
+    assert _resident(state1) == {A}
+    assert _resident(state2) == {B}
     assert stats1.bypassed == stats2.bypassed == 1
 
 
@@ -115,21 +112,23 @@ def test_admission_order_matters_at_capacity():
 # ---------------------------------------------------------------------------
 
 def test_duplicate_active_units_rejected():
-    state = CacheState(capacity_units=2)
+    state = CacheState(capacity_units=2, universe=UNIVERSE)
     with pytest.raises(ValueError):
         cache_update(state, [A, A], EvictionPolicy.lfu())
 
 
-def test_foreign_layer_units_rejected():
-    state = CacheState(capacity_units=2, layer=1)
+def test_out_of_range_units_rejected():
+    state = CacheState(capacity_units=2, universe=1)
     with pytest.raises(ValueError):
-        cache_update(state, [A], EvictionPolicy.lfu())  # A lives on layer 0
+        cache_update(state, [B], EvictionPolicy.lfu())  # B is outside [0, 1)
+    with pytest.raises(ValueError):
+        cache_update(state, [-1], EvictionPolicy.lfu())
 
 
 def test_belady_requires_position():
     trace = [[A], [B], [C]]
-    table = belady_precompute([set(t) for t in trace])
-    state = CacheState(capacity_units=1)
+    table = belady_precompute(trace)
+    state = CacheState(capacity_units=1, universe=UNIVERSE)
     pol = EvictionPolicy.belady(table)
     cache_update(state, [A], pol, position=0)
     with pytest.raises(ValueError):
@@ -152,38 +151,25 @@ def test_access_stats_addition_and_rate():
 
 
 def test_next_use_table_semantics():
-    table = NextUseTable.from_trace([{A}, {B}, {A, C}, {B}])
-    assert table.next_after(A, 0) == 2   # strictly after the current position
-    assert table.next_after(A, 2) == np.inf
-    assert table.next_after(B, 0) == 1
-    assert table.next_after(D, 0) == np.inf
+    table = belady_precompute([[A], [B], [A, C], [B]])
+
+    def next_after(unit, position):  # next use after the access at position
+        return table.next_use[position][table.units[position].tolist().index(unit)]
+
+    assert next_after(A, 0) == 2   # strictly after the current position
+    assert next_after(A, 2) == table.length  # never used again
+    assert next_after(B, 1) == 3
+    assert next_after(C, 2) == table.length
     assert table.length == 4
 
 
-def test_belady_evict_prefers_never_used_again():
-    trace = [{A, B, C}, {A}, {B}]
-    table = belady_precompute(trace)
-    state = CacheState(capacity_units=3)
-    pol = EvictionPolicy.lfu()
-    cache_update(state, [A, B, C], pol)
-    # C never recurs -> evicted first; then B (next use 2) over A (next use 1)
-    assert belady_evict(state, table, position=0) == C
-    state.resident.remove(C)
-    assert belady_evict(state, table, position=0) == B
-    state.resident = {A}
-    with pytest.raises(ValueError):
-        belady_evict(state, table, position=0, active=[A])
-
-
 def test_resident_bitvector():
-    state = CacheState(capacity_units=4)
+    state = CacheState(capacity_units=4, universe=UNIVERSE)
     pol = EvictionPolicy.lfu()
-    cache_update(state, _units(1, 3), pol)
-    bits = resident_bitvector(state, Group.INTERMEDIATE_BUNDLE, 5)
+    cache_update(state, [1, 3], pol)
+    bits = resident_bitvector(state)
     np.testing.assert_array_equal(bits, [0, 1, 0, 1, 0])
-    # other groups do not leak in
-    np.testing.assert_array_equal(
-        resident_bitvector(state, Group.INPUT_BUNDLE, 5), np.zeros(5))
+    assert bits.dtype == np.int8
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +184,7 @@ def random_trace(draw, max_units=5, max_steps=8):
     for _ in range(steps):
         size = draw(st.integers(min_value=1, max_value=n_units))
         sel = draw(st.permutations(range(n_units)))[:size]
-        trace.append([UnitId(0, Group.INTERMEDIATE_BUNDLE, i) for i in sel])
+        trace.append(list(sel))
     return trace
 
 
@@ -219,8 +205,42 @@ def test_cache_update_is_deterministic(trace, capacity, kind):
     s1, st1 = _run(trace, kind, capacity)
     s2, st2 = _run(trace, kind, capacity)
     assert (s1.hits, s1.misses, s1.bypassed) == (s2.hits, s2.misses, s2.bypassed)
-    assert st1.resident == st2.resident
-    assert st1.freq == st2.freq
+    np.testing.assert_array_equal(st1.resident, st2.resident)
+    np.testing.assert_array_equal(st1.freq[st1.resident], st2.freq[st2.resident])
+
+
+@st.composite
+def oracle_case(draw, max_units=8, max_steps=10):
+    """(universe, capacity, trace): capacity anywhere from 0 to the universe,
+    each token a random-size active set in random admission order."""
+    universe = draw(st.integers(min_value=1, max_value=max_units))
+    capacity = draw(st.integers(min_value=0, max_value=universe))
+    steps = draw(st.integers(min_value=1, max_value=max_steps))
+    trace = []
+    for _ in range(steps):
+        size = draw(st.integers(min_value=0, max_value=universe))
+        trace.append(draw(st.permutations(range(universe)))[:size])
+    return universe, capacity, trace
+
+
+@given(oracle_case(), st.sampled_from(["lfu", "lru", "belady", "nocache"]))
+@settings(max_examples=400, deadline=None)
+def test_batch_replay_matches_per_unit_oracle(case, kind):
+    universe, capacity, trace = case
+    state = CacheState(capacity_units=capacity, universe=universe)
+    if kind == "belady":
+        policy = EvictionPolicy.belady(belady_precompute(trace))
+    else:
+        policy = EvictionPolicy(kind)
+    ref = ReferenceCache(capacity)
+    for pos, active in enumerate(trace):
+        stats = cache_update(state, active, policy, position=pos)
+        expected = ref.update(active, kind, trace=trace, position=pos)
+        assert (stats.hits, stats.misses, stats.bypassed) == expected, f"token {pos}"
+        assert _resident(state) == ref.resident, f"token {pos}"
+        if kind in ("lfu", "lru"):
+            assert {u: int(state.freq[u]) for u in ref.resident} == ref.freq
+            assert {u: int(state.last_use[u]) for u in ref.resident} == ref.last_use
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +255,7 @@ def test_belady_matches_brute_force_on_single_access_traces():
         n_units = int(rng.integers(2, 6))
         capacity = int(rng.integers(1, 4))
         steps = int(rng.integers(1, 13))
-        trace = [[UnitId(0, Group.INTERMEDIATE_BUNDLE, int(rng.integers(n_units)))]
-                 for _ in range(steps)]
+        trace = [[int(rng.integers(n_units))] for _ in range(steps)]
         optimal = _brute_force_best_hits(trace, capacity)
         belady_stats, _ = _run(trace, "belady", capacity)
         lfu_stats, _ = _run(trace, "lfu", capacity)
@@ -261,7 +280,7 @@ def test_belady_never_beats_brute_force_on_set_access_traces():
         for _ in range(steps):
             size = int(rng.integers(1, n_units + 1))
             sel = rng.permutation(n_units)[:size]
-            trace.append([UnitId(0, Group.INTERMEDIATE_BUNDLE, int(i)) for i in sel])
+            trace.append([int(i) for i in sel])
         optimal = _brute_force_best_hits(trace, capacity)
         belady_stats, _ = _run(trace, "belady", capacity)
         assert belady_stats.hits <= optimal
@@ -297,7 +316,7 @@ def test_hit_count_is_monotone_in_capacity():
         for _ in range(steps):
             size = int(rng.integers(1, n_units + 1))
             sel = rng.permutation(n_units)[:size]
-            trace.append([UnitId(0, Group.INTERMEDIATE_BUNDLE, int(i)) for i in sel])
+            trace.append([int(i) for i in sel])
         hits = {k: [ _run(trace, k, cap)[0].hits for cap in range(n_units + 1)]
                 for k in ("belady", "lfu", "lru")}
         assert all(b <= a for b, a in zip(hits["belady"], hits["belady"][1:])), \

@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from sparsim import read_trace
+from sparsim import Trace, read_trace, write_trace
 from sparsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SIMULATION,
     EXIT_VALIDATION,
+    _write_report,
     main,
 )
 
@@ -297,6 +298,34 @@ def test_simulation_error_for_trace_geometry_mismatch(tmp_path, capsys):
         trace={"file": str(trace_path)}))
     out = tmp_path / "r.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+
+
+def test_validation_error_for_nan_in_trace_file(tmp_path, capsys):
+    # a trace file in gen-trace format with one NaN activation: rejected on
+    # read with one stderr line and no report, never written as bare NaN
+    trace_path = tmp_path / "t.bin"
+    gen_cfg = _write_config(tmp_path, "g.json", {
+        "num_tokens": 4, "num_layers": 2, "d_model": 16, "d_ff": 48, "seed": 3})
+    assert main(["gen-trace", "--config", gen_cfg, "--out", str(trace_path)]) == EXIT_OK
+    acts = read_trace(trace_path).activations.copy()
+    acts[1, 0, 3] = np.nan
+    write_trace(trace_path, Trace(num_layers=2, d_model=16, d_ff=48, activations=acts))
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        trace={"file": str(trace_path)}, kernel_eval=True))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and "non-finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_reports_are_strict_json(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        _write_report(str(out), {"mean_error": float("nan")})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_io_error_for_missing_config(tmp_path, capsys):

@@ -3,7 +3,9 @@ per-token costs, and full-trace simulation."""
 import numpy as np
 import pytest
 
+from oracles import ReferenceCache
 from sparsim import (
+    GEOMETRY_PRESETS,
     Group,
     GroupSpec,
     HardwareConfig,
@@ -11,6 +13,7 @@ from sparsim import (
     SchemeConfig,
     SimulationError,
     SyntheticTraceSpec,
+    TokenCost,
     allocate_dram,
     density_to_k,
     generate_synthetic_trace,
@@ -21,6 +24,7 @@ from sparsim import (
     throughput_at_error,
     unit_bytes,
 )
+from sparsim import hwsim, masking
 from sparsim.hwsim import POLICY_NAMES, SCHEME_NAMES
 
 
@@ -349,6 +353,11 @@ def test_simulate_run_validation_errors():
     with pytest.raises(ValueError):
         simulate_run(_trace(), _weights(), SchemeConfig(name="dense"),
                      "fifo", ROOMY, GEO)
+    nan_acts = _trace().activations.copy()
+    nan_acts[0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        simulate_run(nan_acts, _weights(), SchemeConfig(name="dense"),
+                     "lfu", ROOMY, GEO)
 
 
 def test_belady_rejected_for_cache_aware_masking():
@@ -445,6 +454,77 @@ def test_dip_ca_gamma_one_equals_plain_dip_run():
                          "lfu", hw, geo)
     assert ca.flash_bytes == pytest.approx(plain.flash_bytes)
     assert ca.hit_rate == pytest.approx(plain.hit_rate)
+
+
+# ---------------------------------------------------------------------------
+# batch cache replay against the per-unit oracle, end to end
+# ---------------------------------------------------------------------------
+
+def _oracle_token_costs(trace, weights, scheme, policy, hw, geo):
+    """TokenCosts of simulate_run recomputed with one ReferenceCache per
+    (layer, group); dip_ca masks read the oracle caches' residency."""
+    acts = trace.activations
+    groups = scheme_groups(scheme.name, geo)
+    capacities = allocate_dram(hw, geo, groups)
+    caches = [{g.kind: ReferenceCache(capacities[l][g.kind]) for g in groups}
+              for l in range(geo.num_layers)]
+    k_in, k_mid = scheme.k_values(geo)
+
+    def masks_for(t):
+        if scheme.name != "dip_ca":
+            return hwsim._masks_for_token(scheme, weights, acts[t], None, geo, k_in, k_mid)
+        out = []
+        for l in range(geo.num_layers):
+            c_in, c_mid = np.zeros(geo.d_model), np.zeros(geo.d_ff)
+            c_in[list(caches[l][Group.INPUT_BUNDLE].resident)] = 1
+            c_mid[list(caches[l][Group.INTERMEDIATE_BUNDLE].resident)] = 1
+            out.append(masking.scheme_dip_ca(weights[l], acts[t, l], c_in, c_mid,
+                                             k_in, k_mid, gamma=scheme.gamma))
+        return out
+
+    premasks = None if scheme.name == "dip_ca" else [masks_for(t) for t in range(len(acts))]
+    accesses = {}  # (layer, group) -> the cache's full access trace, for belady
+    if premasks is not None:
+        for ms in premasks:
+            for l in range(geo.num_layers):
+                for g, units in hwsim._active_units(ms[l], groups):
+                    accesses.setdefault((l, g.kind), []).append(set(units.tolist()))
+    costs = []
+    for t in range(len(acts)):
+        ms = premasks[t] if premasks is not None else masks_for(t)
+        flash, dram = 0.0, geo.static_bytes
+        hits = misses = bypassed = 0
+        for l in range(geo.num_layers):
+            for g, units in hwsim._active_units(ms[l], groups):
+                h, m, b = caches[l][g.kind].update(
+                    units.tolist(), policy, trace=accesses.get((l, g.kind)), position=t)
+                flash += m * g.unit_bytes
+                dram += h * g.unit_bytes
+                hits, misses, bypassed = hits + h, misses + m, bypassed + b
+        costs.append(TokenCost(flash_bytes=flash, dram_bytes=dram,
+                               latency_s=flash / hw.flash_bandwidth + dram / hw.dram_bandwidth,
+                               hits=hits, misses=misses, bypassed=bypassed))
+    return costs
+
+
+@pytest.mark.parametrize("scheme,policy", [
+    (s, p) for s in SCHEME_NAMES for p in POLICY_NAMES
+    if (s, p) != ("dip_ca", "belady")])  # the one pair simulate_run rejects
+def test_simulate_run_matches_per_unit_oracle(scheme, policy):
+    geo = GEOMETRY_PRESETS["desk-small"]
+    # a third of the MLP bytes fits, so the caches evict and bypass
+    hw = HardwareConfig(dram_capacity_bytes=geo.total_mlp_bytes / 3,
+                        dram_bandwidth=60e9, flash_bandwidth=1e9)
+    tr = _trace(num_tokens=10, geo=geo, seed=5)
+    w = _weights(geo, seed=5)
+    cfg = SchemeConfig(name=scheme, density_mid=None if scheme == "dense" else 0.5)
+    report = simulate_run(tr, w, cfg, policy, hw, geo)
+    expected = _oracle_token_costs(tr, w, cfg, policy, hw, geo)
+    for t, (got, want) in enumerate(zip(report.tokens, expected)):
+        assert got == want, f"token {t}"
+    assert len(report.tokens) == len(expected)
+    if policy != "nocache" and scheme != "dense":
+        assert any(tc.misses > tc.bypassed for tc in report.tokens[1:])
 
 
 # ---------------------------------------------------------------------------

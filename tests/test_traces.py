@@ -155,6 +155,17 @@ def test_read_rejects_truncated_file(tmp_path):
             read_trace(short)
 
 
+def test_read_rejects_non_finite_activations(tmp_path):
+    tr = generate_synthetic_trace(SPEC)
+    for bad in (np.nan, np.inf):
+        acts = tr.activations.copy()
+        acts[2, 1, 5] = bad
+        path = tmp_path / "t.bin"
+        write_trace(path, Trace(num_layers=2, d_model=8, d_ff=24, activations=acts))
+        with pytest.raises(TraceFormatError, match="non-finite"):
+            read_trace(path)
+
+
 def test_read_rejects_trailing_data(tmp_path):
     tr = generate_synthetic_trace(SPEC)
     path = tmp_path / "t.bin"

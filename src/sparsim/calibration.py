@@ -26,7 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import hwsim, masking
-from .mlp import MlpWeights, approx_error, mlp_dense_forward
+from .mlp import (MlpWeights, down_projection, glu_activations, mlp_dense_forward,
+                  rel_l2_rows)
 from .traces import Trace
 
 __all__ = [
@@ -130,25 +131,39 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     Every (input, intermediate) density pair is scored by the mean relative-
     L2 error of the masked forward against the dense forward over the
     calibration inputs.  The up and gate projections share the input density.
+    The inputs run as one batch of rows: the dense outputs once, the input
+    masks and the gated intermediates H once per input density (H does not
+    depend on the intermediate density), then one top-k, one down projection
+    and one row-error call per grid point.  The selections are scheme_dip's.
     """
-    xs = [np.asarray(x, dtype=float) for x in inputs]
-    if not xs:
+    if len(inputs) == 0:
         raise ValueError("need at least one calibration input")
-    dense_outs = [mlp_dense_forward(w, x) for x in xs]
+    xs = np.asarray(inputs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != w.d_model:
+        raise ValueError("input length must equal d_model")
+    dense_outs = mlp_dense_forward(w, xs)
     points = []
     for din in densities_in:
-        k_in = masking.density_to_k(din, w.d_model)
-        for dmid in densities_mid:
-            k_mid = masking.density_to_k(dmid, w.d_ff)
-            errs = []
-            for x, y_ref in zip(xs, dense_outs):
-                ms = masking.scheme_dip(w, x, k_in, k_mid)
-                errs.append(approx_error(y_ref, masking.sparse_forward(w, ms, x)).rel_l2)
-            points.append(AllocationPoint(
-                density_in=float(din), density_mid=float(dmid),
-                k_in=k_in, k_mid=k_mid,
-                memory_fraction=memory_fraction(k_in, k_mid, w.d_model, w.d_ff),
-                error=float(np.mean(errs))))
+        points += _points_at_input_density(w, xs, dense_outs, din, densities_mid)
+    return points
+
+
+def _points_at_input_density(w: MlpWeights, xs: np.ndarray, dense_outs: np.ndarray,
+                             din: float, densities_mid: Sequence[float]) -> List[AllocationPoint]:
+    # a function of its own so that H is freed before the next density's
+    k_in = masking.density_to_k(din, w.d_model)
+    h = glu_activations(w, xs, masking.topk_rows(np.abs(xs), k_in)[1])
+    mid_keys = np.abs(h)
+    points = []
+    for dmid in densities_mid:
+        k_mid = masking.density_to_k(dmid, w.d_ff)
+        mid_mask = masking.topk_rows(mid_keys, k_mid)[1]
+        errs = rel_l2_rows(dense_outs, down_projection(w, h, mid_mask))
+        points.append(AllocationPoint(
+            density_in=float(din), density_mid=float(dmid),
+            k_in=k_in, k_mid=k_mid,
+            memory_fraction=memory_fraction(k_in, k_mid, w.d_model, w.d_ff),
+            error=float(np.mean(errs))))
     return points
 
 

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from typing import List, Optional
 
@@ -32,6 +30,7 @@ from .hwsim import HardwareConfig, ModelGeometry, SchemeConfig, SimulationError
 from .masking import DEFAULT_GAMMA
 from .mlp import MlpWeights
 from .presets import GEOMETRY_PRESETS, HARDWARE_PRESETS
+from .traces import atomic_write
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,6 +64,80 @@ def _take(d: dict, what: str, required=(), optional=()) -> dict:
     return d
 
 
+# Typed reads: each converter takes a JSON value and the key path it came
+# from, and raises ConfigError naming both when the type is wrong.
+
+_ABSENT = object()
+
+
+def _json_type(v) -> str:
+    names = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+             list: "a list", dict: "an object", type(None): "null"}
+    return names.get(type(v), type(v).__name__)
+
+
+def _float(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {_json_type(v)}")
+    try:
+        out = float(v)
+    except OverflowError:
+        raise ConfigError(f"{what} is out of range") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite")
+    return out
+
+
+def _int(v, what: str) -> int:
+    if not _float(v, what).is_integer():
+        raise ConfigError(f"{what} must be an integer")
+    return int(v)
+
+
+def _bool(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{what} must be true or false, got {_json_type(v)}")
+    return v
+
+
+def _str(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{what} must be a string, got {_json_type(v)}")
+    return v
+
+
+def _floats(v, what: str) -> List[float]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {_json_type(v)}")
+    return [_float(x, f"{what}[{i}]") for i, x in enumerate(v)]
+
+
+def _float_or_floats(v, what: str):
+    return _floats(v, what) if isinstance(v, list) else _float(v, what)
+
+
+def _optional_number(v, what: str):
+    # checked but kept as given (1 stays 1, not 1.0): the report echoes it
+    if v is not None:
+        _float(v, what)
+    return v
+
+
+def _get(d: dict, key: str, what: str, conv, default=_ABSENT):
+    """d[key] through conv, or default when the key is absent; what is the
+    path of d in the config ("" for the top level)."""
+    path = f"{what}.{key}" if what else key
+    if key not in d:
+        if default is _ABSENT:
+            raise ConfigError(f"missing key {path}")
+        return default
+    return conv(d[key], path)
+
+
+def _seed(args, cfg: dict) -> int:
+    return args.seed if args.seed is not None else _get(cfg, "seed", "", _int, 0)
+
+
 def _resolve_hardware(spec) -> tuple[HardwareConfig, dict]:
     if isinstance(spec, str):
         if spec not in HARDWARE_PRESETS:
@@ -75,9 +148,8 @@ def _resolve_hardware(spec) -> tuple[HardwareConfig, dict]:
     else:
         _take(spec, "hardware",
               required=("dram_capacity_bytes", "dram_bandwidth", "flash_bandwidth"))
-        hw = HardwareConfig(float(spec["dram_capacity_bytes"]),
-                            float(spec["dram_bandwidth"]),
-                            float(spec["flash_bandwidth"]))
+        hw = HardwareConfig(*(_get(spec, k, "hardware", _float) for k in (
+            "dram_capacity_bytes", "dram_bandwidth", "flash_bandwidth")))
         resolved = {}
     resolved.update({"dram_capacity_bytes": hw.dram_capacity_bytes,
                      "dram_bandwidth": hw.dram_bandwidth,
@@ -96,9 +168,11 @@ def _resolve_geometry(spec) -> tuple[ModelGeometry, dict]:
         _take(spec, "geometry",
               required=("num_layers", "d_model", "d_ff", "bytes_per_weight"),
               optional=("static_bytes",))
-        geo = ModelGeometry(int(spec["num_layers"]), int(spec["d_model"]),
-                            int(spec["d_ff"]), float(spec["bytes_per_weight"]),
-                            float(spec.get("static_bytes", 0.0)))
+        geo = ModelGeometry(_get(spec, "num_layers", "geometry", _int),
+                            _get(spec, "d_model", "geometry", _int),
+                            _get(spec, "d_ff", "geometry", _int),
+                            _get(spec, "bytes_per_weight", "geometry", _float),
+                            _get(spec, "static_bytes", "geometry", _float, 0.0))
         resolved = {}
     resolved.update({"num_layers": geo.num_layers, "d_model": geo.d_model,
                      "d_ff": geo.d_ff, "bytes_per_weight": geo.bytes_per_weight,
@@ -111,13 +185,13 @@ def _resolve_scheme(spec) -> tuple[SchemeConfig, dict]:
           optional=("density_mid", "density_in", "gamma", "reweight_input",
                     "reweight_intermediate", "predictor_hidden"))
     cfg = SchemeConfig(
-        name=spec["name"],
-        density_mid=spec.get("density_mid"),
-        density_in=spec.get("density_in"),
-        gamma=float(spec.get("gamma", DEFAULT_GAMMA)),
-        reweight_input=bool(spec.get("reweight_input", True)),
-        reweight_intermediate=bool(spec.get("reweight_intermediate", True)),
-        predictor_hidden=int(spec.get("predictor_hidden", 0)),
+        name=_get(spec, "name", "scheme", _str),
+        density_mid=_get(spec, "density_mid", "scheme", _optional_number, None),
+        density_in=_get(spec, "density_in", "scheme", _optional_number, None),
+        gamma=_get(spec, "gamma", "scheme", _float, DEFAULT_GAMMA),
+        reweight_input=_get(spec, "reweight_input", "scheme", _bool, True),
+        reweight_intermediate=_get(spec, "reweight_intermediate", "scheme", _bool, True),
+        predictor_hidden=_get(spec, "predictor_hidden", "scheme", _int, 0),
     )
     resolved = {"name": cfg.name, "density_mid": cfg.density_mid,
                 "density_in": cfg.density_in, "gamma": cfg.gamma,
@@ -132,19 +206,21 @@ def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, d
     if ("file" in spec) == ("synthetic" in spec):
         raise ConfigError("trace needs exactly one of 'file' or 'synthetic'")
     if "file" in spec:
-        trace = traces.read_trace(spec["file"])
+        trace = traces.read_trace(_get(spec, "file", "trace", _str))
         if (trace.num_layers, trace.d_model, trace.d_ff) != (
                 geo.num_layers, geo.d_model, geo.d_ff):
             raise SimulationError(
                 f"trace dims (layers={trace.num_layers}, d_model={trace.d_model}, "
                 f"d_ff={trace.d_ff}) do not match geometry")
         return trace, {"file": spec["file"]}
-    syn = _take(dict(spec["synthetic"]), "trace.synthetic", required=("num_tokens",),
+    syn = _take(spec["synthetic"], "trace.synthetic", required=("num_tokens",),
                 optional=("mu", "sigma", "seed"))
     tspec = traces.SyntheticTraceSpec(
-        num_tokens=int(syn["num_tokens"]), num_layers=geo.num_layers,
-        d_model=geo.d_model, d_ff=geo.d_ff, mu=syn.get("mu", 0.0),
-        sigma=syn.get("sigma", 1.0), seed=int(syn.get("seed", seed)))
+        num_tokens=_get(syn, "num_tokens", "trace.synthetic", _int),
+        num_layers=geo.num_layers, d_model=geo.d_model, d_ff=geo.d_ff,
+        mu=_get(syn, "mu", "trace.synthetic", _float_or_floats, 0.0),
+        sigma=_get(syn, "sigma", "trace.synthetic", _float_or_floats, 1.0),
+        seed=_get(syn, "seed", "trace.synthetic", _int, seed))
     resolved = {"synthetic": {"num_tokens": tspec.num_tokens, "mu": list(tspec.mu),
                               "sigma": list(tspec.sigma), "seed": tspec.seed}}
     return traces.generate_synthetic_trace(tspec), resolved
@@ -152,16 +228,7 @@ def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, d
 
 def _write_report(path: str, report: dict) -> None:
     payload = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, payload.encode("utf-8"))
 
 
 def _report_skeleton(command: str, config: dict) -> dict:
@@ -198,6 +265,13 @@ def _layer_records(report: hwsim.RunReport) -> List[dict]:
             for ls in report.per_layer]
 
 
+def _policy(cfg: dict, default=_ABSENT) -> str:
+    policy = _get(cfg, "policy", "", _str, default)
+    if policy not in hwsim.POLICY_NAMES:
+        raise ConfigError(f"unknown policy {policy!r}; known: {hwsim.POLICY_NAMES}")
+    return policy
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -206,14 +280,12 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     _take(cfg, "config", required=("trace", "geometry", "hardware", "scheme", "policy"),
           optional=("seed", "kernel_eval"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     geo, geo_resolved = _resolve_geometry(cfg["geometry"])
     hw, hw_resolved = _resolve_hardware(cfg["hardware"])
     scheme, scheme_resolved = _resolve_scheme(cfg["scheme"])
-    policy = cfg["policy"]
-    if policy not in hwsim.POLICY_NAMES:
-        raise ConfigError(f"unknown policy {policy!r}; known: {hwsim.POLICY_NAMES}")
-    kernel_eval = bool(cfg.get("kernel_eval", False))
+    policy = _policy(cfg)
+    kernel_eval = _get(cfg, "kernel_eval", "", _bool, False)
     trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
                                              seed=seed)
@@ -235,11 +307,10 @@ def _cmd_gen_trace(args) -> int:
     cfg = _load_config(args.config)
     _take(cfg, "config", required=("num_tokens", "num_layers", "d_model", "d_ff"),
           optional=("mu", "sigma", "seed"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     spec = traces.SyntheticTraceSpec(
-        num_tokens=int(cfg["num_tokens"]), num_layers=int(cfg["num_layers"]),
-        d_model=int(cfg["d_model"]), d_ff=int(cfg["d_ff"]),
-        mu=cfg.get("mu", 0.0), sigma=cfg.get("sigma", 1.0), seed=seed)
+        *(_get(cfg, k, "", _int) for k in ("num_tokens", "num_layers", "d_model", "d_ff")),
+        mu=_get(cfg, "mu", "", _float_or_floats, 0.0),
+        sigma=_get(cfg, "sigma", "", _float_or_floats, 1.0), seed=_seed(args, cfg))
     trace = traces.generate_synthetic_trace(spec)
     traces.write_trace(args.out, trace)
     return EXIT_OK
@@ -248,14 +319,14 @@ def _cmd_gen_trace(args) -> int:
 def _sweep_grid(cfg_sweep: dict, scheme_resolved: dict):
     _take(cfg_sweep, "sweep", required=("densities",),
           optional=("gammas", "error_budgets"))
-    densities = [float(d) for d in cfg_sweep["densities"]]
+    densities = _get(cfg_sweep, "densities", "sweep", _floats)
     if not densities:
         raise ConfigError("sweep.densities must be non-empty")
-    gammas = cfg_sweep.get("gammas")
+    gammas = _get(cfg_sweep, "gammas", "sweep", _floats, None)
     if gammas is not None and scheme_resolved["name"] != "dip_ca":
         raise ConfigError("sweep.gammas only applies to the dip_ca scheme")
-    budgets = [float(b) for b in cfg_sweep.get("error_budgets", [])]
-    return densities, ([float(g) for g in gammas] if gammas is not None else None), budgets
+    budgets = _get(cfg_sweep, "error_budgets", "sweep", _floats, [])
+    return densities, gammas, budgets
 
 
 def _cmd_sweep(args) -> int:
@@ -263,25 +334,23 @@ def _cmd_sweep(args) -> int:
     _take(cfg, "config",
           required=("trace", "geometry", "hardware", "scheme", "policy", "sweep"),
           optional=("seed",))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     geo, geo_resolved = _resolve_geometry(cfg["geometry"])
     hw, hw_resolved = _resolve_hardware(cfg["hardware"])
     base_scheme, scheme_resolved = _resolve_scheme(cfg["scheme"])
-    policy = cfg["policy"]
-    if policy not in hwsim.POLICY_NAMES:
-        raise ConfigError(f"unknown policy {policy!r}; known: {hwsim.POLICY_NAMES}")
+    policy = _policy(cfg)
     trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
                                              seed=seed)
-    densities, gammas, budgets = _sweep_grid(dict(cfg["sweep"]), scheme_resolved)
+    densities, gammas, budgets = _sweep_grid(cfg["sweep"], scheme_resolved)
 
     grid = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
 
     def run_point(point):
         density, gamma = point
+        # density_in defaults to density_mid for the input-pruning schemes
         cfg_point = SchemeConfig(
             name=base_scheme.name, density_mid=density,
-            density_in=density if base_scheme.name in ("dip", "dip_ca") else None,
             gamma=base_scheme.gamma if gamma is None else gamma,
             reweight_input=base_scheme.reweight_input,
             reweight_intermediate=base_scheme.reweight_intermediate,
@@ -296,11 +365,7 @@ def _cmd_sweep(args) -> int:
             row["gamma"] = gamma
         return row
 
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_point, grid))
-    else:
-        rows = [run_point(p) for p in grid]
+    rows = [run_point(p) for p in grid]
 
     summaries = []
     for budget in budgets:
@@ -334,25 +399,27 @@ def _cmd_calibrate_allocation(args) -> int:
     cfg = _load_config(args.config)
     _take(cfg, "config", required=("block", "grid", "targets"),
           optional=("seed", "calibration"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    block = _take(dict(cfg["block"]), "block", required=("d_model", "d_ff"),
-                  optional=("seed",))
-    d_model, d_ff = int(block["d_model"]), int(block["d_ff"])
-    w = MlpWeights.random(d_model, d_ff, seed=int(block.get("seed", seed)))
-    calib = _take(dict(cfg.get("calibration", {})), "calibration",
+    seed = _seed(args, cfg)
+    block = _take(cfg["block"], "block", required=("d_model", "d_ff"), optional=("seed",))
+    d_model = _get(block, "d_model", "block", _int)
+    d_ff = _get(block, "d_ff", "block", _int)
+    block_seed = _get(block, "seed", "block", _int, seed)
+    w = MlpWeights.random(d_model, d_ff, seed=block_seed)
+    calib = _take(cfg.get("calibration", {}), "calibration",
                   optional=("num_inputs", "sigma", "seed"))
-    num_inputs = int(calib.get("num_inputs", 32))
-    sigma = float(calib.get("sigma", 1.5))
+    num_inputs = _get(calib, "num_inputs", "calibration", _int, 32)
+    sigma = _get(calib, "sigma", "calibration", _float, 1.5)
+    calib_seed = _get(calib, "seed", "calibration", _int, seed)
     if num_inputs < 1:
         raise ConfigError("calibration.num_inputs must be >= 1")
-    rng = np.random.default_rng(int(calib.get("seed", seed)))
+    rng = np.random.default_rng(calib_seed)
     inputs = _signed_heavy_tailed(rng, num_inputs, d_model, sigma)
-    grid = _take(dict(cfg["grid"]), "grid", required=("densities_in", "densities_mid"))
-    targets = [float(t) for t in cfg["targets"]]
+    grid = _take(cfg["grid"], "grid", required=("densities_in", "densities_mid"))
+    densities_in = _get(grid, "densities_in", "grid", _floats)
+    densities_mid = _get(grid, "densities_mid", "grid", _floats)
+    targets = _get(cfg, "targets", "", _floats)
 
-    points = calibration.sweep_density_allocation(
-        w, inputs, [float(d) for d in grid["densities_in"]],
-        [float(d) for d in grid["densities_mid"]])
+    points = calibration.sweep_density_allocation(w, inputs, densities_in, densities_mid)
     front = calibration.pareto_front(points)
     model = calibration.fit_logit_linear(front)
     allocations = []
@@ -371,11 +438,9 @@ def _cmd_calibrate_allocation(args) -> int:
 
     out = _report_skeleton("calibrate-allocation", {
         "seed": seed,
-        "block": {"d_model": d_model, "d_ff": d_ff, "seed": int(block.get("seed", seed))},
-        "calibration": {"num_inputs": num_inputs, "sigma": sigma,
-                        "seed": int(calib.get("seed", seed))},
-        "grid": {"densities_in": [float(d) for d in grid["densities_in"]],
-                 "densities_mid": [float(d) for d in grid["densities_mid"]]},
+        "block": {"d_model": d_model, "d_ff": d_ff, "seed": block_seed},
+        "calibration": {"num_inputs": num_inputs, "sigma": sigma, "seed": calib_seed},
+        "grid": {"densities_in": densities_in, "densities_mid": densities_mid},
         "targets": targets})
     out["points"] = [point_record(p) for p in points]
     out["pareto_front"] = [point_record(p) for p in front]
@@ -390,28 +455,25 @@ def _cmd_gamma_sweep(args) -> int:
     _take(cfg, "config", required=("trace", "geometry", "hardware", "gammas",
                                    "densities"),
           optional=("seed", "policy", "kernel_eval"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     geo, geo_resolved = _resolve_geometry(cfg["geometry"])
     hw, hw_resolved = _resolve_hardware(cfg["hardware"])
-    policy = cfg.get("policy", "lfu")
-    if policy == "belady":
-        raise SimulationError("belady eviction is ill-defined for cache-aware masking")
-    if policy not in hwsim.POLICY_NAMES:
-        raise ConfigError(f"unknown policy {policy!r}; known: {hwsim.POLICY_NAMES}")
+    policy = _policy(cfg, "lfu")
+    kernel_eval = _get(cfg, "kernel_eval", "", _bool, True)
+    gammas = _get(cfg, "gammas", "", _floats)
+    densities = _get(cfg, "densities", "", _floats)
+    if not gammas or not densities:
+        raise ConfigError("gammas and densities must be non-empty")
     trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
                                              seed=seed)
-    gammas = [float(g) for g in cfg["gammas"]]
-    densities = [float(d) for d in cfg["densities"]]
-    if not gammas or not densities:
-        raise ConfigError("gammas and densities must be non-empty")
+    # belady is rejected by simulate_run: dip_ca masks depend on the cache
     rows = calibration.gamma_sweep(trace, weights, hw, geo, gammas, densities,
-                                   policy=policy,
-                                   kernel_eval=bool(cfg.get("kernel_eval", True)))
+                                   policy=policy, kernel_eval=kernel_eval)
     out = _report_skeleton("gamma-sweep", {
         "seed": seed, "trace": trace_resolved, "geometry": geo_resolved,
         "hardware": hw_resolved, "policy": policy, "gammas": gammas,
-        "densities": densities, "kernel_eval": bool(cfg.get("kernel_eval", True))})
+        "densities": densities, "kernel_eval": kernel_eval})
     out["rows"] = rows
     _write_report(args.out, out)
     return EXIT_OK
@@ -440,8 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid sweeps")
         p.add_argument("--per-token", action="store_true",
                        help="include per-token cost records in the report")
         p.set_defaults(fn=fn)

@@ -25,7 +25,8 @@ import numpy as np
 from . import masking
 from .cache import (CacheState, EvictionPolicy, Group, belady_precompute,
                     cache_update, resident_bitvector)
-from .mlp import MlpWeights, Predictor, approx_error, mlp_dense_forward
+from .mlp import (MlpWeights, Predictor, down_projection, glu_activations,
+                  mlp_dense_forward, rel_l2_rows)
 
 __all__ = [
     "SimulationError",
@@ -238,9 +239,7 @@ class SchemeConfig:
                 raise ValueError("densities must be in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.name == "dip_ca" and self.density_in is None:
-            self.density_in = self.density_mid
-        if self.name == "dip" and self.density_in is None:
+        if self.name in ("dip", "dip_ca") and self.density_in is None:
             self.density_in = self.density_mid
 
     def k_values(self, geo: ModelGeometry) -> Tuple[int, int]:
@@ -293,87 +292,130 @@ class RunReport:
     config: dict = field(default_factory=dict)
 
 
-def _masks_for_token(cfg: SchemeConfig, weights: Sequence[MlpWeights],
-                     acts: np.ndarray, caches, geo: ModelGeometry,
-                     k_in: int, k_mid: int) -> List[masking.MaskSet]:
-    """Per-layer MaskSets for one token's activations [num_layers, d_model]."""
-    out = []
-    for l in range(geo.num_layers):
-        x = acts[l]
-        if cfg.name == "dense":
-            out.append(masking.scheme_dense(geo.d_model, geo.d_ff))
-        elif cfg.name == "glu":
-            out.append(masking.scheme_glu_pruning(weights[l], x, k_mid))
-        elif cfg.name == "gate":
-            out.append(masking.scheme_gate_pruning(weights[l], x, k_mid))
-        elif cfg.name == "up":
-            out.append(masking.scheme_up_pruning(weights[l], x, k_mid))
-        elif cfg.name == "predictive":
-            if cfg.predictor is not None:
-                out.append(masking.scheme_predictive(cfg.predictor, x, k_mid))
-            else:
-                out.append(masking.scheme_predictive_oracle(weights[l], x, k_mid))
-        elif cfg.name == "dip":
-            out.append(masking.scheme_dip(weights[l], x, k_in, k_mid))
-        elif cfg.name == "dip_ca":
-            c_in = resident_bitvector(caches[l][Group.INPUT_BUNDLE])
-            c_mid = resident_bitvector(caches[l][Group.INTERMEDIATE_BUNDLE])
-            out.append(masking.scheme_dip_ca(
-                weights[l], x, c_in, c_mid, k_in, k_mid, gamma=cfg.gamma,
-                reweight_input=cfg.reweight_input,
-                reweight_intermediate=cfg.reweight_intermediate))
-        else:
-            raise SimulationError(f"unhandled scheme {cfg.name!r}")
-    return out
+# Tokens per batch of masks: bounds the [block, d_ff] temporaries of mask
+# building and of kernel_eval, whatever the trace length.
+_ROW_BLOCK = 256
 
 
-def _ordered_active(mask: masking.SparsityMask, scores: Optional[np.ndarray]) -> np.ndarray:
-    """Active unit indices in descending-score admission order (ties by index)."""
-    idx = np.fromiter(mask.active, dtype=np.intp, count=mask.count)
-    if scores is not None and idx.size:
-        idx = idx[np.argsort(-np.asarray(scores, dtype=float)[idx], kind="stable")]
-    return idx
+def _layer_rows(cfg: SchemeConfig, w: Optional[MlpWeights], x: np.ndarray,
+                geo: ModelGeometry, k_in: int, k_mid: int) -> masking.RowMasks:
+    """Masks of a cache-independent scheme for the rows x [n, d_model] of
+    one layer."""
+    if cfg.name == "dense":
+        return masking.dense_rows(len(x), geo.d_model, geo.d_ff)
+    if cfg.name == "glu":
+        return masking.glu_pruning_rows(w, x, k_mid)
+    if cfg.name == "gate":
+        return masking.gate_pruning_rows(w, x, k_mid)
+    if cfg.name == "up":
+        return masking.up_pruning_rows(w, x, k_mid)
+    if cfg.name == "predictive":
+        if cfg.predictor is not None:
+            return masking.predictive_rows(cfg.predictor, x, k_mid)
+        return masking.predictive_oracle_rows(w, x, k_mid)
+    if cfg.name == "dip":
+        return masking.dip_rows(w, x, k_in, k_mid)
+    raise SimulationError(f"unhandled scheme {cfg.name!r}")
 
 
-def _active_units(ms: masking.MaskSet,
-                  groups: Sequence[GroupSpec]) -> List[Tuple[GroupSpec, np.ndarray]]:
+def _masks_for_token(cfg: SchemeConfig, weights: Sequence[MlpWeights], acts: np.ndarray,
+                     caches, k_in: int, k_mid: int) -> List[masking.RowMasks]:
+    """Per-layer dip_ca masks for one token's activations [num_layers,
+    d_model], read from the caches' residency as it is now."""
+    return [masking.dip_ca_rows(
+        weights[l], acts[l:l + 1], resident_bitvector(caches[l][Group.INPUT_BUNDLE]),
+        resident_bitvector(caches[l][Group.INTERMEDIATE_BUNDLE]), k_in, k_mid,
+        gamma=cfg.gamma, reweight_input=cfg.reweight_input,
+        reweight_intermediate=cfg.reweight_intermediate) for l in range(len(acts))]
+
+
+def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> List[np.ndarray]:
+    """Per group, each row's active units in admission order [n, k]."""
+    n = len(rows.input_mask)
     out = []
     for g in groups:
         if g.always_active:
-            units = np.arange(g.universe)
+            out.append(np.broadcast_to(np.arange(g.universe), (n, g.universe)))
         elif g.kind == Group.INPUT_BUNDLE:
-            units = _ordered_active(ms.input_mask, ms.input_scores)
+            out.append(rows.input_order)
         elif g.kind == Group.INTERMEDIATE_BUNDLE:
-            units = _ordered_active(ms.intermediate_mask, ms.intermediate_scores)
+            out.append(rows.intermediate_order)
         else:
             raise SimulationError(f"group {g.kind!r} has no mask source")
-        out.append((g, units))
     return out
 
 
-def simulate_token(caches, masks: Sequence[masking.MaskSet], hw: HardwareConfig,
+def _row_errors(w: MlpWeights, x: np.ndarray, rows: masking.RowMasks,
+                dense: np.ndarray) -> np.ndarray:
+    """Relative L2 error of the masked block against the dense outputs, per
+    row; reuses the GLU rows the masks were scored on when there are any."""
+    h = rows.glu if rows.glu is not None else glu_activations(w, x, rows.input_mask)
+    return rel_l2_rows(dense, down_projection(w, h, rows.intermediate_mask))
+
+
+def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
+                 acts: np.ndarray, caches, geo: ModelGeometry,
+                 groups: Sequence[GroupSpec], k_in: int, k_mid: int,
+                 errors: Optional[np.ndarray]):
+    """Stage 1: per token, per layer, per group, the active units in
+    admission order.
+
+    Tokens go in blocks; the dense outputs for kernel_eval are one batch per
+    layer and block.  Cache-independent schemes build a block's masks as one
+    batch per layer.  dip_ca masks read the caches, so each token's are built
+    when the token is requested, after the previous token's replay.  errors
+    [num_tokens, num_layers], when given, receives each (token, layer) kernel
+    error.
+    """
+    num_layers = acts.shape[1]
+    for t0 in range(0, acts.shape[0], _ROW_BLOCK):
+        x = acts[t0:t0 + _ROW_BLOCK]
+        dense = (None if errors is None else
+                 [mlp_dense_forward(weights[l], x[:, l]) for l in range(num_layers)])
+        if cfg.name == "dip_ca":
+            for i in range(len(x)):
+                per_layer = _masks_for_token(cfg, weights, x[i], caches, k_in, k_mid)
+                if errors is not None:
+                    for l, rows in enumerate(per_layer):
+                        errors[t0 + i, l] = _row_errors(weights[l], x[i, l:l + 1], rows,
+                                                        dense[l][i:i + 1])[0]
+                yield [[u[0] for u in _group_units(rows, groups)] for rows in per_layer]
+            continue
+        block = []
+        for l in range(num_layers):
+            w = weights[l] if weights is not None else None
+            rows = _layer_rows(cfg, w, x[:, l], geo, k_in, k_mid)
+            if errors is not None:
+                errors[t0:t0 + len(x), l] = _row_errors(w, x[:, l], rows, dense[l])
+            block.append(_group_units(rows, groups))
+        for i in range(len(x)):
+            yield [[u[i] for u in layer] for layer in block]
+
+
+def simulate_token(caches, groups: Sequence[GroupSpec], units, hw: HardwareConfig,
                    geo: ModelGeometry, policies, position: int = 0,
                    static_bytes: Optional[float] = None,
                    layer_stats: Optional[List[LayerStats]] = None) -> TokenCost:
-    """Advance every layer cache by one token and price the transfers.
+    """Stage 2 for one token: advance every layer cache and price the
+    transfers.
 
-    caches: per layer, a dict Group -> CacheState.  policies: one
-    EvictionPolicy, or a per-layer list of dicts Group -> EvictionPolicy
+    caches: per layer, a dict Group -> CacheState.  units: per layer, per
+    group of groups, the active unit indices in admission order.  policies:
+    one EvictionPolicy, or a per-layer list of dicts Group -> EvictionPolicy
     (Belady needs a distinct next-use table per cache).  Static bytes default
     to the geometry's and are read over DRAM once for the whole token.
     """
     static = geo.static_bytes if static_bytes is None else static_bytes
-    groups = scheme_groups(masks[0].scheme, geo)
     flash = 0.0
     dram = static
     hits = misses = bypassed = 0
     for l in range(geo.num_layers):
-        for g, units in _active_units(masks[l], groups):
+        for g, active in zip(groups, units[l]):
             if isinstance(policies, EvictionPolicy):
                 policy = policies
             else:
                 policy = policies[l][g.kind]
-            stats = cache_update(caches[l][g.kind], units, policy, position=position)
+            stats = cache_update(caches[l][g.kind], active, policy, position=position)
             flash += stats.misses * g.unit_bytes
             dram += stats.hits * g.unit_bytes
             hits += stats.hits
@@ -405,11 +447,13 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     trace supplies activations of shape [num_tokens, num_layers, d_model]
     (a traces.Trace or a bare array).  Caches start cold; first-token misses
     are included in throughput, and steady_state_throughput excludes the
-    first token so warm-cache figures can be read off directly.  The Belady
-    policy precomputes masks in a first pass (rejected for cache-aware
-    schemes, whose masks depend on cache contents).  kernel_eval additionally
-    runs the block forward per token/layer and reports the mean relative-L2
-    error against the dense block.
+    first token so warm-cache figures can be read off directly.  Masks turn
+    into a stream of unit accesses (stage 1) that is replayed through the
+    caches (stage 2); the Belady policy reads the whole stream first to build
+    its next-use tables (rejected for cache-aware schemes, whose masks depend
+    on cache contents).  kernel_eval additionally runs the block forward per
+    token/layer and reports the mean relative-L2 error against the dense
+    block.
     """
     acts = getattr(trace, "activations", trace)
     if acts is None:
@@ -445,38 +489,21 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     k_in, k_mid = scheme.k_values(geo)
     num_tokens = acts.shape[0]
 
-    premasks = None
+    errors = np.empty((num_tokens, geo.num_layers)) if kernel_eval else None
+    stream = _unit_stream(scheme, weights, acts, caches, geo, groups, k_in, k_mid, errors)
     policies: object
     if policy == "belady":
-        # pass 1: masks are cache-independent, so generate them once and
-        # derive per-cache access traces for the oracle tables
-        premasks = [_masks_for_token(scheme, weights, acts[t], None, geo, k_in, k_mid)
-                    for t in range(num_tokens)]
-        unit_traces = {(l, g.kind): [] for l in range(geo.num_layers) for g in groups}
-        for t in range(num_tokens):
-            for l in range(geo.num_layers):
-                for g, units in _active_units(premasks[t][l], groups):
-                    unit_traces[(l, g.kind)].append(units)
-        policies = [{g.kind: EvictionPolicy.belady(belady_precompute(unit_traces[(l, g.kind)]))
-                     for g in groups} for l in range(geo.num_layers)]
+        stream = list(stream)
+        policies = [{g.kind: EvictionPolicy.belady(belady_precompute(
+            [units[l][i] for units in stream])) for i, g in enumerate(groups)}
+            for l in range(geo.num_layers)]
     else:
         policies = EvictionPolicy(policy)
 
     layer_stats = [LayerStats(layer=l) for l in range(geo.num_layers)]
-    tokens: List[TokenCost] = []
-    errors = []
-    for t in range(num_tokens):
-        if premasks is not None:
-            masks = premasks[t]
-        else:
-            masks = _masks_for_token(scheme, weights, acts[t], caches, geo, k_in, k_mid)
-        tokens.append(simulate_token(caches, masks, hw, geo, policies, position=t,
-                                     static_bytes=static, layer_stats=layer_stats))
-        if kernel_eval:
-            for l in range(geo.num_layers):
-                y_ref = mlp_dense_forward(weights[l], acts[t, l])
-                y = masking.sparse_forward(weights[l], masks[l], acts[t, l])
-                errors.append(approx_error(y_ref, y).rel_l2)
+    tokens = [simulate_token(caches, groups, units, hw, geo, policies, position=t,
+                             static_bytes=static, layer_stats=layer_stats)
+              for t, units in enumerate(stream)]
 
     total_latency = sum(tc.latency_s for tc in tokens)
     tail_latency = sum(tc.latency_s for tc in tokens[1:])
@@ -493,7 +520,8 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
         flash_bytes=sum(tc.flash_bytes for tc in tokens),
         dram_bytes=sum(tc.dram_bytes for tc in tokens),
         per_layer=layer_stats,
-        mean_error=float(np.mean(errors)) if errors else None,
+        # errors in (token, layer) order: the order fixes the float sum
+        mean_error=float(np.mean(errors.ravel())) if errors is not None and errors.size else None,
     )
 
 
@@ -501,7 +529,9 @@ def throughput_at_error(rows: Sequence, error_budget: float) -> Tuple[float, flo
     """Best (throughput, density) among sweep rows with error <= budget.
 
     rows are (density, throughput, error) triples or objects with those
-    attributes.  Raises SimulationError when no row fits the budget.
+    attributes; a row whose error is None (nothing was measured, e.g. an
+    empty trace) never fits.  Raises SimulationError when no row fits the
+    budget.
     """
     if not rows:
         raise ValueError("empty sweep")
@@ -510,7 +540,7 @@ def throughput_at_error(rows: Sequence, error_budget: float) -> Tuple[float, flo
         density, tput, err = (
             (r.density, r.throughput, r.error) if hasattr(r, "throughput")
             else (r[0], r[1], r[2]))
-        if err <= error_budget and (best is None or tput > best[0]):
+        if err is not None and err <= error_budget and (best is None or tput > best[0]):
             best = (tput, density)
     if best is None:
         raise SimulationError(f"no configuration meets error budget {error_budget}")

@@ -4,6 +4,16 @@ Forward passes for the gated MLP block, output-error metrics, low-rank (LoRA)
 adapters fitted by distillation against the dense block, and a small trainable
 predictor that scores intermediate units from the block input.
 
+The block forward takes one input vector [d_model] or a batch of rows
+[n, d_model] (one row per token or calibration input), with masks of the
+matching shape; a 1-D call is a one-row batch.  Each row of a batch result
+equals, bit for bit, the 1-D result for that row: every projection is a
+stacked matrix-vector product, np.matmul(W, X[:, :, None]), which runs one
+BLAS gemv per row exactly as W @ x does.  The matrix-matrix form X @ W.T
+goes through gemm, whose blocking changes the last bits and with them the
+top-k selections downstream.  Per-row errors likewise take each norm as the
+square root of one dot product, as np.linalg.norm does for a vector.
+
 All math runs in float64 and is deterministic given explicit seeds, so the
 numeric tolerances in the test-suite are reproducible across machines.
 Gradients are hand-written; the tests check them against central finite
@@ -23,10 +33,12 @@ __all__ = [
     "silu_grad",
     "MlpWeights",
     "glu_activations",
+    "down_projection",
     "mlp_dense_forward",
     "mlp_sparse_forward",
     "ErrorMetrics",
     "approx_error",
+    "rel_l2_rows",
     "LoraAdapter",
     "MlpAdapters",
     "lora_fuse",
@@ -49,16 +61,23 @@ class TrainingDivergedError(RuntimeError):
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # Evaluated through exp(-|v|) so neither branch can overflow.
+    # Evaluated through e = exp(-|v|) so neither branch can overflow:
+    # 1 / (1 + e) for v >= 0, e / (1 + e) otherwise.  In-place ufuncs keep
+    # the temporaries of a [n, d_ff] batch down to three arrays.
     v = np.asarray(v, dtype=float)
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(v, out=np.empty_like(v))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def silu(v):
     """SiLU gate: v * sigmoid(v). Accepts scalars or arrays."""
     arr = np.asarray(v, dtype=float)
-    out = arr * _sigmoid(arr)
+    out = _sigmoid(arr)
+    out *= arr
     return float(out) if out.ndim == 0 else out
 
 
@@ -118,51 +137,80 @@ class MlpWeights:
         )
 
 
-def _as_bool_mask(mask, dim: int):
+def _rows(x, dim: int, name: str = "d_model"):
+    """x as a float batch [n, dim] plus whether it came as one vector."""
+    x = np.asarray(x, dtype=float)
+    one = x.ndim == 1
+    if one:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"input length must equal {name}")
+    return x, one
+
+
+def _as_bool_mask(mask, dim: int, rows: int = 1):
+    """Mask as a bool array: one vector [dim] or one per row [rows, dim]."""
     if mask is None:
         return None
     if hasattr(mask, "as_bool"):
         mask = mask.as_bool()
-    arr = np.asarray(mask).astype(bool)
-    if arr.shape != (dim,):
+    arr = np.asarray(mask).astype(bool, copy=False)
+    if arr.shape != (dim,) and arr.shape != (rows, dim):
         raise ValueError(f"mask length {arr.shape} does not match dimension {dim}")
     return arr
 
 
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x_i for every row x_i of x [n, cols]: one gemv per row, so each
+    row equals the 1-D product bit for bit (see the module docstring)."""
+    return np.matmul(m, x[:, :, None])[:, :, 0]
+
+
 def glu_activations(w: MlpWeights, x: np.ndarray, input_mask=None) -> np.ndarray:
-    """Gated intermediate vector (up x) * silu(gate x), length d_ff.
+    """Gated intermediate (up x) * silu(gate x): [d_ff] for one input vector,
+    [n, d_ff] for rows [n, d_model].
 
     With input_mask set, masked-out input columns of up and gate are zeroed
     before the projection, which equals zeroing those entries of x.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (w.d_model,):
-        raise ValueError("input length must equal d_model")
-    m = _as_bool_mask(input_mask, w.d_model)
+    xs, one = _rows(x, w.d_model)
+    m = _as_bool_mask(input_mask, w.d_model, len(xs))
     if m is not None:
-        x = np.where(m, x, 0.0)
-    return (w.up @ x) * silu(w.gate @ x)
+        xs = np.where(m, xs, 0.0)
+    # silu(gate x) first, so its temporaries are gone before up x is made;
+    # the product commutes bit for bit
+    h = silu(_matvec(w.gate, xs))
+    h *= _matvec(w.up, xs)
+    return h[0] if one else h
+
+
+def down_projection(w: MlpWeights, h: np.ndarray, intermediate_mask=None) -> np.ndarray:
+    """Block output down @ h from gated intermediates h ([d_ff] or
+    [n, d_ff]); intermediate_mask zeroes columns of down (equivalently,
+    intermediate units)."""
+    hs, one = _rows(h, w.d_ff, "d_ff")
+    m = _as_bool_mask(intermediate_mask, w.d_ff, len(hs))
+    if m is not None:
+        hs = np.where(m, hs, 0.0)
+    y = _matvec(w.down, hs)
+    return y[0] if one else y
 
 
 def mlp_dense_forward(w: MlpWeights, x: np.ndarray) -> np.ndarray:
-    """Dense block output: down @ ((up x) * silu(gate x))."""
-    return w.down @ glu_activations(w, x)
+    """Dense block output: down @ ((up x) * silu(gate x)), per row."""
+    return down_projection(w, glu_activations(w, x))
 
 
 def mlp_sparse_forward(
     w: MlpWeights, x: np.ndarray, input_mask=None, intermediate_mask=None
 ) -> np.ndarray:
-    """Block output with masked columns zeroed.
+    """Block output with masked columns zeroed, per row.
 
     input_mask zeroes columns of up/gate (equivalently, entries of x);
     intermediate_mask zeroes columns of down (equivalently, intermediate
     units).  All-ones masks reproduce the dense forward bit-for-bit.
     """
-    h = glu_activations(w, x, input_mask)
-    mid = _as_bool_mask(intermediate_mask, w.d_ff)
-    if mid is not None:
-        h = np.where(mid, h, 0.0)
-    return w.down @ h
+    return down_projection(w, glu_activations(w, x, input_mask), intermediate_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +245,21 @@ def approx_error(y_ref: np.ndarray, y: np.ndarray) -> ErrorMetrics:
     else:
         cos = float(np.dot(y_ref, y) / (ref_norm * norm))
     return ErrorMetrics(rel_l2=rel, cosine=cos)
+
+
+def _row_norms(y: np.ndarray) -> np.ndarray:
+    # sqrt of one dot product per row: np.linalg.norm's x.dot(x), bit for bit
+    return np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0])
+
+
+def rel_l2_rows(y_ref: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """approx_error(y_ref[i], y[i]).rel_l2 for every row i of [n, dim]
+    outputs, bit for bit, as one array."""
+    y_ref = np.asarray(y_ref, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y_ref.shape != y.shape or y.ndim != 2:
+        raise ValueError("shape mismatch")
+    return _row_norms(y - y_ref) / np.maximum(_row_norms(y_ref), _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +403,7 @@ def lora_fit_distill(w: MlpWeights, masks_fn: Callable, inputs: Sequence[np.ndar
     x_batch = np.asarray(list(inputs), dtype=float)
     if x_batch.ndim != 2 or x_batch.shape[1] != w.d_model:
         raise ValueError("inputs must be vectors of length d_model")
-    teacher = (x_batch @ w.up.T * silu(x_batch @ w.gate.T)) @ w.down.T
+    teacher = mlp_dense_forward(w, x_batch)
 
     in_masks = np.empty((len(x_batch), w.d_model))
     mid_masks = np.empty((len(x_batch), w.d_ff))
@@ -430,11 +493,11 @@ class Predictor:
 
 
 def predictor_forward(p: Predictor, x: np.ndarray) -> np.ndarray:
-    """Logits over the d_ff intermediate units for one input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.d_model,):
-        raise ValueError("input length must equal d_model")
-    return p.w2 @ silu(p.w1 @ x + p.b1) + p.b2
+    """Logits over the d_ff intermediate units: [d_ff] for one input vector,
+    [n, d_ff] for rows [n, d_model]."""
+    xs, one = _rows(x, p.d_model)
+    z = _matvec(p.w2, silu(_matvec(p.w1, xs) + p.b1)) + p.b2
+    return z[0] if one else z
 
 
 def topk_binary_targets(glu_batch: np.ndarray, target_frac: float) -> np.ndarray:
@@ -445,13 +508,10 @@ def topk_binary_targets(glu_batch: np.ndarray, target_frac: float) -> np.ndarray
     glu_batch = np.asarray(glu_batch, dtype=float)
     if not 0.0 < target_frac <= 1.0:
         raise ValueError("target_frac must be in (0, 1]")
-    d_ff = glu_batch.shape[1]
-    k = int(np.ceil(target_frac * d_ff))
-    targets = np.zeros_like(glu_batch)
-    for i, row in enumerate(glu_batch):
-        order = np.argsort(-np.abs(row), kind="stable")
-        targets[i, order[:k]] = 1.0
-    return targets
+    from .masking import topk_rows  # masking builds on this module
+
+    k = int(np.ceil(target_frac * glu_batch.shape[1]))
+    return topk_rows(np.abs(glu_batch), k)[1].astype(float)
 
 
 def predictor_loss_and_grads(p: Predictor, x_batch: np.ndarray, targets: np.ndarray):

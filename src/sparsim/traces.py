@@ -10,11 +10,13 @@ round-trip bit-for-bit.
 Trace files ('DSTR' magic) carry either float32 activation vectors or
 varint-encoded sorted unit-index lists; weight tensor files ('DWTS' magic)
 carry row-major float32 tensors.  All integers little-endian.  Values widen
-to float64 in memory.
+to float64 in memory.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -160,6 +162,23 @@ def synthetic_layer_weights(num_layers: int, d_model: int, d_ff: int,
 # trace files
 # ---------------------------------------------------------------------------
 
+def atomic_write(path, data: bytes) -> None:
+    """Write data to a temp file beside path, then rename it over path: a
+    reader sees the old file or the whole new one, and a failed write
+    leaves no partial file.  The file gets the mode open() would give it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".sparsim-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise ValueError("varints are unsigned")
@@ -220,8 +239,7 @@ def write_trace(path, trace: Trace) -> None:
                 _write_varint(out, len(units))
                 for u in units:
                     _write_varint(out, u)
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    atomic_write(path, bytes(out))
 
 
 def read_trace(path) -> Trace:
@@ -271,8 +289,7 @@ def write_tensors(path, arrays: Sequence[np.ndarray]) -> None:
         out += struct.pack("<I", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    atomic_write(path, bytes(out))
 
 
 def read_tensors(path) -> List[np.ndarray]:

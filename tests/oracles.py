@@ -1,8 +1,10 @@
 """Independent oracles used by the unit and acceptance tests: the per-unit
-cache replay that the simulator's batch replay must equal, an exhaustive
-search over demand-fill eviction schedules, and a central-finite-difference
-gradient checker.  Kept separate from any test module so both the per-module
-tests and the acceptance suite share one implementation."""
+cache replay that the simulator's batch replay must equal, the per-vector
+top-k, GLU and density-allocation sweep that the row-batched kernels must
+equal, an exhaustive search over demand-fill eviction schedules, and a
+central-finite-difference gradient checker.  Kept separate from any test
+module so both the per-module tests and the acceptance suite share one
+implementation."""
 import functools
 import math
 
@@ -131,3 +133,77 @@ def fd_worst_rel_err(loss_fn, params, grads, step=1e-5):
         denom = max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, np.linalg.norm(g - fd) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# per-vector masking and block forward
+# ---------------------------------------------------------------------------
+
+def topk_order(values, k, magnitude=True):
+    """The k largest entries of one vector (by |value| unless
+    magnitude=False), largest first, ties to the lower index."""
+    v = np.asarray(values, dtype=float).ravel()
+    if not 0 <= k <= v.size:
+        raise ValueError("k must be in [0, len(values)]")
+    key = np.abs(v) if magnitude else v
+    return [int(i) for i in np.argsort(-key, kind="stable")[:k]]
+
+
+def topk_indices(values, k, magnitude=True):
+    """Sorted tuple of the top-k indices of one vector."""
+    return tuple(sorted(topk_order(values, k, magnitude)))
+
+
+def keep_mask(dim, active):
+    keep = np.zeros(dim, dtype=bool)
+    keep[list(active)] = True
+    return keep
+
+
+def silu(v):
+    v = np.asarray(v, dtype=float)
+    e = np.exp(-np.abs(v))
+    return v * np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def glu_activations(w, x, input_keep=None):
+    """(up x) * silu(gate x) for one vector, masked inputs zeroed."""
+    x = np.asarray(x, dtype=float)
+    if input_keep is not None:
+        x = np.where(input_keep, x, 0.0)
+    return (w.up @ x) * silu(w.gate @ x)
+
+
+def sparse_forward(w, x, input_keep=None, mid_keep=None):
+    h = glu_activations(w, x, input_keep)
+    if mid_keep is not None:
+        h = np.where(mid_keep, h, 0.0)
+    return w.down @ h
+
+
+def dip_masks(w, x, k_in, k_mid):
+    """Dynamic input pruning of one vector: (input keep, intermediate keep)."""
+    in_keep = keep_mask(w.d_model, topk_indices(np.abs(x), k_in))
+    mid = topk_indices(np.abs(glu_activations(w, x, in_keep)), k_mid)
+    return in_keep, keep_mask(w.d_ff, mid)
+
+
+def sweep_density_allocation(w, inputs, densities_in, densities_mid):
+    """(density_in, density_mid, k_in, k_mid, mean error) per grid point,
+    one input vector at a time."""
+    def density_to_k(density, dim):
+        return max(1, int(np.floor(density * dim + 0.5)))
+
+    out = []
+    for din in densities_in:
+        k_in = density_to_k(din, w.d_model)
+        for dmid in densities_mid:
+            k_mid = density_to_k(dmid, w.d_ff)
+            errs = []
+            for x in inputs:
+                y_ref = sparse_forward(w, x)
+                y = sparse_forward(w, x, *dip_masks(w, x, k_in, k_mid))
+                errs.append(float(np.linalg.norm(y - y_ref))
+                            / max(float(np.linalg.norm(y_ref)), 1e-12))
+            out.append((float(din), float(dmid), k_in, k_mid, float(np.mean(errs))))
+    return out

@@ -1,10 +1,15 @@
 """Command-line experiment runner: every verb, report schema, determinism,
 and exit-code mapping."""
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsim import Trace, read_trace, write_trace
 from sparsim.cli import (
@@ -181,16 +186,6 @@ def test_sweep_gammas_rejected_for_oblivious_scheme(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
 
 
-def test_sweep_threads_agree_with_serial(tmp_path):
-    cfg = _write_config(tmp_path, "s.json", _run_config(
-        sweep={"densities": [0.25, 0.5, 0.75]}))
-    out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-    assert main(["sweep", "--config", cfg, "--out", str(out2),
-                 "--threads", "3"]) == EXIT_OK
-    assert _load(out1)["rows"] == _load(out2)["rows"]
-
-
 def test_sweep_single_point_grid(tmp_path):
     cfg = _write_config(tmp_path, "s.json", _run_config(
         sweep={"densities": [0.5]}))
@@ -356,3 +351,112 @@ def test_trace_requires_exactly_one_source(tmp_path):
     cfg2 = _write_config(tmp_path, "c2.json", _run_config(
         trace={"file": "x.bin", "synthetic": {"num_tokens": 2}}))
     assert main(["run", "--config", cfg2, "--out", str(out)]) == EXIT_VALIDATION
+
+
+# ---------------------------------------------------------------------------
+# typed config reads: wrong-typed values anywhere in a config
+# ---------------------------------------------------------------------------
+
+def test_validation_error_for_string_density(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        scheme={"name": "dip", "density_mid": "0.5"}))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "scheme.density_mid must be a number" in err
+    assert not out.exists()
+
+
+def test_validation_error_for_scalar_sweep_densities(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", _run_config(sweep={"densities": 0.5}))
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sweep.densities must be a list" in err
+
+
+_SMALL_GEOMETRY = {"num_layers": 2, "d_model": 8, "d_ff": 24, "bytes_per_weight": 2.0,
+                   "static_bytes": 0.0}
+_SMALL_HARDWARE = {"dram_capacity_bytes": 1500.0, "dram_bandwidth": 60e9,
+                   "flash_bandwidth": 1e9}
+_FUZZ_CONFIGS = {
+    "run": {
+        "trace": {"synthetic": {"num_tokens": 3, "mu": 0.0, "sigma": [1.0, 1.5], "seed": 1}},
+        "geometry": _SMALL_GEOMETRY, "hardware": _SMALL_HARDWARE,
+        "scheme": {"name": "dip", "density_mid": 0.5, "density_in": 0.5, "gamma": 0.2,
+                   "reweight_input": True, "reweight_intermediate": True,
+                   "predictor_hidden": 0},
+        "policy": "lfu", "seed": 1, "kernel_eval": True},
+    "sweep": {
+        "trace": {"synthetic": {"num_tokens": 3}},
+        "geometry": _SMALL_GEOMETRY, "hardware": _SMALL_HARDWARE,
+        "scheme": {"name": "dip_ca", "density_mid": 0.5}, "policy": "lru", "seed": 2,
+        "sweep": {"densities": [0.5], "gammas": [0.2, 1.0], "error_budgets": [0.5]}},
+    "calibrate-allocation": {
+        "block": {"d_model": 8, "d_ff": 24, "seed": 1},
+        "grid": {"densities_in": [0.3, 0.6, 0.9], "densities_mid": [0.3, 0.6, 0.9]},
+        "targets": [0.5], "calibration": {"num_inputs": 4, "sigma": 1.5, "seed": 2},
+        "seed": 3},
+    "gamma-sweep": {
+        "trace": {"synthetic": {"num_tokens": 3}},
+        "geometry": _SMALL_GEOMETRY, "hardware": "phone-4gb",
+        "gammas": [0.2, 1.0], "densities": [0.5], "policy": "lfu", "kernel_eval": True,
+        "seed": 4},
+    "gen-trace": {"num_tokens": 3, "num_layers": 2, "d_model": 8, "d_ff": 24,
+                  "mu": [0.0, 0.5], "sigma": 1.0, "seed": 5},
+}
+# wrong types for every kind of leaf, and small in-range-or-not numbers
+_WRONG_VALUES = ["0.5", "", "lfu", [], [0.5], ["x"], [[1]], {}, {"a": 1}, None, True,
+                 False, 0, 1, -1, 2, 0.5, 1.5, -0.5]
+
+
+def _paths(node, prefix=()):
+    """Key paths to every value below the root, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@given(st.sampled_from(sorted(_FUZZ_CONFIGS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_wrong_typed_config_values_keep_the_cli_contract(verb, data):
+    cfg = _FUZZ_CONFIGS[verb]
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(cfg))))
+        cfg = _replaced(cfg, path, data.draw(st.sampled_from(_WRONG_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "c.json")
+        out = os.path.join(tmp, "out")
+        with open(cfg_path, "w") as f:
+            json.dump(cfg, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([verb, "--config", cfg_path, "--out", out])
+        err = err.getvalue()
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_SIMULATION, EXIT_IO)
+        assert "Traceback" not in err
+        if rc == EXIT_OK:
+            assert err == ""
+            if verb != "gen-trace":
+                with open(out) as f:
+                    _strict_json(f.read())
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert not os.path.exists(out)

@@ -15,8 +15,10 @@ from sparsim import (
     SyntheticTraceSpec,
     TokenCost,
     allocate_dram,
+    approx_error,
     density_to_k,
     generate_synthetic_trace,
+    mlp_dense_forward,
     predictor_static_bytes,
     scheme_groups,
     simulate_run,
@@ -460,9 +462,56 @@ def test_dip_ca_gamma_one_equals_plain_dip_run():
 # batch cache replay against the per-unit oracle, end to end
 # ---------------------------------------------------------------------------
 
-def _oracle_token_costs(trace, weights, scheme, policy, hw, geo):
-    """TokenCosts of simulate_run recomputed with one ReferenceCache per
-    (layer, group); dip_ca masks read the oracle caches' residency."""
+def _token_masks(scheme, weights, x, geo, k_in, k_mid, caches=None):
+    """One token's MaskSets from the per-vector scheme functions, layer by
+    layer; dip_ca reads the residency of the given reference caches."""
+    out = []
+    for l in range(geo.num_layers):
+        w = weights[l]
+        if scheme.name == "dense":
+            out.append(masking.scheme_dense(geo.d_model, geo.d_ff))
+        elif scheme.name == "glu":
+            out.append(masking.scheme_glu_pruning(w, x[l], k_mid))
+        elif scheme.name == "gate":
+            out.append(masking.scheme_gate_pruning(w, x[l], k_mid))
+        elif scheme.name == "up":
+            out.append(masking.scheme_up_pruning(w, x[l], k_mid))
+        elif scheme.name == "predictive":
+            out.append(masking.scheme_predictive_oracle(w, x[l], k_mid))
+        elif scheme.name == "dip":
+            out.append(masking.scheme_dip(w, x[l], k_in, k_mid))
+        else:
+            c_in, c_mid = np.zeros(geo.d_model), np.zeros(geo.d_ff)
+            c_in[list(caches[l][Group.INPUT_BUNDLE].resident)] = 1
+            c_mid[list(caches[l][Group.INTERMEDIATE_BUNDLE].resident)] = 1
+            out.append(masking.scheme_dip_ca(w, x[l], c_in, c_mid, k_in, k_mid,
+                                             gamma=scheme.gamma))
+    return out
+
+
+def _admission_order(mask, scores):
+    """Active units by descending score, ties to the lower index."""
+    if scores is None:
+        return list(mask.active)
+    return sorted(mask.active, key=lambda u: (-scores[u], u))
+
+
+def _token_units(ms, groups):
+    out = []
+    for g in groups:
+        if g.always_active:
+            out.append(list(range(g.universe)))
+        elif g.kind == Group.INPUT_BUNDLE:
+            out.append(_admission_order(ms.input_mask, ms.input_scores))
+        else:
+            out.append(_admission_order(ms.intermediate_mask, ms.intermediate_scores))
+    return out
+
+
+def _oracle_run(trace, weights, scheme, policy, hw, geo):
+    """(TokenCosts, mean kernel error) of simulate_run recomputed token by
+    token and layer by layer: per-vector masks, one ReferenceCache per
+    (layer, group), and approx_error of each (token, layer) forward."""
     acts = trace.activations
     groups = scheme_groups(scheme.name, geo)
     capacities = allocate_dram(hw, geo, groups)
@@ -471,40 +520,34 @@ def _oracle_token_costs(trace, weights, scheme, policy, hw, geo):
     k_in, k_mid = scheme.k_values(geo)
 
     def masks_for(t):
-        if scheme.name != "dip_ca":
-            return hwsim._masks_for_token(scheme, weights, acts[t], None, geo, k_in, k_mid)
-        out = []
-        for l in range(geo.num_layers):
-            c_in, c_mid = np.zeros(geo.d_model), np.zeros(geo.d_ff)
-            c_in[list(caches[l][Group.INPUT_BUNDLE].resident)] = 1
-            c_mid[list(caches[l][Group.INTERMEDIATE_BUNDLE].resident)] = 1
-            out.append(masking.scheme_dip_ca(weights[l], acts[t, l], c_in, c_mid,
-                                             k_in, k_mid, gamma=scheme.gamma))
-        return out
+        return _token_masks(scheme, weights, acts[t], geo, k_in, k_mid, caches)
 
     premasks = None if scheme.name == "dip_ca" else [masks_for(t) for t in range(len(acts))]
     accesses = {}  # (layer, group) -> the cache's full access trace, for belady
     if premasks is not None:
         for ms in premasks:
             for l in range(geo.num_layers):
-                for g, units in hwsim._active_units(ms[l], groups):
-                    accesses.setdefault((l, g.kind), []).append(set(units.tolist()))
-    costs = []
+                for g, units in zip(groups, _token_units(ms[l], groups)):
+                    accesses.setdefault((l, g.kind), []).append(set(units))
+    costs, errors = [], []
     for t in range(len(acts)):
         ms = premasks[t] if premasks is not None else masks_for(t)
         flash, dram = 0.0, geo.static_bytes
         hits = misses = bypassed = 0
         for l in range(geo.num_layers):
-            for g, units in hwsim._active_units(ms[l], groups):
+            for g, units in zip(groups, _token_units(ms[l], groups)):
                 h, m, b = caches[l][g.kind].update(
-                    units.tolist(), policy, trace=accesses.get((l, g.kind)), position=t)
+                    units, policy, trace=accesses.get((l, g.kind)), position=t)
                 flash += m * g.unit_bytes
                 dram += h * g.unit_bytes
                 hits, misses, bypassed = hits + h, misses + m, bypassed + b
+            y_ref = mlp_dense_forward(weights[l], acts[t, l])
+            y = masking.sparse_forward(weights[l], ms[l], acts[t, l])
+            errors.append(approx_error(y_ref, y).rel_l2)
         costs.append(TokenCost(flash_bytes=flash, dram_bytes=dram,
                                latency_s=flash / hw.flash_bandwidth + dram / hw.dram_bandwidth,
                                hits=hits, misses=misses, bypassed=bypassed))
-    return costs
+    return costs, float(np.mean(errors))
 
 
 @pytest.mark.parametrize("scheme,policy", [
@@ -518,13 +561,30 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy):
     tr = _trace(num_tokens=10, geo=geo, seed=5)
     w = _weights(geo, seed=5)
     cfg = SchemeConfig(name=scheme, density_mid=None if scheme == "dense" else 0.5)
-    report = simulate_run(tr, w, cfg, policy, hw, geo)
-    expected = _oracle_token_costs(tr, w, cfg, policy, hw, geo)
+    report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
+    expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
     for t, (got, want) in enumerate(zip(report.tokens, expected)):
         assert got == want, f"token {t}"
     assert len(report.tokens) == len(expected)
+    assert report.mean_error == mean_error  # bit for bit, same summation order
     if policy != "nocache" and scheme != "dense":
         assert any(tc.misses > tc.bypassed for tc in report.tokens[1:])
+
+
+def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):
+    # a trace longer than one mask block gives the same run as one big block
+    geo = GEOMETRY_PRESETS["desk-small"]
+    hw = HardwareConfig(dram_capacity_bytes=geo.total_mlp_bytes / 3,
+                        dram_bandwidth=60e9, flash_bandwidth=1e9)
+    tr, w = _trace(num_tokens=11, geo=geo, seed=6), _weights(geo, seed=6)
+    cfg = SchemeConfig(name="dip", density_mid=0.4)
+    for policy in ("lfu", "belady"):
+        whole = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
+        monkeypatch.setattr(hwsim, "_ROW_BLOCK", 4)
+        blocked = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
+        monkeypatch.undo()
+        assert blocked.tokens == whole.tokens
+        assert blocked.mean_error == whole.mean_error
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +603,9 @@ def test_throughput_at_error_edge_cases():
         throughput_at_error([], 0.5)
     with pytest.raises(SimulationError):
         throughput_at_error([(0.2, 5.0, 0.5)], 0.1)
+    # an empty trace measures no error, so its rows never fit a budget
+    with pytest.raises(SimulationError):
+        throughput_at_error([(0.2, 0.0, None)], 0.5)
 
 
 def test_exported_name_lists():

@@ -1,4 +1,6 @@
 """Synthetic activation traces and the binary trace / tensor file formats."""
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from sparsim import (
     write_tensors,
     write_trace,
 )
+from sparsim import traces
 
 
 SPEC = SyntheticTraceSpec(num_tokens=6, num_layers=2, d_model=8, d_ff=24,
@@ -261,3 +264,55 @@ def test_adapters_round_trip(tmp_path):
     np.testing.assert_array_equal(back.up.b, ad.up.b)
     np.testing.assert_array_equal(back.down.b, ad.down.b)
     assert back.gate.rank == 3
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+def test_written_file_has_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(b"")
+    path = tmp_path / "t.bin"
+    write_trace(path, generate_synthetic_trace(SPEC))
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.bin", "t.bin"]
+
+
+def test_failed_rename_leaves_no_partial_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(traces.os, "replace", fail)
+    path = tmp_path / "t.bin"
+    with pytest.raises(OSError):
+        write_trace(path, generate_synthetic_trace(SPEC))
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old")
+    with pytest.raises(OSError):
+        write_tensors(path, [np.ones(3)])
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
+
+
+def test_write_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fd, mode):
+            self.f = real_fdopen(fd, mode)
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(traces.os, "fdopen", HalfWriter)
+    path = tmp_path / "t.bin"
+    with pytest.raises(OSError):
+        write_trace(path, generate_synthetic_trace(SPEC))
+    assert list(tmp_path.iterdir()) == []

@@ -131,10 +131,13 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     Every (input, intermediate) density pair is scored by the mean relative-
     L2 error of the masked forward against the dense forward over the
     calibration inputs.  The up and gate projections share the input density.
-    The inputs run as one batch of rows: the dense outputs once, the input
-    masks and the gated intermediates H once per input density (H does not
-    depend on the intermediate density), then one top-k, one down projection
-    and one row-error call per grid point.  The selections are scheme_dip's.
+    The inputs run as one batch of rows.  Every top-k is a prefix of one row
+    order (masking.rank_rows), so a row's rank of each unit in that order
+    gives the mask of every k at once: keep the units ranked below k.  The
+    dense outputs and the rank of |x| are made once, the gated
+    intermediates H and the rank of |H| once per input density (H does not
+    depend on the intermediate density), then one down projection and one
+    row-error call per grid point.  The selections are scheme_dip's.
     """
     if len(inputs) == 0:
         raise ValueError("need at least one calibration input")
@@ -142,22 +145,33 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     if xs.ndim != 2 or xs.shape[1] != w.d_model:
         raise ValueError("input length must equal d_model")
     dense_outs = mlp_dense_forward(w, xs)
+    in_rank = _ranks(np.abs(xs))
     points = []
     for din in densities_in:
-        points += _points_at_input_density(w, xs, dense_outs, din, densities_mid)
+        points += _points_at_input_density(w, xs, dense_outs, in_rank, din, densities_mid)
     return points
 
 
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each unit's place in its row's order: the inverse of rank_rows, so
+    the top-k mask of every k is ranks < k."""
+    ranks = np.empty(keys.shape, dtype=np.intp)
+    np.put_along_axis(ranks, masking.rank_rows(keys), np.arange(keys.shape[1])[None, :],
+                      axis=1)
+    return ranks
+
+
 def _points_at_input_density(w: MlpWeights, xs: np.ndarray, dense_outs: np.ndarray,
-                             din: float, densities_mid: Sequence[float]) -> List[AllocationPoint]:
+                             in_rank: np.ndarray, din: float,
+                             densities_mid: Sequence[float]) -> List[AllocationPoint]:
     # a function of its own so that H is freed before the next density's
     k_in = masking.density_to_k(din, w.d_model)
-    h = glu_activations(w, xs, masking.topk_rows(np.abs(xs), k_in)[1])
-    mid_keys = np.abs(h)
+    h = glu_activations(w, xs, in_rank < k_in)
+    mid_rank = _ranks(np.abs(h))
     points = []
     for dmid in densities_mid:
         k_mid = masking.density_to_k(dmid, w.d_ff)
-        mid_mask = masking.topk_rows(mid_keys, k_mid)[1]
+        mid_mask = mid_rank < k_mid
         errs = rel_l2_rows(dense_outs, down_projection(w, h, mid_mask))
         points.append(AllocationPoint(
             density_in=float(din), density_mid=float(dmid),

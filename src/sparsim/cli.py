@@ -11,7 +11,8 @@ with sorted keys, so re-running an identical config and seed reproduces the
 report byte-for-byte except the timestamp field.  Reports embed the fully
 resolved configuration with presets expanded.
 
-Exit codes: 0 success, 1 validation error, 2 simulation error, 3 I/O error.
+Exit codes: 0 success, 1 validation error (including a config whose arrays
+do not fit in memory), 2 simulation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -517,6 +518,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_SIMULATION
     except (ConfigError, ValueError) as e:
         print(f"validation error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as e:
+        # sizes in configs are not bounded; a config too large to allocate
+        # is a config error, not a crash
+        print(f"validation error: config needs more memory than is available: {e}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)

@@ -318,17 +318,6 @@ def _layer_rows(cfg: SchemeConfig, w: Optional[MlpWeights], x: np.ndarray,
     raise SimulationError(f"unhandled scheme {cfg.name!r}")
 
 
-def _masks_for_token(cfg: SchemeConfig, weights: Sequence[MlpWeights], acts: np.ndarray,
-                     caches, k_in: int, k_mid: int) -> List[masking.RowMasks]:
-    """Per-layer dip_ca masks for one token's activations [num_layers,
-    d_model], read from the caches' residency as it is now."""
-    return [masking.dip_ca_rows(
-        weights[l], acts[l:l + 1], resident_bitvector(caches[l][Group.INPUT_BUNDLE]),
-        resident_bitvector(caches[l][Group.INTERMEDIATE_BUNDLE]), k_in, k_mid,
-        gamma=cfg.gamma, reweight_input=cfg.reweight_input,
-        reweight_intermediate=cfg.reweight_intermediate) for l in range(len(acts))]
-
-
 def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> List[np.ndarray]:
     """Per group, each row's active units in admission order [n, k]."""
     n = len(rows.input_mask)
@@ -345,12 +334,23 @@ def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> List[np
     return out
 
 
-def _row_errors(w: MlpWeights, x: np.ndarray, rows: masking.RowMasks,
-                dense: np.ndarray) -> np.ndarray:
-    """Relative L2 error of the masked block against the dense outputs, per
-    row; reuses the GLU rows the masks were scored on when there are any."""
-    h = rows.glu if rows.glu is not None else glu_activations(w, x, rows.input_mask)
-    return rel_l2_rows(dense, down_projection(w, h, rows.intermediate_mask))
+def _row_errors(w: MlpWeights, x: np.ndarray, glu: np.ndarray,
+                intermediate_mask: np.ndarray) -> np.ndarray:
+    """Relative L2 error of the masked block against the dense block, per
+    row of one layer's inputs x, from the gated intermediates under the
+    input mask."""
+    return rel_l2_rows(mlp_dense_forward(w, x), down_projection(w, glu, intermediate_mask))
+
+
+def _dip_ca_token(cfg: SchemeConfig, weights: Sequence[MlpWeights], x: np.ndarray,
+                  caches, k_in: int, k_mid: int) -> masking.RowMasks:
+    """dip_ca masks of one token, one row per layer of x [num_layers,
+    d_model], read from the caches' residency as it is now."""
+    residency = [np.stack([resident_bitvector(c[g]) for c in caches])
+                 for g in (Group.INPUT_BUNDLE, Group.INTERMEDIATE_BUNDLE)]
+    return masking.dip_ca_rows(weights, x, *residency, k_in, k_mid, gamma=cfg.gamma,
+                               reweight_input=cfg.reweight_input,
+                               reweight_intermediate=cfg.reweight_intermediate)
 
 
 def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
@@ -360,33 +360,43 @@ def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
     """Stage 1: per token, per layer, per group, the active units in
     admission order.
 
-    Tokens go in blocks; the dense outputs for kernel_eval are one batch per
-    layer and block.  Cache-independent schemes build a block's masks as one
-    batch per layer.  dip_ca masks read the caches, so each token's are built
-    when the token is requested, after the previous token's replay.  errors
-    [num_tokens, num_layers], when given, receives each (token, layer) kernel
-    error.
+    Tokens go in blocks of up to _ROW_BLOCK.  Cache-independent schemes
+    build a block's masks as one batch per layer.  dip_ca masks read the
+    caches, so each token's are built when the token is requested, after
+    the previous token's replay, as one batch over the token's layers.
+    errors [num_tokens, num_layers], when given, receives each (token,
+    layer) kernel error, one _row_errors call per layer and block: dip_ca
+    keeps its block's gated intermediates and intermediate masks until the
+    block's last token is out (errors never feed back into the caches).
     """
     num_layers = acts.shape[1]
     for t0 in range(0, acts.shape[0], _ROW_BLOCK):
         x = acts[t0:t0 + _ROW_BLOCK]
-        dense = (None if errors is None else
-                 [mlp_dense_forward(weights[l], x[:, l]) for l in range(num_layers)])
         if cfg.name == "dip_ca":
+            if errors is not None:
+                glu = np.empty((num_layers, len(x), geo.d_ff))
+                mid_mask = np.empty((num_layers, len(x), geo.d_ff), dtype=bool)
             for i in range(len(x)):
-                per_layer = _masks_for_token(cfg, weights, x[i], caches, k_in, k_mid)
+                rows = _dip_ca_token(cfg, weights, x[i], caches, k_in, k_mid)
                 if errors is not None:
-                    for l, rows in enumerate(per_layer):
-                        errors[t0 + i, l] = _row_errors(weights[l], x[i, l:l + 1], rows,
-                                                        dense[l][i:i + 1])[0]
-                yield [[u[0] for u in _group_units(rows, groups)] for rows in per_layer]
+                    glu[:, i] = rows.glu
+                    mid_mask[:, i] = rows.intermediate_mask
+                units = _group_units(rows, groups)
+                yield [[u[l] for u in units] for l in range(num_layers)]
+            if errors is not None:
+                for l in range(num_layers):
+                    errors[t0:t0 + len(x), l] = _row_errors(weights[l], x[:, l], glu[l],
+                                                            mid_mask[l])
             continue
         block = []
         for l in range(num_layers):
             w = weights[l] if weights is not None else None
             rows = _layer_rows(cfg, w, x[:, l], geo, k_in, k_mid)
             if errors is not None:
-                errors[t0:t0 + len(x), l] = _row_errors(w, x[:, l], rows, dense[l])
+                glu = rows.glu if rows.glu is not None else glu_activations(
+                    w, x[:, l], rows.input_mask)
+                errors[t0:t0 + len(x), l] = _row_errors(w, x[:, l], glu,
+                                                        rows.intermediate_mask)
             block.append(_group_units(rows, groups))
         for i in range(len(x)):
             yield [[u[i] for u in layer] for layer in block]

@@ -6,13 +6,19 @@ schemes (GLU / gate / up / predictive pruning), dynamic input pruning over
 both the input and intermediate dimensions, and its cache-aware variant that
 re-weights selection scores by current cache residency.
 
-Masks are bool arrays.  There is one top-k (topk_rows), and each scheme is
-one function over a batch of rows, one row per input vector, returning
-RowMasks: bool masks plus each row's picks in selection order, which is the
-order the simulator's caches admit units in.  The one-vector functions
-(topk_indices, scheme_*) are one-row calls into these and return
+Masks are bool arrays.  There is one row order (rank_rows): each row's
+units from the largest key down, ties to the lower index, i.e. a stable
+descending argsort, found exactly by a faster sort for rows without ties.
+Every top-k is a prefix of it (topk_rows), so one sort serves every k.
+
+Each scheme is one function over a batch of rows, one row per input vector,
+returning RowMasks: bool masks plus each row's picks in selection order,
+which is the order the simulator's caches admit units in.  The one-vector
+functions (topk_indices, scheme_*) are one-row calls into these and return
 SparsityMask / MaskSet.  Projections go through mlp's stacked matrix-vector
 product, so every row of a batch equals its one-vector call bit for bit.
+dip_ca_rows also takes per-row weights and residency, so the layers of one
+token are one batch.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "SparsityMask",
     "MaskSet",
     "RowMasks",
+    "rank_rows",
     "topk_rows",
     "topk_indices",
     "GlobalThreshold",
@@ -193,23 +200,41 @@ class RowMasks:
                                  else self.intermediate_scores[i]))
 
 
-def topk_rows(keys: np.ndarray, k: int):
-    """The top-k selection: per row of keys [n, dim], the k largest keys.
+def rank_rows(keys: np.ndarray) -> np.ndarray:
+    """The row order: per row of keys [n, dim], every column from the
+    largest key down, ties to the lower index; equal, bit for bit, to
+    np.argsort(-keys, axis=1, kind="stable").
 
-    Returns (order, mask): order [n, k] lists each row's picks from the
-    largest key down, mask [n, dim] marks them.  The stable argsort keeps
-    the original order among equal keys, so ties resolve to the lower index
-    and selection is deterministic.
+    Rows whose keys all differ have one sorted order, which the faster
+    default sort finds too; any row that is not strictly increasing once
+    sorted (ties, +0.0/-0.0, NaN) is sorted again with the stable sort.
     """
     keys = np.asarray(keys, dtype=float)
     if keys.ndim != 2:
         raise ValueError("keys must be a 2-d batch of rows")
-    if not 0 <= k <= keys.shape[1]:
+    neg = -keys
+    order = np.argsort(neg, axis=1)
+    s = np.take_along_axis(neg, order, axis=1)
+    redo = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    if redo.any():
+        order[redo] = np.argsort(neg[redo], axis=1, kind="stable")
+    return order
+
+
+def topk_rows(keys: np.ndarray, k: int):
+    """The top-k selection: per row of keys [n, dim], the k largest keys.
+
+    Returns (order, mask): order [n, k] is the first k columns of rank_rows,
+    each row's picks from the largest key down with ties to the lower index,
+    and mask [n, dim] marks them.
+    """
+    ranked = rank_rows(keys)
+    if not 0 <= k <= ranked.shape[1]:
         raise ValueError("k must be in [0, len(values)]")
     # a compact copy: a view would keep all dim columns alive
-    order = np.ascontiguousarray(np.argsort(-keys, axis=1, kind="stable")[:, :k])
-    mask = np.zeros(keys.shape, dtype=bool)
-    mask[np.arange(len(keys))[:, None], order] = True
+    order = np.ascontiguousarray(ranked[:, :k])
+    mask = np.zeros(ranked.shape, dtype=bool)
+    mask[np.arange(len(ranked))[:, None], order] = True
     return order, mask
 
 
@@ -299,10 +324,11 @@ def _intermediate_rows(scheme: str, d_model: int, scores: np.ndarray, k_mid: int
                     intermediate_scores=scores, glu=glu)
 
 
-def _input_pruning_rows(scheme: str, w: MlpWeights, x: np.ndarray, in_scores: np.ndarray,
+def _input_pruning_rows(scheme: str, w, x: np.ndarray, in_scores: np.ndarray,
                         k_in: int, mid_score, k_mid: int) -> RowMasks:
     """Top-k_in inputs by in_scores, then top-k_mid of mid_score(GLU) with
-    the GLU computed from the kept inputs only."""
+    the GLU computed from the kept inputs only; w is one MlpWeights or one
+    per row (see glu_activations)."""
     in_order, in_mask = topk_rows(in_scores, k_in)
     h = glu_activations(w, x, in_mask)
     mid_scores = mid_score(h)
@@ -353,12 +379,17 @@ def dip_rows(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
     return _input_pruning_rows("dip", w, xs, np.abs(xs), k_in, np.abs, k_mid)
 
 
-def dip_ca_rows(w: MlpWeights, x: np.ndarray, input_residency: np.ndarray,
+def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
                 intermediate_residency: np.ndarray, k_in: int, k_mid: int,
                 gamma: float = DEFAULT_GAMMA, reweight_input: bool = True,
                 reweight_intermediate: bool = True) -> RowMasks:
-    """Rows form of scheme_dip_ca for x [n, d_model]; the residency vectors
-    apply to every row."""
+    """Rows form of scheme_dip_ca for x [n, d_model].
+
+    w is one MlpWeights for every row or a sequence of n, w[i] for row i;
+    each residency is one vector for every row or one per row ([n, d_model]
+    and [n, d_ff]).  Row i equals scheme_dip_ca on its own weights and
+    residency bit for bit, so one token's layers can go as one batch.
+    """
     xs = np.asarray(x, dtype=float)
     gamma_mid = gamma if reweight_intermediate else 1.0
     return _input_pruning_rows(
@@ -416,14 +447,15 @@ def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma: float = DEFAULT_G
     """Cache-aware selection scores |x| * (c + gamma*(1-c)) / max|x|, for one
     vector or per row of [n, dim].
 
-    residency c is 0/1 per unit; non-resident units are down-weighted by
+    residency c is 0/1 per unit, one vector for every row or one per row;
+    non-resident units are down-weighted by
     gamma.  The max-norm denominator makes the scores insensitive to the
     dynamic range of x.  A zero vector yields all-zero scores (ties then
     resolve to the lowest indices).
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(residency, dtype=float)
-    if c.shape != x.shape[-1:]:
+    if c.shape != x.shape[-1:] and c.shape != x.shape:
         raise ValueError("residency length must match x")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")

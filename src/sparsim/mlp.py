@@ -160,27 +160,37 @@ def _as_bool_mask(mask, dim: int, rows: int = 1):
     return arr
 
 
-def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matvec(m, x: np.ndarray) -> np.ndarray:
     """m @ x_i for every row x_i of x [n, cols]: one gemv per row, so each
-    row equals the 1-D product bit for bit (see the module docstring)."""
-    return np.matmul(m, x[:, :, None])[:, :, 0]
+    row equals the 1-D product bit for bit (see the module docstring).  m is
+    one matrix for every row or a sequence of n matrices, m[i] for row i."""
+    if isinstance(m, np.ndarray):
+        return np.matmul(m, x[:, :, None])[:, :, 0]
+    return np.stack([mi @ xi for mi, xi in zip(m, x)])
 
 
-def glu_activations(w: MlpWeights, x: np.ndarray, input_mask=None) -> np.ndarray:
+def glu_activations(w, x: np.ndarray, input_mask=None) -> np.ndarray:
     """Gated intermediate (up x) * silu(gate x): [d_ff] for one input vector,
     [n, d_ff] for rows [n, d_model].
 
-    With input_mask set, masked-out input columns of up and gate are zeroed
-    before the projection, which equals zeroing those entries of x.
+    w is one MlpWeights for every row or, for rows, a sequence of n
+    MlpWeights of one shape, row i going through w[i] (the layers of one
+    token, say); both run one gemv pair per row.  With input_mask set,
+    masked-out input columns of up and gate are zeroed before the
+    projection, which equals zeroing those entries of x.
     """
-    xs, one = _rows(x, w.d_model)
-    m = _as_bool_mask(input_mask, w.d_model, len(xs))
+    per_row = not isinstance(w, MlpWeights)
+    xs, one = _rows(x, (w[0] if per_row else w).d_model)
+    if per_row and (one or len(w) != len(xs)):
+        raise ValueError("per-row weights need one MlpWeights per row")
+    m = _as_bool_mask(input_mask, xs.shape[1], len(xs))
     if m is not None:
         xs = np.where(m, xs, 0.0)
+    gate, up = ([wi.gate for wi in w], [wi.up for wi in w]) if per_row else (w.gate, w.up)
     # silu(gate x) first, so its temporaries are gone before up x is made;
     # the product commutes bit for bit
-    h = silu(_matvec(w.gate, xs))
-    h *= _matvec(w.up, xs)
+    h = silu(_matvec(gate, xs))
+    h *= _matvec(up, xs)
     return h[0] if one else h
 
 

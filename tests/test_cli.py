@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsim import Trace, read_trace, write_trace
+from sparsim import Trace, read_trace, traces, write_trace
 from sparsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -373,6 +373,24 @@ def test_validation_error_for_scalar_sweep_densities(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "sweep.densities must be a list" in err
+
+
+def test_validation_error_when_config_exceeds_memory(tmp_path, capsys, monkeypatch):
+    # a trace too large to allocate is exit 1 with one stderr line; the
+    # allocation failure is simulated, nothing that large is asked for
+    def too_large(spec):
+        raise MemoryError(f"Unable to allocate an array for {spec.num_tokens} tokens")
+
+    monkeypatch.setattr(traces, "generate_synthetic_trace", too_large)
+    cfg = _write_config(tmp_path, "g.json", {
+        "num_tokens": 1000000000000, "num_layers": 2, "d_model": 8, "d_ff": 24})
+    out = tmp_path / "t.bin"
+    assert main(["gen-trace", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "validation error: config needs more memory than is available: Unable to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 _SMALL_GEOMETRY = {"num_layers": 2, "d_model": 8, "d_ff": 24, "bytes_per_weight": 2.0,

@@ -572,13 +572,15 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy):
 
 
 def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):
-    # a trace longer than one mask block gives the same run as one big block
+    # a trace longer than one mask block gives the same run as one big block;
+    # dip_ca scores its kernel errors per block, after the block's last token
     geo = GEOMETRY_PRESETS["desk-small"]
     hw = HardwareConfig(dram_capacity_bytes=geo.total_mlp_bytes / 3,
                         dram_bandwidth=60e9, flash_bandwidth=1e9)
     tr, w = _trace(num_tokens=11, geo=geo, seed=6), _weights(geo, seed=6)
-    cfg = SchemeConfig(name="dip", density_mid=0.4)
-    for policy in ("lfu", "belady"):
+    for name, policy in (("dip", "lfu"), ("dip", "belady"), ("dip_ca", "lfu"),
+                         ("dip_ca", "lru")):
+        cfg = SchemeConfig(name=name, density_mid=0.4)
         whole = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
         monkeypatch.setattr(hwsim, "_ROW_BLOCK", 4)
         blocked = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)

@@ -30,6 +30,7 @@ from sparsim.masking import (
     gate_pruning_rows,
     glu_pruning_rows,
     predictive_oracle_rows,
+    rank_rows,
     topk_rows,
     up_pruning_rows,
 )
@@ -71,6 +72,42 @@ def _weights(rng, tied):
         w.up[1::2] = w.up[0::2]
         w.gate[1::2] = w.gate[0::2]
     return w
+
+
+KEY_KINDS = KINDS + ("signed_zeros", "infinite", "nan")
+
+
+def _keys(kind, n, dim, rng):
+    """Keys for the row order: the rows above, or rows of +-0.0, of +-inf
+    among a few finite values, or of normals with NaNs; "mixed" mixes every
+    kind, so fast and stable rows meet in one batch."""
+    if kind == "signed_zeros":
+        return rng.choice([0.0, -0.0], (n, dim))
+    if kind == "infinite":
+        return rng.choice([np.inf, -np.inf, 1.0, 0.0, -2.0], (n, dim))
+    if kind == "nan":
+        x = rng.standard_normal((n, dim))
+        x[rng.random((n, dim)) < 0.3] = np.nan
+        return x
+    if kind == "mixed":
+        picks = [KEY_KINDS[int(i)] for i in rng.integers(len(KEY_KINDS), size=n)]
+        return np.concatenate([np.empty((0, dim))] + [_keys(k, 1, dim, rng) for k in picks])
+    return _rows(kind, n, dim, rng)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KEY_KINDS), st.integers(0, 6),
+       st.sampled_from([1, 2, 7, D_FF, 100]))
+@settings(max_examples=150, deadline=None)
+def test_rank_rows_is_the_stable_descending_order(seed, kind, n, dim):
+    keys = _keys(kind, n, dim, np.random.default_rng(seed))
+    want = np.argsort(-keys, axis=1, kind="stable")
+    np.testing.assert_array_equal(rank_rows(keys), want)
+    for k in range(dim + 1):
+        order, mask = topk_rows(keys, k)
+        np.testing.assert_array_equal(order, want[:, :k])
+        keep = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(keep, want[:, :k], True, axis=1)
+        np.testing.assert_array_equal(mask, keep)
 
 
 @given(batches(dim=D_FF), st.data())
@@ -156,6 +193,40 @@ def test_scheme_rows_match_per_vector_calls(batch, tied, data):
         in_keep, mid_keep = oracles.dip_masks(w, row, k_in, k_mid)
         np.testing.assert_array_equal(dip.input_mask[i], in_keep)
         np.testing.assert_array_equal(dip.intermediate_mask[i], mid_keep)
+
+
+@given(batches(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dip_ca_rows_with_per_row_weights_match_per_row_calls(batch, tied, data):
+    # one token's layers as one batch: row i has its own weights and residency
+    x, rng = batch
+    n = len(x)
+    ws = [_weights(rng, tied) for _ in range(n)]
+    k_in = data.draw(st.integers(1, D_MODEL))
+    k_mid = data.draw(st.integers(1, D_FF))
+    gamma = data.draw(st.sampled_from([0.0, 0.2, 0.5]))
+    c_in = rng.integers(0, 2, (n, D_MODEL)).astype(np.int8)
+    c_mid = rng.integers(0, 2, (n, D_FF)).astype(np.int8)
+    for g, re_in, re_mid in ((gamma, True, True), (gamma, False, True), (gamma, True, False),
+                             (1.0, True, True)):
+        rows = dip_ca_rows(ws, x, c_in, c_mid, k_in, k_mid, g, re_in, re_mid)
+        for i, row in enumerate(x):
+            want = scheme_dip_ca(ws[i], row, c_in[i], c_mid[i], k_in, k_mid, g, re_in, re_mid)
+            got = rows.mask_set(i)
+            assert got.input_mask == want.input_mask
+            assert got.intermediate_mask == want.intermediate_mask
+            assert np.array_equal(got.input_scores, want.input_scores)
+            assert np.array_equal(got.intermediate_scores, want.intermediate_scores)
+            for side in ("input", "intermediate"):
+                assert getattr(rows, f"{side}_order")[i].tolist() == _admission(want, side)
+            assert np.array_equal(rows.glu[i],
+                                  oracles.glu_activations(ws[i], row, rows.input_mask[i]))
+            if g == 1.0:
+                # no re-weighting: plain input pruning, down to the last bit
+                dip = dip_rows(ws[i], row[None], k_in, k_mid)
+                for field in ("input_order", "input_mask", "intermediate_order",
+                              "intermediate_mask", "glu"):
+                    assert np.array_equal(getattr(rows, field)[i], getattr(dip, field)[0])
 
 
 @given(batches(), st.booleans(),

@@ -8,17 +8,14 @@ from .mlp import (MlpWeights, LoraAdapter, MlpAdapters, Predictor, ErrorMetrics,
                   predictor_forward, topk_binary_targets, predictor_loss_and_grads,
                   PredictorTrainResult, predictor_train, TrainingDivergedError)
 from .masking import (SparsityMask, MaskSet, GlobalThreshold, PerLayerThreshold,
-                      PerTokenTopK, topk_indices, apply_threshold,
-                      scheme_dense, scheme_glu_pruning, scheme_gate_pruning,
-                      scheme_up_pruning, scheme_predictive, scheme_predictive_oracle,
-                      scheme_dip, dip_ca_scores, scheme_dip_ca, sparse_forward,
-                      density_to_k, DEFAULT_GAMMA)
+                      PerTokenTopK, topk_indices, apply_threshold, scheme_dip,
+                      dip_ca_scores, scheme_dip_ca, density_to_k, DEFAULT_GAMMA)
 from .cache import (Group, AccessStats, CacheState, EvictionPolicy, NextUseTable,
                     belady_precompute, cache_update, resident_bitvector)
-from .hwsim import (HardwareConfig, ModelGeometry, GroupSpec, SchemeConfig,
+from .hwsim import (HardwareConfig, ModelGeometry, GroupSpec, Scheme, SCHEMES, SchemeConfig,
                     TokenCost, RunReport, SimulationError, unit_bytes,
                     scheme_groups, allocate_dram, simulate_token, simulate_run,
-                    throughput_at_error, predictor_static_bytes)
+                    sweep_runs, throughput_at_error, predictor_static_bytes)
 from .traces import (SyntheticTraceSpec, Trace, TraceFormatError,
                      generate_synthetic_trace, synthetic_layer_weights,
                      write_trace, read_trace, write_tensors, read_tensors,

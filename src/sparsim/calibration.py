@@ -276,21 +276,13 @@ def gamma_sweep(trace: Trace, weights: Sequence[MlpWeights], hw: "hwsim.Hardware
                 densities: Sequence[float], policy: str = "lfu",
                 kernel_eval: bool = True) -> List[dict]:
     """Throughput / hit-rate / error table over re-weighting strengths and
-    densities for cache-aware input pruning.  gamma=1 rows coincide with
-    plain input pruning by construction."""
-    rows = []
-    for gamma in gammas:
-        for density in densities:
-            cfg = hwsim.SchemeConfig(name="dip_ca", density_mid=density,
-                                     density_in=density, gamma=gamma)
-            report = hwsim.simulate_run(trace, weights, cfg, policy, hw, geo,
-                                        kernel_eval=kernel_eval)
-            rows.append({
-                "gamma": float(gamma),
-                "density": float(density),
-                "throughput": report.throughput,
-                "steady_state_throughput": report.steady_state_throughput,
-                "hit_rate": report.hit_rate,
-                "mean_error": report.mean_error,
-            })
-    return rows
+    densities for cache-aware input pruning, gamma by gamma.  gamma=1 rows
+    coincide with plain input pruning by construction."""
+    points = [(density, gamma) for gamma in gammas for density in densities]
+    # each point sets its own density and gamma
+    base = hwsim.SchemeConfig(name="dip_ca", density_mid=1.0)
+    reports = hwsim.sweep_runs(trace, weights, base, points, policy, hw, geo, kernel_eval)
+    return [{"gamma": float(gamma), "density": float(density),
+             "throughput": r.throughput, "steady_state_throughput": r.steady_state_throughput,
+             "hit_rate": r.hit_rate, "mean_error": r.mean_error}
+            for (density, gamma), r in zip(points, reports)]

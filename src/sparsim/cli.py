@@ -317,15 +317,18 @@ def _cmd_gen_trace(args) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(cfg_sweep: dict, scheme_resolved: dict):
+def _sweep_grid(cfg_sweep: dict, scheme_spec: dict):
     _take(cfg_sweep, "sweep", required=("densities",),
           optional=("gammas", "error_budgets"))
+    if scheme_spec.get("density_in") is not None:
+        raise ConfigError("scheme.density_in cannot be set in a sweep: "
+                          "each point's density_in follows sweep.densities")
     densities = _get(cfg_sweep, "densities", "sweep", _floats)
     if not densities:
         raise ConfigError("sweep.densities must be non-empty")
     gammas = _get(cfg_sweep, "gammas", "sweep", _floats, None)
-    if gammas is not None and scheme_resolved["name"] != "dip_ca":
-        raise ConfigError("sweep.gammas only applies to the dip_ca scheme")
+    if gammas is not None and not hwsim.SCHEMES[scheme_spec["name"]].cache_aware:
+        raise ConfigError("sweep.gammas only applies to cache-aware schemes (dip_ca)")
     budgets = _get(cfg_sweep, "error_budgets", "sweep", _floats, [])
     return densities, gammas, budgets
 
@@ -343,30 +346,19 @@ def _cmd_sweep(args) -> int:
     trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
                                              seed=seed)
-    densities, gammas, budgets = _sweep_grid(cfg["sweep"], scheme_resolved)
-
-    grid = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
-
-    def run_point(point):
-        density, gamma = point
-        # density_in defaults to density_mid for the input-pruning schemes
-        cfg_point = SchemeConfig(
-            name=base_scheme.name, density_mid=density,
-            gamma=base_scheme.gamma if gamma is None else gamma,
-            reweight_input=base_scheme.reweight_input,
-            reweight_intermediate=base_scheme.reweight_intermediate,
-            predictor_hidden=base_scheme.predictor_hidden)
-        # error budgets need the kernel error, so the sweep always evaluates it
-        rep = hwsim.simulate_run(trace, weights, cfg_point, policy, hw, geo,
-                                 kernel_eval=True)
+    densities, gammas, budgets = _sweep_grid(cfg["sweep"], cfg["scheme"])
+    points = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
+    # error budgets need the kernel error, so the sweep always evaluates it
+    reports = hwsim.sweep_runs(trace, weights, base_scheme, points, policy, hw, geo,
+                               kernel_eval=True)
+    rows = []
+    for (density, gamma), rep in zip(points, reports):
         row = {"density": density, "throughput": rep.throughput,
                "steady_state_throughput": rep.steady_state_throughput,
                "error": rep.mean_error, "hit_rate": rep.hit_rate}
         if gamma is not None:
             row["gamma"] = gamma
-        return row
-
-    rows = [run_point(p) for p in grid]
+        rows.append(row)
 
     summaries = []
     for budget in budgets:

@@ -12,13 +12,17 @@ Units partition the three MLP matrices per layer.  Which matrices fold into
 which unit group depends on the sparsification scheme: schemes that keep a
 matrix dense stream it as always-active per-column chunks through the same
 cache machinery, so residency accounting stays uniform.
+
+Each scheme is one entry of SCHEMES, and its unit groups, k values, static
+charge, mask stream and Belady rejection all read from that entry.
+sweep_runs is the one grid engine: one simulate_run per (density, gamma).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = [
     "HardwareConfig",
     "ModelGeometry",
     "GroupSpec",
+    "Scheme",
+    "SCHEMES",
     "unit_bytes",
     "scheme_groups",
     "predictor_static_bytes",
@@ -43,10 +49,10 @@ __all__ = [
     "RunReport",
     "simulate_token",
     "simulate_run",
+    "sweep_runs",
     "throughput_at_error",
 ]
 
-SCHEME_NAMES = ("dense", "glu", "gate", "up", "predictive", "dip", "dip_ca")
 POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
 
 
@@ -140,28 +146,17 @@ def scheme_groups(scheme: str, geo: ModelGeometry) -> Tuple[GroupSpec, ...]:
     unit size grows for schemes that prune up or gate rows), and matrices a
     scheme keeps dense become always-active column chunks.
     """
+    entry = SCHEMES.get(scheme)
+    if entry is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
     dm, dff, bpw = geo.d_model, geo.d_ff, geo.bytes_per_weight
-    if scheme in ("dense", "dip", "dip_ca"):
-        return (
-            GroupSpec(Group.INPUT_BUNDLE, dm, 2.0 * dff * bpw),
-            GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, dm * bpw),
-        )
-    if scheme == "glu":
-        # full up and gate needed for scoring; only down is pruned
-        return (
-            GroupSpec(Group.DENSE_CHUNK, 2 * dm, dff * bpw, always_active=True),
-            GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, dm * bpw),
-        )
-    if scheme in ("gate", "up"):
-        # one projection stays dense; the other two share the intermediate mask
-        return (
-            GroupSpec(Group.DENSE_CHUNK, dm, dff * bpw, always_active=True),
-            GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, 2.0 * dm * bpw),
-        )
-    if scheme == "predictive":
-        # all three matrices share the intermediate mask
-        return (GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, 3.0 * dm * bpw),)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    mid = GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, entry.mid_matrices * dm * bpw)
+    if entry.input_bundles:
+        return (GroupSpec(Group.INPUT_BUNDLE, dm, 2.0 * dff * bpw), mid)
+    if entry.mid_matrices < 3:
+        return (GroupSpec(Group.DENSE_CHUNK, (3 - entry.mid_matrices) * dm, dff * bpw,
+                          always_active=True), mid)
+    return (mid,)
 
 
 def predictor_static_bytes(geo: ModelGeometry, hidden: int) -> float:
@@ -173,8 +168,7 @@ def predictor_static_bytes(geo: ModelGeometry, hidden: int) -> float:
     return geo.num_layers * params * geo.bytes_per_weight if hidden else 0.0
 
 
-def allocate_dram(hw: HardwareConfig, geo: ModelGeometry,
-                  groups: Optional[Sequence[GroupSpec]] = None,
+def allocate_dram(hw: HardwareConfig, geo: ModelGeometry, groups: Sequence[GroupSpec],
                   static_bytes: Optional[float] = None) -> List[Dict[Group, int]]:
     """Per-layer cache capacities in units.
 
@@ -184,8 +178,6 @@ def allocate_dram(hw: HardwareConfig, geo: ModelGeometry,
     group universe).  Raises SimulationError when the static set alone does
     not fit.
     """
-    if groups is None:
-        groups = scheme_groups("dense", geo)
     static = geo.static_bytes if static_bytes is None else static_bytes
     remaining = hw.dram_capacity_bytes - static
     if remaining < 0:
@@ -205,8 +197,56 @@ def allocate_dram(hw: HardwareConfig, geo: ModelGeometry,
 
 
 # ---------------------------------------------------------------------------
-# per-run configuration and results
+# the schemes and the per-run configuration
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scheme:
+    """One sparsification scheme, as the simulator sees it.
+
+    mid_matrices: how many of down, up and gate the intermediate mask prunes
+    (all three only with a predictor, whose bytes join the static set).
+    input_bundles: up and gate stream as input bundles; otherwise what the
+    intermediate mask leaves dense streams as always-active column chunks.
+    prunes_input: an input mask (density_in) picks the input bundles.
+    cache_aware: masks read the caches' residency, so each token's follow
+    the previous token's replay and Belady is ill-defined.
+    rows(cfg, w, x, k_in, k_mid[, residency per group]): the RowMasks of the
+    rows x; None for a scheme that keeps every unit.
+    """
+
+    mid_matrices: int
+    rows: Optional[Callable[..., masking.RowMasks]]
+    input_bundles: bool = False
+    prunes_input: bool = False
+    cache_aware: bool = False
+
+
+def _predictive_rows(cfg, w, x, k_in, k_mid):
+    # without a trained predictor, oracle logits |GLU(x)|
+    if cfg.predictor is not None:
+        return masking.predictive_rows(cfg.predictor, x, k_mid)
+    return masking.predictive_oracle_rows(w, x, k_mid)
+
+
+def _dip_ca_rows(cfg, w, x, k_in, k_mid, input_residency, intermediate_residency):
+    return masking.dip_ca_rows(w, x, input_residency, intermediate_residency, k_in, k_mid,
+                               gamma=cfg.gamma, reweight_input=cfg.reweight_input,
+                               reweight_intermediate=cfg.reweight_intermediate)
+
+
+SCHEMES: Dict[str, Scheme] = {
+    "dense": Scheme(1, None, input_bundles=True),
+    "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
+    "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.gate_pruning_rows(w, x, k_mid)),
+    "up": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.up_pruning_rows(w, x, k_mid)),
+    "predictive": Scheme(3, _predictive_rows),
+    "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.dip_rows(w, x, k_in, k_mid),
+                  input_bundles=True, prunes_input=True),
+    "dip_ca": Scheme(1, _dip_ca_rows, input_bundles=True, prunes_input=True,
+                     cache_aware=True),
+}
+
 
 @dataclass
 class SchemeConfig:
@@ -230,25 +270,27 @@ class SchemeConfig:
     predictor: Optional[Predictor] = None
 
     def __post_init__(self):
-        if self.name not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {self.name!r}; expected one of {SCHEME_NAMES}")
-        if self.name != "dense" and self.density_mid is None:
+        entry = SCHEMES.get(self.name)
+        if entry is None:
+            raise ValueError(f"unknown scheme {self.name!r}; expected one of {tuple(SCHEMES)}")
+        if entry.rows is not None and self.density_mid is None:
             raise ValueError(f"scheme {self.name!r} requires density_mid")
         for d in (self.density_mid, self.density_in):
             if d is not None and not 0.0 < d <= 1.0:
                 raise ValueError("densities must be in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.name in ("dip", "dip_ca") and self.density_in is None:
+        if entry.prunes_input and self.density_in is None:
             self.density_in = self.density_mid
 
     def k_values(self, geo: ModelGeometry) -> Tuple[int, int]:
         """(k_in, k_mid) for this geometry; full input width for schemes that
         do not prune the input dimension."""
-        if self.name == "dense":
+        entry = SCHEMES[self.name]
+        if entry.rows is None:
             return geo.d_model, geo.d_ff
         k_mid = masking.density_to_k(self.density_mid, geo.d_ff)
-        if self.name in ("dip", "dip_ca"):
+        if entry.prunes_input:
             return masking.density_to_k(self.density_in, geo.d_model), k_mid
         return geo.d_model, k_mid
 
@@ -297,27 +339,6 @@ class RunReport:
 _ROW_BLOCK = 256
 
 
-def _layer_rows(cfg: SchemeConfig, w: Optional[MlpWeights], x: np.ndarray,
-                geo: ModelGeometry, k_in: int, k_mid: int) -> masking.RowMasks:
-    """Masks of a cache-independent scheme for the rows x [n, d_model] of
-    one layer."""
-    if cfg.name == "dense":
-        return masking.dense_rows(len(x), geo.d_model, geo.d_ff)
-    if cfg.name == "glu":
-        return masking.glu_pruning_rows(w, x, k_mid)
-    if cfg.name == "gate":
-        return masking.gate_pruning_rows(w, x, k_mid)
-    if cfg.name == "up":
-        return masking.up_pruning_rows(w, x, k_mid)
-    if cfg.name == "predictive":
-        if cfg.predictor is not None:
-            return masking.predictive_rows(cfg.predictor, x, k_mid)
-        return masking.predictive_oracle_rows(w, x, k_mid)
-    if cfg.name == "dip":
-        return masking.dip_rows(w, x, k_in, k_mid)
-    raise SimulationError(f"unhandled scheme {cfg.name!r}")
-
-
 def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> List[np.ndarray]:
     """Per group, each row's active units in admission order [n, k]."""
     n = len(rows.input_mask)
@@ -325,12 +346,9 @@ def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> List[np
     for g in groups:
         if g.always_active:
             out.append(np.broadcast_to(np.arange(g.universe), (n, g.universe)))
-        elif g.kind == Group.INPUT_BUNDLE:
-            out.append(rows.input_order)
-        elif g.kind == Group.INTERMEDIATE_BUNDLE:
-            out.append(rows.intermediate_order)
         else:
-            raise SimulationError(f"group {g.kind!r} has no mask source")
+            out.append(rows.input_order if g.kind == Group.INPUT_BUNDLE
+                       else rows.intermediate_order)
     return out
 
 
@@ -342,17 +360,6 @@ def _row_errors(w: MlpWeights, x: np.ndarray, glu: np.ndarray,
     return rel_l2_rows(mlp_dense_forward(w, x), down_projection(w, glu, intermediate_mask))
 
 
-def _dip_ca_token(cfg: SchemeConfig, weights: Sequence[MlpWeights], x: np.ndarray,
-                  caches, k_in: int, k_mid: int) -> masking.RowMasks:
-    """dip_ca masks of one token, one row per layer of x [num_layers,
-    d_model], read from the caches' residency as it is now."""
-    residency = [np.stack([resident_bitvector(c[g]) for c in caches])
-                 for g in (Group.INPUT_BUNDLE, Group.INTERMEDIATE_BUNDLE)]
-    return masking.dip_ca_rows(weights, x, *residency, k_in, k_mid, gamma=cfg.gamma,
-                               reweight_input=cfg.reweight_input,
-                               reweight_intermediate=cfg.reweight_intermediate)
-
-
 def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                  acts: np.ndarray, caches, geo: ModelGeometry,
                  groups: Sequence[GroupSpec], k_in: int, k_mid: int,
@@ -361,23 +368,26 @@ def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
     admission order.
 
     Tokens go in blocks of up to _ROW_BLOCK.  Cache-independent schemes
-    build a block's masks as one batch per layer.  dip_ca masks read the
-    caches, so each token's are built when the token is requested, after
+    build a block's masks as one batch per layer.  Cache-aware masks read
+    the caches, so each token's are built when the token is requested, after
     the previous token's replay, as one batch over the token's layers.
     errors [num_tokens, num_layers], when given, receives each (token,
-    layer) kernel error, one _row_errors call per layer and block: dip_ca
-    keeps its block's gated intermediates and intermediate masks until the
-    block's last token is out (errors never feed back into the caches).
+    layer) kernel error, one _row_errors call per layer and block: cache-aware
+    masks keep their block's gated intermediates and intermediate masks until
+    the block's last token is out (errors never feed back into the caches).
     """
+    entry = SCHEMES[cfg.name]
     num_layers = acts.shape[1]
     for t0 in range(0, acts.shape[0], _ROW_BLOCK):
         x = acts[t0:t0 + _ROW_BLOCK]
-        if cfg.name == "dip_ca":
+        if entry.cache_aware:
             if errors is not None:
                 glu = np.empty((num_layers, len(x), geo.d_ff))
                 mid_mask = np.empty((num_layers, len(x), geo.d_ff), dtype=bool)
             for i in range(len(x)):
-                rows = _dip_ca_token(cfg, weights, x[i], caches, k_in, k_mid)
+                residency = [np.stack([resident_bitvector(c[g.kind]) for c in caches])
+                             for g in groups]
+                rows = entry.rows(cfg, weights, x[i], k_in, k_mid, *residency)
                 if errors is not None:
                     glu[:, i] = rows.glu
                     mid_mask[:, i] = rows.intermediate_mask
@@ -391,7 +401,8 @@ def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
         block = []
         for l in range(num_layers):
             w = weights[l] if weights is not None else None
-            rows = _layer_rows(cfg, w, x[:, l], geo, k_in, k_mid)
+            rows = (masking.dense_rows(len(x), geo.d_model, geo.d_ff) if entry.rows is None
+                    else entry.rows(cfg, w, x[:, l], k_in, k_mid))
             if errors is not None:
                 glu = rows.glu if rows.glu is not None else glu_activations(
                     w, x[:, l], rows.input_mask)
@@ -465,10 +476,7 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     token/layer and reports the mean relative-L2 error against the dense
     block.
     """
-    acts = getattr(trace, "activations", trace)
-    if acts is None:
-        raise SimulationError("trace has no activation payload")
-    acts = np.asarray(acts, dtype=float)
+    acts = np.asarray(getattr(trace, "activations", trace), dtype=float)
     if acts.ndim != 3 or acts.shape[1] != geo.num_layers or acts.shape[2] != geo.d_model:
         raise SimulationError(
             f"trace shape {acts.shape} does not match geometry "
@@ -477,11 +485,12 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
         raise ValueError("trace activations must be finite")
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
-    if policy == "belady" and scheme.name == "dip_ca":
+    entry = SCHEMES[scheme.name]
+    if policy == "belady" and entry.cache_aware:
         raise SimulationError(
             "belady eviction is ill-defined for cache-aware masking: the mask "
             "depends on cache contents, which depend on future evictions")
-    needs_weights = scheme.name != "dense" or kernel_eval
+    needs_weights = entry.rows is not None or kernel_eval
     if needs_weights:
         if weights is None or len(weights) != geo.num_layers:
             raise SimulationError("scheme needs one MlpWeights per layer")
@@ -490,7 +499,7 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
                 raise SimulationError("weight shapes do not match geometry")
 
     static = geo.static_bytes
-    if scheme.name == "predictive":
+    if entry.mid_matrices == 3:
         hidden = scheme.predictor.hidden if scheme.predictor is not None else scheme.predictor_hidden
         static += predictor_static_bytes(geo, hidden)
     groups = scheme_groups(scheme.name, geo)
@@ -533,6 +542,22 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
         # errors in (token, layer) order: the order fixes the float sum
         mean_error=float(np.mean(errors.ravel())) if errors is not None and errors.size else None,
     )
+
+
+def sweep_runs(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
+               points: Sequence[Tuple[float, Optional[float]]], policy: str,
+               hw: HardwareConfig, geo: ModelGeometry,
+               kernel_eval: bool = False) -> List[RunReport]:
+    """One simulate_run per (density, gamma) point, in the order given.
+
+    Each point runs the base scheme with density_mid set to the density,
+    density_in back at its default (it follows density_mid), and gamma
+    replaced unless the point's gamma is None.
+    """
+    return [simulate_run(trace, weights, replace(
+        scheme, density_mid=density, density_in=None,
+        gamma=scheme.gamma if gamma is None else gamma), policy, hw, geo, kernel_eval)
+        for density, gamma in points]
 
 
 def throughput_at_error(rows: Sequence, error_budget: float) -> Tuple[float, float]:

@@ -13,12 +13,12 @@ Every top-k is a prefix of it (topk_rows), so one sort serves every k.
 
 Each scheme is one function over a batch of rows, one row per input vector,
 returning RowMasks: bool masks plus each row's picks in selection order,
-which is the order the simulator's caches admit units in.  The one-vector
-functions (topk_indices, scheme_*) are one-row calls into these and return
-SparsityMask / MaskSet.  Projections go through mlp's stacked matrix-vector
-product, so every row of a batch equals its one-vector call bit for bit.
-dip_ca_rows also takes per-row weights and residency, so the layers of one
-token are one batch.
+which is the order the simulator's caches admit units in; RowMasks.mask_set
+gives one row as a MaskSet.  Projections go through mlp's stacked
+matrix-vector product, so a row's masks do not depend on the batch around
+it, bit for bit.  dip_ca_rows also takes per-row weights and residency, so
+the layers of one token are one batch.  topk_indices, scheme_dip and
+scheme_dip_ca are one-row calls kept for single vectors.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mlp import (MlpWeights, Predictor, _matvec, _rows, glu_activations, mlp_sparse_forward,
-                  predictor_forward, silu)
+from .mlp import MlpWeights, Predictor, _matvec, _rows, glu_activations, predictor_forward, silu
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -53,16 +52,9 @@ __all__ = [
     "predictive_oracle_rows",
     "dip_rows",
     "dip_ca_rows",
-    "scheme_dense",
-    "scheme_glu_pruning",
-    "scheme_gate_pruning",
-    "scheme_up_pruning",
-    "scheme_predictive",
-    "scheme_predictive_oracle",
     "scheme_dip",
     "dip_ca_scores",
     "scheme_dip_ca",
-    "sparse_forward",
 ]
 
 # Re-weighting strength for cache-aware selection; 1.0 disables the bias.
@@ -302,8 +294,7 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # ---------------------------------------------------------------------------
 #
 # Each scheme is one function over a batch of rows X [n, d_model] that
-# returns RowMasks; the scheme_* functions are one-row calls into it that
-# return a MaskSet.  Every score is >= 0 or, for predictor logits, ranked by
+# returns RowMasks.  Every score is >= 0 or, for predictor logits, ranked by
 # value, so the scores are the top-k keys themselves.
 
 def _one_row(x: np.ndarray) -> np.ndarray:
@@ -338,43 +329,56 @@ def _input_pruning_rows(scheme: str, w, x: np.ndarray, in_scores: np.ndarray,
 
 
 def dense_rows(n: int, d_model: int, d_ff: int) -> RowMasks:
-    """Rows form of scheme_dense: n rows of all-ones masks."""
+    """n rows of all-ones masks; the no-sparsity baseline."""
     in_order, in_mask = _full_side(n, d_model)
     mid_order, mid_mask = _full_side(n, d_ff)
     return RowMasks("dense", in_order, in_mask, mid_order, mid_mask)
 
 
 def glu_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
-    """Rows form of scheme_glu_pruning for x [n, d_model]."""
+    """Keep the k_mid largest |gated intermediate| values of each row of x
+    [n, d_model].  Needs the full up and gate products to score, so only the
+    down projection is pruned."""
     h = glu_activations(w, x)
     return _intermediate_rows("glu", w.d_model, np.abs(h), k_mid, h)
 
 
 def gate_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
-    """Rows form of scheme_gate_pruning for x [n, d_model]."""
+    """Score intermediate units by |silu(gate x)|; the gate product itself
+    stays dense, the up and down weights are pruned by the mask."""
     xs = _rows(x, w.d_model)[0]
     return _intermediate_rows("gate", w.d_model, np.abs(silu(_matvec(w.gate, xs))), k_mid)
 
 
 def up_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
-    """Rows form of scheme_up_pruning for x [n, d_model]."""
+    """Score intermediate units by |up x|; the up product stays dense, the
+    gate and down weights are pruned by the mask."""
     xs = _rows(x, w.d_model)[0]
     return _intermediate_rows("up", w.d_model, np.abs(_matvec(w.up, xs)), k_mid)
 
 
 def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
-    """Rows form of scheme_predictive for x [n, d_model]."""
+    """Keep the k_mid intermediate units with the largest predictor logits.
+
+    Logits are ranked by value, not magnitude: a strongly negative logit
+    means confidently inactive.  All three matrices are pruned by the mask;
+    the predictor's own bytes count as static residency in the simulator.
+    """
     return _intermediate_rows("predictive", p.d_model, predictor_forward(p, x), k_mid)
 
 
 def predictive_oracle_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
-    """Rows form of scheme_predictive_oracle for x [n, d_model]."""
+    """Predictive scheme with oracle logits |GLU(x)|: selects exactly the GLU
+    pruning mask but prunes up and gate as well."""
     h = glu_activations(w, x)
     return _intermediate_rows("predictive", w.d_model, np.abs(h), k_mid, h)
 
 
 def dip_rows(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
-    """Rows form of scheme_dip for x [n, d_model]."""
+    """Dynamic input pruning of x [n, d_model]: top-k_in |x| picks input
+    columns of up/gate, then top-k_mid of the gated intermediate computed
+    with only those columns picks down columns.  Both selections need no
+    predictor."""
     xs = np.asarray(x, dtype=float)
     return _input_pruning_rows("dip", w, xs, np.abs(xs), k_in, np.abs, k_mid)
 
@@ -383,12 +387,17 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
                 intermediate_residency: np.ndarray, k_in: int, k_mid: int,
                 gamma: float = DEFAULT_GAMMA, reweight_input: bool = True,
                 reweight_intermediate: bool = True) -> RowMasks:
-    """Rows form of scheme_dip_ca for x [n, d_model].
+    """Dynamic input pruning of x [n, d_model] with cache-aware re-weighted
+    scores (dip_ca_scores).
 
-    w is one MlpWeights for every row or a sequence of n, w[i] for row i;
-    each residency is one vector for every row or one per row ([n, d_model]
-    and [n, d_ff]).  Row i equals scheme_dip_ca on its own weights and
-    residency bit for bit, so one token's layers can go as one batch.
+    Residency bitvectors come from the simulator's caches (one per unit
+    group).  The re-weighting applies to both the input and intermediate
+    selections by default; the switches turn either side back into plain
+    magnitude scoring.  gamma=1 reproduces dip_rows exactly.  w is one
+    MlpWeights for every row or a sequence of n, w[i] for row i; each
+    residency is one vector for every row or one per row ([n, d_model] and
+    [n, d_ff]).  Row i equals the call on its own weights and residency bit
+    for bit, so one token's layers can go as one batch.
     """
     xs = np.asarray(x, dtype=float)
     gamma_mid = gamma if reweight_intermediate else 1.0
@@ -397,49 +406,8 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
         k_in, lambda h: dip_ca_scores(h, intermediate_residency, gamma_mid), k_mid)
 
 
-def scheme_dense(d_model: int, d_ff: int) -> MaskSet:
-    """All-ones masks; the no-sparsity baseline."""
-    return dense_rows(1, d_model, d_ff).mask_set(0)
-
-
-def scheme_glu_pruning(w: MlpWeights, x: np.ndarray, k_mid: int) -> MaskSet:
-    """Keep the k_mid largest |gated intermediate| values.  Needs the full up
-    and gate products to score, so only the down projection is pruned."""
-    return glu_pruning_rows(w, _one_row(x), k_mid).mask_set(0)
-
-
-def scheme_gate_pruning(w: MlpWeights, x: np.ndarray, k_mid: int) -> MaskSet:
-    """Score intermediate units by |silu(gate x)|; the gate product itself
-    stays dense, the up and down weights are pruned by the mask."""
-    return gate_pruning_rows(w, _one_row(x), k_mid).mask_set(0)
-
-
-def scheme_up_pruning(w: MlpWeights, x: np.ndarray, k_mid: int) -> MaskSet:
-    """Score intermediate units by |up x|; the up product stays dense, the
-    gate and down weights are pruned by the mask."""
-    return up_pruning_rows(w, _one_row(x), k_mid).mask_set(0)
-
-
-def scheme_predictive(p: Predictor, x: np.ndarray, k_mid: int) -> MaskSet:
-    """Keep the k_mid intermediate units with the largest predictor logits.
-
-    Logits are ranked by value, not magnitude: a strongly negative logit
-    means confidently inactive.  All three matrices are pruned by the mask;
-    the predictor's own bytes count as static residency in the simulator.
-    """
-    return predictive_rows(p, _one_row(x), k_mid).mask_set(0)
-
-
-def scheme_predictive_oracle(w: MlpWeights, x: np.ndarray, k_mid: int) -> MaskSet:
-    """Predictive scheme with oracle logits |GLU(x)|: selects exactly the GLU
-    pruning mask but prunes up and gate as well."""
-    return predictive_oracle_rows(w, _one_row(x), k_mid).mask_set(0)
-
-
 def scheme_dip(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> MaskSet:
-    """Dynamic input pruning: top-k_in |x| picks input columns of up/gate,
-    then top-k_mid of the gated intermediate computed with only those columns
-    picks down columns.  Both selections need no predictor."""
+    """dip_rows of one vector."""
     return dip_rows(w, _one_row(x), k_in, k_mid).mask_set(0)
 
 
@@ -469,17 +437,7 @@ def scheme_dip_ca(w: MlpWeights, x: np.ndarray, input_residency: np.ndarray,
                   intermediate_residency: np.ndarray, k_in: int, k_mid: int,
                   gamma: float = DEFAULT_GAMMA, reweight_input: bool = True,
                   reweight_intermediate: bool = True) -> MaskSet:
-    """Dynamic input pruning with cache-aware re-weighted scores.
-
-    Residency bitvectors come from the simulator's caches (one per unit
-    group).  The re-weighting applies to both the input and intermediate
-    selections by default; the switches turn either side back into plain
-    magnitude scoring.  gamma=1 reproduces scheme_dip exactly.
-    """
+    """dip_ca_rows of one vector."""
     return dip_ca_rows(w, _one_row(x), input_residency, intermediate_residency, k_in, k_mid,
                        gamma, reweight_input, reweight_intermediate).mask_set(0)
 
-
-def sparse_forward(w: MlpWeights, masks: MaskSet, x: np.ndarray) -> np.ndarray:
-    """Forward pass of the block under a MaskSet."""
-    return mlp_sparse_forward(w, x, masks.input_mask, masks.intermediate_mask)

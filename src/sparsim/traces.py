@@ -7,10 +7,11 @@ drift with depth.  Generation is deterministic per seed, and generated values
 are quantized through float32 so an in-memory trace equals its file
 round-trip bit-for-bit.
 
-Trace files ('DSTR' magic) carry either float32 activation vectors or
-varint-encoded sorted unit-index lists; weight tensor files ('DWTS' magic)
-carry row-major float32 tensors.  All integers little-endian.  Values widen
-to float64 in memory.  Files are written atomically (temp file + rename).
+Trace files ('DSTR' magic) carry float32 activation vectors (payload kind
+0; files of the unit-index payload, kind 1, are rejected); weight tensor
+files ('DWTS' magic) carry row-major float32 tensors.  All integers
+little-endian.  Values widen to float64 in memory.  Files are written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +47,6 @@ TENSOR_MAGIC = b"DWTS"
 TRACE_VERSION = 1
 TENSOR_VERSION = 1
 KIND_ACTIVATIONS = 0
-KIND_UNIT_ACCESSES = 1
 
 
 class TraceFormatError(ValueError):
@@ -88,47 +88,23 @@ class SyntheticTraceSpec:
 
 @dataclass
 class Trace:
-    """In-memory trace; exactly one payload is set.
-
-    activations: float64 [num_tokens, num_layers, d_model] (f32-representable)
-    unit_accesses: per token, per layer, a sorted list of unit indices
-    """
+    """In-memory trace: activations float64 [num_tokens, num_layers, d_model]
+    (f32-representable)."""
 
     num_layers: int
     d_model: int
     d_ff: int
-    activations: Optional[np.ndarray] = None
-    unit_accesses: Optional[List[List[List[int]]]] = None
+    activations: np.ndarray
 
     def __post_init__(self):
-        if (self.activations is None) == (self.unit_accesses is None):
-            raise ValueError("exactly one payload must be set")
-        if self.activations is not None:
-            self.activations = np.asarray(self.activations, dtype=float)
-            if self.activations.ndim != 3 or self.activations.shape[1:] != (
-                    self.num_layers, self.d_model):
-                raise ValueError("activations must be [tokens, num_layers, d_model]")
-        else:
-            for token in self.unit_accesses:
-                if len(token) != self.num_layers:
-                    raise ValueError("each token needs one access list per layer")
-                for units in token:
-                    if any(u < 0 for u in units) or list(units) != sorted(set(units)):
-                        raise ValueError("unit accesses must be sorted unique non-negative")
-
-    @property
-    def kind(self) -> str:
-        return "activations" if self.activations is not None else "unit_accesses"
-
-    @property
-    def kind_code(self) -> int:
-        return KIND_ACTIVATIONS if self.activations is not None else KIND_UNIT_ACCESSES
+        self.activations = np.asarray(self.activations, dtype=float)
+        if self.activations.ndim != 3 or self.activations.shape[1:] != (
+                self.num_layers, self.d_model):
+            raise ValueError("activations must be [tokens, num_layers, d_model]")
 
     @property
     def num_tokens(self) -> int:
-        if self.activations is not None:
-            return self.activations.shape[0]
-        return len(self.unit_accesses)
+        return self.activations.shape[0]
 
 
 def generate_synthetic_trace(spec: SyntheticTraceSpec) -> Trace:
@@ -179,19 +155,6 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
 class _Reader:
     def __init__(self, data: bytes, what: str):
         self.data = data
@@ -209,16 +172,6 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def varint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-
     def done(self) -> None:
         if self.pos != len(self.data):
             raise TraceFormatError(
@@ -228,17 +181,10 @@ class _Reader:
 def write_trace(path, trace: Trace) -> None:
     out = bytearray()
     out += TRACE_MAGIC
-    out += struct.pack("<IB", TRACE_VERSION, trace.kind_code)
+    out += struct.pack("<IB", TRACE_VERSION, KIND_ACTIVATIONS)
     out += struct.pack("<IIII", trace.num_layers, trace.d_model, trace.d_ff,
                        trace.num_tokens)
-    if trace.kind_code == KIND_ACTIVATIONS:
-        out += np.ascontiguousarray(trace.activations, dtype="<f4").tobytes()
-    else:
-        for token in trace.unit_accesses:
-            for units in token:
-                _write_varint(out, len(units))
-                for u in units:
-                    _write_varint(out, u)
+    out += np.ascontiguousarray(trace.activations, dtype="<f4").tobytes()
     atomic_write(path, bytes(out))
 
 
@@ -251,28 +197,17 @@ def read_trace(path) -> Trace:
     version, kind = r.unpack("<IB")
     if version != TRACE_VERSION:
         raise TraceFormatError(f"unsupported trace version {version}")
+    if kind != KIND_ACTIVATIONS:
+        raise TraceFormatError(f"unsupported payload kind {kind}: only activation "
+                               f"traces (kind {KIND_ACTIVATIONS}) are read")
     num_layers, d_model, d_ff, num_tokens = r.unpack("<IIII")
-    if kind == KIND_ACTIVATIONS:
-        raw = r.take(4 * num_tokens * num_layers * d_model)
-        r.done()
-        acts = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if not np.isfinite(acts).all():
-            raise TraceFormatError("trace file holds non-finite activations")
-        acts = acts.reshape(num_tokens, num_layers, d_model)
-        return Trace(num_layers=num_layers, d_model=d_model, d_ff=d_ff,
-                     activations=acts)
-    if kind == KIND_UNIT_ACCESSES:
-        accesses = []
-        for _ in range(num_tokens):
-            token = []
-            for _ in range(num_layers):
-                count = r.varint()
-                token.append([r.varint() for _ in range(count)])
-            accesses.append(token)
-        r.done()
-        return Trace(num_layers=num_layers, d_model=d_model, d_ff=d_ff,
-                     unit_accesses=accesses)
-    raise TraceFormatError(f"unknown payload kind {kind}")
+    raw = r.take(4 * num_tokens * num_layers * d_model)
+    r.done()
+    acts = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if not np.isfinite(acts).all():
+        raise TraceFormatError("trace file holds non-finite activations")
+    return Trace(num_layers=num_layers, d_model=d_model, d_ff=d_ff,
+                 activations=acts.reshape(num_tokens, num_layers, d_model))
 
 
 # ---------------------------------------------------------------------------

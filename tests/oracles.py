@@ -1,7 +1,7 @@
 """Independent oracles used by the unit and acceptance tests: the per-unit
 cache replay that the simulator's batch replay must equal, the per-vector
-top-k, GLU and density-allocation sweep that the row-batched kernels must
-equal, an exhaustive search over demand-fill eviction schedules, and a
+top-k, GLU, scheme selections and density-allocation sweep that the
+row-batched kernels must equal, an exhaustive search over demand-fill eviction schedules, and a
 central-finite-difference gradient checker.  Kept separate from any test
 module so both the per-module tests and the acceptance suite share one
 implementation."""
@@ -181,11 +181,68 @@ def sparse_forward(w, x, input_keep=None, mid_keep=None):
     return w.down @ h
 
 
+# Each scheme's selection for one vector x: (input order, intermediate
+# order), the kept units of each side from the largest score down with ties
+# to the lower index, which is the order the caches admit them in.  A side
+# the scheme keeps dense is every unit in index order.
+
+def dense_orders(d_model, d_ff):
+    return list(range(d_model)), list(range(d_ff))
+
+
+def glu_orders(w, x, k_mid):
+    """Keep the k_mid largest |(up x) * silu(gate x)|."""
+    return list(range(w.d_model)), topk_order(glu_activations(w, x), k_mid)
+
+
+def gate_orders(w, x, k_mid):
+    """Keep the k_mid largest |silu(gate x)|."""
+    return list(range(w.d_model)), topk_order(silu(w.gate @ np.asarray(x, dtype=float)), k_mid)
+
+
+def up_orders(w, x, k_mid):
+    """Keep the k_mid largest |up x|."""
+    return list(range(w.d_model)), topk_order(w.up @ np.asarray(x, dtype=float), k_mid)
+
+
+def predictive_oracle_orders(w, x, k_mid):
+    """Predictive pruning with oracle logits |GLU(x)|: the GLU selection."""
+    return glu_orders(w, x, k_mid)
+
+
+def dip_orders(w, x, k_in, k_mid):
+    """Keep the k_in largest |x|, then the k_mid largest |GLU| computed from
+    the kept inputs only."""
+    in_order = topk_order(x, k_in)
+    h = glu_activations(w, x, keep_mask(w.d_model, in_order))
+    return in_order, topk_order(h, k_mid)
+
+
+def cache_aware_scores(v, resident, gamma):
+    """|v| with non-resident units scaled by gamma, over max |v| (zeros for
+    a zero vector)."""
+    mag = np.abs(np.asarray(v, dtype=float))
+    top = mag.max(initial=0.0)
+    if top == 0.0:
+        return np.zeros_like(mag)
+    return mag * np.where(np.asarray(resident) != 0, 1.0, gamma) / top
+
+
+def dip_ca_orders(w, x, c_in, c_mid, k_in, k_mid, gamma,
+                  reweight_input=True, reweight_intermediate=True):
+    """dip_orders on cache-aware scores; a side not re-weighted scores with
+    gamma 1 (plain magnitude over the max)."""
+    in_scores = cache_aware_scores(x, c_in, gamma if reweight_input else 1.0)
+    in_order = topk_order(in_scores, k_in, magnitude=False)
+    h = glu_activations(w, x, keep_mask(w.d_model, in_order))
+    mid_scores = cache_aware_scores(h, c_mid, gamma if reweight_intermediate else 1.0)
+    return in_order, topk_order(mid_scores, k_mid, magnitude=False)
+
+
 def dip_masks(w, x, k_in, k_mid):
     """Dynamic input pruning of one vector: (input keep, intermediate keep)."""
-    in_keep = keep_mask(w.d_model, topk_indices(np.abs(x), k_in))
-    mid = topk_indices(np.abs(glu_activations(w, x, in_keep)), k_mid)
-    return in_keep, keep_mask(w.d_ff, mid)
+    in_order, mid_order = dip_orders(w, x, k_in, k_mid)
+    return keep_mask(w.d_model, in_order), keep_mask(w.d_ff, mid_order)
 
 
 def sweep_density_allocation(w, inputs, densities_in, densities_mid):

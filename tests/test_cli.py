@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -186,6 +187,20 @@ def test_sweep_gammas_rejected_for_oblivious_scheme(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
 
 
+def test_sweep_rejects_scheme_density_in(tmp_path, capsys):
+    # each point's density_in follows sweep.densities; a scheme.density_in
+    # would be echoed in the report without being used
+    cfg = _write_config(tmp_path, "s.json", _run_config(
+        scheme={"name": "dip", "density_mid": 0.5, "density_in": 0.125},
+        sweep={"densities": [0.5]}))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and "density_in" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_single_point_grid(tmp_path):
     cfg = _write_config(tmp_path, "s.json", _run_config(
         sweep={"densities": [0.5]}))
@@ -312,6 +327,22 @@ def test_validation_error_for_nan_in_trace_file(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error") and "non-finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_validation_error_for_unit_access_trace_file(tmp_path, capsys):
+    # a file of the old unit-access payload (kind 1), which is no longer read
+    trace_path = tmp_path / "u.bin"
+    header = traces.TRACE_MAGIC + struct.pack("<IB", traces.TRACE_VERSION, 1)
+    trace_path.write_bytes(header + struct.pack("<IIII", 2, 8, 24, 1) + bytes([1, 5, 0]))
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        trace={"file": str(trace_path)},
+        geometry={"num_layers": 2, "d_model": 8, "d_ff": 24, "bytes_per_weight": 2.0}))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and "payload kind 1" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

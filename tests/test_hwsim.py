@@ -3,11 +3,13 @@ per-token costs, and full-trace simulation."""
 import numpy as np
 import pytest
 
+import oracles
 from oracles import ReferenceCache
 from sparsim import (
     GEOMETRY_PRESETS,
     Group,
     GroupSpec,
+    SCHEMES,
     HardwareConfig,
     ModelGeometry,
     SchemeConfig,
@@ -18,16 +20,16 @@ from sparsim import (
     approx_error,
     density_to_k,
     generate_synthetic_trace,
-    mlp_dense_forward,
     predictor_static_bytes,
     scheme_groups,
     simulate_run,
+    sweep_runs,
     synthetic_layer_weights,
     throughput_at_error,
     unit_bytes,
 )
-from sparsim import hwsim, masking
-from sparsim.hwsim import POLICY_NAMES, SCHEME_NAMES
+from sparsim import hwsim
+from sparsim.hwsim import POLICY_NAMES
 
 
 GEO = ModelGeometry(num_layers=2, d_model=8, d_ff=24, bytes_per_weight=2.0)
@@ -70,7 +72,7 @@ def test_unit_bytes_canonical_groups():
     assert unit_bytes(GEO, Group.INTERMEDIATE_BUNDLE) == 8 * 2.0
 
 
-@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_groups_partition_all_mlp_bytes(scheme):
     groups = scheme_groups(scheme, GEO)
     assert sum(g.total_bytes for g in groups) == pytest.approx(GEO.mlp_bytes_per_layer)
@@ -462,50 +464,32 @@ def test_dip_ca_gamma_one_equals_plain_dip_run():
 # batch cache replay against the per-unit oracle, end to end
 # ---------------------------------------------------------------------------
 
-def _token_masks(scheme, weights, x, geo, k_in, k_mid, caches=None):
-    """One token's MaskSets from the per-vector scheme functions, layer by
-    layer; dip_ca reads the residency of the given reference caches."""
-    out = []
-    for l in range(geo.num_layers):
-        w = weights[l]
-        if scheme.name == "dense":
-            out.append(masking.scheme_dense(geo.d_model, geo.d_ff))
-        elif scheme.name == "glu":
-            out.append(masking.scheme_glu_pruning(w, x[l], k_mid))
-        elif scheme.name == "gate":
-            out.append(masking.scheme_gate_pruning(w, x[l], k_mid))
-        elif scheme.name == "up":
-            out.append(masking.scheme_up_pruning(w, x[l], k_mid))
-        elif scheme.name == "predictive":
-            out.append(masking.scheme_predictive_oracle(w, x[l], k_mid))
-        elif scheme.name == "dip":
-            out.append(masking.scheme_dip(w, x[l], k_in, k_mid))
-        else:
-            c_in, c_mid = np.zeros(geo.d_model), np.zeros(geo.d_ff)
-            c_in[list(caches[l][Group.INPUT_BUNDLE].resident)] = 1
-            c_mid[list(caches[l][Group.INTERMEDIATE_BUNDLE].resident)] = 1
-            out.append(masking.scheme_dip_ca(w, x[l], c_in, c_mid, k_in, k_mid,
-                                             gamma=scheme.gamma))
-    return out
+def _token_orders(scheme, weights, x, geo, k_in, k_mid, caches=None):
+    """One token's (input order, intermediate order) per layer from the
+    per-vector oracles; dip_ca reads the residency of the given reference
+    caches.  A scheme without an oracle here fails with a KeyError."""
+    def dip_ca(w, x, l):
+        c_in, c_mid = np.zeros(geo.d_model), np.zeros(geo.d_ff)
+        c_in[list(caches[l][Group.INPUT_BUNDLE].resident)] = 1
+        c_mid[list(caches[l][Group.INTERMEDIATE_BUNDLE].resident)] = 1
+        return oracles.dip_ca_orders(w, x, c_in, c_mid, k_in, k_mid, scheme.gamma,
+                                     scheme.reweight_input, scheme.reweight_intermediate)
+    one = {
+        "dense": lambda w, x, l: oracles.dense_orders(geo.d_model, geo.d_ff),
+        "glu": lambda w, x, l: oracles.glu_orders(w, x, k_mid),
+        "gate": lambda w, x, l: oracles.gate_orders(w, x, k_mid),
+        "up": lambda w, x, l: oracles.up_orders(w, x, k_mid),
+        "predictive": lambda w, x, l: oracles.predictive_oracle_orders(w, x, k_mid),
+        "dip": lambda w, x, l: oracles.dip_orders(w, x, k_in, k_mid),
+        "dip_ca": dip_ca,
+    }[scheme.name]
+    return [one(weights[l], x[l], l) for l in range(geo.num_layers)]
 
 
-def _admission_order(mask, scores):
-    """Active units by descending score, ties to the lower index."""
-    if scores is None:
-        return list(mask.active)
-    return sorted(mask.active, key=lambda u: (-scores[u], u))
-
-
-def _token_units(ms, groups):
-    out = []
-    for g in groups:
-        if g.always_active:
-            out.append(list(range(g.universe)))
-        elif g.kind == Group.INPUT_BUNDLE:
-            out.append(_admission_order(ms.input_mask, ms.input_scores))
-        else:
-            out.append(_admission_order(ms.intermediate_mask, ms.intermediate_scores))
-    return out
+def _token_units(orders, groups):
+    return [list(range(g.universe)) if g.always_active
+            else orders[0] if g.kind == Group.INPUT_BUNDLE else orders[1]
+            for g in groups]
 
 
 def _oracle_run(trace, weights, scheme, policy, hw, geo):
@@ -514,35 +498,39 @@ def _oracle_run(trace, weights, scheme, policy, hw, geo):
     (layer, group), and approx_error of each (token, layer) forward."""
     acts = trace.activations
     groups = scheme_groups(scheme.name, geo)
-    capacities = allocate_dram(hw, geo, groups)
+    static = geo.static_bytes + (predictor_static_bytes(geo, scheme.predictor_hidden)
+                                 if scheme.name == "predictive" else 0.0)
+    capacities = allocate_dram(hw, geo, groups, static_bytes=static)
     caches = [{g.kind: ReferenceCache(capacities[l][g.kind]) for g in groups}
               for l in range(geo.num_layers)]
     k_in, k_mid = scheme.k_values(geo)
 
-    def masks_for(t):
-        return _token_masks(scheme, weights, acts[t], geo, k_in, k_mid, caches)
+    def orders_for(t):
+        return _token_orders(scheme, weights, acts[t], geo, k_in, k_mid, caches)
 
-    premasks = None if scheme.name == "dip_ca" else [masks_for(t) for t in range(len(acts))]
+    preorders = None if scheme.name == "dip_ca" else [orders_for(t) for t in range(len(acts))]
     accesses = {}  # (layer, group) -> the cache's full access trace, for belady
-    if premasks is not None:
-        for ms in premasks:
+    if preorders is not None:
+        for orders in preorders:
             for l in range(geo.num_layers):
-                for g, units in zip(groups, _token_units(ms[l], groups)):
+                for g, units in zip(groups, _token_units(orders[l], groups)):
                     accesses.setdefault((l, g.kind), []).append(set(units))
     costs, errors = [], []
     for t in range(len(acts)):
-        ms = premasks[t] if premasks is not None else masks_for(t)
-        flash, dram = 0.0, geo.static_bytes
+        orders = preorders[t] if preorders is not None else orders_for(t)
+        flash, dram = 0.0, static
         hits = misses = bypassed = 0
         for l in range(geo.num_layers):
-            for g, units in zip(groups, _token_units(ms[l], groups)):
+            for g, units in zip(groups, _token_units(orders[l], groups)):
                 h, m, b = caches[l][g.kind].update(
                     units, policy, trace=accesses.get((l, g.kind)), position=t)
                 flash += m * g.unit_bytes
                 dram += h * g.unit_bytes
                 hits, misses, bypassed = hits + h, misses + m, bypassed + b
-            y_ref = mlp_dense_forward(weights[l], acts[t, l])
-            y = masking.sparse_forward(weights[l], ms[l], acts[t, l])
+            in_keep = oracles.keep_mask(geo.d_model, orders[l][0])
+            mid_keep = oracles.keep_mask(geo.d_ff, orders[l][1])
+            y_ref = oracles.sparse_forward(weights[l], acts[t, l])
+            y = oracles.sparse_forward(weights[l], acts[t, l], in_keep, mid_keep)
             errors.append(approx_error(y_ref, y).rel_l2)
         costs.append(TokenCost(flash_bytes=flash, dram_bytes=dram,
                                latency_s=flash / hw.flash_bandwidth + dram / hw.dram_bandwidth,
@@ -551,8 +539,8 @@ def _oracle_run(trace, weights, scheme, policy, hw, geo):
 
 
 @pytest.mark.parametrize("scheme,policy", [
-    (s, p) for s in SCHEME_NAMES for p in POLICY_NAMES
-    if (s, p) != ("dip_ca", "belady")])  # the one pair simulate_run rejects
+    (s, p) for s in SCHEMES for p in POLICY_NAMES
+    if not (SCHEMES[s].cache_aware and p == "belady")])  # the pairs simulate_run rejects
 def test_simulate_run_matches_per_unit_oracle(scheme, policy):
     geo = GEOMETRY_PRESETS["desk-small"]
     # a third of the MLP bytes fits, so the caches evict and bypass
@@ -560,7 +548,7 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy):
                         dram_bandwidth=60e9, flash_bandwidth=1e9)
     tr = _trace(num_tokens=10, geo=geo, seed=5)
     w = _weights(geo, seed=5)
-    cfg = SchemeConfig(name=scheme, density_mid=None if scheme == "dense" else 0.5)
+    cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
     report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
     expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
     for t, (got, want) in enumerate(zip(report.tokens, expected)):
@@ -569,6 +557,41 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy):
     assert report.mean_error == mean_error  # bit for bit, same summation order
     if policy != "nocache" and scheme != "dense":
         assert any(tc.misses > tc.bypassed for tc in report.tokens[1:])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_prunes_input_flag_matches_k_in(scheme):
+    k_in, _ = SchemeConfig(name=scheme, density_mid=0.5).k_values(GEO)
+    assert SCHEMES[scheme].prunes_input == (k_in < GEO.d_model)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cache_aware_flag_matches_belady_rejection(scheme):
+    cfg = SchemeConfig(name=scheme, density_mid=0.5)
+    try:
+        simulate_run(_trace(), _weights(), cfg, "belady", ROOMY, GEO)
+        rejected = False
+    except SimulationError:
+        rejected = True
+    assert SCHEMES[scheme].cache_aware == rejected
+
+
+def test_sweep_runs_equal_one_run_per_point():
+    # each point is the base config with its density (density_in follows
+    # it) and its gamma, or the base gamma when the point's is None
+    tr, w = _trace(num_tokens=6), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    base = SchemeConfig(name="dip_ca", density_mid=0.5, density_in=0.125, gamma=0.3,
+                        reweight_input=False)
+    points = [(0.25, None), (0.5, 1.0), (0.25, 0.0)]
+    got = sweep_runs(tr, w, base, points, "lru", hw, GEO, kernel_eval=True)
+    assert len(got) == len(points)
+    for (density, gamma), rep in zip(points, got):
+        cfg = SchemeConfig(name="dip_ca", density_mid=density, reweight_input=False,
+                           gamma=0.3 if gamma is None else gamma)
+        want = simulate_run(tr, w, cfg, "lru", hw, GEO, kernel_eval=True)
+        assert rep.tokens == want.tokens
+        assert rep.mean_error == want.mean_error
 
 
 def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):
@@ -612,4 +635,4 @@ def test_throughput_at_error_edge_cases():
 
 def test_exported_name_lists():
     assert set(POLICY_NAMES) == {"lfu", "lru", "belady", "nocache"}
-    assert "dip" in SCHEME_NAMES and "dip_ca" in SCHEME_NAMES and "dense" in SCHEME_NAMES
+    assert set(SCHEMES) == {"dense", "glu", "gate", "up", "predictive", "dip", "dip_ca"}

@@ -18,17 +18,19 @@ from sparsim import (
     dip_ca_scores,
     glu_activations,
     mlp_dense_forward,
-    scheme_dense,
+    mlp_sparse_forward,
     scheme_dip,
     scheme_dip_ca,
-    scheme_gate_pruning,
-    scheme_glu_pruning,
-    scheme_predictive,
-    scheme_predictive_oracle,
-    scheme_up_pruning,
     silu,
-    sparse_forward,
     topk_indices,
+)
+from sparsim.masking import (
+    dense_rows,
+    gate_pruning_rows,
+    glu_pruning_rows,
+    predictive_oracle_rows,
+    predictive_rows,
+    up_pruning_rows,
 )
 
 
@@ -159,8 +161,13 @@ def test_threshold_spec_validation():
 # pruning schemes on the toy block
 # ---------------------------------------------------------------------------
 
+def sparse_forward(w, ms, x):
+    """The block forward under one MaskSet."""
+    return mlp_sparse_forward(w, x, ms.input_mask, ms.intermediate_mask)
+
+
 def test_scheme_dense_keeps_everything(toy_weights, toy_x):
-    ms = scheme_dense(2, 3)
+    ms = dense_rows(1, 2, 3).mask_set(0)
     assert ms.input_mask.count == 2 and ms.intermediate_mask.count == 3
     y = sparse_forward(toy_weights, ms, toy_x)
     np.testing.assert_allclose(y, mlp_dense_forward(toy_weights, toy_x), atol=0)
@@ -168,7 +175,7 @@ def test_scheme_dense_keeps_everything(toy_weights, toy_x):
 
 def test_scheme_glu_pruning_toy(toy_weights, toy_x):
     # |GLU| = [0, 0.5379, 0] -> keep intermediate 1; output matches dense
-    ms = scheme_glu_pruning(toy_weights, toy_x, k_mid=1)
+    ms = glu_pruning_rows(toy_weights, toy_x[None], 1).mask_set(0)
     assert ms.intermediate_mask.active == (1,)
     assert ms.input_mask.count == 2  # input stays dense for this scheme
     y = sparse_forward(toy_weights, ms, toy_x)
@@ -177,7 +184,7 @@ def test_scheme_glu_pruning_toy(toy_weights, toy_x):
 
 def test_scheme_gate_pruning_toy(toy_weights, toy_x):
     # |silu(gate x)| = [0.731, 0.269, 0] -> keep 0, whose up product is 0
-    ms = scheme_gate_pruning(toy_weights, toy_x, k_mid=1)
+    ms = gate_pruning_rows(toy_weights, toy_x[None], 1).mask_set(0)
     assert ms.intermediate_mask.active == (0,)
     y = sparse_forward(toy_weights, ms, toy_x)
     np.testing.assert_allclose(y, [0.0, 0.0], atol=1e-12)
@@ -185,7 +192,7 @@ def test_scheme_gate_pruning_toy(toy_weights, toy_x):
 
 def test_scheme_up_pruning_toy(toy_weights, toy_x):
     # |up x| = [0, 2, 1] -> keep 1; matches dense on this instance
-    ms = scheme_up_pruning(toy_weights, toy_x, k_mid=1)
+    ms = up_pruning_rows(toy_weights, toy_x[None], 1).mask_set(0)
     assert ms.intermediate_mask.active == (1,)
     y = sparse_forward(toy_weights, ms, toy_x)
     np.testing.assert_allclose(y, [0.0, -0.5378828427399902], atol=1e-9)
@@ -201,8 +208,8 @@ def test_scheme_dip_toy(toy_weights, toy_x):
 
 
 def test_scheme_predictive_oracle_matches_glu_selection(toy_weights, toy_x):
-    oracle = scheme_predictive_oracle(toy_weights, toy_x, k_mid=1)
-    glu = scheme_glu_pruning(toy_weights, toy_x, k_mid=1)
+    oracle = predictive_oracle_rows(toy_weights, toy_x[None], 1).mask_set(0)
+    glu = glu_pruning_rows(toy_weights, toy_x[None], 1).mask_set(0)
     assert oracle.intermediate_mask.active == glu.intermediate_mask.active
     # predictive prunes all three matrices, so its input mask is full but the
     # scheme label differs
@@ -214,7 +221,7 @@ def test_scheme_predictive_ranks_raw_logits():
     p = Predictor.create(2, 3, hidden=2, seed=0)
     p.w2[:] = 0.0
     p.b2[:] = np.array([-5.0, 2.0, 1.0])
-    ms = scheme_predictive(p, np.zeros(2), k_mid=1)
+    ms = predictive_rows(p, np.zeros((1, 2)), 1).mask_set(0)
     assert ms.intermediate_mask.active == (1,)
 
 
@@ -311,13 +318,13 @@ def test_dip_ca_positive_scale_invariance():
 
 
 # ---------------------------------------------------------------------------
-# sparse_forward dispatch
+# the block forward under a scheme's masks
 # ---------------------------------------------------------------------------
 
 def test_sparse_forward_glu_like_schemes_zero_only_down(toy_weights, toy_x):
     # gate/up/glu schemes keep the input dense: the intermediate value at a
     # kept index must equal its dense value
-    ms = scheme_up_pruning(toy_weights, toy_x, k_mid=2)
+    ms = up_pruning_rows(toy_weights, toy_x[None], 2).mask_set(0)
     y = sparse_forward(toy_weights, ms, toy_x)
     h = glu_activations(toy_weights, toy_x)
     keep = np.zeros(3)
@@ -326,6 +333,6 @@ def test_sparse_forward_glu_like_schemes_zero_only_down(toy_weights, toy_x):
 
 
 def test_sparse_forward_rejects_wrong_dims(toy_weights):
-    ms = scheme_dense(3, 4)  # wrong dims for the 2/3 toy block
+    ms = dense_rows(1, 3, 4).mask_set(0)  # wrong dims for the 2/3 toy block
     with pytest.raises(ValueError):
         sparse_forward(toy_weights, ms, np.ones(2))

@@ -12,13 +12,7 @@ from sparsim import (
     glu_activations,
     mlp_dense_forward,
     mlp_sparse_forward,
-    scheme_dense,
-    scheme_dip,
     scheme_dip_ca,
-    scheme_gate_pruning,
-    scheme_glu_pruning,
-    scheme_predictive_oracle,
-    scheme_up_pruning,
     sweep_density_allocation,
     topk_binary_targets,
     topk_indices,
@@ -160,39 +154,39 @@ def _admission(mask_set, side):
 @given(batches(), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_scheme_rows_match_per_vector_calls(batch, tied, data):
+    # every scheme's rows against the independent per-vector oracles: the
+    # admission orders, and the masks as the same selections
     x, rng = batch
     w = _weights(rng, tied)
     k_in = data.draw(st.integers(1, D_MODEL))
     k_mid = data.draw(st.integers(1, D_FF))
+    gamma = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
     c_in = rng.integers(0, 2, D_MODEL)
     c_mid = rng.integers(0, 2, D_FF)
     cases = [
-        (dense_rows(len(x), D_MODEL, D_FF), lambda r: scheme_dense(D_MODEL, D_FF)),
-        (glu_pruning_rows(w, x, k_mid), lambda r: scheme_glu_pruning(w, r, k_mid)),
-        (gate_pruning_rows(w, x, k_mid), lambda r: scheme_gate_pruning(w, r, k_mid)),
-        (up_pruning_rows(w, x, k_mid), lambda r: scheme_up_pruning(w, r, k_mid)),
-        (predictive_oracle_rows(w, x, k_mid), lambda r: scheme_predictive_oracle(w, r, k_mid)),
-        (dip_rows(w, x, k_in, k_mid), lambda r: scheme_dip(w, r, k_in, k_mid)),
-        (dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid),
-         lambda r: scheme_dip_ca(w, r, c_in, c_mid, k_in, k_mid)),
+        (dense_rows(len(x), D_MODEL, D_FF), lambda r: oracles.dense_orders(D_MODEL, D_FF)),
+        (glu_pruning_rows(w, x, k_mid), lambda r: oracles.glu_orders(w, r, k_mid)),
+        (gate_pruning_rows(w, x, k_mid), lambda r: oracles.gate_orders(w, r, k_mid)),
+        (up_pruning_rows(w, x, k_mid), lambda r: oracles.up_orders(w, r, k_mid)),
+        (predictive_oracle_rows(w, x, k_mid),
+         lambda r: oracles.predictive_oracle_orders(w, r, k_mid)),
+        (dip_rows(w, x, k_in, k_mid), lambda r: oracles.dip_orders(w, r, k_in, k_mid)),
+        (dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid, gamma),
+         lambda r: oracles.dip_ca_orders(w, r, c_in, c_mid, k_in, k_mid, gamma)),
+        (dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid, gamma, False, True),
+         lambda r: oracles.dip_ca_orders(w, r, c_in, c_mid, k_in, k_mid, gamma, False, True)),
+        (dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid, gamma, True, False),
+         lambda r: oracles.dip_ca_orders(w, r, c_in, c_mid, k_in, k_mid, gamma, True, False)),
     ]
     for rows, one in cases:
         for i, row in enumerate(x):
-            got, want = rows.mask_set(i), one(row)
-            assert got.input_mask.active == want.input_mask.active
-            assert got.intermediate_mask.active == want.intermediate_mask.active
-            for side in ("input", "intermediate"):
-                a, b = getattr(got, f"{side}_scores"), getattr(want, f"{side}_scores")
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert np.array_equal(a, b)
-                # the top-k order is the caches' admission order
-                assert getattr(rows, f"{side}_order")[i].tolist() == _admission(want, side)
-    dip = dip_rows(w, x, k_in, k_mid)
-    for i, row in enumerate(x):
-        in_keep, mid_keep = oracles.dip_masks(w, row, k_in, k_mid)
-        np.testing.assert_array_equal(dip.input_mask[i], in_keep)
-        np.testing.assert_array_equal(dip.intermediate_mask[i], mid_keep)
+            in_order, mid_order = one(row)
+            assert rows.input_order[i].tolist() == in_order
+            assert rows.intermediate_order[i].tolist() == mid_order
+            np.testing.assert_array_equal(rows.input_mask[i],
+                                          oracles.keep_mask(D_MODEL, in_order))
+            np.testing.assert_array_equal(rows.intermediate_mask[i],
+                                          oracles.keep_mask(D_FF, mid_order))
 
 
 @given(batches(), st.booleans(), st.data())

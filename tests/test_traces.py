@@ -1,5 +1,6 @@
 """Synthetic activation traces and the binary trace / tensor file formats."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ def test_trace_shape_and_metadata():
     assert tr.activations.shape == (6, 2, 8)
     assert tr.num_tokens == 6
     assert tr.num_layers == 2 and tr.d_model == 8 and tr.d_ff == 24
-    assert tr.kind == "activations"
 
 
 def test_values_are_signed_heavy_tailed():
@@ -110,23 +110,24 @@ def test_activation_trace_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "t.bin"
     write_trace(path, tr)
     back = read_trace(path)
-    assert back.kind == "activations"
     assert (back.num_layers, back.d_model, back.d_ff) == (2, 8, 24)
     np.testing.assert_array_equal(back.activations, tr.activations)
 
 
-def test_unit_access_trace_round_trip(tmp_path):
-    accesses = [
-        [(0, [0, 3, 7]), (1, [2])],
-        [(0, []), (1, [1, 4])],
-    ]
-    tr = Trace(num_layers=2, d_model=8, d_ff=24,
-               unit_accesses=[[list(idx) for _, idx in tok] for tok in accesses])
+def unit_access_trace_file(path):
+    """A file of the old unit-access payload (kind 1): per token and layer,
+    a varint count and varint unit indices."""
+    header = traces.TRACE_MAGIC + struct.pack("<IB", traces.TRACE_VERSION, 1)
+    path.write_bytes(header + struct.pack("<IIII", 2, 8, 24, 2)
+                     + bytes([3, 0, 3, 7, 1, 2, 0, 2, 1, 4]))
+
+
+def test_read_rejects_unit_access_trace(tmp_path):
+    # the unit-access payload is no longer read: it cannot drive a run
     path = tmp_path / "u.bin"
-    write_trace(path, tr)
-    back = read_trace(path)
-    assert back.kind == "unit_accesses"
-    assert back.unit_accesses == [[[0, 3, 7], [2]], [[], [1, 4]]]
+    unit_access_trace_file(path)
+    with pytest.raises(TraceFormatError, match="payload kind 1"):
+        read_trace(path)
 
 
 def test_empty_trace_round_trip(tmp_path):
@@ -190,18 +191,12 @@ def test_read_rejects_unknown_version(tmp_path):
 
 
 def test_trace_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Trace(num_layers=2, d_model=8, d_ff=24)  # no payload
     with pytest.raises(ValueError):
-        Trace(num_layers=2, d_model=8, d_ff=24,
-              activations=np.zeros((2, 2, 8)),
-              unit_accesses=[[[0]] * 2])  # both payloads
+        Trace(num_layers=2, d_model=8, d_ff=24, activations=np.zeros((2, 3, 8)))
     with pytest.raises(ValueError):
-        Trace(num_layers=1, d_model=8, d_ff=24,
-              unit_accesses=[[[3, 1]]])  # indices must be sorted
-    with pytest.raises(ValueError):
-        Trace(num_layers=1, d_model=8, d_ff=24,
-              unit_accesses=[[[-2]]])
+        Trace(num_layers=2, d_model=8, d_ff=24, activations=np.zeros((2, 8)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "POLICY_NAMES",
     "Group",
     "AccessStats",
     "CacheState",
@@ -54,6 +55,8 @@ __all__ = [
     "cache_update",
     "resident_bitvector",
 ]
+
+POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
 
 
 class Group(IntEnum):
@@ -152,10 +155,8 @@ class EvictionPolicy:
     kind: str
     next_use: Optional[NextUseTable] = None
 
-    _KINDS = ("lfu", "lru", "belady", "nocache")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.kind!r}")
         if self.kind == "belady" and self.next_use is None:
             raise ValueError("belady policy needs a next-use table")
@@ -165,16 +166,8 @@ class EvictionPolicy:
         return cls("lfu")
 
     @classmethod
-    def lru(cls) -> "EvictionPolicy":
-        return cls("lru")
-
-    @classmethod
     def belady(cls, table: NextUseTable) -> "EvictionPolicy":
         return cls("belady", next_use=table)
-
-    @classmethod
-    def nocache(cls) -> "EvictionPolicy":
-        return cls("nocache")
 
 
 def cache_update(state: CacheState, active_units: Sequence[int],

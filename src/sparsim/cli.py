@@ -6,29 +6,34 @@ summaries), calibrate-allocation (density-allocation pipeline: grid sweep,
 Pareto front, logit-linear fit, concrete allocations), gamma-sweep
 (cache-aware re-weighting ablation).
 
-Configs are JSON; reports are JSON written atomically (temp file + rename)
-with sorted keys, so re-running an identical config and seed reproduces the
-report byte-for-byte except the timestamp field.  Reports embed the fully
-resolved configuration with presets expanded.
+Configs are JSON, and _fields reads each config object through a schema of
+typed converters, one per key.  The hardware, geometry, scheme and
+synthetic-trace objects build their dataclasses, which hold the defaults, and
+reports echo every dataclass field.  A scheme key that the named scheme never
+reads (hwsim.Scheme.reads) is rejected.  Reports are JSON written atomically
+(temp file + rename) with sorted keys, so re-running an identical config and
+seed reproduces the report byte-for-byte except the timestamp field.
 
 Exit codes: 0 success, 1 validation error (including a config whose arrays
-do not fit in memory), 2 simulation error, 3 I/O error.
+do not fit in memory), 2 simulation error (including a modelled latency
+that overflows the float range), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from . import calibration, hwsim, traces
-from .hwsim import HardwareConfig, ModelGeometry, SchemeConfig, SimulationError
-from .masking import DEFAULT_GAMMA
+from .cache import POLICY_NAMES
+from .hwsim import SCHEMES, HardwareConfig, ModelGeometry, SchemeConfig, SimulationError
 from .mlp import MlpWeights
 from .presets import GEOMETRY_PRESETS, HARDWARE_PRESETS
 from .traces import atomic_write
@@ -45,31 +50,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str) -> dict:
-    with open(path, "r") as f:
+def _load_config(args) -> dict:
+    with open(args.config, "r") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    return cfg
-
-
-def _take(d: dict, what: str, required=(), optional=()) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be an object")
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown keys in {what}: {sorted(unknown)}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"missing keys in {what}: {missing}")
-    return d
+    # --seed overrides the config's seed
+    return cfg if args.seed is None else dict(cfg, seed=args.seed)
 
 
 # Typed reads: each converter takes a JSON value and the key path it came
 # from, and raises ConfigError naming both when the type is wrong.
-
-_ABSENT = object()
-
 
 def _json_type(v) -> str:
     names = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
@@ -113,6 +104,13 @@ def _floats(v, what: str) -> List[float]:
     return [_float(x, f"{what}[{i}]") for i, x in enumerate(v)]
 
 
+def _nonempty_floats(v, what: str) -> List[float]:
+    out = _floats(v, what)
+    if not out:
+        raise ConfigError(f"{what} must be non-empty")
+    return out
+
+
 def _float_or_floats(v, what: str):
     return _floats(v, what) if isinstance(v, list) else _float(v, what)
 
@@ -124,107 +122,142 @@ def _optional_number(v, what: str):
     return v
 
 
-def _get(d: dict, key: str, what: str, conv, default=_ABSENT):
-    """d[key] through conv, or default when the key is absent; what is the
-    path of d in the config ("" for the top level)."""
-    path = f"{what}.{key}" if what else key
-    if key not in d:
-        if default is _ABSENT:
-            raise ConfigError(f"missing key {path}")
-        return default
-    return conv(d[key], path)
+def _policy(v, what: str) -> str:
+    if _str(v, what) not in POLICY_NAMES:
+        raise ConfigError(f"unknown policy {v!r}; known: {POLICY_NAMES}")
+    return v
 
 
-def _seed(args, cfg: dict) -> int:
-    return args.seed if args.seed is not None else _get(cfg, "seed", "", _int, 0)
+def _raw(v, what: str):
+    # a key read later, once the keys it depends on are read
+    return v
 
 
-def _resolve_hardware(spec) -> tuple[HardwareConfig, dict]:
-    if isinstance(spec, str):
-        if spec not in HARDWARE_PRESETS:
-            raise ConfigError(f"unknown hardware preset {spec!r}; "
-                              f"known: {sorted(HARDWARE_PRESETS)}")
-        hw = HARDWARE_PRESETS[spec]
-        resolved = {"preset": spec}
-    else:
-        _take(spec, "hardware",
-              required=("dram_capacity_bytes", "dram_bandwidth", "flash_bandwidth"))
-        hw = HardwareConfig(*(_get(spec, k, "hardware", _float) for k in (
-            "dram_capacity_bytes", "dram_bandwidth", "flash_bandwidth")))
-        resolved = {}
-    resolved.update({"dram_capacity_bytes": hw.dram_capacity_bytes,
-                     "dram_bandwidth": hw.dram_bandwidth,
-                     "flash_bandwidth": hw.flash_bandwidth})
-    return hw, resolved
+def _fields(d, what: str, schema: dict, required=()) -> dict:
+    """The keys of the config object d, each through its schema converter in
+    schema order.  what is the path of d in the config ("" for the top
+    level).  A key that schema does not name, or a missing required key, is
+    a ConfigError."""
+    name = what or "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(d) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError(f"missing keys in {name}: {missing}")
+    return {k: conv(d[k], f"{what}.{k}" if what else k)
+            for k, conv in schema.items() if k in d}
 
 
-def _resolve_geometry(spec) -> tuple[ModelGeometry, dict]:
-    if isinstance(spec, str):
-        if spec not in GEOMETRY_PRESETS:
-            raise ConfigError(f"unknown geometry preset {spec!r}; "
-                              f"known: {sorted(GEOMETRY_PRESETS)}")
-        geo = GEOMETRY_PRESETS[spec]
-        resolved = {"preset": spec}
-    else:
-        _take(spec, "geometry",
-              required=("num_layers", "d_model", "d_ff", "bytes_per_weight"),
-              optional=("static_bytes",))
-        geo = ModelGeometry(_get(spec, "num_layers", "geometry", _int),
-                            _get(spec, "d_model", "geometry", _int),
-                            _get(spec, "d_ff", "geometry", _int),
-                            _get(spec, "bytes_per_weight", "geometry", _float),
-                            _get(spec, "static_bytes", "geometry", _float, 0.0))
-        resolved = {}
-    resolved.update({"num_layers": geo.num_layers, "d_model": geo.d_model,
-                     "d_ff": geo.d_ff, "bytes_per_weight": geo.bytes_per_weight,
-                     "static_bytes": geo.static_bytes})
-    return geo, resolved
+def _build(cls, d, what: str, schema: dict, **given):
+    """A cls dataclass from the config object d read through schema, over
+    the values given.  The fields of cls without a default are required,
+    apart from the given ones."""
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.name not in given]
+    return cls(**{**given, **_fields(d, what, schema, required)})
 
 
-def _resolve_scheme(spec) -> tuple[SchemeConfig, dict]:
-    _take(spec, "scheme", required=("name",),
-          optional=("density_mid", "density_in", "gamma", "reweight_input",
-                    "reweight_intermediate", "predictor_hidden"))
-    cfg = SchemeConfig(
-        name=_get(spec, "name", "scheme", _str),
-        density_mid=_get(spec, "density_mid", "scheme", _optional_number, None),
-        density_in=_get(spec, "density_in", "scheme", _optional_number, None),
-        gamma=_get(spec, "gamma", "scheme", _float, DEFAULT_GAMMA),
-        reweight_input=_get(spec, "reweight_input", "scheme", _bool, True),
-        reweight_intermediate=_get(spec, "reweight_intermediate", "scheme", _bool, True),
-        predictor_hidden=_get(spec, "predictor_hidden", "scheme", _int, 0),
-    )
-    resolved = {"name": cfg.name, "density_mid": cfg.density_mid,
-                "density_in": cfg.density_in, "gamma": cfg.gamma,
-                "reweight_input": cfg.reweight_input,
-                "reweight_intermediate": cfg.reweight_intermediate,
-                "predictor_hidden": cfg.predictor_hidden}
-    return cfg, resolved
+# The dimensions a geometry shares with a synthetic trace.
+_DIMS = {"num_layers": _int, "d_model": _int, "d_ff": _int}
+_SYNTHETIC = {"num_tokens": _int, **_DIMS, "mu": _float_or_floats,
+              "sigma": _float_or_floats, "seed": _int}
+_SCHEME = {"name": _str, "density_mid": _optional_number, "density_in": _optional_number,
+           "gamma": _float, "reweight_input": _bool, "reweight_intermediate": _bool,
+           "predictor_hidden": _int}
+
+
+def _preset_or_object(cls, presets: dict, schema: dict):
+    """The converter of a config value that is either a preset name or an
+    object of cls fields.  It returns the cls and its echo: every field,
+    after the preset name if there is one."""
+    def convert(spec, what: str):
+        if isinstance(spec, str):
+            if spec not in presets:
+                raise ConfigError(f"unknown {what} preset {spec!r}; "
+                                  f"known: {sorted(presets)}")
+            obj, echo = presets[spec], {"preset": spec}
+        else:
+            obj, echo = _build(cls, spec, what, schema), {}
+        return obj, {**echo, **dataclasses.asdict(obj)}
+    return convert
+
+
+_geometry = _preset_or_object(ModelGeometry, GEOMETRY_PRESETS, {
+    **_DIMS, "bytes_per_weight": _float, "static_bytes": _float})
+_hardware = _preset_or_object(HardwareConfig, HARDWARE_PRESETS, {
+    "dram_capacity_bytes": _float, "dram_bandwidth": _float, "flash_bandwidth": _float})
+
+
+def _scheme(spec, what: str, **given) -> tuple[SchemeConfig, dict]:
+    scheme = _build(SchemeConfig, spec, what, _SCHEME, **given)
+    unread = sorted(set(spec) - SCHEMES[scheme.name].reads)
+    if unread:
+        raise ConfigError(f"scheme {scheme.name!r} does not read "
+                          + ", ".join(f"{what}.{k}" for k in unread))
+    return scheme, dataclasses.asdict(scheme)
+
+
+def _sweep_scheme(spec, what: str) -> tuple[SchemeConfig, dict]:
+    # Every point sets density_mid and density_in.  A sweep therefore needs
+    # no density_mid: 1.0 stands in for an absent one, echoed as null.
+    scheme, echo = _scheme(spec, what, density_mid=1.0)
+    if spec.get("density_in") is not None:
+        raise ConfigError(f"{what}.density_in cannot be set in a sweep: "
+                          "each point's density_in follows sweep.densities")
+    if SCHEMES[scheme.name].rows is None:
+        raise ConfigError(f"a sweep of {scheme.name!r} repeats one run: "
+                          "it keeps every unit at any density")
+    if "density_mid" not in spec:
+        echo.update(density_mid=None, density_in=None)
+    return scheme, echo
 
 
 def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, dict]:
-    _take(spec, "trace", optional=("file", "synthetic"))
-    if ("file" in spec) == ("synthetic" in spec):
+    spec = _fields(spec, "trace", {"file": _raw, "synthetic": _raw})
+    if len(spec) != 1:
         raise ConfigError("trace needs exactly one of 'file' or 'synthetic'")
     if "file" in spec:
-        trace = traces.read_trace(_get(spec, "file", "trace", _str))
-        if (trace.num_layers, trace.d_model, trace.d_ff) != (
-                geo.num_layers, geo.d_model, geo.d_ff):
+        trace = traces.read_trace(_str(spec["file"], "trace.file"))
+        if any(getattr(trace, k) != getattr(geo, k) for k in _DIMS):
             raise SimulationError(
                 f"trace dims (layers={trace.num_layers}, d_model={trace.d_model}, "
                 f"d_ff={trace.d_ff}) do not match geometry")
         return trace, {"file": spec["file"]}
-    syn = _take(spec["synthetic"], "trace.synthetic", required=("num_tokens",),
-                optional=("mu", "sigma", "seed"))
-    tspec = traces.SyntheticTraceSpec(
-        num_tokens=_get(syn, "num_tokens", "trace.synthetic", _int),
-        num_layers=geo.num_layers, d_model=geo.d_model, d_ff=geo.d_ff,
-        mu=_get(syn, "mu", "trace.synthetic", _float_or_floats, 0.0),
-        sigma=_get(syn, "sigma", "trace.synthetic", _float_or_floats, 1.0),
-        seed=_get(syn, "seed", "trace.synthetic", _int, seed))
-    resolved = {"synthetic": {"num_tokens": tspec.num_tokens, "mu": list(tspec.mu),
-                              "sigma": list(tspec.sigma), "seed": tspec.seed}}
-    return traces.generate_synthetic_trace(tspec), resolved
+    # the trace takes its dimensions from the geometry, and the run's seed
+    # unless it names its own
+    tspec = _build(traces.SyntheticTraceSpec, spec["synthetic"], "trace.synthetic",
+                   {k: c for k, c in _SYNTHETIC.items() if k not in _DIMS},
+                   seed=seed, **{k: getattr(geo, k) for k in _DIMS})
+    echo = {k: v for k, v in dataclasses.asdict(tspec).items() if k not in _DIMS}
+    return traces.generate_synthetic_trace(tspec), {"synthetic": echo}
+
+
+class _Setup(NamedTuple):
+    geo: ModelGeometry
+    hw: HardwareConfig
+    trace: traces.Trace
+    weights: List[MlpWeights]
+    fields: dict  # the verb's own keys, read through its schema
+    config: dict  # the echo of seed, trace, geometry and hardware
+
+
+def _setup(args, schema: dict, required: tuple) -> _Setup:
+    """The config of run, sweep or gamma-sweep: the keys they share (seed,
+    geometry, hardware, trace) and the verb's own schema and required keys.
+    Builds the trace and the synthetic layer weights."""
+    fields = _fields(_load_config(args), "", {
+        "seed": _int, "geometry": _geometry, "hardware": _hardware, **schema,
+        "trace": _raw}, ("trace", "geometry", "hardware") + required)
+    seed = fields.pop("seed", 0)
+    (geo, geo_echo), (hw, hw_echo) = fields.pop("geometry"), fields.pop("hardware")
+    trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed)
+    weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
+                                             seed=seed)
+    return _Setup(geo, hw, trace, weights, fields, {
+        "seed": seed, "trace": trace_echo, "geometry": geo_echo, "hardware": hw_echo})
 
 
 def _write_report(path: str, report: dict) -> None:
@@ -241,12 +274,6 @@ def _report_skeleton(command: str, config: dict) -> dict:
     }
 
 
-def _token_record(tc: hwsim.TokenCost) -> dict:
-    return {"flash_bytes": tc.flash_bytes, "dram_bytes": tc.dram_bytes,
-            "latency_s": tc.latency_s, "hits": tc.hits, "misses": tc.misses,
-            "bypassed": tc.bypassed}
-
-
 def _metrics(report: hwsim.RunReport) -> dict:
     return {
         "num_tokens": report.num_tokens,
@@ -259,97 +286,47 @@ def _metrics(report: hwsim.RunReport) -> dict:
     }
 
 
-def _layer_records(report: hwsim.RunReport) -> List[dict]:
-    return [{"layer": ls.layer, "hits": ls.hits, "misses": ls.misses,
-             "bypassed": ls.bypassed, "flash_bytes": ls.flash_bytes,
-             "dram_bytes": ls.dram_bytes, "hit_rate": ls.hit_rate}
-            for ls in report.per_layer]
-
-
-def _policy(cfg: dict, default=_ABSENT) -> str:
-    policy = _get(cfg, "policy", "", _str, default)
-    if policy not in hwsim.POLICY_NAMES:
-        raise ConfigError(f"unknown policy {policy!r}; known: {hwsim.POLICY_NAMES}")
-    return policy
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    _take(cfg, "config", required=("trace", "geometry", "hardware", "scheme", "policy"),
-          optional=("seed", "kernel_eval"))
-    seed = _seed(args, cfg)
-    geo, geo_resolved = _resolve_geometry(cfg["geometry"])
-    hw, hw_resolved = _resolve_hardware(cfg["hardware"])
-    scheme, scheme_resolved = _resolve_scheme(cfg["scheme"])
-    policy = _policy(cfg)
-    kernel_eval = _get(cfg, "kernel_eval", "", _bool, False)
-    trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
-    weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
-                                             seed=seed)
-    report = hwsim.simulate_run(trace, weights, scheme, policy, hw, geo,
+def _cmd_run(args) -> None:
+    s = _setup(args, {"scheme": _scheme, "policy": _policy, "kernel_eval": _bool},
+               ("scheme", "policy"))
+    (scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
+    kernel_eval = s.fields.get("kernel_eval", False)
+    report = hwsim.simulate_run(s.trace, s.weights, scheme, policy, s.hw, s.geo,
                                 kernel_eval=kernel_eval)
-    out = _report_skeleton("run", {
-        "seed": seed, "trace": trace_resolved, "geometry": geo_resolved,
-        "hardware": hw_resolved, "scheme": scheme_resolved, "policy": policy,
-        "kernel_eval": kernel_eval})
+    out = _report_skeleton("run", {**s.config, "scheme": scheme_echo, "policy": policy,
+                                   "kernel_eval": kernel_eval})
     out["metrics"] = _metrics(report)
-    out["per_layer"] = _layer_records(report)
+    out["per_layer"] = [{**dataclasses.asdict(ls), "hit_rate": ls.hit_rate}
+                        for ls in report.per_layer]
     if args.per_token:
-        out["per_token"] = [_token_record(tc) for tc in report.tokens]
+        out["per_token"] = [dataclasses.asdict(tc) for tc in report.tokens]
     _write_report(args.out, out)
-    return EXIT_OK
 
 
-def _cmd_gen_trace(args) -> int:
-    cfg = _load_config(args.config)
-    _take(cfg, "config", required=("num_tokens", "num_layers", "d_model", "d_ff"),
-          optional=("mu", "sigma", "seed"))
-    spec = traces.SyntheticTraceSpec(
-        *(_get(cfg, k, "", _int) for k in ("num_tokens", "num_layers", "d_model", "d_ff")),
-        mu=_get(cfg, "mu", "", _float_or_floats, 0.0),
-        sigma=_get(cfg, "sigma", "", _float_or_floats, 1.0), seed=_seed(args, cfg))
+def _cmd_gen_trace(args) -> None:
+    spec = _build(traces.SyntheticTraceSpec, _load_config(args), "", _SYNTHETIC)
     trace = traces.generate_synthetic_trace(spec)
     traces.write_trace(args.out, trace)
-    return EXIT_OK
 
 
-def _sweep_grid(cfg_sweep: dict, scheme_spec: dict):
-    _take(cfg_sweep, "sweep", required=("densities",),
-          optional=("gammas", "error_budgets"))
-    if scheme_spec.get("density_in") is not None:
-        raise ConfigError("scheme.density_in cannot be set in a sweep: "
-                          "each point's density_in follows sweep.densities")
-    densities = _get(cfg_sweep, "densities", "sweep", _floats)
-    if not densities:
-        raise ConfigError("sweep.densities must be non-empty")
-    gammas = _get(cfg_sweep, "gammas", "sweep", _floats, None)
-    if gammas is not None and not hwsim.SCHEMES[scheme_spec["name"]].cache_aware:
+def _cmd_sweep(args) -> None:
+    s = _setup(args, {"scheme": _sweep_scheme, "policy": _policy, "sweep": _raw},
+               ("scheme", "policy", "sweep"))
+    (base_scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
+    grid = _fields(s.fields["sweep"], "sweep", {
+        "densities": _nonempty_floats, "gammas": _nonempty_floats, "error_budgets": _floats},
+        ("densities",))
+    densities, gammas = grid["densities"], grid.get("gammas")
+    budgets = grid.get("error_budgets", [])
+    if gammas is not None and not SCHEMES[base_scheme.name].cache_aware:
         raise ConfigError("sweep.gammas only applies to cache-aware schemes (dip_ca)")
-    budgets = _get(cfg_sweep, "error_budgets", "sweep", _floats, [])
-    return densities, gammas, budgets
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    _take(cfg, "config",
-          required=("trace", "geometry", "hardware", "scheme", "policy", "sweep"),
-          optional=("seed",))
-    seed = _seed(args, cfg)
-    geo, geo_resolved = _resolve_geometry(cfg["geometry"])
-    hw, hw_resolved = _resolve_hardware(cfg["hardware"])
-    base_scheme, scheme_resolved = _resolve_scheme(cfg["scheme"])
-    policy = _policy(cfg)
-    trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
-    weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
-                                             seed=seed)
-    densities, gammas, budgets = _sweep_grid(cfg["sweep"], cfg["scheme"])
     points = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
     # error budgets need the kernel error, so the sweep always evaluates it
-    reports = hwsim.sweep_runs(trace, weights, base_scheme, points, policy, hw, geo,
+    reports = hwsim.sweep_runs(s.trace, s.weights, base_scheme, points, policy, s.hw, s.geo,
                                kernel_eval=True)
     rows = []
     for (density, gamma), rep in zip(points, reports):
@@ -365,20 +342,17 @@ def _cmd_sweep(args) -> int:
         try:
             tput, density = hwsim.throughput_at_error(
                 [(r["density"], r["throughput"], r["error"]) for r in rows], budget)
-            summaries.append({"error_budget": budget, "best_throughput": tput,
-                              "best_density": density})
-        except SimulationError:
-            summaries.append({"error_budget": budget, "best_throughput": None,
-                              "best_density": None})
+        except SimulationError:  # no row fits the budget
+            tput, density = None, None
+        summaries.append({"error_budget": budget, "best_throughput": tput,
+                          "best_density": density})
 
     out = _report_skeleton("sweep", {
-        "seed": seed, "trace": trace_resolved, "geometry": geo_resolved,
-        "hardware": hw_resolved, "scheme": scheme_resolved, "policy": policy,
+        **s.config, "scheme": scheme_echo, "policy": policy,
         "sweep": {"densities": densities, "gammas": gammas, "error_budgets": budgets}})
     out["rows"] = rows
     out["summaries"] = summaries
     _write_report(args.out, out)
-    return EXIT_OK
 
 
 def _signed_heavy_tailed(rng: np.random.Generator, n: int, dim: int,
@@ -388,88 +362,62 @@ def _signed_heavy_tailed(rng: np.random.Generator, n: int, dim: int,
     return mags * signs
 
 
-def _cmd_calibrate_allocation(args) -> int:
-    cfg = _load_config(args.config)
-    _take(cfg, "config", required=("block", "grid", "targets"),
-          optional=("seed", "calibration"))
-    seed = _seed(args, cfg)
-    block = _take(cfg["block"], "block", required=("d_model", "d_ff"), optional=("seed",))
-    d_model = _get(block, "d_model", "block", _int)
-    d_ff = _get(block, "d_ff", "block", _int)
-    block_seed = _get(block, "seed", "block", _int, seed)
-    w = MlpWeights.random(d_model, d_ff, seed=block_seed)
-    calib = _take(cfg.get("calibration", {}), "calibration",
-                  optional=("num_inputs", "sigma", "seed"))
-    num_inputs = _get(calib, "num_inputs", "calibration", _int, 32)
-    sigma = _get(calib, "sigma", "calibration", _float, 1.5)
-    calib_seed = _get(calib, "seed", "calibration", _int, seed)
-    if num_inputs < 1:
+def _cmd_calibrate_allocation(args) -> None:
+    cfg = _fields(_load_config(args), "", {
+        "seed": _int, "block": _raw, "calibration": _raw, "grid": _raw, "targets": _raw},
+        ("block", "grid", "targets"))
+    seed = cfg.get("seed", 0)
+    block = {"seed": seed, **_fields(cfg["block"], "block", {
+        "d_model": _int, "d_ff": _int, "seed": _int}, ("d_model", "d_ff"))}
+    d_model, d_ff = block["d_model"], block["d_ff"]
+    w = MlpWeights.random(d_model, d_ff, seed=block["seed"])
+    calib = {"num_inputs": 32, "sigma": 1.5, "seed": seed,
+             **_fields(cfg.get("calibration", {}), "calibration", {
+                 "num_inputs": _int, "sigma": _float, "seed": _int})}
+    if calib["num_inputs"] < 1:
         raise ConfigError("calibration.num_inputs must be >= 1")
-    rng = np.random.default_rng(calib_seed)
-    inputs = _signed_heavy_tailed(rng, num_inputs, d_model, sigma)
-    grid = _take(cfg["grid"], "grid", required=("densities_in", "densities_mid"))
-    densities_in = _get(grid, "densities_in", "grid", _floats)
-    densities_mid = _get(grid, "densities_mid", "grid", _floats)
-    targets = _get(cfg, "targets", "", _floats)
+    rng = np.random.default_rng(calib["seed"])
+    inputs = _signed_heavy_tailed(rng, calib["num_inputs"], d_model, calib["sigma"])
+    grid = _fields(cfg["grid"], "grid", {"densities_in": _floats, "densities_mid": _floats},
+                   ("densities_in", "densities_mid"))
+    targets = _floats(cfg["targets"], "targets")
 
-    points = calibration.sweep_density_allocation(w, inputs, densities_in, densities_mid)
+    points = calibration.sweep_density_allocation(w, inputs, grid["densities_in"],
+                                                  grid["densities_mid"])
     front = calibration.pareto_front(points)
     model = calibration.fit_logit_linear(front)
     allocations = []
     for t in targets:
         alloc = calibration.optimal_allocation(model, t, d_model, d_ff)
-        allocations.append({
-            "target_density": t, "k_in": alloc.k_in, "k_mid": alloc.k_mid,
-            "density_in": alloc.density_in, "density_mid": alloc.density_mid,
-            "memory_fraction": alloc.memory_fraction,
-            "relative_gap": abs(alloc.memory_fraction - t) / t})
-
-    def point_record(p):
-        return {"density_in": p.density_in, "density_mid": p.density_mid,
-                "k_in": p.k_in, "k_mid": p.k_mid,
-                "memory_fraction": p.memory_fraction, "error": p.error}
+        allocations.append({"target_density": t, **dataclasses.asdict(alloc),
+                            "relative_gap": abs(alloc.memory_fraction - t) / t})
 
     out = _report_skeleton("calibrate-allocation", {
-        "seed": seed,
-        "block": {"d_model": d_model, "d_ff": d_ff, "seed": block_seed},
-        "calibration": {"num_inputs": num_inputs, "sigma": sigma, "seed": calib_seed},
-        "grid": {"densities_in": densities_in, "densities_mid": densities_mid},
+        "seed": seed, "block": block, "calibration": calib, "grid": grid,
         "targets": targets})
-    out["points"] = [point_record(p) for p in points]
-    out["pareto_front"] = [point_record(p) for p in front]
+    out["points"] = [dataclasses.asdict(p) for p in points]
+    out["pareto_front"] = [dataclasses.asdict(p) for p in front]
     out["model"] = {"coef_in": list(model.coef_in), "coef_mid": list(model.coef_mid)}
     out["allocations"] = allocations
     _write_report(args.out, out)
-    return EXIT_OK
 
 
-def _cmd_gamma_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    _take(cfg, "config", required=("trace", "geometry", "hardware", "gammas",
-                                   "densities"),
-          optional=("seed", "policy", "kernel_eval"))
-    seed = _seed(args, cfg)
-    geo, geo_resolved = _resolve_geometry(cfg["geometry"])
-    hw, hw_resolved = _resolve_hardware(cfg["hardware"])
-    policy = _policy(cfg, "lfu")
-    kernel_eval = _get(cfg, "kernel_eval", "", _bool, True)
-    gammas = _get(cfg, "gammas", "", _floats)
-    densities = _get(cfg, "densities", "", _floats)
+def _cmd_gamma_sweep(args) -> None:
+    s = _setup(args, {"policy": _policy, "kernel_eval": _bool, "gammas": _floats,
+                      "densities": _floats}, ("gammas", "densities"))
+    policy = s.fields.get("policy", "lfu")
+    kernel_eval = s.fields.get("kernel_eval", True)
+    gammas, densities = s.fields["gammas"], s.fields["densities"]
     if not gammas or not densities:
         raise ConfigError("gammas and densities must be non-empty")
-    trace, trace_resolved = _resolve_trace(cfg["trace"], geo, seed)
-    weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
-                                             seed=seed)
     # belady is rejected by simulate_run: dip_ca masks depend on the cache
-    rows = calibration.gamma_sweep(trace, weights, hw, geo, gammas, densities,
+    rows = calibration.gamma_sweep(s.trace, s.weights, s.hw, s.geo, gammas, densities,
                                    policy=policy, kernel_eval=kernel_eval)
     out = _report_skeleton("gamma-sweep", {
-        "seed": seed, "trace": trace_resolved, "geometry": geo_resolved,
-        "hardware": hw_resolved, "policy": policy, "gammas": gammas,
-        "densities": densities, "kernel_eval": kernel_eval})
+        **s.config, "policy": policy, "gammas": gammas, "densities": densities,
+        "kernel_eval": kernel_eval})
     out["rows"] = rows
     _write_report(args.out, out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
+        return EXIT_OK
     except SimulationError as e:
         print(f"simulation error: {e}", file=sys.stderr)
         return EXIT_SIMULATION

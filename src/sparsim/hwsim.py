@@ -21,16 +21,15 @@ sweep_runs is the one grid engine: one simulate_run per (density, gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import masking
-from .cache import (CacheState, EvictionPolicy, Group, belady_precompute,
+from .cache import (POLICY_NAMES, CacheState, EvictionPolicy, Group, belady_precompute,
                     cache_update, resident_bitvector)
-from .mlp import (MlpWeights, Predictor, down_projection, glu_activations,
-                  mlp_dense_forward, rel_l2_rows)
+from .mlp import MlpWeights, down_projection, glu_activations, mlp_dense_forward, rel_l2_rows
 
 __all__ = [
     "SimulationError",
@@ -52,9 +51,6 @@ __all__ = [
     "sweep_runs",
     "throughput_at_error",
 ]
-
-POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
-
 
 class SimulationError(RuntimeError):
     """Ill-defined simulation request (e.g. Belady with a cache-aware scheme)."""
@@ -221,12 +217,19 @@ class Scheme:
     prunes_input: bool = False
     cache_aware: bool = False
 
-
-def _predictive_rows(cfg, w, x, k_in, k_mid):
-    # without a trained predictor, oracle logits |GLU(x)|
-    if cfg.predictor is not None:
-        return masking.predictive_rows(cfg.predictor, x, k_mid)
-    return masking.predictive_oracle_rows(w, x, k_mid)
+    @property
+    def reads(self) -> FrozenSet[str]:
+        """The SchemeConfig fields that can change this scheme's runs."""
+        keys = {"name"}
+        if self.rows is not None:
+            keys.add("density_mid")
+        if self.prunes_input:
+            keys.add("density_in")
+        if self.cache_aware:
+            keys |= {"gamma", "reweight_input", "reweight_intermediate"}
+        if self.mid_matrices == 3:  # the predictor's bytes join the static set
+            keys.add("predictor_hidden")
+        return frozenset(keys)
 
 
 def _dip_ca_rows(cfg, w, x, k_in, k_mid, input_residency, intermediate_residency):
@@ -240,7 +243,9 @@ SCHEMES: Dict[str, Scheme] = {
     "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
     "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.gate_pruning_rows(w, x, k_mid)),
     "up": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.up_pruning_rows(w, x, k_mid)),
-    "predictive": Scheme(3, _predictive_rows),
+    # oracle logits |GLU(x)| stand in for a trained predictor
+    "predictive": Scheme(3, lambda cfg, w, x, k_in, k_mid:
+                         masking.predictive_oracle_rows(w, x, k_mid)),
     "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.dip_rows(w, x, k_in, k_mid),
                   input_bundles=True, prunes_input=True),
     "dip_ca": Scheme(1, _dip_ca_rows, input_bundles=True, prunes_input=True,
@@ -255,9 +260,8 @@ class SchemeConfig:
     density_mid drives the intermediate mask for every pruning scheme;
     density_in additionally drives the input mask for dip/dip_ca and defaults
     to density_mid.  predictor_hidden sizes the per-layer predictors charged
-    to static residency for the predictive scheme; when no trained predictor
-    object is supplied the predictive scheme scores with oracle logits
-    |GLU(x)|.
+    to static residency for the predictive scheme, which scores with oracle
+    logits |GLU(x)|.  Scheme.reads names the fields each scheme reads.
     """
 
     name: str
@@ -267,7 +271,6 @@ class SchemeConfig:
     reweight_input: bool = True
     reweight_intermediate: bool = True
     predictor_hidden: int = 0
-    predictor: Optional[Predictor] = None
 
     def __post_init__(self):
         entry = SCHEMES.get(self.name)
@@ -331,7 +334,6 @@ class RunReport:
     dram_bytes: float
     per_layer: List[LayerStats]
     mean_error: Optional[float] = None
-    config: dict = field(default_factory=dict)
 
 
 # Tokens per batch of masks: bounds the [block, d_ff] temporaries of mask
@@ -474,7 +476,8 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     its next-use tables (rejected for cache-aware schemes, whose masks depend
     on cache contents).  kernel_eval additionally runs the block forward per
     token/layer and reports the mean relative-L2 error against the dense
-    block.
+    block.  Raises SimulationError when the modelled latency or traffic
+    overflows the float range.
     """
     acts = np.asarray(getattr(trace, "activations", trace), dtype=float)
     if acts.ndim != 3 or acts.shape[1] != geo.num_layers or acts.shape[2] != geo.d_model:
@@ -500,8 +503,7 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
 
     static = geo.static_bytes
     if entry.mid_matrices == 3:
-        hidden = scheme.predictor.hidden if scheme.predictor is not None else scheme.predictor_hidden
-        static += predictor_static_bytes(geo, hidden)
+        static += predictor_static_bytes(geo, scheme.predictor_hidden)
     groups = scheme_groups(scheme.name, geo)
     capacities = allocate_dram(hw, geo, groups, static_bytes=static)
     caches = _fresh_caches(geo, groups, capacities)
@@ -525,6 +527,11 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
               for t, units in enumerate(stream)]
 
     total_latency = sum(tc.latency_s for tc in tokens)
+    flash_bytes = sum(tc.flash_bytes for tc in tokens)
+    dram_bytes = sum(tc.dram_bytes for tc in tokens)
+    if not all(map(math.isfinite, (total_latency, flash_bytes, dram_bytes))):
+        raise SimulationError("modelled latency or traffic overflows the float range: "
+                              "check the bandwidths and byte sizes")
     tail_latency = sum(tc.latency_s for tc in tokens[1:])
     total_hits = sum(tc.hits for tc in tokens)
     total_accesses = sum(tc.hits + tc.misses for tc in tokens)
@@ -536,8 +543,8 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
             (num_tokens - 1) / tail_latency if tail_latency > 0
             else (num_tokens / total_latency if total_latency > 0 else 0.0)),
         hit_rate=total_hits / total_accesses if total_accesses else 0.0,
-        flash_bytes=sum(tc.flash_bytes for tc in tokens),
-        dram_bytes=sum(tc.dram_bytes for tc in tokens),
+        flash_bytes=flash_bytes,
+        dram_bytes=dram_bytes,
         per_layer=layer_stats,
         # errors in (token, layer) order: the order fixes the float sum
         mean_error=float(np.mean(errors.ravel())) if errors is not None and errors.size else None,

@@ -103,6 +103,38 @@ def test_run_reports_are_deterministic_modulo_timestamp(tmp_path):
     assert strip(out1) == strip(out2)
 
 
+def test_run_config_echo(tmp_path):
+    # the report echoes every field of each config object, defaults filled in
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        scheme={"name": "dip_ca", "density_mid": 0.5}))
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    config = _load(out)["config"]
+    assert config == {
+        "seed": 0, "policy": "lfu", "kernel_eval": False,
+        "trace": {"synthetic": {"num_tokens": 6, "mu": [0.0, 0.0], "sigma": [1.0, 1.0],
+                                "seed": 0}},
+        "geometry": {"num_layers": 2, "d_model": 16, "d_ff": 48, "bytes_per_weight": 2.0,
+                     "static_bytes": 0.0},
+        "hardware": {"dram_capacity_bytes": 3000.0, "dram_bandwidth": 60e9,
+                     "flash_bandwidth": 1e9},
+        "scheme": {"name": "dip_ca", "density_mid": 0.5, "density_in": 0.5, "gamma": 0.2,
+                   "reweight_input": True, "reweight_intermediate": True,
+                   "predictor_hidden": 0}}
+    cfg = _write_config(tmp_path, "p.json", _run_config(
+        geometry="desk-small", hardware="phone-2gb", scheme={"name": "dense"}))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    config = _load(out)["config"]
+    assert config["geometry"] == {"preset": "desk-small", "num_layers": 2, "d_model": 48,
+                                  "d_ff": 144, "bytes_per_weight": 0.5,
+                                  "static_bytes": 0.0}
+    assert config["hardware"] == {"preset": "phone-2gb", "dram_capacity_bytes": 2e9,
+                                  "dram_bandwidth": 60e9, "flash_bandwidth": 1e9}
+    assert config["scheme"] == {"name": "dense", "density_mid": None, "density_in": None,
+                                "gamma": 0.2, "reweight_input": True,
+                                "reweight_intermediate": True, "predictor_hidden": 0}
+
+
 def test_run_seed_changes_synthetic_trace(tmp_path):
     cfg = _write_config(tmp_path, "c.json", _run_config())
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -209,6 +241,34 @@ def test_sweep_single_point_grid(tmp_path):
     assert len(_load(out)["rows"]) == 1
 
 
+def test_sweep_rejects_empty_gammas(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "s.json", _run_config(
+        scheme={"name": "dip_ca", "density_mid": 0.5},
+        sweep={"densities": [0.5], "gammas": [], "error_budgets": [0.5]}))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: sweep.gammas must be non-empty\n"
+    assert not out.exists()
+
+
+def test_sweep_density_mid_is_optional(tmp_path):
+    # every point sets density_mid, so the scheme's own is not needed; an
+    # absent one is echoed as null, a given one as given
+    reports = {}
+    for name, scheme in (("absent", {"name": "dip"}),
+                         ("given", {"name": "dip", "density_mid": 0.5})):
+        cfg = _write_config(tmp_path, f"{name}.json", _run_config(
+            scheme=scheme, sweep={"densities": [0.25, 0.75], "error_budgets": [0.6]}))
+        out = tmp_path / f"{name}.out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        reports[name] = _load(out)
+    assert reports["absent"]["rows"] == reports["given"]["rows"]
+    assert reports["absent"]["summaries"] == reports["given"]["summaries"]
+    echo = {name: r["config"]["scheme"] for name, r in reports.items()}
+    assert (echo["absent"]["density_mid"], echo["absent"]["density_in"]) == (None, None)
+    assert (echo["given"]["density_mid"], echo["given"]["density_in"]) == (0.5, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # calibrate-allocation
 # ---------------------------------------------------------------------------
@@ -297,6 +357,46 @@ def test_simulation_error_for_static_exceeding_dram(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", _run_config(geometry=geo))
     out = tmp_path / "r.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_SIMULATION
+
+
+@pytest.mark.parametrize("verb,scheme", [
+    ("run", {"name": "glu", "density_mid": 0.5, "density_in": 0.125}),
+    ("run", {"name": "glu", "density_mid": 0.5, "reweight_input": False}),
+    ("run", {"name": "dip", "density_mid": 0.5, "gamma": 0.2}),
+    ("run", {"name": "dip", "density_mid": 0.5, "predictor_hidden": 0}),
+    ("run", {"name": "dense", "density_mid": 0.5}),
+    ("run", {"name": "predictive", "density_mid": 0.5, "reweight_intermediate": True}),
+    ("sweep", {"name": "dense", "predictor_hidden": 64, "gamma": 0.5}),
+    # a dense sweep repeats one run at every density
+    ("sweep", {"name": "dense"}),
+])
+def test_validation_error_for_scheme_keys_the_scheme_never_reads(tmp_path, capsys, verb,
+                                                                  scheme):
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        scheme=scheme, sweep={"densities": [0.25, 0.5]}) if verb == "sweep"
+        else _run_config(scheme=scheme))
+    out = tmp_path / "r.json"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_token", [False, True])
+def test_simulation_error_for_latency_overflow(tmp_path, capsys, per_token):
+    # a denormal DRAM bandwidth: without the check, a run reported a
+    # throughput of 0.0, and --per-token failed to write inf latencies
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        geometry="desk-small", trace={"synthetic": {"num_tokens": 3}},
+        hardware={"dram_capacity_bytes": 1e3, "dram_bandwidth": 1e-320,
+                  "flash_bandwidth": 1e9}))
+    out = tmp_path / "r.json"
+    argv = ["run", "--config", cfg, "--out", str(out)] + ["--per-token"] * per_token
+    assert main(argv) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and "overflows" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulation_error_for_trace_geometry_mismatch(tmp_path, capsys):
@@ -432,9 +532,9 @@ _FUZZ_CONFIGS = {
     "run": {
         "trace": {"synthetic": {"num_tokens": 3, "mu": 0.0, "sigma": [1.0, 1.5], "seed": 1}},
         "geometry": _SMALL_GEOMETRY, "hardware": _SMALL_HARDWARE,
-        "scheme": {"name": "dip", "density_mid": 0.5, "density_in": 0.5, "gamma": 0.2,
-                   "reweight_input": True, "reweight_intermediate": True,
-                   "predictor_hidden": 0},
+        # every key is one that dip_ca reads
+        "scheme": {"name": "dip_ca", "density_mid": 0.5, "density_in": 0.5, "gamma": 0.2,
+                   "reweight_input": True, "reweight_intermediate": True},
         "policy": "lfu", "seed": 1, "kernel_eval": True},
     "sweep": {
         "trace": {"synthetic": {"num_tokens": 3}},

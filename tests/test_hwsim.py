@@ -28,7 +28,7 @@ from sparsim import (
     throughput_at_error,
     unit_bytes,
 )
-from sparsim import hwsim
+from sparsim import cache, hwsim
 from sparsim.hwsim import POLICY_NAMES
 
 
@@ -576,6 +576,47 @@ def test_cache_aware_flag_matches_belady_rejection(scheme):
     assert SCHEMES[scheme].cache_aware == rejected
 
 
+# a value for every SchemeConfig field other than name, away from its default
+_OTHER_VALUES = dict(density_mid=0.25, density_in=0.125, gamma=0.7, reweight_input=False,
+                     reweight_intermediate=False, predictor_hidden=16)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fields_outside_reads_never_change_a_run(scheme):
+    # Scheme.reads is what the CLI accepts in a scheme object: every other
+    # field must leave the run unchanged
+    tr, w = _trace(num_tokens=5), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    base = SchemeConfig(name=scheme, density_mid=0.5)
+    want = simulate_run(tr, w, base, "lru", hw, GEO, kernel_eval=True)
+    for key in set(_OTHER_VALUES) - SCHEMES[scheme].reads:
+        cfg = SchemeConfig(**{"name": scheme, "density_mid": 0.5, key: _OTHER_VALUES[key]})
+        got = simulate_run(tr, w, cfg, "lru", hw, GEO, kernel_eval=True)
+        assert (got.tokens, got.mean_error) == (want.tokens, want.mean_error), key
+
+
+def test_scheme_reads_per_scheme():
+    reads = {name: SCHEMES[name].reads - {"name"} for name in SCHEMES}
+    assert reads["dense"] == set()
+    assert reads["glu"] == reads["gate"] == reads["up"] == {"density_mid"}
+    assert reads["predictive"] == {"density_mid", "predictor_hidden"}
+    assert reads["dip"] == {"density_mid", "density_in"}
+    assert reads["dip_ca"] == {"density_mid", "density_in", "gamma", "reweight_input",
+                               "reweight_intermediate"}
+
+
+@pytest.mark.parametrize("geo,hw", [
+    # a denormal DRAM bandwidth: every token's latency is inf
+    (GEO, HardwareConfig(1e3, 1e-320, 1e9)),
+    # 1e308 static bytes a token: finite tokens, but their sums overflow
+    (ModelGeometry(2, 8, 24, 2.0, static_bytes=1e308), HardwareConfig(1.7e308, 1.0, 1e9)),
+])
+def test_latency_overflow_is_a_simulation_error(geo, hw):
+    tr, w = _trace(num_tokens=3), _weights()
+    with pytest.raises(SimulationError, match="overflows"):
+        simulate_run(tr, w, SchemeConfig(name="dip", density_mid=0.5), "lfu", hw, geo)
+
+
 def test_sweep_runs_equal_one_run_per_point():
     # each point is the base config with its density (density_in follows
     # it) and its gamma, or the base gamma when the point's is None
@@ -635,4 +676,5 @@ def test_throughput_at_error_edge_cases():
 
 def test_exported_name_lists():
     assert set(POLICY_NAMES) == {"lfu", "lru", "belady", "nocache"}
+    assert POLICY_NAMES is cache.POLICY_NAMES  # one tuple, kept in cache
     assert set(SCHEMES) == {"dense", "glu", "gate", "up", "predictive", "dip", "dip_ca"}

@@ -7,9 +7,8 @@ from .mlp import (MlpWeights, LoraAdapter, MlpAdapters, Predictor, ErrorMetrics,
                   distill_loss_and_grads, DistillResult, lora_fit_distill,
                   predictor_forward, topk_binary_targets, predictor_loss_and_grads,
                   PredictorTrainResult, predictor_train, TrainingDivergedError)
-from .masking import (SparsityMask, MaskSet, GlobalThreshold, PerLayerThreshold,
-                      PerTokenTopK, topk_indices, apply_threshold, scheme_dip,
-                      dip_ca_scores, scheme_dip_ca, density_to_k, DEFAULT_GAMMA)
+from .masking import (GlobalThreshold, PerLayerThreshold, PerTokenTopK, apply_threshold,
+                      dip_rows, dip_ca_rows, dip_ca_scores, density_to_k, DEFAULT_GAMMA)
 from .cache import (Group, AccessStats, CacheState, EvictionPolicy, NextUseTable,
                     belady_precompute, cache_update, resident_bitvector)
 from .hwsim import (HardwareConfig, ModelGeometry, GroupSpec, Scheme, SCHEMES, SchemeConfig,

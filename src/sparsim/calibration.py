@@ -34,6 +34,7 @@ __all__ = [
     "calibrate_per_layer_thresholds",
     "global_threshold_for_density",
     "layer_densities",
+    "memory_fraction",
     "AllocationPoint",
     "sweep_density_allocation",
     "pareto_front",
@@ -81,23 +82,23 @@ def global_threshold_for_density(trace: Trace, target_density: float) -> masking
     layers; realizes the target density only on average across layers."""
     if not 0.0 < target_density <= 1.0:
         raise ValueError("target_density must be in (0, 1]")
+    acts = _require_activations(trace)
     if target_density == 1.0:
         return masking.GlobalThreshold(0.0)
-    acts = _require_activations(trace)
     return masking.GlobalThreshold(float(np.quantile(np.abs(acts).ravel(),
                                                      1.0 - target_density)))
 
 
 def layer_densities(trace: Trace, spec: masking.ThresholdSpec) -> np.ndarray:
-    """Mean realized keep-fraction per layer under a threshold spec."""
+    """Mean realized keep-fraction per layer under a threshold spec: the
+    mean over tokens of each token's kept fraction.  A PerLayerThreshold
+    needs one threshold per layer of the trace."""
     acts = _require_activations(trace)
-    num_tokens, num_layers, _ = acts.shape
-    out = np.zeros(num_layers)
-    for l in range(num_layers):
-        dens = [masking.apply_threshold(acts[t, l], spec, layer=l).density
-                for t in range(num_tokens)]
-        out[l] = float(np.mean(dens))
-    return out
+    num_layers = acts.shape[1]
+    if isinstance(spec, masking.PerLayerThreshold) and len(spec.thresholds) != num_layers:
+        raise ValueError(f"{len(spec.thresholds)} thresholds for a {num_layers}-layer trace")
+    return np.array([np.mean(masking.apply_threshold(acts[:, l], spec, layer=l).mean(axis=1))
+                     for l in range(num_layers)])
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     dense outputs and the rank of |x| are made once, the gated
     intermediates H and the rank of |H| once per input density (H does not
     depend on the intermediate density), then one down projection and one
-    row-error call per grid point.  The selections are scheme_dip's.
+    row-error call per grid point.  The selections are those of masking.dip_rows.
     """
     if len(inputs) == 0:
         raise ValueError("need at least one calibration input")

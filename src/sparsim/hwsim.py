@@ -570,18 +570,14 @@ def sweep_runs(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeCon
 def throughput_at_error(rows: Sequence, error_budget: float) -> Tuple[float, float]:
     """Best (throughput, density) among sweep rows with error <= budget.
 
-    rows are (density, throughput, error) triples or objects with those
-    attributes; a row whose error is None (nothing was measured, e.g. an
-    empty trace) never fits.  Raises SimulationError when no row fits the
-    budget.
+    rows are (density, throughput, error) triples; a row whose error is None
+    (nothing was measured, e.g. an empty trace) never fits.  Raises
+    SimulationError when no row fits the budget.
     """
     if not rows:
         raise ValueError("empty sweep")
     best = None
-    for r in rows:
-        density, tput, err = (
-            (r.density, r.throughput, r.error) if hasattr(r, "throughput")
-            else (r[0], r[1], r[2]))
+    for density, tput, err in rows:
         if err is not None and err <= error_budget and (best is None or tput > best[0]):
             best = (tput, density)
     if best is None:

@@ -12,13 +12,13 @@ descending argsort, found exactly by a faster sort for rows without ties.
 Every top-k is a prefix of it (topk_rows), so one sort serves every k.
 
 Each scheme is one function over a batch of rows, one row per input vector,
-returning RowMasks: bool masks plus each row's picks in selection order,
-which is the order the simulator's caches admit units in; RowMasks.mask_set
-gives one row as a MaskSet.  Projections go through mlp's stacked
-matrix-vector product, so a row's masks do not depend on the batch around
-it, bit for bit.  dip_ca_rows also takes per-row weights and residency, so
-the layers of one token are one batch.  topk_indices, scheme_dip and
-scheme_dip_ca are one-row calls kept for single vectors.
+returning RowMasks, the one mask type: per side, bool masks plus each row's
+picks in selection order, which is the order the simulator's caches admit
+units in.  A single vector x goes as the one-row batch x[None].
+Projections go through mlp's stacked matrix-vector product, so a row's
+masks do not depend on the batch around it, bit for bit.  dip_ca_rows also
+takes per-row weights and residency, so the layers of one token are one
+batch.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ from .mlp import MlpWeights, Predictor, _matvec, _rows, glu_activations, predict
 __all__ = [
     "DEFAULT_GAMMA",
     "density_to_k",
-    "SparsityMask",
-    "MaskSet",
     "RowMasks",
     "rank_rows",
     "topk_rows",
-    "topk_indices",
     "GlobalThreshold",
     "PerLayerThreshold",
     "PerTokenTopK",
@@ -52,9 +49,7 @@ __all__ = [
     "predictive_oracle_rows",
     "dip_rows",
     "dip_ca_rows",
-    "scheme_dip",
     "dip_ca_scores",
-    "scheme_dip_ca",
 ]
 
 # Re-weighting strength for cache-aware selection; 1.0 disables the bias.
@@ -69,97 +64,6 @@ def density_to_k(density: float, dim: int) -> int:
     return max(1, int(np.floor(density * dim + 0.5)))
 
 
-class SparsityMask:
-    """Kept units over a dimension, held as a bool array.
-
-    Built from unit indices (validated: in range, no repeats) or, through
-    from_bool, straight from a bool array.  active is the sorted tuple of
-    kept indices.
-    """
-
-    __slots__ = ("_keep",)
-
-    def __init__(self, dim: int, active=()):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        idx = np.sort(np.asarray(list(active), dtype=np.intp))
-        if idx.size > 1 and (idx[1:] == idx[:-1]).any():
-            raise ValueError("active indices must be unique")
-        if idx.size and (idx[0] < 0 or idx[-1] >= dim):
-            raise ValueError("active index out of range")
-        keep = np.zeros(dim, dtype=bool)
-        keep[idx] = True
-        self._keep = keep
-
-    @classmethod
-    def from_bool(cls, keep: np.ndarray) -> "SparsityMask":
-        keep = np.asarray(keep, dtype=bool)
-        if keep.ndim != 1 or keep.size < 1:
-            raise ValueError("a mask is a non-empty 1-d bool array")
-        mask = cls.__new__(cls)
-        mask._keep = keep
-        return mask
-
-    @classmethod
-    def full(cls, dim: int) -> "SparsityMask":
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        return cls.from_bool(np.ones(dim, dtype=bool))
-
-    @property
-    def dim(self) -> int:
-        return self._keep.size
-
-    @property
-    def active(self) -> tuple:
-        return tuple(np.flatnonzero(self._keep).tolist())
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self._keep))
-
-    @property
-    def density(self) -> float:
-        return self.count / self.dim
-
-    def as_bool(self) -> np.ndarray:
-        return self._keep.copy()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsityMask):
-            return NotImplemented
-        return np.array_equal(self._keep, other._keep)
-
-    def __hash__(self) -> int:
-        return hash(self._keep.tobytes())
-
-    def __repr__(self) -> str:
-        return f"SparsityMask(dim={self.dim}, active={self.active})"
-
-
-@dataclass
-class MaskSet:
-    """Input and intermediate masks for one block at one token, tagged with
-    the scheme that produced them.
-
-    The optional score vectors carry the selection scores; they do not affect
-    the forward pass.
-    """
-
-    scheme: str
-    input_mask: SparsityMask
-    intermediate_mask: SparsityMask
-    input_scores: Optional[np.ndarray] = None
-    intermediate_scores: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.input_scores is not None and len(self.input_scores) != self.input_mask.dim:
-            raise ValueError("input score length mismatch")
-        if (self.intermediate_scores is not None
-                and len(self.intermediate_scores) != self.intermediate_mask.dim):
-            raise ValueError("intermediate score length mismatch")
-
-
 @dataclass
 class RowMasks:
     """One scheme's masks for a batch of rows (one row per input vector).
@@ -167,29 +71,16 @@ class RowMasks:
     Per side, order[i] holds row i's kept units in selection order (descending
     score, ties to the lower index), which is the order the caches admit them
     in; mask[i] is the same selection as a bool array.  A side a scheme keeps
-    dense has every unit in index order and no scores.  glu holds the gated
-    intermediates under the input mask when the scheme computed them to score
-    with, so a forward pass can reuse them.
+    dense has every unit in index order.  glu holds the gated intermediates
+    under the input mask when the scheme computed them to score with, so a
+    forward pass can reuse them.
     """
 
-    scheme: str
     input_order: np.ndarray           # int [n, k_in]
     input_mask: np.ndarray            # bool [n, d_model]
     intermediate_order: np.ndarray    # int [n, k_mid]
     intermediate_mask: np.ndarray     # bool [n, d_ff]
-    input_scores: Optional[np.ndarray] = None
-    intermediate_scores: Optional[np.ndarray] = None
     glu: Optional[np.ndarray] = None  # [n, d_ff]
-
-    def mask_set(self, i: int) -> MaskSet:
-        """Row i as a MaskSet."""
-        return MaskSet(
-            scheme=self.scheme,
-            input_mask=SparsityMask.from_bool(self.input_mask[i]),
-            intermediate_mask=SparsityMask.from_bool(self.intermediate_mask[i]),
-            input_scores=None if self.input_scores is None else self.input_scores[i],
-            intermediate_scores=(None if self.intermediate_scores is None
-                                 else self.intermediate_scores[i]))
 
 
 def rank_rows(keys: np.ndarray) -> np.ndarray:
@@ -230,14 +121,6 @@ def topk_rows(keys: np.ndarray, k: int):
     return order, mask
 
 
-def topk_indices(values: np.ndarray, k: int, magnitude: bool = True) -> SparsityMask:
-    """Mask of the k largest entries (by |value| unless magnitude=False);
-    ties resolve to the lower index (see topk_rows)."""
-    v = np.asarray(values, dtype=float).ravel()
-    key = np.abs(v) if magnitude else v
-    return SparsityMask.from_bool(topk_rows(key[None, :], k)[1][0])
-
-
 # ---------------------------------------------------------------------------
 # thresholding strategies
 # ---------------------------------------------------------------------------
@@ -274,18 +157,21 @@ class PerTokenTopK:
 ThresholdSpec = Union[GlobalThreshold, PerLayerThreshold, PerTokenTopK]
 
 
-def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> SparsityMask:
-    """Mask from a threshold spec: magnitude cutoffs keep |v| >= t, the
-    per-token variant keeps a fixed count max(1, round(density * dim))."""
-    v = np.asarray(values, dtype=float).ravel()
+def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> np.ndarray:
+    """Bool masks [n, dim] of rows values [n, dim] under a threshold spec:
+    magnitude cutoffs keep |v| >= t, the per-token variant keeps a fixed
+    count max(1, round(density * dim)) per row (topk_rows of |v|)."""
+    mag = np.abs(np.asarray(values, dtype=float))
+    if mag.ndim != 2:
+        raise ValueError("values must be a 2-d batch of rows")
     if isinstance(spec, GlobalThreshold):
-        return SparsityMask.from_bool(np.abs(v) >= spec.threshold)
+        return mag >= spec.threshold
     if isinstance(spec, PerLayerThreshold):
         if not 0 <= layer < len(spec.thresholds):
             raise IndexError(f"layer {layer} outside calibrated range")
-        return SparsityMask.from_bool(np.abs(v) >= spec.thresholds[layer])
+        return mag >= spec.thresholds[layer]
     if isinstance(spec, PerTokenTopK):
-        return topk_indices(v, density_to_k(spec.density, v.size))
+        return topk_rows(mag, density_to_k(spec.density, mag.shape[1]))[1]
     raise TypeError(f"unknown threshold spec {type(spec)!r}")
 
 
@@ -297,42 +183,35 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # returns RowMasks.  Every score is >= 0 or, for predictor logits, ranked by
 # value, so the scores are the top-k keys themselves.
 
-def _one_row(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=float)[None]
-
-
 def _full_side(n: int, dim: int):
     """(order, mask) of a side kept dense: every unit, in index order."""
     return np.broadcast_to(np.arange(dim), (n, dim)), np.ones((n, dim), dtype=bool)
 
 
-def _intermediate_rows(scheme: str, d_model: int, scores: np.ndarray, k_mid: int,
+def _intermediate_rows(d_model: int, scores: np.ndarray, k_mid: int,
                        glu: Optional[np.ndarray] = None) -> RowMasks:
     """Dense input side, top-k_mid intermediate units by score."""
     in_order, in_mask = _full_side(len(scores), d_model)
     mid_order, mid_mask = topk_rows(scores, k_mid)
-    return RowMasks(scheme, in_order, in_mask, mid_order, mid_mask,
-                    intermediate_scores=scores, glu=glu)
+    return RowMasks(in_order, in_mask, mid_order, mid_mask, glu)
 
 
-def _input_pruning_rows(scheme: str, w, x: np.ndarray, in_scores: np.ndarray,
+def _input_pruning_rows(w, x: np.ndarray, in_scores: np.ndarray,
                         k_in: int, mid_score, k_mid: int) -> RowMasks:
     """Top-k_in inputs by in_scores, then top-k_mid of mid_score(GLU) with
     the GLU computed from the kept inputs only; w is one MlpWeights or one
     per row (see glu_activations)."""
     in_order, in_mask = topk_rows(in_scores, k_in)
     h = glu_activations(w, x, in_mask)
-    mid_scores = mid_score(h)
-    mid_order, mid_mask = topk_rows(mid_scores, k_mid)
-    return RowMasks(scheme, in_order, in_mask, mid_order, mid_mask,
-                    input_scores=in_scores, intermediate_scores=mid_scores, glu=h)
+    mid_order, mid_mask = topk_rows(mid_score(h), k_mid)
+    return RowMasks(in_order, in_mask, mid_order, mid_mask, h)
 
 
 def dense_rows(n: int, d_model: int, d_ff: int) -> RowMasks:
     """n rows of all-ones masks; the no-sparsity baseline."""
     in_order, in_mask = _full_side(n, d_model)
     mid_order, mid_mask = _full_side(n, d_ff)
-    return RowMasks("dense", in_order, in_mask, mid_order, mid_mask)
+    return RowMasks(in_order, in_mask, mid_order, mid_mask)
 
 
 def glu_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
@@ -340,21 +219,21 @@ def glu_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
     [n, d_model].  Needs the full up and gate products to score, so only the
     down projection is pruned."""
     h = glu_activations(w, x)
-    return _intermediate_rows("glu", w.d_model, np.abs(h), k_mid, h)
+    return _intermediate_rows(w.d_model, np.abs(h), k_mid, h)
 
 
 def gate_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
     """Score intermediate units by |silu(gate x)|; the gate product itself
     stays dense, the up and down weights are pruned by the mask."""
     xs = _rows(x, w.d_model)[0]
-    return _intermediate_rows("gate", w.d_model, np.abs(silu(_matvec(w.gate, xs))), k_mid)
+    return _intermediate_rows(w.d_model, np.abs(silu(_matvec(w.gate, xs))), k_mid)
 
 
 def up_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
     """Score intermediate units by |up x|; the up product stays dense, the
     gate and down weights are pruned by the mask."""
     xs = _rows(x, w.d_model)[0]
-    return _intermediate_rows("up", w.d_model, np.abs(_matvec(w.up, xs)), k_mid)
+    return _intermediate_rows(w.d_model, np.abs(_matvec(w.up, xs)), k_mid)
 
 
 def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
@@ -364,14 +243,14 @@ def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
     means confidently inactive.  All three matrices are pruned by the mask;
     the predictor's own bytes count as static residency in the simulator.
     """
-    return _intermediate_rows("predictive", p.d_model, predictor_forward(p, x), k_mid)
+    return _intermediate_rows(p.d_model, predictor_forward(p, x), k_mid)
 
 
 def predictive_oracle_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
     """Predictive scheme with oracle logits |GLU(x)|: selects exactly the GLU
     pruning mask but prunes up and gate as well."""
     h = glu_activations(w, x)
-    return _intermediate_rows("predictive", w.d_model, np.abs(h), k_mid, h)
+    return _intermediate_rows(w.d_model, np.abs(h), k_mid, h)
 
 
 def dip_rows(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
@@ -380,7 +259,7 @@ def dip_rows(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
     with only those columns picks down columns.  Both selections need no
     predictor."""
     xs = np.asarray(x, dtype=float)
-    return _input_pruning_rows("dip", w, xs, np.abs(xs), k_in, np.abs, k_mid)
+    return _input_pruning_rows(w, xs, np.abs(xs), k_in, np.abs, k_mid)
 
 
 def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
@@ -402,13 +281,8 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     xs = np.asarray(x, dtype=float)
     gamma_mid = gamma if reweight_intermediate else 1.0
     return _input_pruning_rows(
-        "dip_ca", w, xs, dip_ca_scores(xs, input_residency, gamma if reweight_input else 1.0),
+        w, xs, dip_ca_scores(xs, input_residency, gamma if reweight_input else 1.0),
         k_in, lambda h: dip_ca_scores(h, intermediate_residency, gamma_mid), k_mid)
-
-
-def scheme_dip(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> MaskSet:
-    """dip_rows of one vector."""
-    return dip_rows(w, _one_row(x), k_in, k_mid).mask_set(0)
 
 
 def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -431,13 +305,4 @@ def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma: float = DEFAULT_G
     xmax = np.max(mag, axis=-1, keepdims=True, initial=0.0)
     scores = mag * (c + gamma * (1.0 - c))
     return np.divide(scores, xmax, out=np.zeros_like(scores), where=xmax != 0.0)
-
-
-def scheme_dip_ca(w: MlpWeights, x: np.ndarray, input_residency: np.ndarray,
-                  intermediate_residency: np.ndarray, k_in: int, k_mid: int,
-                  gamma: float = DEFAULT_GAMMA, reweight_input: bool = True,
-                  reweight_intermediate: bool = True) -> MaskSet:
-    """dip_ca_rows of one vector."""
-    return dip_ca_rows(w, _one_row(x), input_residency, intermediate_residency, k_in, k_mid,
-                       gamma, reweight_input, reweight_intermediate).mask_set(0)
 

@@ -23,7 +23,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,8 +152,6 @@ def _as_bool_mask(mask, dim: int, rows: int = 1):
     """Mask as a bool array: one vector [dim] or one per row [rows, dim]."""
     if mask is None:
         return None
-    if hasattr(mask, "as_bool"):
-        mask = mask.as_bool()
     arr = np.asarray(mask).astype(bool, copy=False)
     if arr.shape != (dim,) and arr.shape != (rows, dim):
         raise ValueError(f"mask length {arr.shape} does not match dimension {dim}")
@@ -392,19 +390,19 @@ class DistillResult:
         return min(self.losses)
 
 
-def lora_fit_distill(w: MlpWeights, masks_fn: Callable, inputs: Sequence[np.ndarray],
-                     rank: int = 32, iters: int = 1000, lr: float = 0.05,
-                     seed: int = 0) -> DistillResult:
+def lora_fit_distill(w: MlpWeights, inputs: Sequence[np.ndarray], input_masks: np.ndarray,
+                     intermediate_masks: np.ndarray, rank: int = 32, iters: int = 1000,
+                     lr: float = 0.05, seed: int = 0) -> DistillResult:
     """Fit LoRA adapters on up/gate/down so the masked block matches the dense
     block on the given inputs.
 
-    masks_fn maps an input vector to a MaskSet (or any object exposing
-    input_mask/intermediate_mask with as_bool()).  Masks are computed once per
-    input up-front and held fixed while fitting: the top-k selection is not
-    differentiable, and freezing it keeps the loss smooth so the gradients
-    pass finite-difference checks.  Plain gradient descent; the returned
-    adapters are the best-so-far iterate, which guarantees final loss <=
-    initial loss.  iters=0 returns the (zero-update) initialization.
+    input_masks [n, d_model] and intermediate_masks [n, d_ff] are bool masks,
+    row i for input i, such as the RowMasks of masking.dip_rows(w, inputs,
+    k_in, k_mid).  They are held fixed while fitting: the top-k selection is
+    not differentiable, and freezing it keeps the loss smooth so the
+    gradients pass finite-difference checks.  Plain gradient descent; the
+    returned adapters are the best-so-far iterate, which guarantees final
+    loss <= initial loss.  iters=0 returns the (zero-update) initialization.
     """
     if rank < 1 or rank > min(w.d_model, w.d_ff):
         raise ValueError("rank out of range")
@@ -413,14 +411,12 @@ def lora_fit_distill(w: MlpWeights, masks_fn: Callable, inputs: Sequence[np.ndar
     x_batch = np.asarray(list(inputs), dtype=float)
     if x_batch.ndim != 2 or x_batch.shape[1] != w.d_model:
         raise ValueError("inputs must be vectors of length d_model")
+    in_masks = np.asarray(input_masks, dtype=bool)
+    mid_masks = np.asarray(intermediate_masks, dtype=bool)
+    if in_masks.shape != (len(x_batch), w.d_model) or mid_masks.shape != (len(x_batch), w.d_ff):
+        raise ValueError("masks must be [n, d_model] and [n, d_ff], one row per input")
+    in_masks, mid_masks = in_masks.astype(float), mid_masks.astype(float)
     teacher = mlp_dense_forward(w, x_batch)
-
-    in_masks = np.empty((len(x_batch), w.d_model))
-    mid_masks = np.empty((len(x_batch), w.d_ff))
-    for i, x in enumerate(x_batch):
-        ms = masks_fn(x)
-        in_masks[i] = np.asarray(_as_bool_mask(ms.input_mask, w.d_model), dtype=float)
-        mid_masks[i] = np.asarray(_as_bool_mask(ms.intermediate_mask, w.d_ff), dtype=float)
 
     rng = np.random.default_rng(seed)
     ad = MlpAdapters.init(w, rank, rng)

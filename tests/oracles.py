@@ -1,7 +1,8 @@
 """Independent oracles used by the unit and acceptance tests: the per-unit
 cache replay that the simulator's batch replay must equal, the per-vector
-top-k, GLU, scheme selections and density-allocation sweep that the
-row-batched kernels must equal, an exhaustive search over demand-fill eviction schedules, and a
+top-k, GLU, scheme selections, thresholds, per-layer densities and
+density-allocation sweep that the row-batched kernels must equal, an
+exhaustive search over demand-fill eviction schedules, and a
 central-finite-difference gradient checker.  Kept separate from any test
 module so both the per-module tests and the acceptance suite share one
 implementation."""
@@ -264,3 +265,25 @@ def sweep_density_allocation(w, inputs, densities_in, densities_mid):
                             / max(float(np.linalg.norm(y_ref)), 1e-12))
             out.append((float(din), float(dmid), k_in, k_mid, float(np.mean(errs))))
     return out
+
+
+def threshold_keep(values, spec, layer=0):
+    """Keep mask of one vector under a threshold spec: the top
+    max(1, round(density * dim)) of |v| for a per-token density, otherwise
+    |v| >= the global cutoff or this layer's."""
+    v = np.asarray(values, dtype=float)
+    if hasattr(spec, "density"):
+        k = max(1, int(np.floor(spec.density * v.size + 0.5)))
+        return keep_mask(v.size, topk_indices(v, k))
+    cutoff = spec.thresholds[layer] if hasattr(spec, "thresholds") else spec.threshold
+    return np.abs(v) >= cutoff
+
+
+def layer_densities(acts, spec):
+    """Per layer of acts [tokens, layers, dim], the mean over tokens of each
+    token's kept fraction, one token at a time."""
+    tokens, layers, dim = np.shape(acts)
+    return np.array([
+        float(np.mean([np.count_nonzero(threshold_keep(acts[t][l], spec, l)) / dim
+                       for t in range(tokens)]))
+        for l in range(layers)])

@@ -27,24 +27,22 @@ from sparsim import (
     PerTokenTopK,
     Predictor,
     SchemeConfig,
-    SparsityMask,
     SyntheticTraceSpec,
     approx_error,
     belady_precompute,
     cache_update,
+    dip_ca_rows,
     dip_ca_scores,
+    dip_rows,
     generate_synthetic_trace,
     glu_activations,
     global_threshold_for_density,
     layer_densities,
     mlp_dense_forward,
     mlp_sparse_forward,
-    scheme_dip,
-    scheme_dip_ca,
     silu,
     simulate_run,
     synthetic_layer_weights,
-    topk_indices,
     unit_bytes,
 )
 from sparsim.cache import AccessStats
@@ -54,6 +52,7 @@ from sparsim.calibration import (
     pareto_front,
 )
 from sparsim.cli import main as cli_main
+from sparsim.masking import topk_rows
 from sparsim.mlp import (
     distill_loss_and_grads,
     predictor_loss_and_grads,
@@ -137,7 +136,7 @@ def test_criterion_3_cache_aware_score_algebra():
     # (a) exact toy instance
     s = dip_ca_scores(np.array([0.5, -1.0, 0.25]), np.array([1, 0, 1]), gamma=0.2)
     np.testing.assert_allclose(s, [0.5, 0.2, 0.25], atol=1e-15)
-    assert set(topk_indices(s, 2).active) == {0, 2}
+    assert set(np.flatnonzero(topk_rows(s[None], 2)[1][0])) == {0, 2}
 
     # (b) gamma=1 reduces to plain magnitude ranking on 100 random instances
     rng = np.random.default_rng(3)
@@ -146,18 +145,18 @@ def test_criterion_3_cache_aware_score_algebra():
         x = rng.standard_normal(6)
         c_in = rng.integers(0, 2, 6)
         c_mid = rng.integers(0, 2, 18)
-        ca = scheme_dip_ca(w, x, c_in, c_mid, k_in=3, k_mid=6, gamma=1.0)
-        plain = scheme_dip(w, x, k_in=3, k_mid=6)
-        assert ca.input_mask.active == plain.input_mask.active
-        assert ca.intermediate_mask.active == plain.intermediate_mask.active
+        ca = dip_ca_rows(w, x[None], c_in, c_mid, k_in=3, k_mid=6, gamma=1.0)
+        plain = dip_rows(w, x[None], k_in=3, k_mid=6)
+        assert np.array_equal(ca.input_mask, plain.input_mask)
+        assert np.array_equal(ca.intermediate_mask, plain.intermediate_mask)
 
     # (c) top-k of scores invariant under positive scaling, 100 instances
     x = rng.standard_normal(12)
     c = rng.integers(0, 2, 12)
-    base = topk_indices(dip_ca_scores(x, c), 5).active
+    base = topk_rows(dip_ca_scores(x, c)[None], 5)[1]
     for _ in range(100):
         alpha = float(rng.uniform(1e-3, 1e3))
-        assert topk_indices(dip_ca_scores(alpha * x, c), 5).active == base
+        assert np.array_equal(topk_rows(dip_ca_scores(alpha * x, c)[None], 5)[1], base)
     _report(3, "PASS", "toy scores exact; gamma=1 == plain selection x100; "
             "scale-invariant x100")
 
@@ -175,8 +174,8 @@ def test_criterion_4_kernel_exactness():
         x = rng.standard_normal(8)
         y_ref = mlp_dense_forward(w, x)
         y = mlp_sparse_forward(w, x,
-                               input_mask=SparsityMask.full(8),
-                               intermediate_mask=SparsityMask.full(24))
+                               input_mask=np.ones(8, bool),
+                               intermediate_mask=np.ones(24, bool))
         worst_full = max(worst_full, approx_error(y_ref, y).rel_l2)
     assert worst_full < 1e-6
 
@@ -189,9 +188,7 @@ def test_criterion_4_kernel_exactness():
         w = MlpWeights(up=up, gate=w.gate, down=w.down)
         x = rng.standard_normal(6)
         h = glu_activations(w, x)
-        keep = tuple(int(i) for i in np.flatnonzero(h != 0.0))
-        y = mlp_sparse_forward(w, x,
-                               intermediate_mask=SparsityMask(dim=18, active=keep))
+        y = mlp_sparse_forward(w, x, intermediate_mask=h != 0.0)
         worst_zero = max(worst_zero, approx_error(mlp_dense_forward(w, x), y).rel_l2)
     assert worst_zero < 1e-9
 

@@ -12,6 +12,7 @@ from sparsim import (
     HardwareConfig,
     MlpWeights,
     ModelGeometry,
+    PerLayerThreshold,
     PerTokenTopK,
     SchemeConfig,
     SyntheticTraceSpec,
@@ -77,6 +78,20 @@ def test_calibration_validation():
         num_tokens=0, num_layers=2, d_model=8, d_ff=24))
     with pytest.raises(ValueError):
         calibrate_per_layer_thresholds(empty, 0.5)
+    # the trace is checked before density 1.0 short-cuts to threshold 0
+    for target in (0.5, 1.0):
+        with pytest.raises(ValueError):
+            global_threshold_for_density(empty, target)
+        with pytest.raises(ValueError):
+            global_threshold_for_density(np.ones((4, 8)), target)
+
+
+def test_layer_densities_needs_one_threshold_per_layer():
+    tr = _trace(num_layers=3)
+    for count in (2, 4):
+        with pytest.raises(ValueError):
+            layer_densities(tr, PerLayerThreshold((0.5,) * count))
+    assert layer_densities(tr, PerLayerThreshold((0.5,) * 3)).shape == (3,)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ import sparsim
 from sparsim import (
     ErrorMetrics,
     LoraAdapter,
-    MaskSet,
     MlpAdapters,
     MlpWeights,
     Predictor,
-    SparsityMask,
     TrainingDivergedError,
     approx_error,
     density_to_k,
+    dip_rows,
     distill_loss_and_grads,
     glu_activations,
     lora_fit_distill,
@@ -28,7 +27,6 @@ from sparsim import (
     predictor_forward,
     predictor_loss_and_grads,
     predictor_train,
-    scheme_dip,
     silu,
     silu_grad,
     topk_binary_targets,
@@ -86,8 +84,8 @@ def test_sparse_forward_toy_input_and_mid_masks(toy_weights, toy_x):
     # keep input entry 0 and intermediate entry 0 only
     y = mlp_sparse_forward(
         toy_weights, toy_x,
-        input_mask=SparsityMask(dim=2, active=(0,)),
-        intermediate_mask=SparsityMask(dim=3, active=(0,)),
+        input_mask=np.array([True, False]),
+        intermediate_mask=np.array([True, False, False]),
     )
     np.testing.assert_allclose(y, [0.7310585786300049, 0.0], atol=1e-9)
 
@@ -117,8 +115,8 @@ def test_full_density_matches_dense(seed):
     y_ref = mlp_dense_forward(w, x)
     y = mlp_sparse_forward(
         w, x,
-        input_mask=SparsityMask.full(6),
-        intermediate_mask=SparsityMask.full(18),
+        input_mask=np.ones(6, bool),
+        intermediate_mask=np.ones(18, bool),
     )
     assert approx_error(y_ref, y).rel_l2 < 1e-6
 
@@ -133,9 +131,9 @@ def test_masking_exact_zero_glu_entries_is_lossless():
     for _ in range(10):
         x = rng.standard_normal(5)
         h = glu_activations(w, x)
-        keep = np.flatnonzero(h != 0.0)
+        keep = h != 0.0
         y = mlp_sparse_forward(
-            w, x, intermediate_mask=SparsityMask(dim=12, active=tuple(keep)))
+            w, x, intermediate_mask=keep)
         assert approx_error(mlp_dense_forward(w, x), y).rel_l2 < 1e-9
 
 
@@ -158,10 +156,10 @@ def test_approx_error_identical_and_zero_cases():
 
 def test_approx_error_toy_sparse_vs_dense(toy_weights, toy_x):
     y_ref = mlp_dense_forward(toy_weights, toy_x)
-    masks = scheme_dip(toy_weights, toy_x, k_in=1, k_mid=1)
+    masks = dip_rows(toy_weights, toy_x[None], k_in=1, k_mid=1)
     y = mlp_sparse_forward(toy_weights, toy_x,
-                           input_mask=masks.input_mask,
-                           intermediate_mask=masks.intermediate_mask)
+                           input_mask=masks.input_mask[0],
+                           intermediate_mask=masks.intermediate_mask[0])
     np.testing.assert_allclose(y, [0.7310585786300049, 0.0], atol=1e-9)
     assert approx_error(y_ref, y).rel_l2 == pytest.approx(1.687, abs=1e-3)
 
@@ -253,14 +251,13 @@ def test_distill_gradients_match_finite_differences():
 def test_distill_reduces_loss_on_toy_block():
     w = MlpWeights.random(4, 12, seed=3)
     rng = np.random.default_rng(4)
-    inputs = list(rng.standard_normal((8, 4)))
+    inputs = rng.standard_normal((8, 4))
     k_in = density_to_k(0.5, 4)
     k_mid = density_to_k(0.5, 12)
+    masks = dip_rows(w, inputs, k_in, k_mid)
 
-    def masks_fn(x):
-        return scheme_dip(w, x, k_in, k_mid)
-
-    result = lora_fit_distill(w, masks_fn, inputs, rank=2, iters=300, lr=0.05, seed=0)
+    result = lora_fit_distill(w, inputs, masks.input_mask, masks.intermediate_mask,
+                              rank=2, iters=300, lr=0.05, seed=0)
     assert result.final_loss <= result.initial_loss
     assert result.final_loss < 0.9 * result.initial_loss  # actually learned
     assert len(result.losses) == 301
@@ -268,32 +265,42 @@ def test_distill_reduces_loss_on_toy_block():
 
 def test_distill_zero_iters_returns_initialization():
     w = MlpWeights.random(4, 8, seed=0)
-    res = lora_fit_distill(w, lambda x: scheme_dip(w, x, 2, 4),
-                           [np.ones(4)], rank=2, iters=0)
+    masks = dip_rows(w, np.ones((1, 4)), 2, 4)
+    res = lora_fit_distill(w, [np.ones(4)], masks.input_mask, masks.intermediate_mask,
+                           rank=2, iters=0)
     assert len(res.losses) == 1
     np.testing.assert_array_equal(res.adapters.up.b, 0.0)
 
 
 def test_distill_validates_rank_and_iters():
     w = MlpWeights.random(4, 8, seed=0)
-    fn = lambda x: scheme_dip(w, x, 2, 4)
+    masks = dip_rows(w, np.ones((1, 4)), 2, 4)
+    in_masks, mid_masks = masks.input_mask, masks.intermediate_mask
     with pytest.raises(ValueError):
-        lora_fit_distill(w, fn, [np.ones(4)], rank=0)
+        lora_fit_distill(w, [np.ones(4)], in_masks, mid_masks, rank=0)
     with pytest.raises(ValueError):
-        lora_fit_distill(w, fn, [np.ones(4)], rank=2, iters=-1)
+        lora_fit_distill(w, [np.ones(4)], in_masks, mid_masks, rank=2, iters=-1)
     with pytest.raises(ValueError):
-        lora_fit_distill(w, fn, [np.ones(3)], rank=2)
+        lora_fit_distill(w, [np.ones(3)], in_masks, mid_masks, rank=2)
+    # one mask row per input, each the width of its side
+    with pytest.raises(ValueError):
+        lora_fit_distill(w, [np.ones(4)] * 2, in_masks, mid_masks, rank=2)
+    with pytest.raises(ValueError):
+        lora_fit_distill(w, [np.ones(4)], mid_masks, in_masks, rank=2)
+    with pytest.raises(ValueError):
+        lora_fit_distill(w, [np.ones(4)], in_masks[0], mid_masks[0], rank=2)
 
 
 def test_distill_divergence_raises():
     w = MlpWeights.random(4, 8, seed=0)
     rng = np.random.default_rng(1)
     inputs = list(10.0 * rng.standard_normal((4, 4)))
+    masks = dip_rows(w, inputs, 2, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingDivergedError):
-            lora_fit_distill(w, lambda x: scheme_dip(w, x, 2, 4),
-                             inputs, rank=2, iters=200, lr=1e6, seed=0)
+            lora_fit_distill(w, inputs, masks.input_mask, masks.intermediate_mask,
+                             rank=2, iters=200, lr=1e6, seed=0)
 
 
 # ---------------------------------------------------------------------------

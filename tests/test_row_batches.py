@@ -1,5 +1,5 @@
-"""Row-batched top-k, GLU, block forward, schemes and density sweep against
-the per-vector oracles, bit for bit, on tie-heavy inputs."""
+"""Row-batched top-k, GLU, block forward, schemes, thresholds and density
+sweep against the per-vector oracles, bit for bit, on tie-heavy inputs."""
 import math
 
 import numpy as np
@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from sparsim import (
+    GlobalThreshold,
     MlpWeights,
+    PerLayerThreshold,
+    PerTokenTopK,
+    apply_threshold,
     approx_error,
     glu_activations,
+    layer_densities,
     mlp_dense_forward,
     mlp_sparse_forward,
-    scheme_dip_ca,
     sweep_density_allocation,
     topk_binary_targets,
-    topk_indices,
 )
 from sparsim.masking import (
     dense_rows,
@@ -115,7 +118,6 @@ def test_topk_rows_match_per_vector_oracle(batch, data):
             assert order[i].tolist() == oracles.topk_order(row, k, magnitude)
             expected = oracles.topk_indices(row, k, magnitude)
             np.testing.assert_array_equal(mask[i], oracles.keep_mask(D_FF, expected))
-            assert topk_indices(row, k, magnitude).active == expected
     if k:
         targets = topk_binary_targets(x, k / D_FF)
         for i, row in enumerate(x):
@@ -141,14 +143,6 @@ def test_glu_and_forward_rows_match_per_vector_oracle(batch, tied):
         assert np.array_equal(y[i], oracles.sparse_forward(w, row, in_keep[i], mid_keep[i]))
         assert np.array_equal(y_ref[i], oracles.sparse_forward(w, row))
         assert errs[i] == approx_error(y_ref[i], y[i]).rel_l2
-
-
-def _admission(mask_set, side):
-    mask = getattr(mask_set, f"{side}_mask")
-    scores = getattr(mask_set, f"{side}_scores")
-    if scores is None:
-        return list(mask.active)
-    return sorted(mask.active, key=lambda u: (-scores[u], u))
 
 
 @given(batches(), st.booleans(), st.data())
@@ -205,14 +199,11 @@ def test_dip_ca_rows_with_per_row_weights_match_per_row_calls(batch, tied, data)
                              (1.0, True, True)):
         rows = dip_ca_rows(ws, x, c_in, c_mid, k_in, k_mid, g, re_in, re_mid)
         for i, row in enumerate(x):
-            want = scheme_dip_ca(ws[i], row, c_in[i], c_mid[i], k_in, k_mid, g, re_in, re_mid)
-            got = rows.mask_set(i)
-            assert got.input_mask == want.input_mask
-            assert got.intermediate_mask == want.intermediate_mask
-            assert np.array_equal(got.input_scores, want.input_scores)
-            assert np.array_equal(got.intermediate_scores, want.intermediate_scores)
-            for side in ("input", "intermediate"):
-                assert getattr(rows, f"{side}_order")[i].tolist() == _admission(want, side)
+            want = dip_ca_rows(ws[i], row[None], c_in[i], c_mid[i], k_in, k_mid, g,
+                               re_in, re_mid)
+            for field in ("input_order", "input_mask", "intermediate_order",
+                          "intermediate_mask"):
+                assert np.array_equal(getattr(rows, field)[i], getattr(want, field)[0])
             assert np.array_equal(rows.glu[i],
                                   oracles.glu_activations(ws[i], row, rows.input_mask[i]))
             if g == 1.0:
@@ -233,3 +224,21 @@ def test_sweep_matches_per_vector_oracle(batch, tied, dins, dmids):
     got = sweep_density_allocation(w, x, dins, dmids)
     want = oracles.sweep_density_allocation(w, x, dins, dmids)
     assert [(p.density_in, p.density_mid, p.k_in, p.k_mid, p.error) for p in got] == want
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(1, 6),
+       st.integers(1, 3), st.sampled_from([0.05, 0.25, 0.5, 0.8, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_thresholds_match_per_token_oracle(seed, kind, tokens, layers, density):
+    rng = np.random.default_rng(seed)
+    acts = _rows(kind, tokens * layers, D_MODEL, rng).reshape(tokens, layers, D_MODEL)
+    # cutoffs drawn from the magnitudes themselves, so |v| >= t meets ties
+    mags = np.abs(acts).ravel()
+    cutoffs = tuple(float(mags[int(rng.integers(mags.size))]) for _ in range(layers))
+    for spec in (GlobalThreshold(cutoffs[0]), PerLayerThreshold(cutoffs),
+                 PerTokenTopK(density)):
+        for l in range(layers):
+            keep = apply_threshold(acts[:, l], spec, layer=l)
+            for t in range(tokens):
+                assert np.array_equal(keep[t], oracles.threshold_keep(acts[t, l], spec, l))
+        assert np.array_equal(layer_densities(acts, spec), oracles.layer_densities(acts, spec))

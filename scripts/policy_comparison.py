@@ -14,7 +14,7 @@ from sparsim import (
     SchemeConfig,
     SyntheticTraceSpec,
     generate_synthetic_trace,
-    simulate_run,
+    sweep_runs,
     synthetic_layer_weights,
 )
 
@@ -48,14 +48,20 @@ def main() -> None:
 
     rows = [("dip", "lru"), ("dip", "lfu"), ("dip", "belady"),
             ("dip_ca", "lfu")]
+    # one lockstep sweep over the densities per (scheme, policy); each point
+    # sets its own density
+    points = [(density, None) for density in args.densities]
+    reports = {(scheme, policy): sweep_runs(trace, weights,
+                                            SchemeConfig(name=scheme, density_mid=1.0),
+                                            points, policy, hw, geo)
+               for scheme, policy in rows}
     header = f"{'density':>8s} {'scheme':>8s} {'policy':>8s} " \
              f"{'hit_rate':>9s} {'steady_tok_s':>12s}"
     print(header)
     print("-" * len(header))
-    for density in args.densities:
+    for i, density in enumerate(args.densities):
         for scheme, policy in rows:
-            cfg = SchemeConfig(name=scheme, density_mid=density)
-            report = simulate_run(trace, weights, cfg, policy, hw, geo)
+            report = reports[scheme, policy][i]
             print(f"{density:8.2f} {scheme:>8s} {policy:>8s} "
                   f"{report.hit_rate:9.3f} {report.steady_state_throughput:12.3f}")
 

@@ -9,11 +9,11 @@ from .mlp import (MlpWeights, LoraAdapter, MlpAdapters, Predictor, ErrorMetrics,
                   PredictorTrainResult, predictor_train, TrainingDivergedError)
 from .masking import (GlobalThreshold, PerLayerThreshold, PerTokenTopK, apply_threshold,
                       dip_rows, dip_ca_rows, dip_ca_scores, density_to_k, DEFAULT_GAMMA)
-from .cache import (Group, AccessStats, CacheState, EvictionPolicy, NextUseTable,
+from .cache import (Group, AccessStats, CacheState, EvictionPolicy, NextUseTable, replay,
                     belady_precompute, cache_update, resident_bitvector)
 from .hwsim import (HardwareConfig, ModelGeometry, GroupSpec, Scheme, SCHEMES, SchemeConfig,
                     TokenCost, RunReport, SimulationError, unit_bytes,
-                    scheme_groups, allocate_dram, simulate_token, simulate_run,
+                    scheme_groups, allocate_dram, simulate_run,
                     sweep_runs, throughput_at_error, predictor_static_bytes)
 from .traces import (SyntheticTraceSpec, Trace, TraceFormatError,
                      generate_synthetic_trace, synthetic_layer_weights,

@@ -29,16 +29,27 @@ order, and the misses admitted are the first ones in admission order:
 4. admission: the first misses, one per free or freed slot;
 5. bypass: the remaining misses.
 
+One CacheState holds many independent caches (a run's layers and unit
+groups, and every point of a sweep) over one flat unit axis, each cache a
+contiguous range of it, and replay advances them all by one token in one
+batch.  This equals advancing each cache on its own.  Caches share no unit,
+and every rule above reads only the keys of the cache's own units: the
+lexsort takes the cache id as its leading key, so each cache's candidates
+keep their own key order, and victims and admissions are counted within
+each cache.  The one thing the caches share is the clock, and a shared
+clock reads the same as a private one because every cache advances exactly
+once per token, with or without active units.
+
 Belady keys come from a next-use table that stores, per access, the position
 of the same unit's next access.  Each access writes it into the cache, so a
 non-active resident holds the next use after its last access, which is its
 next use after now: every unit of a token's trace entry is accessed that
-token.
+token.  One table over the flat unit axis serves every cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import List, Optional, Sequence
 
@@ -52,6 +63,7 @@ __all__ = [
     "NextUseTable",
     "belady_precompute",
     "EvictionPolicy",
+    "replay",
     "cache_update",
     "resident_bitvector",
 ]
@@ -88,41 +100,53 @@ class AccessStats:
                            self.bypassed + other.bypassed)
 
 
-@dataclass
 class CacheState:
-    """Mutable cache of at most capacity_units of a group's universe units.
+    """Independent caches over one flat unit axis.
 
-    Arrays are indexed by unit index.  freq, last_use and next_use are
-    defined exactly for resident units; admission resets freq, so LFU counts
-    are per residency span.  clock advances once per cache_update call (one
-    token).
+    Cache i holds units offsets[i] up to offsets[i + 1] (its group's unit
+    indices, shifted by offsets[i]) and at most capacity_units[i] of them.
+    capacity_units and universe give one entry per cache, or one int each
+    for a single cache, whose flat ids are its unit indices.  The per-unit
+    arrays freq, last_use and next_use are defined exactly for resident
+    units; admission resets freq, so LFU counts are per residency span.
+    clock advances once per replay (one token).
     """
 
-    capacity_units: int
-    universe: int
-    is_resident: np.ndarray = field(init=False, repr=False)
-    freq: np.ndarray = field(init=False, repr=False)
-    last_use: np.ndarray = field(init=False, repr=False)
-    next_use: np.ndarray = field(init=False, repr=False)
-    clock: int = 0
-
-    def __post_init__(self):
-        if self.capacity_units < 0:
-            raise ValueError("capacity must be >= 0")
+    def __init__(self, capacity_units, universe):
+        caps = np.atleast_1d(np.asarray(capacity_units, dtype=np.int64))
+        sizes = np.atleast_1d(np.asarray(universe, dtype=np.int64))
+        if caps.ndim != 1 or caps.shape != sizes.shape:
+            raise ValueError("need one capacity per cache universe")
+        if (caps < 0).any() or (sizes < 0).any():
+            raise ValueError("capacity and universe must be >= 0")
+        self.capacity_units = caps
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.cache_of = np.repeat(np.arange(len(sizes)), sizes)
+        self.count = np.zeros(len(sizes), dtype=np.int64)  # residents per cache
         self.is_resident = np.zeros(self.universe, dtype=bool)
         self.freq = np.zeros(self.universe, dtype=np.int64)
         self.last_use = np.zeros(self.universe, dtype=np.int64)
         self.next_use = np.zeros(self.universe, dtype=np.int64)
+        self.clock = 0
+
+    @property
+    def num_caches(self) -> int:
+        return len(self.capacity_units)
+
+    @property
+    def universe(self) -> int:
+        """Units of all caches together: the length of the flat axis."""
+        return int(self.offsets[-1])
 
     @property
     def resident(self) -> np.ndarray:
-        """Indices of the resident units, ascending."""
+        """Flat ids of the resident units, ascending."""
         return np.flatnonzero(self.is_resident)
 
 
 @dataclass(frozen=True)
 class NextUseTable:
-    """Belady next-use data for one cache's access trace.
+    """Belady next-use data for an access trace over a flat unit axis.
 
     units[t] holds the units accessed at position t and next_use[t], aligned
     with it, the position of each unit's next access (length when it is never
@@ -170,14 +194,21 @@ class EvictionPolicy:
         return cls("belady", next_use=table)
 
 
-def cache_update(state: CacheState, active_units: Sequence[int],
-                 policy: EvictionPolicy, position: Optional[int] = None) -> AccessStats:
-    """Process one token's active unit indices (ordered by descending
-    admission priority) against the cache.  Mutates state in place and
-    returns the hit/miss/bypass counts for this token.
+def _rank_within(owner: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each entry's position within its cache's run of a non-decreasing
+    array of cache ids, given the run lengths (entries per cache)."""
+    return np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
-    position is the token's index in the precomputed trace; required for the
-    Belady policy, ignored otherwise.
+
+def replay(state: CacheState, active_units: Sequence[int], policy: EvictionPolicy,
+           position: Optional[int] = None):
+    """Advance every cache of state by one token, in place.
+
+    active_units holds the token's active flat unit ids cache by cache, in
+    ascending cache order, each cache's in admission order (descending
+    priority); a cache may have none.  Returns (hits, misses, bypassed), int
+    arrays with one count per cache.  position is the token's index in the
+    precomputed trace; required for the Belady policy, ignored otherwise.
     """
     active = np.asarray(active_units, dtype=np.intp)
     if active.ndim != 1:
@@ -188,50 +219,67 @@ def cache_update(state: CacheState, active_units: Sequence[int],
     is_active[active] = True
     if np.count_nonzero(is_active) != active.size:
         raise ValueError("active units must be distinct")
+    owner = state.cache_of[active]
+    if (owner[1:] < owner[:-1]).any():
+        raise ValueError("active units must go cache by cache, in ascending cache order")
     if policy.kind == "belady":
         if position is None:
             raise ValueError("belady eviction needs the current trace position")
         table = policy.next_use
         state.next_use[table.units[position]] = table.next_use[position]
     state.clock += 1
+    n = state.num_caches
 
     hit = state.is_resident[active]
     hits = active[hit]
     state.freq[hits] += 1
     state.last_use[hits] = state.clock
-    misses = active[~hit]
-    stats = AccessStats(hits=hits.size, misses=misses.size)
+    misses, miss_owner = active[~hit], owner[~hit]
+    n_hits = np.bincount(owner[hit], minlength=n)
+    n_misses = np.bincount(miss_owner, minlength=n)
     if policy.kind == "nocache":
-        stats.bypassed = misses.size
-        return stats
+        return n_hits, n_misses, n_misses.copy()
 
-    admitted = min(misses.size,
-                   state.capacity_units - int(np.count_nonzero(state.is_resident)))
-    if misses.size > admitted:
+    admitted = np.minimum(n_misses, state.capacity_units - state.count)
+    short = n_misses - admitted
+    if short.any():
         candidates = np.flatnonzero(state.is_resident & ~is_active)
-        n_evict = min(misses.size - admitted, candidates.size)
-        if n_evict:
-            # candidates ascend by index and lexsort is stable, so ties go
-            # to the lowest index
-            if policy.kind == "lfu":
-                keys = (state.last_use[candidates], state.freq[candidates])
-            elif policy.kind == "lru":
-                keys = (state.last_use[candidates],)
-            else:
-                keys = (-state.next_use[candidates],)
-            victims = candidates[np.lexsort(keys)[:n_evict]]
-            state.is_resident[victims] = False
-            admitted += n_evict
-    admit = misses[:admitted]
+        cand_owner = state.cache_of[candidates]
+        wanted = short[cand_owner] > 0
+        candidates, cand_owner = candidates[wanted], cand_owner[wanted]
+        n_cand = np.bincount(cand_owner, minlength=n)
+        n_evict = np.minimum(short, n_cand)
+        # the cache id leads; candidates ascend by index and lexsort is
+        # stable, so ties go to the lowest index
+        if policy.kind == "lfu":
+            keys = (state.last_use[candidates], state.freq[candidates], cand_owner)
+        elif policy.kind == "lru":
+            keys = (state.last_use[candidates], cand_owner)
+        else:
+            keys = (-state.next_use[candidates], cand_owner)
+        order = np.lexsort(keys)
+        ranked, ranked_owner = candidates[order], cand_owner[order]
+        state.is_resident[ranked[_rank_within(ranked_owner, n_cand)
+                                 < n_evict[ranked_owner]]] = False
+        state.count -= n_evict
+        admitted += n_evict
+    admit = misses[_rank_within(miss_owner, n_misses) < admitted[miss_owner]]
     state.is_resident[admit] = True
     state.freq[admit] = 1
     state.last_use[admit] = state.clock
-    stats.bypassed = misses.size - admitted
-    return stats
+    state.count += admitted
+    return n_hits, n_misses, n_misses - admitted
+
+
+def cache_update(state: CacheState, active_units: Sequence[int],
+                 policy: EvictionPolicy, position: Optional[int] = None) -> AccessStats:
+    """replay, summed over the caches of state: for a single cache, its
+    hit/miss/bypass counts for this token."""
+    return AccessStats(*(int(v.sum()) for v in replay(state, active_units, policy, position)))
 
 
 def resident_bitvector(state: CacheState) -> np.ndarray:
-    """0/1 residency vector over the cache's group, indexed by unit index.
+    """0/1 residency vector over the flat unit axis of every cache.
 
     A live int8 view of the cache's residency: it follows later updates, so
     copy it to keep a snapshot.

@@ -15,8 +15,8 @@ reads (hwsim.Scheme.reads) is rejected.  Reports are JSON written atomically
 seed reproduces the report byte-for-byte except the timestamp field.
 
 Exit codes: 0 success, 1 validation error (including a config whose arrays
-do not fit in memory), 2 simulation error (including a modelled latency
-that overflows the float range), 3 I/O error.
+exceed MAX_ARRAY_BYTES or do not fit in memory), 2 simulation error
+(including a modelled latency that overflows the float range), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -46,8 +46,22 @@ EXIT_IO = 3
 SCHEMA_VERSION = 1
 
 
+# The largest array a config may ask for: a trace (tokens x layers x d_model),
+# MLP weights (3 x layers x d_model x d_ff) or calibration inputs
+# (num_inputs x d_model), in bytes of float64.  It is checked before anything
+# is allocated; a trace file is bounded by its own size.
+MAX_ARRAY_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _check_bytes(what: str, *dims: int) -> None:
+    nbytes = 8 * math.prod(dims)
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{what} would take {nbytes} bytes, over the limit of "
+                          f"{MAX_ARRAY_BYTES} bytes")
 
 
 def _load_config(args) -> dict:
@@ -231,6 +245,7 @@ def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, d
     tspec = _build(traces.SyntheticTraceSpec, spec["synthetic"], "trace.synthetic",
                    {k: c for k, c in _SYNTHETIC.items() if k not in _DIMS},
                    seed=seed, **{k: getattr(geo, k) for k in _DIMS})
+    _check_bytes("the trace", tspec.num_tokens, tspec.num_layers, tspec.d_model)
     echo = {k: v for k, v in dataclasses.asdict(tspec).items() if k not in _DIMS}
     return traces.generate_synthetic_trace(tspec), {"synthetic": echo}
 
@@ -253,6 +268,7 @@ def _setup(args, schema: dict, required: tuple) -> _Setup:
         "trace": _raw}, ("trace", "geometry", "hardware") + required)
     seed = fields.pop("seed", 0)
     (geo, geo_echo), (hw, hw_echo) = fields.pop("geometry"), fields.pop("hardware")
+    _check_bytes("the MLP weights", 3, geo.num_layers, geo.d_model, geo.d_ff)
     trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed)
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
                                              seed=seed)
@@ -309,6 +325,7 @@ def _cmd_run(args) -> None:
 
 def _cmd_gen_trace(args) -> None:
     spec = _build(traces.SyntheticTraceSpec, _load_config(args), "", _SYNTHETIC)
+    _check_bytes("the trace", spec.num_tokens, spec.num_layers, spec.d_model)
     trace = traces.generate_synthetic_trace(spec)
     traces.write_trace(args.out, trace)
 
@@ -370,14 +387,18 @@ def _cmd_calibrate_allocation(args) -> None:
     block = {"seed": seed, **_fields(cfg["block"], "block", {
         "d_model": _int, "d_ff": _int, "seed": _int}, ("d_model", "d_ff"))}
     d_model, d_ff = block["d_model"], block["d_ff"]
-    w = MlpWeights.random(d_model, d_ff, seed=block["seed"])
     calib = {"num_inputs": 32, "sigma": 1.5, "seed": seed,
              **_fields(cfg.get("calibration", {}), "calibration", {
                  "num_inputs": _int, "sigma": _float, "seed": _int})}
     if calib["num_inputs"] < 1:
         raise ConfigError("calibration.num_inputs must be >= 1")
+    _check_bytes("the MLP weights", 3, d_model, d_ff)
+    _check_bytes("the calibration inputs", calib["num_inputs"], d_model)
+    w = MlpWeights.random(d_model, d_ff, seed=block["seed"])
     rng = np.random.default_rng(calib["seed"])
     inputs = _signed_heavy_tailed(rng, calib["num_inputs"], d_model, calib["sigma"])
+    if not np.isfinite(inputs).all():
+        raise ConfigError("calibration.sigma gives inputs beyond the float range")
     grid = _fields(cfg["grid"], "grid", {"densities_in": _floats, "densities_mid": _floats},
                    ("densities_in", "densities_mid"))
     targets = _floats(cfg["targets"], "targets")
@@ -461,8 +482,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as e:
-        # sizes in configs are not bounded; a config too large to allocate
-        # is a config error, not a crash
+        # arrays within MAX_ARRAY_BYTES can still outgrow the memory at
+        # hand; a config too large to allocate is a config error, not a crash
         print(f"validation error: config needs more memory than is available: {e}",
               file=sys.stderr)
         return EXIT_VALIDATION

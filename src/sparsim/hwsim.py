@@ -15,20 +15,27 @@ cache machinery, so residency accounting stays uniform.
 
 Each scheme is one entry of SCHEMES, and its unit groups, k values, static
 charge, mask stream and Belady rejection all read from that entry.
-sweep_runs is the one grid engine: one simulate_run per (density, gamma).
+
+There is one engine, and simulate_run is its one-point case.  sweep_runs
+runs every (density, gamma) point of a grid in lockstep: per token, one
+replay call advances the caches of every (point, layer, unit group), points
+with equal (k_in, k_mid) share cache-independent masks, and cache-aware
+masks of every point and layer are built in one batch per (k_in, k_mid).
+Each point keeps its own caches, so its report equals its own simulate_run
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import masking
 from .cache import (POLICY_NAMES, CacheState, EvictionPolicy, Group, belady_precompute,
-                    cache_update, resident_bitvector)
+                    replay, resident_bitvector)
 from .mlp import MlpWeights, down_projection, glu_activations, mlp_dense_forward, rel_l2_rows
 
 __all__ = [
@@ -46,7 +53,6 @@ __all__ = [
     "TokenCost",
     "LayerStats",
     "RunReport",
-    "simulate_token",
     "simulate_run",
     "sweep_runs",
     "throughput_at_error",
@@ -207,8 +213,8 @@ class Scheme:
     prunes_input: an input mask (density_in) picks the input bundles.
     cache_aware: masks read the caches' residency, so each token's follow
     the previous token's replay and Belady is ill-defined.
-    rows(cfg, w, x, k_in, k_mid[, residency per group]): the RowMasks of the
-    rows x; None for a scheme that keeps every unit.
+    rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
+    RowMasks of the rows x; None for a scheme that keeps every unit.
     """
 
     mid_matrices: int
@@ -232,9 +238,9 @@ class Scheme:
         return frozenset(keys)
 
 
-def _dip_ca_rows(cfg, w, x, k_in, k_mid, input_residency, intermediate_residency):
+def _dip_ca_rows(cfg, w, x, k_in, k_mid, input_residency, intermediate_residency, gamma):
     return masking.dip_ca_rows(w, x, input_residency, intermediate_residency, k_in, k_mid,
-                               gamma=cfg.gamma, reweight_input=cfg.reweight_input,
+                               gamma=gamma, reweight_input=cfg.reweight_input,
                                reweight_intermediate=cfg.reweight_intermediate)
 
 
@@ -336,149 +342,197 @@ class RunReport:
     mean_error: Optional[float] = None
 
 
-# Tokens per batch of masks: bounds the [block, d_ff] temporaries of mask
-# building and of kernel_eval, whatever the trace length.
+# Mask rows per batch: bounds the [rows, d_ff] temporaries of mask building
+# and of kernel_eval, whatever the trace length and the number of points.
 _ROW_BLOCK = 256
 
 
-def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> List[np.ndarray]:
-    """Per group, each row's active units in admission order [n, k]."""
+class _Batch(NamedTuple):
+    """Mask rows of (layer, point) pairs whose masks share k = (k_in, k_mid)
+    and are built by one call, layer-major so each layer's weights serve
+    every point in turn.  base[r, g] is the first flat unit id of row r's
+    cache of group g, and ids[r] each active-unit column's offset onto the
+    flat axis."""
+
+    k: Tuple[int, int]
+    layer: np.ndarray  # int [R]
+    point: np.ndarray  # int [R]
+    gamma: np.ndarray  # float [R], each row's point's gamma
+    base: np.ndarray   # int [R, groups]
+    ids: np.ndarray    # int [R, active units of a row]
+
+
+def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndarray:
+    """Each row's active units [n, units], group by group, each group's in
+    admission order (unit indices within the group)."""
     n = len(rows.input_mask)
-    out = []
-    for g in groups:
-        if g.always_active:
-            out.append(np.broadcast_to(np.arange(g.universe), (n, g.universe)))
-        else:
-            out.append(rows.input_order if g.kind == Group.INPUT_BUNDLE
-                       else rows.intermediate_order)
-    return out
+    return np.concatenate([
+        np.broadcast_to(np.arange(g.universe), (n, g.universe)) if g.always_active
+        else rows.input_order if g.kind == Group.INPUT_BUNDLE else rows.intermediate_order
+        for g in groups], axis=1)
 
 
-def _row_errors(w: MlpWeights, x: np.ndarray, glu: np.ndarray,
-                intermediate_mask: np.ndarray) -> np.ndarray:
-    """Relative L2 error of the masked block against the dense block, per
-    row of one layer's inputs x, from the gated intermediates under the
-    input mask."""
-    return rel_l2_rows(mlp_dense_forward(w, x), down_projection(w, glu, intermediate_mask))
+def _layout(configs: Sequence[SchemeConfig], groups: Sequence[GroupSpec],
+            capacities: List[Dict[Group, int]], geo: ModelGeometry):
+    """The caches of every (point, layer, group) on one flat axis, and the
+    mask batches that stream into them.
+
+    Points with equal (k_in, k_mid) share batches, of at most _ROW_BLOCK
+    rows each.  Caches go in row order, group by group, so each token's
+    active units come out cache by cache in ascending order.  Returns the
+    CacheState, the batches, the points of each (k_in, k_mid) and each
+    point's cache ids [points, layers, groups].
+    """
+    ks = [cfg.k_values(geo) for cfg in configs]
+    members = {k: [p for p in range(len(configs)) if ks[p] == k] for k in ks}
+    # one row per (layer, point): grouped by k, layer-major within a k
+    layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
+        (l, p) for points in members.values() for l in range(geo.num_layers)
+        for p in points]))
+    caches = CacheState([capacities[l][g.kind] for l in layer for g in groups],
+                        [g.universe for _ in layer for g in groups])
+    base = caches.offsets[:-1].reshape(len(layer), len(groups))
+    cid = np.empty((len(configs), geo.num_layers, len(groups)), dtype=np.intp)
+    cid[point, layer] = np.arange(base.size).reshape(base.shape)
+    gamma = np.array([configs[p].gamma for p in point])
+    batches, start = [], 0
+    for k, points in members.items():
+        widths = [g.universe if g.always_active
+                  else k[0] if g.kind == Group.INPUT_BUNDLE else k[1] for g in groups]
+        stop = start + geo.num_layers * len(points)
+        for r in range(start, stop, _ROW_BLOCK):
+            s = slice(r, min(r + _ROW_BLOCK, stop))
+            batches.append(_Batch(k, layer[s], point[s], gamma[s], base[s],
+                                  np.repeat(base[s], widths, axis=1)))
+        start = stop
+    return caches, batches, members, cid
 
 
-def _unit_stream(cfg: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
-                 acts: np.ndarray, caches, geo: ModelGeometry,
-                 groups: Sequence[GroupSpec], k_in: int, k_mid: int,
+def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
+                 acts: np.ndarray, caches: CacheState, batches: Sequence[_Batch],
+                 members: Dict[Tuple[int, int], List[int]],
+                 groups: Sequence[GroupSpec], geo: ModelGeometry,
                  errors: Optional[np.ndarray]):
-    """Stage 1: per token, per layer, per group, the active units in
-    admission order.
+    """Stage 1: per token, the flat ids of every point's active units, cache
+    by cache in ascending order, each cache's in admission order.
 
-    Tokens go in blocks of up to _ROW_BLOCK.  Cache-independent schemes
-    build a block's masks as one batch per layer.  Cache-aware masks read
-    the caches, so each token's are built when the token is requested, after
-    the previous token's replay, as one batch over the token's layers.
-    errors [num_tokens, num_layers], when given, receives each (token,
-    layer) kernel error, one _row_errors call per layer and block: cache-aware
-    masks keep their block's gated intermediates and intermediate masks until
-    the block's last token is out (errors never feed back into the caches).
+    Tokens go in blocks of about _ROW_BLOCK mask rows over all points; with
+    kernel_eval the dense reference is computed once per (layer, block) for
+    every point.  Cache-independent schemes build a block's masks as one
+    batch per layer and (k_in, k_mid), which every point with those k
+    shares.  Cache-aware masks read the caches, so each token's are built
+    when the token is requested, after the previous token's replay, as one
+    call per batch over its layers and points, with each row's gamma.
+    errors [points, tokens, layers], when given, receives each kernel error
+    as soon as its masks exist.
     """
-    entry = SCHEMES[cfg.name]
-    num_layers = acts.shape[1]
-    for t0 in range(0, acts.shape[0], _ROW_BLOCK):
-        x = acts[t0:t0 + _ROW_BLOCK]
+    entry = SCHEMES[scheme.name]
+    num_layers = geo.num_layers
+    step = max(1, _ROW_BLOCK // sum(map(len, members.values())))
+    batch_weights = ([[weights[l] for l in b.layer] for b in batches]
+                     if weights is not None else None)
+    for t0 in range(0, acts.shape[0], step):
+        x = acts[t0:t0 + step]
         if entry.cache_aware:
-            if errors is not None:
-                glu = np.empty((num_layers, len(x), geo.d_ff))
-                mid_mask = np.empty((num_layers, len(x), geo.d_ff), dtype=bool)
+            ref = (np.stack([mlp_dense_forward(weights[l], x[:, l])
+                             for l in range(num_layers)], axis=1)
+                   if errors is not None else None)
             for i in range(len(x)):
-                residency = [np.stack([resident_bitvector(c[g.kind]) for c in caches])
-                             for g in groups]
-                rows = entry.rows(cfg, weights, x[i], k_in, k_mid, *residency)
-                if errors is not None:
-                    glu[:, i] = rows.glu
-                    mid_mask[:, i] = rows.intermediate_mask
-                units = _group_units(rows, groups)
-                yield [[u[l] for u in units] for l in range(num_layers)]
-            if errors is not None:
-                for l in range(num_layers):
-                    errors[t0:t0 + len(x), l] = _row_errors(weights[l], x[:, l], glu[l],
-                                                            mid_mask[l])
-            continue
-        block = []
-        for l in range(num_layers):
-            w = weights[l] if weights is not None else None
-            rows = (masking.dense_rows(len(x), geo.d_model, geo.d_ff) if entry.rows is None
-                    else entry.rows(cfg, w, x[:, l], k_in, k_mid))
-            if errors is not None:
-                glu = rows.glu if rows.glu is not None else glu_activations(
-                    w, x[:, l], rows.input_mask)
-                errors[t0:t0 + len(x), l] = _row_errors(w, x[:, l], glu,
-                                                        rows.intermediate_mask)
-            block.append(_group_units(rows, groups))
-        for i in range(len(x)):
-            yield [[u[i] for u in layer] for layer in block]
+                bits = resident_bitvector(caches)
+                ids = []
+                for b, w in zip(batches, batch_weights):
+                    residency = [bits[b.base[:, gi, None] + np.arange(g.universe)]
+                                 for gi, g in enumerate(groups)]
+                    rows = entry.rows(scheme, w, x[i, b.layer], *b.k, *residency, b.gamma)
+                    if errors is not None:
+                        errors[b.point, t0 + i, b.layer] = rel_l2_rows(
+                            ref[i, b.layer], down_projection(w, rows.glu,
+                                                             rows.intermediate_mask))
+                    ids.append((_group_units(rows, groups) + b.ids).ravel())
+                yield np.concatenate(ids)
+        else:
+            units = {}
+            for l in range(num_layers):
+                w = weights[l] if weights is not None else None
+                ref = mlp_dense_forward(w, x[:, l]) if errors is not None else None
+                for k, points in members.items():
+                    rows = (masking.dense_rows(len(x), geo.d_model, geo.d_ff)
+                            if entry.rows is None else entry.rows(scheme, w, x[:, l], *k))
+                    if errors is not None:
+                        glu = rows.glu if rows.glu is not None else glu_activations(
+                            w, x[:, l], rows.input_mask)
+                        errors[points, t0:t0 + len(x), l] = rel_l2_rows(
+                            ref, down_projection(w, glu, rows.intermediate_mask))
+                    units[k, l] = _group_units(rows, groups)
+            yield from np.concatenate([units[b.k, l] + ids for b in batches
+                                       for l, ids in zip(b.layer, b.ids)], axis=1)
 
 
-def simulate_token(caches, groups: Sequence[GroupSpec], units, hw: HardwareConfig,
-                   geo: ModelGeometry, policies, position: int = 0,
-                   static_bytes: Optional[float] = None,
-                   layer_stats: Optional[List[LayerStats]] = None) -> TokenCost:
-    """Stage 2 for one token: advance every layer cache and price the
-    transfers.
-
-    caches: per layer, a dict Group -> CacheState.  units: per layer, per
-    group of groups, the active unit indices in admission order.  policies:
-    one EvictionPolicy, or a per-layer list of dicts Group -> EvictionPolicy
-    (Belady needs a distinct next-use table per cache).  Static bytes default
-    to the geometry's and are read over DRAM once for the whole token.
-    """
-    static = geo.static_bytes if static_bytes is None else static_bytes
-    flash = 0.0
-    dram = static
-    hits = misses = bypassed = 0
-    for l in range(geo.num_layers):
-        for g, active in zip(groups, units[l]):
-            if isinstance(policies, EvictionPolicy):
-                policy = policies
-            else:
-                policy = policies[l][g.kind]
-            stats = cache_update(caches[l][g.kind], active, policy, position=position)
-            flash += stats.misses * g.unit_bytes
-            dram += stats.hits * g.unit_bytes
-            hits += stats.hits
-            misses += stats.misses
-            bypassed += stats.bypassed
-            if layer_stats is not None:
-                ls = layer_stats[l]
-                ls.hits += stats.hits
-                ls.misses += stats.misses
-                ls.bypassed += stats.bypassed
-                ls.flash_bytes += stats.misses * g.unit_bytes
-                ls.dram_bytes += stats.hits * g.unit_bytes
-    latency = flash / hw.flash_bandwidth + dram / hw.dram_bandwidth
-    return TokenCost(flash_bytes=flash, dram_bytes=dram, latency_s=latency,
-                     hits=hits, misses=misses, bypassed=bypassed)
+def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
+    """start + terms[..., 0] + terms[..., 1] + ..., added left to right as
+    a loop would: the order fixes the float sums."""
+    first = np.full(terms.shape[:-1] + (1,), start)
+    return np.cumsum(np.concatenate([first, terms], axis=-1), axis=-1)[..., -1]
 
 
-def _fresh_caches(geo: ModelGeometry, groups: Sequence[GroupSpec],
-                  capacities: List[Dict[Group, int]]):
-    return [{g.kind: CacheState(capacity_units=capacities[l][g.kind], universe=g.universe)
-             for g in groups} for l in range(geo.num_layers)]
+def _report(hits: np.ndarray, misses: np.ndarray, bypassed: np.ndarray,
+            groups: Sequence[GroupSpec], static: float, hw: HardwareConfig,
+            errors: Optional[np.ndarray]) -> RunReport:
+    """Stage 3 for one point: price its per-token, per-layer, per-group
+    counts [tokens, layers, groups] into a RunReport.  Static bytes are read
+    over DRAM once per token."""
+    num_tokens, num_layers, num_groups = hits.shape
+    ub = np.array([g.unit_bytes for g in groups])
+    # inf is caught below, with the totals
+    with np.errstate(over="ignore"):
+        flash_units, dram_units = misses * ub, hits * ub
+        # a token's bytes add up over (layer, group), a layer's over
+        # (token, group)
+        by_token = (num_tokens, num_layers * num_groups)
+        flash = _running_sums(0.0, flash_units.reshape(by_token))
+        dram = _running_sums(static, dram_units.reshape(by_token))
+        latency = flash / hw.flash_bandwidth + dram / hw.dram_bandwidth
+        by_layer = (num_layers, num_tokens * num_groups)
+        layer_flash = _running_sums(0.0, flash_units.transpose(1, 0, 2).reshape(by_layer))
+        layer_dram = _running_sums(0.0, dram_units.transpose(1, 0, 2).reshape(by_layer))
+    tokens = [TokenCost(*cost) for cost in zip(
+        flash.tolist(), dram.tolist(), latency.tolist(),
+        *(c.sum(axis=(1, 2)).tolist() for c in (hits, misses, bypassed)))]
+    per_layer = [LayerStats(l, *stats) for l, stats in enumerate(zip(
+        *(c.sum(axis=(0, 2)).tolist() for c in (hits, misses, bypassed)),
+        layer_flash.tolist(), layer_dram.tolist()))]
+
+    total_latency = sum(tc.latency_s for tc in tokens)
+    flash_bytes = sum(tc.flash_bytes for tc in tokens)
+    dram_bytes = sum(tc.dram_bytes for tc in tokens)
+    if not all(map(math.isfinite, (total_latency, flash_bytes, dram_bytes))):
+        raise SimulationError("modelled latency or traffic overflows the float range: "
+                              "check the bandwidths and byte sizes")
+    tail_latency = sum(tc.latency_s for tc in tokens[1:])
+    total_hits = sum(tc.hits for tc in tokens)
+    total_accesses = sum(tc.hits + tc.misses for tc in tokens)
+    return RunReport(
+        num_tokens=num_tokens,
+        tokens=tokens,
+        throughput=num_tokens / total_latency if total_latency > 0 else 0.0,
+        steady_state_throughput=(
+            (num_tokens - 1) / tail_latency if tail_latency > 0
+            else (num_tokens / total_latency if total_latency > 0 else 0.0)),
+        hit_rate=total_hits / total_accesses if total_accesses else 0.0,
+        flash_bytes=flash_bytes,
+        dram_bytes=dram_bytes,
+        per_layer=per_layer,
+        # errors in (token, layer) order: the order fixes the float sum
+        mean_error=float(np.mean(errors.ravel())) if errors is not None and errors.size else None,
+    )
 
 
-def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
-                 policy: str, hw: HardwareConfig, geo: ModelGeometry,
-                 kernel_eval: bool = False) -> RunReport:
-    """Simulate a full activation trace under one scheme and eviction policy.
-
-    trace supplies activations of shape [num_tokens, num_layers, d_model]
-    (a traces.Trace or a bare array).  Caches start cold; first-token misses
-    are included in throughput, and steady_state_throughput excludes the
-    first token so warm-cache figures can be read off directly.  Masks turn
-    into a stream of unit accesses (stage 1) that is replayed through the
-    caches (stage 2); the Belady policy reads the whole stream first to build
-    its next-use tables (rejected for cache-aware schemes, whose masks depend
-    on cache contents).  kernel_eval additionally runs the block forward per
-    token/layer and reports the mean relative-L2 error against the dense
-    block.  Raises SimulationError when the modelled latency or traffic
-    overflows the float range.
-    """
+def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
+              configs: Sequence[SchemeConfig], policy: str, hw: HardwareConfig,
+              geo: ModelGeometry, kernel_eval: bool) -> List[RunReport]:
+    """The engine: every point of configs (scheme with its own density_mid,
+    density_in and gamma) over one trace, in lockstep.  Per token, one
+    replay call advances the caches of every point, layer and unit group."""
     acts = np.asarray(getattr(trace, "activations", trace), dtype=float)
     if acts.ndim != 3 or acts.shape[1] != geo.num_layers or acts.shape[2] != geo.d_model:
         raise SimulationError(
@@ -506,65 +560,65 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
         static += predictor_static_bytes(geo, scheme.predictor_hidden)
     groups = scheme_groups(scheme.name, geo)
     capacities = allocate_dram(hw, geo, groups, static_bytes=static)
-    caches = _fresh_caches(geo, groups, capacities)
-    k_in, k_mid = scheme.k_values(geo)
+    if not configs:
+        return []
+    caches, batches, members, cid = _layout(configs, groups, capacities, geo)
     num_tokens = acts.shape[0]
 
-    errors = np.empty((num_tokens, geo.num_layers)) if kernel_eval else None
-    stream = _unit_stream(scheme, weights, acts, caches, geo, groups, k_in, k_mid, errors)
-    policies: object
+    errors = (np.empty((len(configs), num_tokens, geo.num_layers)) if kernel_eval
+              else None)
+    stream = _unit_stream(scheme, weights, acts, caches, batches, members, groups, geo,
+                          errors)
     if policy == "belady":
         stream = list(stream)
-        policies = [{g.kind: EvictionPolicy.belady(belady_precompute(
-            [units[l][i] for units in stream])) for i, g in enumerate(groups)}
-            for l in range(geo.num_layers)]
+        rule = EvictionPolicy.belady(belady_precompute(stream))
     else:
-        policies = EvictionPolicy(policy)
+        rule = EvictionPolicy(policy)
+    counts = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
+    for t, active in enumerate(stream):
+        counts[:, t] = replay(caches, active, rule, position=t)
+    return [_report(*counts[:, :, cid[p]], groups, static, hw,
+                    errors[p] if errors is not None else None)
+            for p in range(len(configs))]
 
-    layer_stats = [LayerStats(layer=l) for l in range(geo.num_layers)]
-    tokens = [simulate_token(caches, groups, units, hw, geo, policies, position=t,
-                             static_bytes=static, layer_stats=layer_stats)
-              for t, units in enumerate(stream)]
 
-    total_latency = sum(tc.latency_s for tc in tokens)
-    flash_bytes = sum(tc.flash_bytes for tc in tokens)
-    dram_bytes = sum(tc.dram_bytes for tc in tokens)
-    if not all(map(math.isfinite, (total_latency, flash_bytes, dram_bytes))):
-        raise SimulationError("modelled latency or traffic overflows the float range: "
-                              "check the bandwidths and byte sizes")
-    tail_latency = sum(tc.latency_s for tc in tokens[1:])
-    total_hits = sum(tc.hits for tc in tokens)
-    total_accesses = sum(tc.hits + tc.misses for tc in tokens)
-    return RunReport(
-        num_tokens=num_tokens,
-        tokens=tokens,
-        throughput=num_tokens / total_latency if total_latency > 0 else 0.0,
-        steady_state_throughput=(
-            (num_tokens - 1) / tail_latency if tail_latency > 0
-            else (num_tokens / total_latency if total_latency > 0 else 0.0)),
-        hit_rate=total_hits / total_accesses if total_accesses else 0.0,
-        flash_bytes=flash_bytes,
-        dram_bytes=dram_bytes,
-        per_layer=layer_stats,
-        # errors in (token, layer) order: the order fixes the float sum
-        mean_error=float(np.mean(errors.ravel())) if errors is not None and errors.size else None,
-    )
+def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
+                 policy: str, hw: HardwareConfig, geo: ModelGeometry,
+                 kernel_eval: bool = False) -> RunReport:
+    """Simulate a full activation trace under one scheme and eviction policy:
+    the one-point case of sweep_runs' engine.
+
+    trace supplies activations of shape [num_tokens, num_layers, d_model]
+    (a traces.Trace or a bare array).  Caches start cold; first-token misses
+    are included in throughput, and steady_state_throughput excludes the
+    first token so warm-cache figures can be read off directly.  Masks turn
+    into a stream of unit accesses (stage 1) that is replayed through the
+    caches (stage 2) and priced (stage 3); the Belady policy reads the whole
+    stream first to build its next-use table (rejected for cache-aware
+    schemes, whose masks depend on cache contents).  kernel_eval
+    additionally runs the block forward per token/layer and reports the mean
+    relative-L2 error against the dense block.  Raises SimulationError when
+    the modelled latency or traffic overflows the float range.
+    """
+    return _simulate(trace, weights, scheme, [scheme], policy, hw, geo, kernel_eval)[0]
 
 
 def sweep_runs(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
                points: Sequence[Tuple[float, Optional[float]]], policy: str,
                hw: HardwareConfig, geo: ModelGeometry,
                kernel_eval: bool = False) -> List[RunReport]:
-    """One simulate_run per (density, gamma) point, in the order given.
+    """The simulate_run report of every (density, gamma) point, in the order
+    given, from one lockstep pass over the trace.
 
     Each point runs the base scheme with density_mid set to the density,
     density_in back at its default (it follows density_mid), and gamma
-    replaced unless the point's gamma is None.
+    replaced unless the point's gamma is None.  Each point keeps its own
+    caches, so its report equals its own simulate_run bit for bit.
     """
-    return [simulate_run(trace, weights, replace(
-        scheme, density_mid=density, density_in=None,
-        gamma=scheme.gamma if gamma is None else gamma), policy, hw, geo, kernel_eval)
-        for density, gamma in points]
+    configs = [replace(scheme, density_mid=density, density_in=None,
+                       gamma=scheme.gamma if gamma is None else gamma)
+               for density, gamma in points]
+    return _simulate(trace, weights, scheme, configs, policy, hw, geo, kernel_eval)
 
 
 def throughput_at_error(rows: Sequence, error_budget: float) -> Tuple[float, float]:

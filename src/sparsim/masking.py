@@ -17,8 +17,8 @@ picks in selection order, which is the order the simulator's caches admit
 units in.  A single vector x goes as the one-row batch x[None].
 Projections go through mlp's stacked matrix-vector product, so a row's
 masks do not depend on the batch around it, bit for bit.  dip_ca_rows also
-takes per-row weights and residency, so the layers of one token are one
-batch.
+takes per-row weights, residency and gamma, so the layers of one token, for
+every point of a sweep, are one batch.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def dip_rows(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
 
 def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
                 intermediate_residency: np.ndarray, k_in: int, k_mid: int,
-                gamma: float = DEFAULT_GAMMA, reweight_input: bool = True,
+                gamma=DEFAULT_GAMMA, reweight_input: bool = True,
                 reweight_intermediate: bool = True) -> RowMasks:
     """Dynamic input pruning of x [n, d_model] with cache-aware re-weighted
     scores (dip_ca_scores).
@@ -275,8 +275,9 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     magnitude scoring.  gamma=1 reproduces dip_rows exactly.  w is one
     MlpWeights for every row or a sequence of n, w[i] for row i; each
     residency is one vector for every row or one per row ([n, d_model] and
-    [n, d_ff]).  Row i equals the call on its own weights and residency bit
-    for bit, so one token's layers can go as one batch.
+    [n, d_ff]), and gamma one number or one per row.  Row i equals the call
+    on its own weights, residency and gamma bit for bit, so the layers of
+    one token, and the points of a sweep, can go as one batch.
     """
     xs = np.asarray(x, dtype=float)
     gamma_mid = gamma if reweight_intermediate else 1.0
@@ -285,24 +286,27 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
         k_in, lambda h: dip_ca_scores(h, intermediate_residency, gamma_mid), k_mid)
 
 
-def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma=DEFAULT_GAMMA) -> np.ndarray:
     """Cache-aware selection scores |x| * (c + gamma*(1-c)) / max|x|, for one
     vector or per row of [n, dim].
 
     residency c is 0/1 per unit, one vector for every row or one per row;
-    non-resident units are down-weighted by
-    gamma.  The max-norm denominator makes the scores insensitive to the
-    dynamic range of x.  A zero vector yields all-zero scores (ties then
-    resolve to the lowest indices).
+    non-resident units are down-weighted by gamma, one number for every row
+    or one per row.  The max-norm denominator makes the scores insensitive
+    to the dynamic range of x.  A zero vector yields all-zero scores (ties
+    then resolve to the lowest indices).
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(residency, dtype=float)
     if c.shape != x.shape[-1:] and c.shape != x.shape:
         raise ValueError("residency length must match x")
-    if not 0.0 <= gamma <= 1.0:
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim and (g.ndim != 1 or x.ndim != 2 or len(g) != len(x)):
+        raise ValueError("gamma must be one number or one per row")
+    if not ((0.0 <= g) & (g <= 1.0)).all():
         raise ValueError("gamma must be in [0, 1]")
     mag = np.abs(x)
     xmax = np.max(mag, axis=-1, keepdims=True, initial=0.0)
-    scores = mag * (c + gamma * (1.0 - c))
+    scores = mag * (c + (g[:, None] if g.ndim else g) * (1.0 - c))
     return np.divide(scores, xmax, out=np.zeros_like(scores), where=xmax != 0.0)
 

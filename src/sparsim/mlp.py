@@ -161,10 +161,17 @@ def _as_bool_mask(mask, dim: int, rows: int = 1):
 def _matvec(m, x: np.ndarray) -> np.ndarray:
     """m @ x_i for every row x_i of x [n, cols]: one gemv per row, so each
     row equals the 1-D product bit for bit (see the module docstring).  m is
-    one matrix for every row or a sequence of n matrices, m[i] for row i."""
+    one matrix for every row or a sequence of n matrices, m[i] for row i;
+    each run of rows with one matrix goes as one stacked product."""
     if isinstance(m, np.ndarray):
         return np.matmul(m, x[:, :, None])[:, :, 0]
-    return np.stack([mi @ xi for mi, xi in zip(m, x)])
+    out = np.empty((len(x), m[0].shape[0]))
+    start = 0
+    for i in range(1, len(m) + 1):
+        if i == len(m) or m[i] is not m[start]:
+            out[start:i] = np.matmul(m[start], x[start:i, :, None])[:, :, 0]
+            start = i
+    return out
 
 
 def glu_activations(w, x: np.ndarray, input_mask=None) -> np.ndarray:
@@ -192,15 +199,19 @@ def glu_activations(w, x: np.ndarray, input_mask=None) -> np.ndarray:
     return h[0] if one else h
 
 
-def down_projection(w: MlpWeights, h: np.ndarray, intermediate_mask=None) -> np.ndarray:
+def down_projection(w, h: np.ndarray, intermediate_mask=None) -> np.ndarray:
     """Block output down @ h from gated intermediates h ([d_ff] or
     [n, d_ff]); intermediate_mask zeroes columns of down (equivalently,
-    intermediate units)."""
-    hs, one = _rows(h, w.d_ff, "d_ff")
-    m = _as_bool_mask(intermediate_mask, w.d_ff, len(hs))
+    intermediate units).  w is one MlpWeights or, for rows, one per row, as
+    in glu_activations."""
+    per_row = not isinstance(w, MlpWeights)
+    hs, one = _rows(h, (w[0] if per_row else w).d_ff, "d_ff")
+    if per_row and (one or len(w) != len(hs)):
+        raise ValueError("per-row weights need one MlpWeights per row")
+    m = _as_bool_mask(intermediate_mask, hs.shape[1], len(hs))
     if m is not None:
         hs = np.where(m, hs, 0.0)
-    y = _matvec(w.down, hs)
+    y = _matvec([wi.down for wi in w] if per_row else w.down, hs)
     return y[0] if one else y
 
 

@@ -122,6 +122,8 @@ def generate_synthetic_trace(spec: SyntheticTraceSpec) -> Trace:
         signs = rng.integers(0, 2, size=(spec.num_tokens, spec.d_model)) * 2 - 1
         acts[:, l, :] = mags * signs
     acts = acts.astype(np.float32).astype(np.float64)
+    if not np.isfinite(acts).all():
+        raise ValueError("mu and sigma give activations beyond the float32 range")
     return Trace(num_layers=spec.num_layers, d_model=spec.d_model, d_ff=spec.d_ff,
                  activations=acts)
 
@@ -179,6 +181,9 @@ class _Reader:
 
 
 def write_trace(path, trace: Trace) -> None:
+    dims = (trace.num_layers, trace.d_model, trace.d_ff, trace.num_tokens)
+    if max(dims) >= 1 << 32:
+        raise ValueError("trace dimensions must be below 2**32 to fit the file header")
     out = bytearray()
     out += TRACE_MAGIC
     out += struct.pack("<IB", TRACE_VERSION, KIND_ACTIVATIONS)

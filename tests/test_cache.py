@@ -13,6 +13,7 @@ from sparsim import (
     EvictionPolicy,
     belady_precompute,
     cache_update,
+    replay,
     resident_bitvector,
 )
 
@@ -241,6 +242,65 @@ def test_batch_replay_matches_per_unit_oracle(case, kind):
         if kind in ("lfu", "lru"):
             assert {u: int(state.freq[u]) for u in ref.resident} == ref.freq
             assert {u: int(state.last_use[u]) for u in ref.resident} == ref.last_use
+
+
+@st.composite
+def many_caches_case(draw, max_caches=4, max_units=6, max_steps=8):
+    """(universes, capacities, tokens): caches of mixed universes (0 too),
+    each with capacity 0, up to its universe, or beyond it; per token, per
+    cache, a random-size active set (often empty) in random admission
+    order."""
+    n = draw(st.integers(min_value=1, max_value=max_caches))
+    universes = [draw(st.integers(min_value=0, max_value=max_units)) for _ in range(n)]
+    capacities = [draw(st.one_of(st.just(0), st.integers(0, u), st.integers(u, u + 3)))
+                  for u in universes]
+    steps = draw(st.integers(min_value=1, max_value=max_steps))
+    tokens = [[draw(st.permutations(range(u)))[:draw(st.integers(0, u))] for u in universes]
+              for _ in range(steps)]
+    return universes, capacities, tokens
+
+
+@given(many_caches_case(), st.sampled_from(["lfu", "lru", "belady", "nocache"]))
+@settings(max_examples=300, deadline=None)
+def test_replay_of_many_caches_matches_one_oracle_per_cache(case, kind):
+    # one batched replay of every cache equals each cache replayed alone
+    universes, capacities, tokens = case
+    state = CacheState(capacity_units=capacities, universe=universes)
+    offsets = np.concatenate(([0], np.cumsum(universes)))
+    flat = [[offsets[c] + u for c, units in enumerate(tok) for u in units] for tok in tokens]
+    if kind == "belady":
+        policy = EvictionPolicy.belady(belady_precompute(flat))
+    else:
+        policy = EvictionPolicy(kind)
+    refs = [ReferenceCache(cap) for cap in capacities]
+    for pos, (tok, active) in enumerate(zip(tokens, flat)):
+        hits, misses, bypassed = replay(state, active, policy, position=pos)
+        resident = state.resident
+        for c, units in enumerate(tok):
+            expected = refs[c].update(units, kind, trace=[t[c] for t in tokens],
+                                      position=pos)
+            assert (hits[c], misses[c], bypassed[c]) == expected, f"token {pos} cache {c}"
+            mine = resident[(resident >= offsets[c]) & (resident < offsets[c + 1])]
+            assert set((mine - offsets[c]).tolist()) == refs[c].resident, \
+                f"token {pos} cache {c}"
+
+
+def test_replay_validates_the_flat_units():
+    state = CacheState(capacity_units=[1, 2], universe=[2, 3])  # flat ids 0-1, 2-4
+    pol = EvictionPolicy.lfu()
+    with pytest.raises(ValueError, match="ascending cache order"):
+        replay(state, [2, 0], pol)  # cache 1's unit before cache 0's
+    with pytest.raises(ValueError, match="outside"):
+        replay(state, [5], pol)
+    with pytest.raises(ValueError, match="distinct"):
+        replay(state, [3, 3], pol)
+    with pytest.raises(ValueError):
+        CacheState(capacity_units=[1, 2], universe=[2])
+    with pytest.raises(ValueError):
+        CacheState(capacity_units=[1, -1], universe=[2, 2])
+    hits, misses, bypassed = replay(state, [1, 0, 4, 2, 3], pol)
+    assert (hits.tolist(), misses.tolist(), bypassed.tolist()) == ([0, 0], [2, 3], [1, 1])
+    assert state.resident.tolist() == [1, 2, 4]  # first-offered misses admitted
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,22 @@ import os
 import re
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsim import Trace, read_trace, traces, write_trace
+from sparsim import MlpWeights, Trace, read_trace, traces, write_trace
+from sparsim import cli as cli_module
 from sparsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SIMULATION,
     EXIT_VALIDATION,
+    MAX_ARRAY_BYTES,
+    ConfigError,
+    _check_bytes,
     _write_report,
     main,
 )
@@ -210,6 +215,36 @@ def test_sweep_gamma_grid_for_cache_aware_scheme(tmp_path):
     assert len(rows) == 4
     assert {(r["density"], r["gamma"]) for r in rows} == \
         {(0.25, 0.2), (0.25, 1.0), (0.5, 0.2), (0.5, 1.0)}
+
+
+@pytest.mark.parametrize("scheme,grid", [
+    ("dip_ca", {"densities": [0.25, 0.5], "gammas": [0.2, 1.0]}),
+    ("dip", {"densities": [0.25, 0.5, 0.25]}),
+    ("glu", {"densities": [0.75, 0.5]}),
+])
+@pytest.mark.parametrize("policy", ["lru", "lfu"])
+def test_sweep_rows_equal_the_run_of_their_point(tmp_path, scheme, grid, policy):
+    # a sweep runs its points in lockstep; each row must still equal, bit
+    # for bit, the run report of its point with kernel_eval on
+    cfg = _write_config(tmp_path, "s.json", _run_config(
+        scheme={"name": scheme}, policy=policy, sweep=grid))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = _load(out)["rows"]
+    assert len(rows) == len(grid["densities"]) * len(grid.get("gammas", [None]))
+    for i, row in enumerate(rows):
+        scheme_cfg = {"name": scheme, "density_mid": row["density"]}
+        if "gamma" in row:
+            scheme_cfg["gamma"] = row["gamma"]
+        run_cfg = _write_config(tmp_path, f"r{i}.json", _run_config(
+            scheme=scheme_cfg, policy=policy, kernel_eval=True))
+        run_out = tmp_path / f"r{i}.out.json"
+        assert main(["run", "--config", run_cfg, "--out", str(run_out)]) == EXIT_OK
+        m = _load(run_out)["metrics"]
+        assert (row["throughput"], row["steady_state_throughput"], row["error"],
+                row["hit_rate"]) == (m["throughput_tok_per_s"],
+                                     m["steady_state_throughput_tok_per_s"],
+                                     m["mean_error"], m["hit_rate"])
 
 
 def test_sweep_gammas_rejected_for_oblivious_scheme(tmp_path):
@@ -513,8 +548,9 @@ def test_validation_error_when_config_exceeds_memory(tmp_path, capsys, monkeypat
         raise MemoryError(f"Unable to allocate an array for {spec.num_tokens} tokens")
 
     monkeypatch.setattr(traces, "generate_synthetic_trace", too_large)
+    # within MAX_ARRAY_BYTES, so the allocator is reached
     cfg = _write_config(tmp_path, "g.json", {
-        "num_tokens": 1000000000000, "num_layers": 2, "d_model": 8, "d_ff": 24})
+        "num_tokens": 1000000, "num_layers": 2, "d_model": 8, "d_ff": 24})
     out = tmp_path / "t.bin"
     assert main(["gen-trace", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -522,6 +558,76 @@ def test_validation_error_when_config_exceeds_memory(tmp_path, capsys, monkeypat
         "validation error: config needs more memory than is available: Unable to allocate")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,cfg,what", [
+    ("gen-trace", {"num_tokens": 3, "num_layers": 2, "d_model": 8, "d_ff": 24, "mu": 1e12},
+     "float32 range"),
+    ("run", _run_config(trace={"synthetic": {"num_tokens": 3, "sigma": 1e12}}),
+     "float32 range"),
+    ("calibrate-allocation", {"block": {"d_model": 8, "d_ff": 24},
+                              "calibration": {"sigma": 1e12},
+                              "grid": {"densities_in": [0.5], "densities_mid": [0.5]},
+                              "targets": [0.5]}, "calibration.sigma"),
+])
+def test_validation_error_for_inputs_that_overflow(tmp_path, capsys, verb, cfg, what):
+    # a huge mu or sigma overflows the generated data: rejected where it is
+    # made, with one stderr line and no numpy warning
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and what in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("allocated despite the size limit")
+
+
+@pytest.mark.parametrize("verb,cfg,what", [
+    ("gen-trace", {"num_tokens": 10**12, "num_layers": 2, "d_model": 8, "d_ff": 24},
+     "the trace"),
+    ("run", _run_config(trace={"synthetic": {"num_tokens": 10**12}}), "the trace"),
+    ("run", _run_config(geometry={**GEOMETRY, "d_model": 10**5, "d_ff": 10**5}),
+     "the MLP weights"),
+    ("sweep", _run_config(geometry={**GEOMETRY, "num_layers": 10**9},
+                          sweep={"densities": [0.5]}), "the MLP weights"),
+    ("gamma-sweep", {**_run_config(trace={"synthetic": {"num_tokens": 2**27}}),
+                     "scheme": None, "gammas": [0.5], "densities": [0.5]}, "the trace"),
+    ("calibrate-allocation", {"block": {"d_model": 10**5, "d_ff": 10**5},
+                              "grid": {"densities_in": [0.5], "densities_mid": [0.5]},
+                              "targets": [0.5]}, "the MLP weights"),
+    ("calibrate-allocation", {"block": {"d_model": 8, "d_ff": 24},
+                              "calibration": {"num_inputs": 2**25},
+                              "grid": {"densities_in": [0.5], "densities_mid": [0.5]},
+                              "targets": [0.5]}, "the calibration inputs"),
+])
+def test_validation_error_when_config_exceeds_the_size_limit(tmp_path, capsys, monkeypatch,
+                                                              verb, cfg, what):
+    # arrays over MAX_ARRAY_BYTES are exit 1 before anything is allocated:
+    # every allocator of a trace, weights or inputs fails the test if reached
+    for mod, name in ((traces, "generate_synthetic_trace"),
+                      (traces, "synthetic_layer_weights"), (MlpWeights, "random"),
+                      (cli_module, "_signed_heavy_tailed")):
+        monkeypatch.setattr(mod, name, _never_called)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {what} would take ")
+    assert err.endswith(f"over the limit of {MAX_ARRAY_BYTES} bytes\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_size_limit_is_inclusive():
+    _check_bytes("x", MAX_ARRAY_BYTES // 8)
+    with pytest.raises(ConfigError):
+        _check_bytes("x", MAX_ARRAY_BYTES // 8 + 1)
+    _check_bytes("x", 0, 10**30)  # an empty array takes nothing
 
 
 _SMALL_GEOMETRY = {"num_layers": 2, "d_model": 8, "d_ff": 24, "bytes_per_weight": 2.0,
@@ -556,7 +662,7 @@ _FUZZ_CONFIGS = {
 }
 # wrong types for every kind of leaf, and small in-range-or-not numbers
 _WRONG_VALUES = ["0.5", "", "lfu", [], [0.5], ["x"], [[1]], {}, {"a": 1}, None, True,
-                 False, 0, 1, -1, 2, 0.5, 1.5, -0.5]
+                 False, 0, 1, -1, 2, 0.5, 1.5, -0.5, 10**12]
 
 
 def _paths(node, prefix=()):
@@ -596,7 +702,9 @@ def test_wrong_typed_config_values_keep_the_cli_contract(verb, data):
         with open(cfg_path, "w") as f:
             json.dump(cfg, f)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # a numpy warning would be a second stderr line outside the test
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = main([verb, "--config", cfg_path, "--out", out])
         err = err.getvalue()
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_SIMULATION, EXIT_IO)

@@ -617,22 +617,41 @@ def test_latency_overflow_is_a_simulation_error(geo, hw):
         simulate_run(tr, w, SchemeConfig(name="dip", density_mid=0.5), "lfu", hw, geo)
 
 
-def test_sweep_runs_equal_one_run_per_point():
+def test_sweep_runs_equal_one_run_per_point(monkeypatch):
     # each point is the base config with its density (density_in follows
-    # it) and its gamma, or the base gamma when the point's is None
-    tr, w = _trace(num_tokens=6), _weights()
+    # it) and its gamma, or the base gamma when the point's is None.  Every
+    # scheme under every policy it accepts; the points hold two
+    # (k_in, k_mid) pairs and a repeated point; a small _ROW_BLOCK splits the
+    # mask rows into several batches and the tokens into several blocks
+    trs = (_trace(num_tokens=6), np.zeros((0, GEO.num_layers, GEO.d_model)))
+    w = _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
-    base = SchemeConfig(name="dip_ca", density_mid=0.5, density_in=0.125, gamma=0.3,
-                        reweight_input=False)
-    points = [(0.25, None), (0.5, 1.0), (0.25, 0.0)]
-    got = sweep_runs(tr, w, base, points, "lru", hw, GEO, kernel_eval=True)
-    assert len(got) == len(points)
-    for (density, gamma), rep in zip(points, got):
-        cfg = SchemeConfig(name="dip_ca", density_mid=density, reweight_input=False,
-                           gamma=0.3 if gamma is None else gamma)
-        want = simulate_run(tr, w, cfg, "lru", hw, GEO, kernel_eval=True)
-        assert rep.tokens == want.tokens
-        assert rep.mean_error == want.mean_error
+    points = [(0.25, None), (0.5, 1.0), (0.25, 0.0), (0.5, 1.0)]
+    for scheme, policy in [(s, p) for s in SCHEMES for p in POLICY_NAMES
+                           if not (SCHEMES[s].cache_aware and p == "belady")]:
+        base = SchemeConfig(name=scheme, density_mid=0.5, density_in=0.125, gamma=0.3,
+                            reweight_input=False, predictor_hidden=4)
+        wants = [[simulate_run(tr, w, SchemeConfig(
+            name=scheme, density_mid=density, reweight_input=False,
+            gamma=0.3 if gamma is None else gamma, predictor_hidden=4), policy, hw, GEO,
+            kernel_eval=True) for density, gamma in points] for tr in trs]
+        for row_block in (hwsim._ROW_BLOCK, 3):
+            monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+            for tr, want in zip(trs, wants):
+                case = (scheme, policy, row_block, len(want[0].tokens))
+                got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
+                assert len(got) == len(points), case
+                for rep, one in zip(got, want):
+                    assert rep.tokens == one.tokens, case
+                    assert rep.per_layer == one.per_layer, case
+                    assert rep.mean_error == one.mean_error, case
+                    assert (rep.throughput, rep.steady_state_throughput) == \
+                        (one.throughput, one.steady_state_throughput), case
+                    assert rep == one, case
+            monkeypatch.undo()
+        if scheme != "dense" and policy != "nocache":
+            # the points differ, so the test can tell them apart
+            assert wants[0][0].tokens != wants[0][1].tokens, scheme
 
 
 def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):

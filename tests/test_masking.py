@@ -241,6 +241,17 @@ def test_dip_ca_gamma_validation():
         dip_ca_scores(np.ones(2), np.ones(2), gamma=1.5)
     with pytest.raises(ValueError):
         dip_ca_scores(np.ones(3), np.ones(2))
+    # one gamma per row: any row's outside [0, 1] rejects the batch
+    x, c = np.ones((3, 2)), np.ones(2)
+    for gammas in ([0.2, 1.0, 1.5], [-0.1, 0.2, 0.2], [0.2, float("nan"), 0.2]):
+        with pytest.raises(ValueError, match="gamma"):
+            dip_ca_scores(x, c, gamma=np.array(gammas))
+        with pytest.raises(ValueError, match="gamma"):
+            dip_ca_rows(MlpWeights.random(2, 4), x, c, np.ones(4), 1, 2, gamma=np.array(gammas))
+    with pytest.raises(ValueError, match="one per row"):
+        dip_ca_scores(x, c, gamma=np.array([0.2, 0.5]))
+    with pytest.raises(ValueError, match="one per row"):
+        dip_ca_scores(np.ones(2), c, gamma=np.array([0.2]))
 
 
 def test_dip_ca_gamma_one_equals_plain_dip():

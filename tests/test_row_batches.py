@@ -31,7 +31,7 @@ from sparsim.masking import (
     topk_rows,
     up_pruning_rows,
 )
-from sparsim.mlp import rel_l2_rows
+from sparsim.mlp import down_projection, rel_l2_rows
 
 D_MODEL, D_FF = 8, 24
 KINDS = ("zeros", "repeated", "pm_pairs", "normal", "mixed")
@@ -183,30 +183,38 @@ def test_scheme_rows_match_per_vector_calls(batch, tied, data):
                                           oracles.keep_mask(D_FF, mid_order))
 
 
-@given(batches(), st.booleans(), st.data())
+@given(batches(), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_dip_ca_rows_with_per_row_weights_match_per_row_calls(batch, tied, data):
-    # one token's layers as one batch: row i has its own weights and residency
+def test_dip_ca_rows_with_per_row_weights_match_per_row_calls(batch, tied, shared, data):
+    # one token's layers, for every point of a sweep, as one batch: row i has
+    # its own weights, residency and gamma; shared draws the weights from a
+    # pool of two, so runs of rows share one MlpWeights as a layer's do
     x, rng = batch
     n = len(x)
-    ws = [_weights(rng, tied) for _ in range(n)]
+    pool = [_weights(rng, tied) for _ in range(2 if shared else n)]
+    ws = [pool[int(rng.integers(2))] if shared else pool[i] for i in range(n)]
     k_in = data.draw(st.integers(1, D_MODEL))
     k_mid = data.draw(st.integers(1, D_FF))
     gamma = data.draw(st.sampled_from([0.0, 0.2, 0.5]))
+    gammas = rng.choice([0.0, 0.2, 0.5, 1.0], n)
     c_in = rng.integers(0, 2, (n, D_MODEL)).astype(np.int8)
     c_mid = rng.integers(0, 2, (n, D_FF)).astype(np.int8)
     for g, re_in, re_mid in ((gamma, True, True), (gamma, False, True), (gamma, True, False),
-                             (1.0, True, True)):
+                             (1.0, True, True), (gammas, True, True), (gammas, True, False)):
         rows = dip_ca_rows(ws, x, c_in, c_mid, k_in, k_mid, g, re_in, re_mid)
+        y = down_projection(ws, rows.glu, rows.intermediate_mask)
         for i, row in enumerate(x):
-            want = dip_ca_rows(ws[i], row[None], c_in[i], c_mid[i], k_in, k_mid, g,
+            g_i = g[i] if isinstance(g, np.ndarray) else g
+            want = dip_ca_rows(ws[i], row[None], c_in[i], c_mid[i], k_in, k_mid, g_i,
                                re_in, re_mid)
             for field in ("input_order", "input_mask", "intermediate_order",
                           "intermediate_mask"):
                 assert np.array_equal(getattr(rows, field)[i], getattr(want, field)[0])
             assert np.array_equal(rows.glu[i],
                                   oracles.glu_activations(ws[i], row, rows.input_mask[i]))
-            if g == 1.0:
+            assert np.array_equal(y[i], down_projection(ws[i], rows.glu[i],
+                                                        rows.intermediate_mask[i]))
+            if g_i == 1.0:
                 # no re-weighting: plain input pruning, down to the last bit
                 dip = dip_rows(ws[i], row[None], k_in, k_mid)
                 for field in ("input_order", "input_mask", "intermediate_order",

@@ -140,6 +140,16 @@ def test_empty_trace_round_trip(tmp_path):
     assert back.activations.shape == (0, 2, 8)
 
 
+def test_write_rejects_dimensions_the_header_cannot_hold(tmp_path):
+    # the header holds each dimension in 32 bits; d_ff costs no memory, so a
+    # huge one reaches the writer
+    tr = Trace(num_layers=2, d_model=8, d_ff=1 << 32, activations=np.zeros((1, 2, 8)))
+    path = tmp_path / "big.bin"
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        write_trace(path, tr)
+    assert not path.exists()
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 64)

@@ -9,16 +9,14 @@ from .mlp import (MlpWeights, LoraAdapter, MlpAdapters, Predictor, ErrorMetrics,
                   PredictorTrainResult, predictor_train, TrainingDivergedError)
 from .masking import (GlobalThreshold, PerLayerThreshold, PerTokenTopK, apply_threshold,
                       dip_rows, dip_ca_rows, dip_ca_scores, density_to_k, DEFAULT_GAMMA)
-from .cache import (Group, AccessStats, CacheState, EvictionPolicy, NextUseTable, replay,
-                    belady_precompute, cache_update, resident_bitvector)
+from .cache import Group, CacheState, replay, belady_precompute, resident_bitvector
 from .hwsim import (HardwareConfig, ModelGeometry, GroupSpec, Scheme, SCHEMES, SchemeConfig,
-                    TokenCost, RunReport, SimulationError, unit_bytes,
+                    TokenCost, RunReport, SimulationError,
                     scheme_groups, allocate_dram, simulate_run,
                     sweep_runs, throughput_at_error, predictor_static_bytes)
 from .traces import (SyntheticTraceSpec, Trace, TraceFormatError,
                      generate_synthetic_trace, synthetic_layer_weights,
-                     write_trace, read_trace, write_tensors, read_tensors,
-                     save_mlp_weights, load_mlp_weights, save_adapters, load_adapters)
+                     write_trace, read_trace)
 from .calibration import (calibrate_per_layer_thresholds, global_threshold_for_density,
                           layer_densities, AllocationPoint, sweep_density_allocation,
                           pareto_front, AllocationModel, fit_logit_linear,

@@ -10,10 +10,11 @@ are admitted while capacity remains, evicting only among residents that are
 not active this token; when nothing is evictable the miss is bypassed
 (streamed without caching).
 
-Eviction policies: LFU (access count within the current residency span,
-reset on eviction; ties by recency then lowest unit index), LRU (ties by
-lowest index), Belady's oracle (farthest next use, never-used-again first,
-ties by lowest index), and NoCache (every access misses).
+An eviction policy is a name from POLICY_NAMES: "lfu" (access count within
+the current residency span, reset on eviction; ties by recency then lowest
+unit index), "lru" (ties by lowest index), "belady", the offline oracle
+(farthest next use, never-used-again first, ties by lowest index), and
+"nocache" (every access misses).  replay is the one entry point.
 
 One token is replayed as one batch over arrays indexed by unit.  This equals
 offering the units one at a time: a resident that is not active this token
@@ -40,16 +41,16 @@ each cache.  The one thing the caches share is the clock, and a shared
 clock reads the same as a private one because every cache advances exactly
 once per token, with or without active units.
 
-Belady keys come from a next-use table that stores, per access, the position
-of the same unit's next access.  Each access writes it into the cache, so a
-non-active resident holds the next use after its last access, which is its
-next use after now: every unit of a token's trace entry is accessed that
-token.  One table over the flat unit axis serves every cache.
+Belady keys come from belady_precompute, which gives each token an array,
+aligned with its units, of each unit's next access position.  replay writes
+the token's array into the cache, so a non-active resident holds the next
+use after its last access, which is its next use after now: every unit of a
+token's trace entry is accessed that token.  One precomputation over the
+flat unit axis serves every cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import List, Optional, Sequence
 
@@ -58,13 +59,9 @@ import numpy as np
 __all__ = [
     "POLICY_NAMES",
     "Group",
-    "AccessStats",
     "CacheState",
-    "NextUseTable",
     "belady_precompute",
-    "EvictionPolicy",
     "replay",
-    "cache_update",
     "resident_bitvector",
 ]
 
@@ -77,27 +74,6 @@ class Group(IntEnum):
     INPUT_BUNDLE = 0
     INTERMEDIATE_BUNDLE = 1
     DENSE_CHUNK = 2
-
-
-@dataclass
-class AccessStats:
-    """Hit/miss counters; bypassed is the subset of misses never admitted."""
-
-    hits: int = 0
-    misses: int = 0
-    bypassed: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    def __add__(self, other: "AccessStats") -> "AccessStats":
-        return AccessStats(self.hits + other.hits, self.misses + other.misses,
-                           self.bypassed + other.bypassed)
 
 
 class CacheState:
@@ -144,26 +120,11 @@ class CacheState:
         return np.flatnonzero(self.is_resident)
 
 
-@dataclass(frozen=True)
-class NextUseTable:
-    """Belady next-use data for an access trace over a flat unit axis.
-
-    units[t] holds the units accessed at position t and next_use[t], aligned
-    with it, the position of each unit's next access (length when it is never
-    accessed again).
-    """
-
-    units: List[np.ndarray]
-    next_use: List[np.ndarray]
-
-    @property
-    def length(self) -> int:
-        return len(self.units)
-
-
-def belady_precompute(trace: Sequence[Sequence[int]]) -> NextUseTable:
-    """Next-use table for a full access trace (the unit indices of each
-    token), built in one backward pass; memory is linear in the accesses."""
+def belady_precompute(trace: Sequence[Sequence[int]]) -> List[np.ndarray]:
+    """Belady next-use data for a full access trace (the unit indices of
+    each token), built in one backward pass: per token, an int64 array
+    aligned with its units holding the position of each unit's next access
+    (len(trace) when it is never accessed again)."""
     units = [np.asarray(t, dtype=np.intp) for t in trace]
     size = max((int(u.max()) + 1 for u in units if u.size), default=0)
     upcoming = np.full(size, len(units), dtype=np.int64)
@@ -171,27 +132,7 @@ def belady_precompute(trace: Sequence[Sequence[int]]) -> NextUseTable:
     for pos in range(len(units) - 1, -1, -1):
         next_use[pos] = upcoming[units[pos]]
         upcoming[units[pos]] = pos
-    return NextUseTable(units, next_use)
-
-
-@dataclass(frozen=True)
-class EvictionPolicy:
-    kind: str
-    next_use: Optional[NextUseTable] = None
-
-    def __post_init__(self):
-        if self.kind not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {self.kind!r}")
-        if self.kind == "belady" and self.next_use is None:
-            raise ValueError("belady policy needs a next-use table")
-
-    @classmethod
-    def lfu(cls) -> "EvictionPolicy":
-        return cls("lfu")
-
-    @classmethod
-    def belady(cls, table: NextUseTable) -> "EvictionPolicy":
-        return cls("belady", next_use=table)
+    return next_use
 
 
 def _rank_within(owner: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -200,16 +141,20 @@ def _rank_within(owner: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-def replay(state: CacheState, active_units: Sequence[int], policy: EvictionPolicy,
-           position: Optional[int] = None):
-    """Advance every cache of state by one token, in place.
+def replay(state: CacheState, active_units: Sequence[int], policy: str,
+           next_use: Optional[Sequence[int]] = None):
+    """Advance every cache of state by one token, in place, under the
+    eviction policy named policy (one of POLICY_NAMES).
 
     active_units holds the token's active flat unit ids cache by cache, in
     ascending cache order, each cache's in admission order (descending
     priority); a cache may have none.  Returns (hits, misses, bypassed), int
-    arrays with one count per cache.  position is the token's index in the
-    precomputed trace; required for the Belady policy, ignored otherwise.
+    arrays with one count per cache.  next_use, aligned with active_units,
+    is this token's entry of belady_precompute; required for the Belady
+    policy, ignored otherwise.
     """
+    if policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
     active = np.asarray(active_units, dtype=np.intp)
     if active.ndim != 1:
         raise ValueError("active units must be a flat sequence of unit indices")
@@ -222,11 +167,10 @@ def replay(state: CacheState, active_units: Sequence[int], policy: EvictionPolic
     owner = state.cache_of[active]
     if (owner[1:] < owner[:-1]).any():
         raise ValueError("active units must go cache by cache, in ascending cache order")
-    if policy.kind == "belady":
-        if position is None:
-            raise ValueError("belady eviction needs the current trace position")
-        table = policy.next_use
-        state.next_use[table.units[position]] = table.next_use[position]
+    if policy == "belady":
+        if next_use is None or np.shape(next_use) != active.shape:
+            raise ValueError("belady eviction needs one next use per active unit")
+        state.next_use[active] = next_use
     state.clock += 1
     n = state.num_caches
 
@@ -237,7 +181,7 @@ def replay(state: CacheState, active_units: Sequence[int], policy: EvictionPolic
     misses, miss_owner = active[~hit], owner[~hit]
     n_hits = np.bincount(owner[hit], minlength=n)
     n_misses = np.bincount(miss_owner, minlength=n)
-    if policy.kind == "nocache":
+    if policy == "nocache":
         return n_hits, n_misses, n_misses.copy()
 
     admitted = np.minimum(n_misses, state.capacity_units - state.count)
@@ -251,9 +195,9 @@ def replay(state: CacheState, active_units: Sequence[int], policy: EvictionPolic
         n_evict = np.minimum(short, n_cand)
         # the cache id leads; candidates ascend by index and lexsort is
         # stable, so ties go to the lowest index
-        if policy.kind == "lfu":
+        if policy == "lfu":
             keys = (state.last_use[candidates], state.freq[candidates], cand_owner)
-        elif policy.kind == "lru":
+        elif policy == "lru":
             keys = (state.last_use[candidates], cand_owner)
         else:
             keys = (-state.next_use[candidates], cand_owner)
@@ -269,13 +213,6 @@ def replay(state: CacheState, active_units: Sequence[int], policy: EvictionPolic
     state.last_use[admit] = state.clock
     state.count += admitted
     return n_hits, n_misses, n_misses - admitted
-
-
-def cache_update(state: CacheState, active_units: Sequence[int],
-                 policy: EvictionPolicy, position: Optional[int] = None) -> AccessStats:
-    """replay, summed over the caches of state: for a single cache, its
-    hit/miss/bypass counts for this token."""
-    return AccessStats(*(int(v.sum()) for v in replay(state, active_units, policy, position)))
 
 
 def resident_bitvector(state: CacheState) -> np.ndarray:

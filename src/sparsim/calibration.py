@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,10 +186,11 @@ def _points_at_input_density(w: MlpWeights, xs: np.ndarray, dense_outs: np.ndarr
 def pareto_front(points: Sequence, key=None) -> List:
     """Non-dominated subset under (memory, error), both minimized; a point is
     dropped iff another is no worse on both axes and strictly better on one.
-    Output sorted by memory then error; independent of input order."""
+    Output sorted by memory then error; independent of input order.  key
+    maps a point to its (memory, error) pair and by default reads the
+    point's (memory_fraction, error)."""
     if key is None:
-        key = (lambda p: (p.memory_fraction, p.error)) if points and hasattr(
-            points[0], "memory_fraction") else (lambda p: (p[0], p[1]))
+        key = attrgetter("memory_fraction", "error")
     items = [(key(p), p) for p in points]
     front = []
     for (m, e), p in items:

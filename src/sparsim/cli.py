@@ -14,8 +14,9 @@ reads (hwsim.Scheme.reads) is rejected.  Reports are JSON written atomically
 (temp file + rename) with sorted keys, so re-running an identical config and
 seed reproduces the report byte-for-byte except the timestamp field.
 
-Exit codes: 0 success, 1 validation error (including a config whose arrays
-exceed MAX_ARRAY_BYTES or do not fit in memory), 2 simulation error
+Exit codes: 0 success, 1 validation error (including a config that nests
+too deeply to parse, or whose arrays exceed MAX_ARRAY_BYTES or do not fit
+in memory), 2 simulation error
 (including a modelled latency that overflows the float range), 3 I/O error.
 """
 
@@ -66,7 +67,10 @@ def _check_bytes(what: str, *dims: int) -> None:
 
 def _load_config(args) -> dict:
     with open(args.config, "r") as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except RecursionError:
+            raise ConfigError("config nests too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     # --seed overrides the config's seed
@@ -431,7 +435,7 @@ def _cmd_gamma_sweep(args) -> None:
     gammas, densities = s.fields["gammas"], s.fields["densities"]
     if not gammas or not densities:
         raise ConfigError("gammas and densities must be non-empty")
-    # belady is rejected by simulate_run: dip_ca masks depend on the cache
+    # belady is rejected by hwsim._simulate: dip_ca masks depend on the cache
     rows = calibration.gamma_sweep(s.trace, s.weights, s.hw, s.geo, gammas, densities,
                                    policy=policy, kernel_eval=kernel_eval)
     out = _report_skeleton("gamma-sweep", {

@@ -34,8 +34,8 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from . import masking
-from .cache import (POLICY_NAMES, CacheState, EvictionPolicy, Group, belady_precompute,
-                    replay, resident_bitvector)
+from .cache import (POLICY_NAMES, CacheState, Group, belady_precompute, replay,
+                    resident_bitvector)
 from .mlp import MlpWeights, down_projection, glu_activations, mlp_dense_forward, rel_l2_rows
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "GroupSpec",
     "Scheme",
     "SCHEMES",
-    "unit_bytes",
     "scheme_groups",
     "predictor_static_bytes",
     "allocate_dram",
@@ -112,19 +111,6 @@ class ModelGeometry:
         return self.total_mlp_bytes + self.static_bytes
 
 
-def unit_bytes(geo: ModelGeometry, group: Group) -> float:
-    """Canonical unit sizes: an input bundle is one up column plus one gate
-    column, an intermediate bundle is one down column, a dense chunk is one
-    column of a d_ff-tall matrix."""
-    if group == Group.INPUT_BUNDLE:
-        return 2.0 * geo.d_ff * geo.bytes_per_weight
-    if group == Group.INTERMEDIATE_BUNDLE:
-        return geo.d_model * geo.bytes_per_weight
-    if group == Group.DENSE_CHUNK:
-        return geo.d_ff * geo.bytes_per_weight
-    raise ValueError(f"unknown group {group!r}")
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """One unit group of a layer: universe size, bytes per unit, and whether
@@ -171,8 +157,9 @@ def predictor_static_bytes(geo: ModelGeometry, hidden: int) -> float:
 
 
 def allocate_dram(hw: HardwareConfig, geo: ModelGeometry, groups: Sequence[GroupSpec],
-                  static_bytes: Optional[float] = None) -> List[Dict[Group, int]]:
-    """Per-layer cache capacities in units.
+                  static_bytes: Optional[float] = None) -> Tuple[int, ...]:
+    """Cache capacity in units of each group of one layer, aligned with
+    groups; every layer gets the same.
 
     DRAM left after the static working set is split equally across layers;
     each layer's share is split across its unit groups proportionally to the
@@ -189,13 +176,10 @@ def allocate_dram(hw: HardwareConfig, geo: ModelGeometry, groups: Sequence[Group
     per_layer_bytes = remaining / geo.num_layers
     total_group_bytes = sum(g.total_bytes for g in groups)
     capacities = []
-    for _ in range(geo.num_layers):
-        caps = {}
-        for g in groups:
-            share = per_layer_bytes * (g.total_bytes / total_group_bytes)
-            caps[g.kind] = min(g.universe, int(share // g.unit_bytes))
-        capacities.append(caps)
-    return capacities
+    for g in groups:
+        share = per_layer_bytes * (g.total_bytes / total_group_bytes)
+        capacities.append(min(g.universe, int(share // g.unit_bytes)))
+    return tuple(capacities)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +357,7 @@ def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndar
 
 
 def _layout(configs: Sequence[SchemeConfig], groups: Sequence[GroupSpec],
-            capacities: List[Dict[Group, int]], geo: ModelGeometry):
+            capacities: Sequence[int], geo: ModelGeometry):
     """The caches of every (point, layer, group) on one flat axis, and the
     mask batches that stream into them.
 
@@ -389,8 +373,8 @@ def _layout(configs: Sequence[SchemeConfig], groups: Sequence[GroupSpec],
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
         (l, p) for points in members.values() for l in range(geo.num_layers)
         for p in points]))
-    caches = CacheState([capacities[l][g.kind] for l in layer for g in groups],
-                        [g.universe for _ in layer for g in groups])
+    caches = CacheState(np.tile(capacities, len(layer)),
+                        np.tile([g.universe for g in groups], len(layer)))
     base = caches.offsets[:-1].reshape(len(layer), len(groups))
     cid = np.empty((len(configs), geo.num_layers, len(groups)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
@@ -571,12 +555,12 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
                           errors)
     if policy == "belady":
         stream = list(stream)
-        rule = EvictionPolicy.belady(belady_precompute(stream))
+        next_use = belady_precompute(stream)
     else:
-        rule = EvictionPolicy(policy)
+        next_use = [None] * num_tokens
     counts = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
-    for t, active in enumerate(stream):
-        counts[:, t] = replay(caches, active, rule, position=t)
+    for t, (active, upcoming) in enumerate(zip(stream, next_use)):
+        counts[:, t] = replay(caches, active, policy, upcoming)
     return [_report(*counts[:, :, cid[p]], groups, static, hw,
                     errors[p] if errors is not None else None)
             for p in range(len(configs))]
@@ -593,9 +577,10 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     are included in throughput, and steady_state_throughput excludes the
     first token so warm-cache figures can be read off directly.  Masks turn
     into a stream of unit accesses (stage 1) that is replayed through the
-    caches (stage 2) and priced (stage 3); the Belady policy reads the whole
-    stream first to build its next-use table (rejected for cache-aware
-    schemes, whose masks depend on cache contents).  kernel_eval
+    caches (stage 2) and priced (stage 3).  The policy is a name from
+    POLICY_NAMES; "belady" reads the whole stream first and hands each
+    token's replay its next-use array, and is rejected with SimulationError
+    for cache-aware schemes, whose masks depend on cache contents.  kernel_eval
     additionally runs the block forward per token/layer and reports the mean
     relative-L2 error against the dense block.  Raises SimulationError when
     the modelled latency or traffic overflows the float range.

@@ -1,4 +1,4 @@
-"""Synthetic activation traces and the binary file formats.
+"""Synthetic activation traces and the binary trace file format.
 
 Traces hold one activation vector per (token, layer) and are generated as
 sign * lognormal(mu_l, sigma_l) with i.i.d. Rademacher signs: heavy-tailed
@@ -8,8 +8,7 @@ are quantized through float32 so an in-memory trace equals its file
 round-trip bit-for-bit.
 
 Trace files ('DSTR' magic) carry float32 activation vectors (payload kind
-0; files of the unit-index payload, kind 1, are rejected); weight tensor
-files ('DWTS' magic) carry row-major float32 tensors.  All integers
+0; files of the unit-index payload, kind 1, are rejected).  All integers
 little-endian.  Values widen to float64 in memory.  Files are written
 atomically (temp file + rename).
 """
@@ -24,7 +23,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .mlp import LoraAdapter, MlpAdapters, MlpWeights
+from .mlp import MlpWeights
 
 __all__ = [
     "TraceFormatError",
@@ -34,23 +33,16 @@ __all__ = [
     "synthetic_layer_weights",
     "write_trace",
     "read_trace",
-    "write_tensors",
-    "read_tensors",
-    "save_mlp_weights",
-    "load_mlp_weights",
-    "save_adapters",
-    "load_adapters",
 ]
 
 TRACE_MAGIC = b"DSTR"
-TENSOR_MAGIC = b"DWTS"
 TRACE_VERSION = 1
-TENSOR_VERSION = 1
 KIND_ACTIVATIONS = 0
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace or tensor file (bad magic, version, or truncation)."""
+    """Malformed trace file (bad magic, version, payload kind, truncation,
+    trailing data or non-finite activations)."""
 
 
 @dataclass(frozen=True)
@@ -158,14 +150,13 @@ def atomic_write(path, data: bytes) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, what: str):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.what = what
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise TraceFormatError(f"truncated {self.what}: wanted {n} bytes at "
+            raise TraceFormatError(f"truncated trace file: wanted {n} bytes at "
                                    f"offset {self.pos}, file has {len(self.data)}")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -177,7 +168,7 @@ class _Reader:
     def done(self) -> None:
         if self.pos != len(self.data):
             raise TraceFormatError(
-                f"trailing data in {self.what}: {len(self.data) - self.pos} extra bytes")
+                f"trailing data in trace file: {len(self.data) - self.pos} extra bytes")
 
 
 def write_trace(path, trace: Trace) -> None:
@@ -195,7 +186,7 @@ def write_trace(path, trace: Trace) -> None:
 
 def read_trace(path) -> Trace:
     with open(path, "rb") as f:
-        r = _Reader(f.read(), "trace file")
+        r = _Reader(f.read())
     magic = r.take(4)
     if magic != TRACE_MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
@@ -213,64 +204,3 @@ def read_trace(path) -> Trace:
         raise TraceFormatError("trace file holds non-finite activations")
     return Trace(num_layers=num_layers, d_model=d_model, d_ff=d_ff,
                  activations=acts.reshape(num_tokens, num_layers, d_model))
-
-
-# ---------------------------------------------------------------------------
-# weight tensor files
-# ---------------------------------------------------------------------------
-
-def write_tensors(path, arrays: Sequence[np.ndarray]) -> None:
-    """Row-major float32 tensors, any count, dims in the header."""
-    out = bytearray()
-    out += TENSOR_MAGIC
-    out += struct.pack("<II", TENSOR_VERSION, len(arrays))
-    for arr in arrays:
-        arr = np.asarray(arr)
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    atomic_write(path, bytes(out))
-
-
-def read_tensors(path) -> List[np.ndarray]:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), "tensor file")
-    magic = r.take(4)
-    if magic != TENSOR_MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}: not a tensor file")
-    version, count = r.unpack("<II")
-    if version != TENSOR_VERSION:
-        raise TraceFormatError(f"unsupported tensor version {version}")
-    arrays = []
-    for _ in range(count):
-        (ndim,) = r.unpack("<I")
-        shape = r.unpack(f"<{ndim}I") if ndim else ()
-        n = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * n)
-        arrays.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape))
-    r.done()
-    return arrays
-
-
-def save_mlp_weights(path, w: MlpWeights) -> None:
-    write_tensors(path, [w.up, w.gate, w.down])
-
-
-def load_mlp_weights(path) -> MlpWeights:
-    arrays = read_tensors(path)
-    if len(arrays) != 3:
-        raise TraceFormatError(f"expected 3 tensors (up, gate, down), got {len(arrays)}")
-    return MlpWeights(up=arrays[0], gate=arrays[1], down=arrays[2])
-
-
-def save_adapters(path, ad: MlpAdapters) -> None:
-    write_tensors(path, [ad.up.a, ad.up.b, ad.gate.a, ad.gate.b, ad.down.a, ad.down.b])
-
-
-def load_adapters(path) -> MlpAdapters:
-    arrays = read_tensors(path)
-    if len(arrays) != 6:
-        raise TraceFormatError(f"expected 6 adapter tensors, got {len(arrays)}")
-    return MlpAdapters(up=LoraAdapter(arrays[0], arrays[1]),
-                       gate=LoraAdapter(arrays[2], arrays[3]),
-                       down=LoraAdapter(arrays[4], arrays[5]))

@@ -19,7 +19,7 @@ class ReferenceCache:
     the smallest eviction key: (freq, last_use, unit) for LFU, (last_use,
     unit) for LRU, and for Belady the farthest next use in the trace (never
     used again first), lowest unit on ties.  Evicting a unit drops its freq
-    and last_use.  This is the obvious form of sparsim.cache_update.
+    and last_use.  This is the obvious form of sparsim.replay.
     """
 
     def __init__(self, capacity):

@@ -16,8 +16,6 @@ import pytest
 import sparsim
 from sparsim import (
     CacheState,
-    EvictionPolicy,
-    Group,
     GEOMETRY_PRESETS,
     HARDWARE_PRESETS,
     HardwareConfig,
@@ -30,7 +28,6 @@ from sparsim import (
     SyntheticTraceSpec,
     approx_error,
     belady_precompute,
-    cache_update,
     dip_ca_rows,
     dip_ca_scores,
     dip_rows,
@@ -40,12 +37,12 @@ from sparsim import (
     layer_densities,
     mlp_dense_forward,
     mlp_sparse_forward,
+    replay,
+    scheme_groups,
     silu,
     simulate_run,
     synthetic_layer_weights,
-    unit_bytes,
 )
-from sparsim.cache import AccessStats
 from sparsim.calibration import (
     fit_logit_linear,
     optimal_allocation,
@@ -110,14 +107,10 @@ def test_criterion_2_belady_optimality():
 
         def run(kind):
             state = CacheState(capacity_units=capacity, universe=n_units)
-            if kind == "belady":
-                pol = EvictionPolicy.belady(belady_precompute(trace))
-            else:
-                pol = EvictionPolicy(kind)
-            total = AccessStats()
-            for pos, active in enumerate(trace):
-                total = total + cache_update(state, active, pol, position=pos)
-            return total.hits
+            next_use = (belady_precompute(trace) if kind == "belady"
+                        else [None] * len(trace))
+            return sum(int(replay(state, active, kind, upcoming)[0].sum())
+                       for active, upcoming in zip(trace, next_use))
 
         optimal = brute_force_best_hits(trace, capacity)
         belady = run("belady")
@@ -247,9 +240,9 @@ def test_criterion_6_cache_aware_benefit():
     geo = ModelGeometry(num_layers=2, d_model=48, d_ff=144, bytes_per_weight=1.0)
     density = 0.5
     k_in, k_mid = 24, 72
+    input_bundle, intermediate_bundle = scheme_groups("dip", geo)
     active_bytes_per_layer = (
-        k_in * unit_bytes(geo, Group.INPUT_BUNDLE)
-        + k_mid * unit_bytes(geo, Group.INTERMEDIATE_BUNDLE))
+        k_in * input_bundle.unit_bytes + k_mid * intermediate_bundle.unit_bytes)
     hw = HardwareConfig(
         dram_capacity_bytes=geo.num_layers * 0.5 * active_bytes_per_layer,
         dram_bandwidth=60e6, flash_bandwidth=1e6)

@@ -1,41 +1,44 @@
 """Per-layer DRAM cache: LFU / LRU / offline-optimal / no-cache eviction,
 hit/miss/bypass accounting, and the offline policy's optimality against an
 exhaustive-search oracle."""
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import ReferenceCache, brute_force_best_hits as _brute_force_best_hits
 
-from sparsim import (
-    AccessStats,
-    CacheState,
-    EvictionPolicy,
-    belady_precompute,
-    cache_update,
-    replay,
-    resident_bitvector,
-)
+from sparsim import CacheState, belady_precompute, replay, resident_bitvector
 
 
 A, B, C = range(3)
 UNIVERSE = 5
 
 
+class Stats(NamedTuple):
+    hits: int
+    misses: int
+    bypassed: int
+
+
 def _resident(state):
     return set(state.resident.tolist())
 
 
-def _run(trace, policy_kind, capacity):
+def _step(state, active, policy, next_use=None):
+    """One token through replay, its counts summed over the caches."""
+    return Stats(*(int(v.sum()) for v in replay(state, active, policy, next_use)))
+
+
+def _run(trace, policy, capacity):
     """Drive a unit-access trace through a fresh cache; returns (stats, state)."""
     state = CacheState(capacity_units=capacity, universe=UNIVERSE)
-    if policy_kind == "belady":
-        policy = EvictionPolicy.belady(belady_precompute(trace))
-    else:
-        policy = EvictionPolicy(policy_kind)
-    total = AccessStats()
-    for pos, active in enumerate(trace):
-        total = total + cache_update(state, list(active), policy, position=pos)
+    next_use = belady_precompute(trace) if policy == "belady" else [None] * len(trace)
+    total = Stats(0, 0, 0)
+    for active, upcoming in zip(trace, next_use):
+        step = _step(state, list(active), policy, upcoming)
+        total = Stats(*(a + b for a, b in zip(total, step)))
     return total, state
 
 
@@ -71,10 +74,8 @@ def test_lru_evicts_least_recently_used():
 def test_lfu_tie_breaks_by_lru_then_index():
     # equal counts: B older than C, so B goes first
     state = CacheState(capacity_units=2, universe=UNIVERSE)
-    pol = EvictionPolicy.lfu()
-    cache_update(state, [B], pol)
-    cache_update(state, [C], pol)
-    cache_update(state, [A], pol)
+    for unit in (B, C, A):
+        replay(state, [unit], "lfu")
     assert _resident(state) == {C, A}
 
 
@@ -115,59 +116,62 @@ def test_admission_order_matters_at_capacity():
 def test_duplicate_active_units_rejected():
     state = CacheState(capacity_units=2, universe=UNIVERSE)
     with pytest.raises(ValueError):
-        cache_update(state, [A, A], EvictionPolicy.lfu())
+        replay(state, [A, A], "lfu")
 
 
 def test_out_of_range_units_rejected():
     state = CacheState(capacity_units=2, universe=1)
     with pytest.raises(ValueError):
-        cache_update(state, [B], EvictionPolicy.lfu())  # B is outside [0, 1)
+        replay(state, [B], "lfu")  # B is outside [0, 1)
     with pytest.raises(ValueError):
-        cache_update(state, [-1], EvictionPolicy.lfu())
+        replay(state, [-1], "lfu")
 
 
 def test_belady_requires_position():
-    trace = [[A], [B], [C]]
-    table = belady_precompute(trace)
+    # Belady needs the token's next-use positions, one per active unit
+    trace = [[A], [B, C], [C]]
+    next_use = belady_precompute(trace)
     state = CacheState(capacity_units=1, universe=UNIVERSE)
-    pol = EvictionPolicy.belady(table)
-    cache_update(state, [A], pol, position=0)
-    with pytest.raises(ValueError):
-        cache_update(state, [B], pol)  # eviction decision needs the position
+    replay(state, [A], "belady", next_use[0])
+    with pytest.raises(ValueError, match="next use"):
+        replay(state, [B, C], "belady")
+    with pytest.raises(ValueError, match="next use"):
+        replay(state, [B, C], "belady", next_use[0])  # one position for two units
+    assert state.clock == 1  # a rejected token changes nothing
+    replay(state, [B, C], "belady", next_use[1])
 
 
 def test_eviction_policy_validation():
-    with pytest.raises(ValueError):
-        EvictionPolicy("random")
-    with pytest.raises(ValueError):
-        EvictionPolicy("belady")  # needs a next-use table
-
-
-def test_access_stats_addition_and_rate():
-    s = AccessStats(hits=3, misses=1, bypassed=1) + AccessStats(hits=1, misses=3)
-    assert (s.hits, s.misses, s.bypassed) == (4, 4, 1)
-    assert s.accesses == 8
-    assert s.hit_rate == pytest.approx(0.5)
-    assert AccessStats().hit_rate == 0.0
+    state = CacheState(capacity_units=1, universe=UNIVERSE)
+    for policy in ("random", "LFU", ""):
+        with pytest.raises(ValueError, match="unknown policy"):
+            replay(state, [A], policy)
+    with pytest.raises(ValueError, match="next use"):
+        replay(state, [A], "belady")  # no next-use array
+    with pytest.raises(ValueError, match="next use"):
+        replay(state, [A], "belady", [1, 2])  # wrong length
+    assert state.clock == 0 and _resident(state) == set()
 
 
 def test_next_use_table_semantics():
-    table = belady_precompute([[A], [B], [A, C], [B]])
-
-    def next_after(unit, position):  # next use after the access at position
-        return table.next_use[position][table.units[position].tolist().index(unit)]
-
-    assert next_after(A, 0) == 2   # strictly after the current position
-    assert next_after(A, 2) == table.length  # never used again
-    assert next_after(B, 1) == 3
-    assert next_after(C, 2) == table.length
-    assert table.length == 4
+    # one array per token, aligned with the token's units
+    trace = [[A], [B], [A, C], [B]]
+    next_use = belady_precompute(trace)
+    assert len(next_use) == len(trace)
+    assert [u.tolist() for u in next_use] == [
+        [2],      # A next at 2: strictly after the current position
+        [3],      # B next at 3
+        [4, 4],   # neither A nor C is used again: len(trace)
+        [4],
+    ]
+    assert all(u.dtype == np.int64 for u in next_use)
+    assert belady_precompute([]) == []
+    assert [u.tolist() for u in belady_precompute([[], [C, A], []])] == [[], [3, 3], []]
 
 
 def test_resident_bitvector():
     state = CacheState(capacity_units=4, universe=UNIVERSE)
-    pol = EvictionPolicy.lfu()
-    cache_update(state, [1, 3], pol)
+    replay(state, [1, 3], "lfu")
     bits = resident_bitvector(state)
     np.testing.assert_array_equal(bits, [0, 1, 0, 1, 0])
     assert bits.dtype == np.int8
@@ -229,13 +233,10 @@ def oracle_case(draw, max_units=8, max_steps=10):
 def test_batch_replay_matches_per_unit_oracle(case, kind):
     universe, capacity, trace = case
     state = CacheState(capacity_units=capacity, universe=universe)
-    if kind == "belady":
-        policy = EvictionPolicy.belady(belady_precompute(trace))
-    else:
-        policy = EvictionPolicy(kind)
+    next_use = belady_precompute(trace) if kind == "belady" else [None] * len(trace)
     ref = ReferenceCache(capacity)
     for pos, active in enumerate(trace):
-        stats = cache_update(state, active, policy, position=pos)
+        stats = _step(state, active, kind, next_use[pos])
         expected = ref.update(active, kind, trace=trace, position=pos)
         assert (stats.hits, stats.misses, stats.bypassed) == expected, f"token {pos}"
         assert _resident(state) == ref.resident, f"token {pos}"
@@ -268,13 +269,10 @@ def test_replay_of_many_caches_matches_one_oracle_per_cache(case, kind):
     state = CacheState(capacity_units=capacities, universe=universes)
     offsets = np.concatenate(([0], np.cumsum(universes)))
     flat = [[offsets[c] + u for c, units in enumerate(tok) for u in units] for tok in tokens]
-    if kind == "belady":
-        policy = EvictionPolicy.belady(belady_precompute(flat))
-    else:
-        policy = EvictionPolicy(kind)
+    next_use = belady_precompute(flat) if kind == "belady" else [None] * len(flat)
     refs = [ReferenceCache(cap) for cap in capacities]
     for pos, (tok, active) in enumerate(zip(tokens, flat)):
-        hits, misses, bypassed = replay(state, active, policy, position=pos)
+        hits, misses, bypassed = replay(state, active, kind, next_use[pos])
         resident = state.resident
         for c, units in enumerate(tok):
             expected = refs[c].update(units, kind, trace=[t[c] for t in tokens],
@@ -287,18 +285,17 @@ def test_replay_of_many_caches_matches_one_oracle_per_cache(case, kind):
 
 def test_replay_validates_the_flat_units():
     state = CacheState(capacity_units=[1, 2], universe=[2, 3])  # flat ids 0-1, 2-4
-    pol = EvictionPolicy.lfu()
     with pytest.raises(ValueError, match="ascending cache order"):
-        replay(state, [2, 0], pol)  # cache 1's unit before cache 0's
+        replay(state, [2, 0], "lfu")  # cache 1's unit before cache 0's
     with pytest.raises(ValueError, match="outside"):
-        replay(state, [5], pol)
+        replay(state, [5], "lfu")
     with pytest.raises(ValueError, match="distinct"):
-        replay(state, [3, 3], pol)
+        replay(state, [3, 3], "lfu")
     with pytest.raises(ValueError):
         CacheState(capacity_units=[1, 2], universe=[2])
     with pytest.raises(ValueError):
         CacheState(capacity_units=[1, -1], universe=[2, 2])
-    hits, misses, bypassed = replay(state, [1, 0, 4, 2, 3], pol)
+    hits, misses, bypassed = replay(state, [1, 0, 4, 2, 3], "lfu")
     assert (hits.tolist(), misses.tolist(), bypassed.tolist()) == ([0, 0], [2, 3], [1, 1])
     assert state.resident.tolist() == [1, 2, 4]  # first-offered misses admitted
 

@@ -498,10 +498,15 @@ def test_io_error_for_missing_config(tmp_path, capsys):
 
 
 def test_validation_error_for_malformed_json(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    out = tmp_path / "r.json"
-    assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
+    # the last input nests deeper than the JSON parser can recurse
+    for text in ("{not json", "[" * 100000):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_validation_error_for_unknown_preset(tmp_path):

@@ -26,7 +26,6 @@ from sparsim import (
     sweep_runs,
     synthetic_layer_weights,
     throughput_at_error,
-    unit_bytes,
 )
 from sparsim import cache, hwsim
 from sparsim.hwsim import POLICY_NAMES
@@ -67,9 +66,12 @@ def test_geometry_validation():
 
 def test_unit_bytes_canonical_groups():
     # an input unit carries one column of up and gate; an intermediate unit
-    # carries one row of the down projection's input side
-    assert unit_bytes(GEO, Group.INPUT_BUNDLE) == 2 * 24 * 2.0
-    assert unit_bytes(GEO, Group.INTERMEDIATE_BUNDLE) == 8 * 2.0
+    # carries one row of the down projection's input side; a dense chunk is
+    # one column of a d_ff-tall matrix
+    input_bundle, intermediate_bundle = scheme_groups("dip", GEO)
+    assert input_bundle.unit_bytes == 2 * 24 * 2.0
+    assert intermediate_bundle.unit_bytes == 8 * 2.0
+    assert scheme_groups("glu", GEO)[0].unit_bytes == 24 * 2.0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -108,8 +110,8 @@ def test_allocate_dram_equal_layer_split():
     hw = HardwareConfig(dram_capacity_bytes=1000.0, dram_bandwidth=1.0,
                         flash_bandwidth=1.0)
     caps = allocate_dram(hw, geo, groups)
-    # 1000 B over 2 layers -> 500 B/layer -> 5 units of 100 B
-    assert caps == [{Group.INTERMEDIATE_BUNDLE: 5}, {Group.INTERMEDIATE_BUNDLE: 5}]
+    # 1000 B over 2 layers -> 500 B/layer -> 5 units of 100 B in every layer
+    assert caps == (5,)
 
 
 def test_allocate_dram_proportional_group_split():
@@ -122,7 +124,7 @@ def test_allocate_dram_proportional_group_split():
                         flash_bandwidth=1.0)
     caps = allocate_dram(hw, geo, groups)
     # shares 2/3 and 1/3 of 600 B -> 400 B and 200 B -> 4 and 20 units
-    assert caps == [{Group.INPUT_BUNDLE: 4, Group.INTERMEDIATE_BUNDLE: 20}]
+    assert caps == (4, 20)
 
 
 def test_allocate_dram_caps_at_universe():
@@ -130,7 +132,7 @@ def test_allocate_dram_caps_at_universe():
     groups = [GroupSpec(Group.INTERMEDIATE_BUNDLE, universe=3, unit_bytes=10.0)]
     hw = HardwareConfig(dram_capacity_bytes=1e6, dram_bandwidth=1.0,
                         flash_bandwidth=1.0)
-    assert allocate_dram(hw, geo, groups)[0][Group.INTERMEDIATE_BUNDLE] == 3
+    assert allocate_dram(hw, geo, groups) == (3,)
 
 
 def test_allocate_dram_subtracts_static_and_rejects_overflow():
@@ -138,7 +140,7 @@ def test_allocate_dram_subtracts_static_and_rejects_overflow():
     groups = [GroupSpec(Group.INTERMEDIATE_BUNDLE, universe=10, unit_bytes=100.0)]
     hw = HardwareConfig(dram_capacity_bytes=1000.0, dram_bandwidth=1.0,
                         flash_bandwidth=1.0)
-    assert allocate_dram(hw, geo, groups)[0][Group.INTERMEDIATE_BUNDLE] == 6
+    assert allocate_dram(hw, geo, groups) == (6,)
     small = HardwareConfig(dram_capacity_bytes=300.0, dram_bandwidth=1.0,
                            flash_bandwidth=1.0)
     with pytest.raises(SimulationError):
@@ -219,8 +221,7 @@ def test_dense_steady_state_closed_form():
                         flash_bandwidth=1e9)
     groups = scheme_groups("dense", geo)
     caps = allocate_dram(hw, geo, groups, static_bytes=geo.static_bytes)
-    ub = {g.kind: g.unit_bytes for g in groups}
-    cached = sum(n * ub[k] for layer in caps for k, n in layer.items())
+    cached = geo.num_layers * sum(n * g.unit_bytes for n, g in zip(caps, groups))
     c_eff = geo.static_bytes + cached
     report = simulate_run(_trace(num_tokens=4, geo=geo), None,
                           SchemeConfig(name="dense"), "lfu", hw, geo)
@@ -501,8 +502,8 @@ def _oracle_run(trace, weights, scheme, policy, hw, geo):
     static = geo.static_bytes + (predictor_static_bytes(geo, scheme.predictor_hidden)
                                  if scheme.name == "predictive" else 0.0)
     capacities = allocate_dram(hw, geo, groups, static_bytes=static)
-    caches = [{g.kind: ReferenceCache(capacities[l][g.kind]) for g in groups}
-              for l in range(geo.num_layers)]
+    caches = [{g.kind: ReferenceCache(cap) for g, cap in zip(groups, capacities)}
+              for _ in range(geo.num_layers)]
     k_in, k_mid = scheme.k_values(geo)
 
     def orders_for(t):

@@ -1,4 +1,4 @@
-"""Synthetic activation traces and the binary trace / tensor file formats."""
+"""Synthetic activation traces and the binary trace file format."""
 import os
 import struct
 
@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 
 from sparsim import (
-    MlpAdapters,
-    MlpWeights,
     SyntheticTraceSpec,
     Trace,
     TraceFormatError,
     generate_synthetic_trace,
-    load_adapters,
-    load_mlp_weights,
-    read_tensors,
     read_trace,
-    save_adapters,
-    save_mlp_weights,
     synthetic_layer_weights,
-    write_tensors,
     write_trace,
 )
 from sparsim import traces
@@ -210,68 +202,6 @@ def test_trace_validation():
 
 
 # ---------------------------------------------------------------------------
-# tensor files
-# ---------------------------------------------------------------------------
-
-def test_tensor_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    arrays = [rng.standard_normal((3, 4)).astype(np.float32).astype(float),
-              rng.standard_normal(7).astype(np.float32).astype(float),
-              np.zeros((2, 2, 2))]
-    path = tmp_path / "w.bin"
-    write_tensors(path, arrays)
-    back = read_tensors(path)
-    assert len(back) == 3
-    for a, b in zip(arrays, back):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_tensor_file_bad_magic(tmp_path):
-    path = tmp_path / "w.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(TraceFormatError, match="magic"):
-        read_tensors(path)
-
-
-def test_mlp_weights_round_trip(tmp_path):
-    w = MlpWeights.random(6, 18, seed=5)
-    # quantized on disk, so store the f32-rounded form for exact equality
-    w32 = MlpWeights(up=w.up.astype(np.float32).astype(float),
-                     gate=w.gate.astype(np.float32).astype(float),
-                     down=w.down.astype(np.float32).astype(float))
-    path = tmp_path / "w.bin"
-    save_mlp_weights(path, w32)
-    back = load_mlp_weights(path)
-    np.testing.assert_array_equal(back.up, w32.up)
-    np.testing.assert_array_equal(back.gate, w32.gate)
-    np.testing.assert_array_equal(back.down, w32.down)
-
-
-def test_mlp_weights_file_requires_three_tensors(tmp_path):
-    path = tmp_path / "w.bin"
-    write_tensors(path, [np.zeros((2, 2))])
-    with pytest.raises(TraceFormatError, match="3 tensors"):
-        load_mlp_weights(path)
-
-
-def test_adapters_round_trip(tmp_path):
-    w = MlpWeights.random(6, 18, seed=1)
-    rng = np.random.default_rng(2)
-    ad = MlpAdapters.init(w, rank=3, rng=rng)
-    ad.up.b[:] = rng.standard_normal(ad.up.b.shape)
-    for m in (ad.up, ad.gate, ad.down):
-        m.a[:] = m.a.astype(np.float32)
-        m.b[:] = m.b.astype(np.float32)
-    path = tmp_path / "ad.bin"
-    save_adapters(path, ad)
-    back = load_adapters(path)
-    np.testing.assert_array_equal(back.up.a, ad.up.a)
-    np.testing.assert_array_equal(back.up.b, ad.up.b)
-    np.testing.assert_array_equal(back.down.b, ad.down.b)
-    assert back.gate.rank == 3
-
-
-# ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------
 
@@ -295,7 +225,7 @@ def test_failed_rename_leaves_no_partial_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     path.write_bytes(b"old")
     with pytest.raises(OSError):
-        write_tensors(path, [np.ones(3)])
+        write_trace(path, generate_synthetic_trace(SPEC))
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
 
 

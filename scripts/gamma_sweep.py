@@ -10,9 +10,10 @@ import argparse
 from sparsim import (
     HardwareConfig,
     ModelGeometry,
+    SchemeConfig,
     SyntheticTraceSpec,
-    gamma_sweep,
     generate_synthetic_trace,
+    sweep_runs,
     synthetic_layer_weights,
 )
 
@@ -43,14 +44,18 @@ def main() -> None:
     weights = synthetic_layer_weights(args.layers, args.d_model, args.d_ff,
                                       seed=args.seed)
 
-    rows = gamma_sweep(trace, weights, hw, geo, args.gammas, args.densities)
+    # one lockstep sweep of dip_ca/lfu over every (density, gamma) point; each
+    # point sets its own density and gamma
+    points = [(density, gamma) for gamma in args.gammas for density in args.densities]
+    reports = sweep_runs(trace, weights, SchemeConfig(name="dip_ca", density_mid=1.0),
+                         points, "lfu", hw, geo, kernel_eval=True)
     header = f"{'gamma':>6s} {'density':>8s} {'hit_rate':>9s} " \
              f"{'steady_tok_s':>12s} {'mean_rel_err':>12s}"
     print(header)
     print("-" * len(header))
-    for r in rows:
-        print(f"{r['gamma']:6.2f} {r['density']:8.2f} {r['hit_rate']:9.3f} "
-              f"{r['steady_state_throughput']:12.3f} {r['mean_error']:12.4f}")
+    for (density, gamma), r in zip(points, reports):
+        print(f"{gamma:6.2f} {density:8.2f} {r.hit_rate:9.3f} "
+              f"{r.steady_state_throughput:12.3f} {r.mean_error:12.4f}")
 
 
 if __name__ == "__main__":

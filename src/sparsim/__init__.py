@@ -20,7 +20,7 @@ from .traces import (SyntheticTraceSpec, Trace, TraceFormatError,
 from .calibration import (calibrate_per_layer_thresholds, global_threshold_for_density,
                           layer_densities, AllocationPoint, sweep_density_allocation,
                           pareto_front, AllocationModel, fit_logit_linear,
-                          Allocation, optimal_allocation, gamma_sweep, memory_fraction)
+                          Allocation, optimal_allocation, memory_fraction)
 from .presets import HARDWARE_PRESETS, GEOMETRY_PRESETS, GB
 
 __version__ = "0.1.0"

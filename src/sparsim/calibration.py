@@ -12,9 +12,6 @@ Two calibration paths:
   per-dimension linear models in logit space mapping a target overall MLP
   density to the two component densities.  The fitted model turns one memory
   knob into a concrete (k_in, k_mid) allocation.
-
-Also hosts the gamma sweep that tables throughput/hit-rate/error of
-cache-aware masking across re-weighting strengths and densities.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import hwsim, masking
+from . import masking
 from .mlp import (MlpWeights, down_projection, glu_activations, mlp_dense_forward,
                   rel_l2_rows)
 from .traces import Trace
@@ -43,7 +40,6 @@ __all__ = [
     "fit_logit_linear",
     "Allocation",
     "optimal_allocation",
-    "gamma_sweep",
 ]
 
 _LOGIT_CLAMP = (0.001, 0.999)
@@ -268,24 +264,3 @@ def optimal_allocation(model: AllocationModel, target_density: float,
     return Allocation(k_in=k_in, k_mid=k_mid,
                       density_in=k_in / d_model, density_mid=k_mid / d_ff,
                       memory_fraction=memory_fraction(k_in, k_mid, d_model, d_ff))
-
-
-# ---------------------------------------------------------------------------
-# gamma sweep
-# ---------------------------------------------------------------------------
-
-def gamma_sweep(trace: Trace, weights: Sequence[MlpWeights], hw: "hwsim.HardwareConfig",
-                geo: "hwsim.ModelGeometry", gammas: Sequence[float],
-                densities: Sequence[float], policy: str = "lfu",
-                kernel_eval: bool = True) -> List[dict]:
-    """Throughput / hit-rate / error table over re-weighting strengths and
-    densities for cache-aware input pruning, gamma by gamma.  gamma=1 rows
-    coincide with plain input pruning by construction."""
-    points = [(density, gamma) for gamma in gammas for density in densities]
-    # each point sets its own density and gamma
-    base = hwsim.SchemeConfig(name="dip_ca", density_mid=1.0)
-    reports = hwsim.sweep_runs(trace, weights, base, points, policy, hw, geo, kernel_eval)
-    return [{"gamma": float(gamma), "density": float(density),
-             "throughput": r.throughput, "steady_state_throughput": r.steady_state_throughput,
-             "hit_rate": r.hit_rate, "mean_error": r.mean_error}
-            for (density, gamma), r in zip(points, reports)]

@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -233,7 +233,10 @@ def _sweep_scheme(spec, what: str) -> tuple[SchemeConfig, dict]:
     return scheme, echo
 
 
-def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, dict]:
+def _resolve_trace(spec, geo: ModelGeometry, seed: int,
+                   state: tuple) -> tuple[traces.Trace, dict]:
+    """The trace and its echo; the engine's state, tokens x state words, is
+    checked before a synthetic trace is made or once a file is read."""
     spec = _fields(spec, "trace", {"file": _raw, "synthetic": _raw})
     if len(spec) != 1:
         raise ConfigError("trace needs exactly one of 'file' or 'synthetic'")
@@ -243,6 +246,7 @@ def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, d
             raise SimulationError(
                 f"trace dims (layers={trace.num_layers}, d_model={trace.d_model}, "
                 f"d_ff={trace.d_ff}) do not match geometry")
+        _check_bytes("the engine's per-token state", trace.num_tokens, *state)
         return trace, {"file": spec["file"]}
     # the trace takes its dimensions from the geometry, and the run's seed
     # unless it names its own
@@ -250,6 +254,7 @@ def _resolve_trace(spec, geo: ModelGeometry, seed: int) -> tuple[traces.Trace, d
                    {k: c for k, c in _SYNTHETIC.items() if k not in _DIMS},
                    seed=seed, **{k: getattr(geo, k) for k in _DIMS})
     _check_bytes("the trace", tspec.num_tokens, tspec.num_layers, tspec.d_model)
+    _check_bytes("the engine's per-token state", tspec.num_tokens, *state)
     echo = {k: v for k, v in dataclasses.asdict(tspec).items() if k not in _DIMS}
     return traces.generate_synthetic_trace(tspec), {"synthetic": echo}
 
@@ -263,17 +268,26 @@ class _Setup(NamedTuple):
     config: dict  # the echo of seed, trace, geometry and hardware
 
 
-def _setup(args, schema: dict, required: tuple) -> _Setup:
+def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -> _Setup:
     """The config of run, sweep or gamma-sweep: the keys they share (seed,
     geometry, hardware, trace) and the verb's own schema and required keys.
-    Builds the trace and the synthetic layer weights."""
+    runs(fields) gives the engine's scheme, policy and points, whose state
+    (with per-token records if records) is checked before the trace and the
+    synthetic layer weights are built."""
     fields = _fields(_load_config(args), "", {
         "seed": _int, "geometry": _geometry, "hardware": _hardware, **schema,
         "trace": _raw}, ("trace", "geometry", "hardware") + required)
     seed = fields.pop("seed", 0)
     (geo, geo_echo), (hw, hw_echo) = fields.pop("geometry"), fields.pop("hardware")
     _check_bytes("the MLP weights", 3, geo.num_layers, geo.d_model, geo.d_ff)
-    trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed)
+    scheme, policy, points = runs(fields)
+    groups = hwsim.scheme_groups(scheme, geo)
+    # 8-byte words per token and point: per layer, each group's hit, miss and
+    # bypass counts, the kernel error and with belady the stream and next uses;
+    # 64 (0.35-0.55 kB measured, mostly a TokenCost), 256 per record (~2 kB)
+    stream = 2 * sum(g.universe for g in groups) if policy == "belady" else 0
+    words = geo.num_layers * (3 * len(groups) + 1 + stream) + 64 + 256 * records
+    trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed, (points, words))
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
                                              seed=seed)
     return _Setup(geo, hw, trace, weights, fields, {
@@ -312,7 +326,8 @@ def _metrics(report: hwsim.RunReport) -> dict:
 
 def _cmd_run(args) -> None:
     s = _setup(args, {"scheme": _scheme, "policy": _policy, "kernel_eval": _bool},
-               ("scheme", "policy"))
+               ("scheme", "policy"), lambda f: (f["scheme"][0].name, f["policy"], 1),
+               args.per_token)
     (scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
     kernel_eval = s.fields.get("kernel_eval", False)
     report = hwsim.simulate_run(s.trace, s.weights, scheme, policy, s.hw, s.geo,
@@ -334,29 +349,38 @@ def _cmd_gen_trace(args) -> None:
     traces.write_trace(args.out, trace)
 
 
+def _sweep_rows(s: _Setup, scheme: SchemeConfig, points, policy: str, kernel_eval: bool,
+                error_key: str) -> List[dict]:
+    """One report row per (density, gamma) point of one hwsim.sweep_runs
+    pass; the row names the point's gamma when it sets one, and its mean
+    kernel error under error_key."""
+    reports = hwsim.sweep_runs(s.trace, s.weights, scheme, points, policy, s.hw, s.geo,
+                               kernel_eval=kernel_eval)
+    return [{"density": density, "throughput": rep.throughput,
+             "steady_state_throughput": rep.steady_state_throughput,
+             error_key: rep.mean_error, "hit_rate": rep.hit_rate,
+             **({} if gamma is None else {"gamma": gamma})}
+            for (density, gamma), rep in zip(points, reports)]
+
+
+_GRID = {"densities": _nonempty_floats, "gammas": _nonempty_floats, "error_budgets": _floats}
+
+
 def _cmd_sweep(args) -> None:
-    s = _setup(args, {"scheme": _sweep_scheme, "policy": _policy, "sweep": _raw},
-               ("scheme", "policy", "sweep"))
+    s = _setup(args, {"scheme": _sweep_scheme, "policy": _policy,
+                      "sweep": lambda v, what: _fields(v, what, _GRID, ("densities",))},
+               ("scheme", "policy", "sweep"), lambda f: (
+                   f["scheme"][0].name, f["policy"],
+                   len(f["sweep"]["densities"]) * len(f["sweep"].get("gammas", [None]))))
     (base_scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
-    grid = _fields(s.fields["sweep"], "sweep", {
-        "densities": _nonempty_floats, "gammas": _nonempty_floats, "error_budgets": _floats},
-        ("densities",))
+    grid = s.fields["sweep"]
     densities, gammas = grid["densities"], grid.get("gammas")
     budgets = grid.get("error_budgets", [])
     if gammas is not None and not SCHEMES[base_scheme.name].cache_aware:
         raise ConfigError("sweep.gammas only applies to cache-aware schemes (dip_ca)")
     points = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
     # error budgets need the kernel error, so the sweep always evaluates it
-    reports = hwsim.sweep_runs(s.trace, s.weights, base_scheme, points, policy, s.hw, s.geo,
-                               kernel_eval=True)
-    rows = []
-    for (density, gamma), rep in zip(points, reports):
-        row = {"density": density, "throughput": rep.throughput,
-               "steady_state_throughput": rep.steady_state_throughput,
-               "error": rep.mean_error, "hit_rate": rep.hit_rate}
-        if gamma is not None:
-            row["gamma"] = gamma
-        rows.append(row)
+    rows = _sweep_rows(s, base_scheme, points, policy, True, "error")
 
     summaries = []
     for budget in budgets:
@@ -428,16 +452,18 @@ def _cmd_calibrate_allocation(args) -> None:
 
 
 def _cmd_gamma_sweep(args) -> None:
-    s = _setup(args, {"policy": _policy, "kernel_eval": _bool, "gammas": _floats,
-                      "densities": _floats}, ("gammas", "densities"))
+    s = _setup(args, {"policy": _policy, "kernel_eval": _bool, "gammas": _nonempty_floats,
+                      "densities": _nonempty_floats}, ("gammas", "densities"),
+               lambda f: ("dip_ca", f.get("policy", "lfu"),
+                          len(f["gammas"]) * len(f["densities"])))
     policy = s.fields.get("policy", "lfu")
     kernel_eval = s.fields.get("kernel_eval", True)
     gammas, densities = s.fields["gammas"], s.fields["densities"]
-    if not gammas or not densities:
-        raise ConfigError("gammas and densities must be non-empty")
-    # belady is rejected by hwsim._simulate: dip_ca masks depend on the cache
-    rows = calibration.gamma_sweep(s.trace, s.weights, s.hw, s.geo, gammas, densities,
-                                   policy=policy, kernel_eval=kernel_eval)
+    # dip_ca, gamma by gamma (gamma = 1 rows equal dip); belady is rejected
+    # by hwsim._simulate, since dip_ca masks depend on the cache
+    points = [(density, gamma) for gamma in gammas for density in densities]
+    rows = _sweep_rows(s, SchemeConfig(name="dip_ca", density_mid=1.0), points, policy,
+                       kernel_eval, "mean_error")
     out = _report_skeleton("gamma-sweep", {
         **s.config, "policy": policy, "gammas": gammas, "densities": densities,
         "kernel_eval": kernel_eval})

@@ -18,17 +18,18 @@ charge, mask stream and Belady rejection all read from that entry.
 
 There is one engine, and simulate_run is its one-point case.  sweep_runs
 runs every (density, gamma) point of a grid in lockstep: per token, one
-replay call advances the caches of every (point, layer, unit group), points
-with equal (k_in, k_mid) share cache-independent masks, and cache-aware
-masks of every point and layer are built in one batch per (k_in, k_mid).
-Each point keeps its own caches, so its report equals its own simulate_run
-bit for bit.
+replay call advances the caches of every (point, layer, unit group).  Its
+mask stream is one loop for every scheme, in which a batch of mask rows
+builds its masks over a block of tokens in one call.  A row serves every
+point with its (k_in, k_mid); cache-aware masks read the caches, so their
+rows serve one point and their blocks are one token.  Each point keeps its
+own caches, so its report equals its own simulate_run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +62,13 @@ class SimulationError(RuntimeError):
     """Ill-defined simulation request (e.g. Belady with a cache-aware scheme)."""
 
 
+def _require_finite(config) -> None:
+    """ValueError naming the first NaN or infinite field of a dataclass."""
+    for f in fields(config):
+        if not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(config, f.name)}")
+
+
 @dataclass(frozen=True)
 class HardwareConfig:
     """Byte capacities and bandwidths; bandwidths in bytes/second."""
@@ -70,6 +78,7 @@ class HardwareConfig:
     flash_bandwidth: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.dram_capacity_bytes < 0:
             raise ValueError("dram capacity must be >= 0")
         if self.dram_bandwidth <= 0 or self.flash_bandwidth <= 0:
@@ -91,6 +100,7 @@ class ModelGeometry:
     static_bytes: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.num_layers < 1 or self.d_model < 1 or self.d_ff < 1:
             raise ValueError("dimensions must be >= 1")
         if self.bytes_per_weight <= 0:
@@ -198,7 +208,8 @@ class Scheme:
     cache_aware: masks read the caches' residency, so each token's follow
     the previous token's replay and Belady is ill-defined.
     rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
-    RowMasks of the rows x; None for a scheme that keeps every unit.
+    RowMasks of the rows x, w holding one MlpWeights per row; None for a
+    scheme that keeps every unit.
     """
 
     mid_matrices: int
@@ -222,12 +233,6 @@ class Scheme:
         return frozenset(keys)
 
 
-def _dip_ca_rows(cfg, w, x, k_in, k_mid, input_residency, intermediate_residency, gamma):
-    return masking.dip_ca_rows(w, x, input_residency, intermediate_residency, k_in, k_mid,
-                               gamma=gamma, reweight_input=cfg.reweight_input,
-                               reweight_intermediate=cfg.reweight_intermediate)
-
-
 SCHEMES: Dict[str, Scheme] = {
     "dense": Scheme(1, None, input_bundles=True),
     "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
@@ -238,8 +243,9 @@ SCHEMES: Dict[str, Scheme] = {
                          masking.predictive_oracle_rows(w, x, k_mid)),
     "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.dip_rows(w, x, k_in, k_mid),
                   input_bundles=True, prunes_input=True),
-    "dip_ca": Scheme(1, _dip_ca_rows, input_bundles=True, prunes_input=True,
-                     cache_aware=True),
+    "dip_ca": Scheme(1, lambda cfg, w, x, k_in, k_mid, c_in, c_mid, gamma: masking.dip_ca_rows(
+        w, x, c_in, c_mid, k_in, k_mid, gamma, cfg.reweight_input, cfg.reweight_intermediate),
+        input_bundles=True, prunes_input=True, cache_aware=True),
 }
 
 
@@ -326,24 +332,26 @@ class RunReport:
     mean_error: Optional[float] = None
 
 
-# Mask rows per batch: bounds the [rows, d_ff] temporaries of mask building
-# and of kernel_eval, whatever the trace length and the number of points.
+# Rows per mask-building call and per kernel_eval block: bounds the
+# [rows, d_ff] temporaries, whatever the trace length and the number of points.
 _ROW_BLOCK = 256
 
 
 class _Batch(NamedTuple):
-    """Mask rows of (layer, point) pairs whose masks share k = (k_in, k_mid)
-    and are built by one call, layer-major so each layer's weights serve
-    every point in turn.  base[r, g] is the first flat unit id of row r's
-    cache of group g, and ids[r] each active-unit column's offset onto the
-    flat axis."""
+    """Mask rows of one k = (k_in, k_mid), built by one call over a block of
+    tokens.  A mask row serves the (layer, point) pairs of its layer and k,
+    or its own pair when the masks read the caches.  Per served pair s:
+    row[s] is its mask row, and ids[s] each active-unit column's offset onto
+    the flat axis; when the masks read the caches, cols[g][s] holds the flat
+    ids of every unit of its cache of group g."""
 
     k: Tuple[int, int]
-    layer: np.ndarray  # int [R]
-    point: np.ndarray  # int [R]
-    gamma: np.ndarray  # float [R], each row's point's gamma
-    base: np.ndarray   # int [R, groups]
-    ids: np.ndarray    # int [R, active units of a row]
+    layer: np.ndarray  # int [R], each mask row's layer, layer-major
+    row: np.ndarray    # int [S]
+    point: np.ndarray  # int [S]
+    gamma: np.ndarray  # float [S], the point's gamma
+    ids: np.ndarray    # int [S, active units of a row]
+    cols: Tuple[np.ndarray, ...]  # int [S, universe] per group, or ()
 
 
 def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndarray:
@@ -356,23 +364,25 @@ def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndar
         for g in groups], axis=1)
 
 
-def _layout(configs: Sequence[SchemeConfig], groups: Sequence[GroupSpec],
+def _layout(configs: Sequence[SchemeConfig], entry: Scheme, groups: Sequence[GroupSpec],
             capacities: Sequence[int], geo: ModelGeometry):
-    """The caches of every (point, layer, group) on one flat axis, and the
-    mask batches that stream into them.
-
-    Points with equal (k_in, k_mid) share batches, of at most _ROW_BLOCK
-    rows each.  Caches go in row order, group by group, so each token's
-    active units come out cache by cache in ascending order.  Returns the
-    CacheState, the batches, the points of each (k_in, k_mid) and each
+    """The caches of every (point, layer, group) on one flat axis, the mask
+    batches that stream into them, the block length in tokens and each
     point's cache ids [points, layers, groups].
+
+    The (layer, point) pairs go grouped by (k_in, k_mid), layer-major within
+    a k, and their caches in that order, group by group, so each token's
+    active units come out cache by cache in ascending order.  A mask row
+    serves every pair of its layer and k, or its own pair when the scheme is
+    cache aware; then a block is one token, as masks follow the previous
+    token's replay.  Otherwise it is _ROW_BLOCK // max(points, mask rows of
+    a batch) tokens, so one call takes at most _ROW_BLOCK rows.
     """
-    ks = [cfg.k_values(geo) for cfg in configs]
-    members = {k: [p for p in range(len(configs)) if ks[p] == k] for k in ks}
-    # one row per (layer, point): grouped by k, layer-major within a k
+    by_k: Dict[Tuple[int, int], List[int]] = {}
+    for p, cfg in enumerate(configs):
+        by_k.setdefault(cfg.k_values(geo), []).append(p)
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
-        (l, p) for points in members.values() for l in range(geo.num_layers)
-        for p in points]))
+        (l, p) for points in by_k.values() for l in range(geo.num_layers) for p in points]))
     caches = CacheState(np.tile(capacities, len(layer)),
                         np.tile([g.universe for g in groups], len(layer)))
     base = caches.offsets[:-1].reshape(len(layer), len(groups))
@@ -380,76 +390,66 @@ def _layout(configs: Sequence[SchemeConfig], groups: Sequence[GroupSpec],
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
     gamma = np.array([configs[p].gamma for p in point])
     batches, start = [], 0
-    for k, points in members.items():
+    for k, points in by_k.items():
         widths = [g.universe if g.always_active
                   else k[0] if g.kind == Group.INPUT_BUNDLE else k[1] for g in groups]
-        stop = start + geo.num_layers * len(points)
-        for r in range(start, stop, _ROW_BLOCK):
-            s = slice(r, min(r + _ROW_BLOCK, stop))
-            batches.append(_Batch(k, layer[s], point[s], gamma[s], base[s],
-                                  np.repeat(base[s], widths, axis=1)))
-        start = stop
-    return caches, batches, members, cid
+        served = 1 if entry.cache_aware else len(points)  # pairs per mask row
+        num_rows = geo.num_layers * len(points) // served
+        for r0 in range(0, num_rows, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, num_rows)
+            s = slice(start + r0 * served, start + r1 * served)
+            batches.append(_Batch(
+                k, layer[s][::served], np.arange(r1 - r0).repeat(served), point[s], gamma[s],
+                np.repeat(base[s], widths, axis=1),
+                tuple(base[s, gi, None] + np.arange(g.universe) for gi, g in enumerate(groups)
+                      if entry.cache_aware)))
+        start += geo.num_layers * len(points)
+    widest = max(len(configs), max(len(b.layer) for b in batches))
+    block = 1 if entry.cache_aware else max(1, _ROW_BLOCK // widest)
+    return caches, batches, block, cid
 
 
 def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                  acts: np.ndarray, caches: CacheState, batches: Sequence[_Batch],
-                 members: Dict[Tuple[int, int], List[int]],
-                 groups: Sequence[GroupSpec], geo: ModelGeometry,
+                 block: int, groups: Sequence[GroupSpec], geo: ModelGeometry,
                  errors: Optional[np.ndarray]):
     """Stage 1: per token, the flat ids of every point's active units, cache
     by cache in ascending order, each cache's in admission order.
 
-    Tokens go in blocks of about _ROW_BLOCK mask rows over all points; with
-    kernel_eval the dense reference is computed once per (layer, block) for
-    every point.  Cache-independent schemes build a block's masks as one
-    batch per layer and (k_in, k_mid), which every point with those k
-    shares.  Cache-aware masks read the caches, so each token's are built
-    when the token is requested, after the previous token's replay, as one
-    call per batch over its layers and points, with each row's gamma.
-    errors [points, tokens, layers], when given, receives each kernel error
-    as soon as its masks exist.
+    Each batch builds its rows' masks over a block in one call, row-major
+    with one MlpWeights per (row, token), so a layer's weights serve one
+    run.  Cache-aware masks read the residency when their one-token block is
+    requested, after the previous token's replay.  The kernel_eval dense
+    reference is made per layer for _ROW_BLOCK // points tokens, and errors
+    [points, tokens, layers] gets each error once its masks exist.
     """
     entry = SCHEMES[scheme.name]
-    num_layers = geo.num_layers
-    step = max(1, _ROW_BLOCK // sum(map(len, members.values())))
-    batch_weights = ([[weights[l] for l in b.layer] for b in batches]
-                     if weights is not None else None)
-    for t0 in range(0, acts.shape[0], step):
-        x = acts[t0:t0 + step]
-        if entry.cache_aware:
-            ref = (np.stack([mlp_dense_forward(weights[l], x[:, l])
-                             for l in range(num_layers)], axis=1)
-                   if errors is not None else None)
-            for i in range(len(x)):
-                bits = resident_bitvector(caches)
-                ids = []
-                for b, w in zip(batches, batch_weights):
-                    residency = [bits[b.base[:, gi, None] + np.arange(g.universe)]
-                                 for gi, g in enumerate(groups)]
-                    rows = entry.rows(scheme, w, x[i, b.layer], *b.k, *residency, b.gamma)
-                    if errors is not None:
-                        errors[b.point, t0 + i, b.layer] = rel_l2_rows(
-                            ref[i, b.layer], down_projection(w, rows.glu,
-                                                             rows.intermediate_mask))
-                    ids.append((_group_units(rows, groups) + b.ids).ravel())
-                yield np.concatenate(ids)
-        else:
-            units = {}
-            for l in range(num_layers):
-                w = weights[l] if weights is not None else None
-                ref = mlp_dense_forward(w, x[:, l]) if errors is not None else None
-                for k, points in members.items():
-                    rows = (masking.dense_rows(len(x), geo.d_model, geo.d_ff)
-                            if entry.rows is None else entry.rows(scheme, w, x[:, l], *k))
-                    if errors is not None:
-                        glu = rows.glu if rows.glu is not None else glu_activations(
-                            w, x[:, l], rows.input_mask)
-                        errors[points, t0:t0 + len(x), l] = rel_l2_rows(
-                            ref, down_projection(w, glu, rows.intermediate_mask))
-                    units[k, l] = _group_units(rows, groups)
-            yield from np.concatenate([units[b.k, l] + ids for b in batches
-                                       for l, ids in zip(b.layer, b.ids)], axis=1)
+    span = block if errors is None else max(block, _ROW_BLOCK // len(errors))
+    for t0 in range(0, acts.shape[0], span):
+        x = acts[t0:t0 + span].transpose(1, 0, 2)  # [layers, tokens, d_model]
+        ref = (np.stack([mlp_dense_forward(weights[l], x[l]) for l in range(len(x))])
+               if errors is not None else None)
+        for i0 in range(0, x.shape[1], block):
+            n = min(block, x.shape[1] - i0)
+            bits = resident_bitvector(caches) if entry.cache_aware else None
+            ids = []
+            for b in batches:
+                xs = x[b.layer, i0:i0 + n].reshape(-1, geo.d_model)  # row-major
+                w = None if weights is None else [weights[l] for l in b.layer.repeat(n)]
+                # a cache-aware row, one token long, reads its own pair's caches
+                extra = () if bits is None else (*(bits[c] for c in b.cols), b.gamma)
+                rows = (entry.rows(scheme, w, xs, *b.k, *extra) if entry.rows
+                        else masking.dense_rows(len(xs), geo.d_model, geo.d_ff))
+                if errors is not None:
+                    glu = rows.glu if rows.glu is not None else glu_activations(
+                        w, xs, rows.input_mask)
+                    err = rel_l2_rows(ref[b.layer, i0:i0 + n].reshape(xs.shape),
+                                      down_projection(w, glu, rows.intermediate_mask))
+                    errors[b.point[:, None], t0 + i0 + np.arange(n),
+                           b.layer[b.row, None]] = err.reshape(-1, n)[b.row]
+                units = _group_units(rows, groups).reshape(len(b.layer), n, -1)[b.row]
+                ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
+            yield from np.concatenate(ids, axis=1)
 
 
 def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
@@ -531,8 +531,7 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
         raise SimulationError(
             "belady eviction is ill-defined for cache-aware masking: the mask "
             "depends on cache contents, which depend on future evictions")
-    needs_weights = entry.rows is not None or kernel_eval
-    if needs_weights:
+    if entry.rows is not None or kernel_eval:
         if weights is None or len(weights) != geo.num_layers:
             raise SimulationError("scheme needs one MlpWeights per layer")
         for w in weights:
@@ -546,12 +545,11 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
     capacities = allocate_dram(hw, geo, groups, static_bytes=static)
     if not configs:
         return []
-    caches, batches, members, cid = _layout(configs, groups, capacities, geo)
+    caches, batches, block, cid = _layout(configs, entry, groups, capacities, geo)
     num_tokens = acts.shape[0]
 
-    errors = (np.empty((len(configs), num_tokens, geo.num_layers)) if kernel_eval
-              else None)
-    stream = _unit_stream(scheme, weights, acts, caches, batches, members, groups, geo,
+    errors = np.empty((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
+    stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, geo,
                           errors)
     if policy == "belady":
         stream = list(stream)

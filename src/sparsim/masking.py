@@ -16,9 +16,9 @@ returning RowMasks, the one mask type: per side, bool masks plus each row's
 picks in selection order, which is the order the simulator's caches admit
 units in.  A single vector x goes as the one-row batch x[None].
 Projections go through mlp's stacked matrix-vector product, so a row's
-masks do not depend on the batch around it, bit for bit.  dip_ca_rows also
-takes per-row weights, residency and gamma, so the layers of one token, for
-every point of a sweep, are one batch.
+masks do not depend on the batch around it, bit for bit.  Weights are one
+MlpWeights for every row or one per row, so many layers and tokens go in
+one call; dip_ca_rows also takes per-row residency and gamma.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mlp import MlpWeights, Predictor, _matvec, _rows, glu_activations, predictor_forward, silu
+from .mlp import Predictor, _matvec, _operands, glu_activations, predictor_forward, silu
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -180,18 +180,19 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # ---------------------------------------------------------------------------
 #
 # Each scheme is one function over a batch of rows X [n, d_model] that
-# returns RowMasks.  Every score is >= 0 or, for predictor logits, ranked by
-# value, so the scores are the top-k keys themselves.
+# returns RowMasks; w is one MlpWeights or one per row.  Every score is >= 0
+# or, for predictor logits, ranked by value, so the scores are the top-k
+# keys themselves.
 
 def _full_side(n: int, dim: int):
     """(order, mask) of a side kept dense: every unit, in index order."""
     return np.broadcast_to(np.arange(dim), (n, dim)), np.ones((n, dim), dtype=bool)
 
 
-def _intermediate_rows(d_model: int, scores: np.ndarray, k_mid: int,
+def _intermediate_rows(x: np.ndarray, scores: np.ndarray, k_mid: int,
                        glu: Optional[np.ndarray] = None) -> RowMasks:
-    """Dense input side, top-k_mid intermediate units by score."""
-    in_order, in_mask = _full_side(len(scores), d_model)
+    """Dense input side of the rows x, top-k_mid intermediate units by score."""
+    in_order, in_mask = _full_side(len(scores), np.shape(x)[-1])
     mid_order, mid_mask = topk_rows(scores, k_mid)
     return RowMasks(in_order, in_mask, mid_order, mid_mask, glu)
 
@@ -199,8 +200,7 @@ def _intermediate_rows(d_model: int, scores: np.ndarray, k_mid: int,
 def _input_pruning_rows(w, x: np.ndarray, in_scores: np.ndarray,
                         k_in: int, mid_score, k_mid: int) -> RowMasks:
     """Top-k_in inputs by in_scores, then top-k_mid of mid_score(GLU) with
-    the GLU computed from the kept inputs only; w is one MlpWeights or one
-    per row (see glu_activations)."""
+    the GLU computed from the kept inputs only."""
     in_order, in_mask = topk_rows(in_scores, k_in)
     h = glu_activations(w, x, in_mask)
     mid_order, mid_mask = topk_rows(mid_score(h), k_mid)
@@ -214,26 +214,26 @@ def dense_rows(n: int, d_model: int, d_ff: int) -> RowMasks:
     return RowMasks(in_order, in_mask, mid_order, mid_mask)
 
 
-def glu_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
+def glu_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
     """Keep the k_mid largest |gated intermediate| values of each row of x
     [n, d_model].  Needs the full up and gate products to score, so only the
     down projection is pruned."""
     h = glu_activations(w, x)
-    return _intermediate_rows(w.d_model, np.abs(h), k_mid, h)
+    return _intermediate_rows(x, np.abs(h), k_mid, h)
 
 
-def gate_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
+def gate_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
     """Score intermediate units by |silu(gate x)|; the gate product itself
     stays dense, the up and down weights are pruned by the mask."""
-    xs = _rows(x, w.d_model)[0]
-    return _intermediate_rows(w.d_model, np.abs(silu(_matvec(w.gate, xs))), k_mid)
+    xs, _, gate = _operands(w, x, "d_model", "gate")
+    return _intermediate_rows(xs, np.abs(silu(_matvec(gate, xs))), k_mid)
 
 
-def up_pruning_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
+def up_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
     """Score intermediate units by |up x|; the up product stays dense, the
     gate and down weights are pruned by the mask."""
-    xs = _rows(x, w.d_model)[0]
-    return _intermediate_rows(w.d_model, np.abs(_matvec(w.up, xs)), k_mid)
+    xs, _, up = _operands(w, x, "d_model", "up")
+    return _intermediate_rows(xs, np.abs(_matvec(up, xs)), k_mid)
 
 
 def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
@@ -243,17 +243,17 @@ def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
     means confidently inactive.  All three matrices are pruned by the mask;
     the predictor's own bytes count as static residency in the simulator.
     """
-    return _intermediate_rows(p.d_model, predictor_forward(p, x), k_mid)
+    return _intermediate_rows(x, predictor_forward(p, x), k_mid)
 
 
-def predictive_oracle_rows(w: MlpWeights, x: np.ndarray, k_mid: int) -> RowMasks:
+def predictive_oracle_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
     """Predictive scheme with oracle logits |GLU(x)|: selects exactly the GLU
     pruning mask but prunes up and gate as well."""
     h = glu_activations(w, x)
-    return _intermediate_rows(w.d_model, np.abs(h), k_mid, h)
+    return _intermediate_rows(x, np.abs(h), k_mid, h)
 
 
-def dip_rows(w: MlpWeights, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
+def dip_rows(w, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
     """Dynamic input pruning of x [n, d_model]: top-k_in |x| picks input
     columns of up/gate, then top-k_mid of the gated intermediate computed
     with only those columns picks down columns.  Both selections need no
@@ -272,12 +272,10 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     Residency bitvectors come from the simulator's caches (one per unit
     group).  The re-weighting applies to both the input and intermediate
     selections by default; the switches turn either side back into plain
-    magnitude scoring.  gamma=1 reproduces dip_rows exactly.  w is one
-    MlpWeights for every row or a sequence of n, w[i] for row i; each
+    magnitude scoring.  gamma=1 reproduces dip_rows exactly.  Each
     residency is one vector for every row or one per row ([n, d_model] and
     [n, d_ff]), and gamma one number or one per row.  Row i equals the call
-    on its own weights, residency and gamma bit for bit, so the layers of
-    one token, and the points of a sweep, can go as one batch.
+    on its own weights, residency and gamma bit for bit.
     """
     xs = np.asarray(x, dtype=float)
     gamma_mid = gamma if reweight_intermediate else 1.0

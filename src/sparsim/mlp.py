@@ -148,14 +148,15 @@ def _rows(x, dim: int, name: str = "d_model"):
     return x, one
 
 
-def _as_bool_mask(mask, dim: int, rows: int = 1):
-    """Mask as a bool array: one vector [dim] or one per row [rows, dim]."""
+def _masked(xs: np.ndarray, mask) -> np.ndarray:
+    """Rows xs [n, dim] with the entries that mask, one bool vector [dim] or
+    one per row [n, dim], leaves out set to zero; xs when mask is None."""
     if mask is None:
-        return None
+        return xs
     arr = np.asarray(mask).astype(bool, copy=False)
-    if arr.shape != (dim,) and arr.shape != (rows, dim):
-        raise ValueError(f"mask length {arr.shape} does not match dimension {dim}")
-    return arr
+    if arr.shape != xs.shape[1:] and arr.shape != xs.shape:
+        raise ValueError(f"mask length {arr.shape} does not match dimension {xs.shape[1]}")
+    return np.where(arr, xs, 0.0)
 
 
 def _matvec(m, x: np.ndarray) -> np.ndarray:
@@ -174,24 +175,30 @@ def _matvec(m, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _operands(w, x, dim: str, *names: str):
+    """Rows x as a float batch [n, dim], whether x came as one vector, and
+    w's matrices names.  w is one MlpWeights for every row or, for rows, a
+    sequence of n of one shape, w[i] for row i (the layers of one token,
+    say), whose matrices go as the lists _matvec takes."""
+    shared = isinstance(w, MlpWeights)
+    xs, one = _rows(x, getattr(w if shared else w[0], dim), dim)
+    if not shared and (one or len(w) != len(xs)):
+        raise ValueError("per-row weights need one MlpWeights per row")
+    return (xs, one, *(getattr(w, m) if shared else [getattr(wi, m) for wi in w]
+                       for m in names))
+
+
 def glu_activations(w, x: np.ndarray, input_mask=None) -> np.ndarray:
     """Gated intermediate (up x) * silu(gate x): [d_ff] for one input vector,
     [n, d_ff] for rows [n, d_model].
 
-    w is one MlpWeights for every row or, for rows, a sequence of n
-    MlpWeights of one shape, row i going through w[i] (the layers of one
-    token, say); both run one gemv pair per row.  With input_mask set,
-    masked-out input columns of up and gate are zeroed before the
-    projection, which equals zeroing those entries of x.
+    w is one MlpWeights for every row or one per row (see _operands); both
+    run one gemv pair per row.  With input_mask set, masked-out input
+    columns of up and gate are zeroed before the projection, which equals
+    zeroing those entries of x.
     """
-    per_row = not isinstance(w, MlpWeights)
-    xs, one = _rows(x, (w[0] if per_row else w).d_model)
-    if per_row and (one or len(w) != len(xs)):
-        raise ValueError("per-row weights need one MlpWeights per row")
-    m = _as_bool_mask(input_mask, xs.shape[1], len(xs))
-    if m is not None:
-        xs = np.where(m, xs, 0.0)
-    gate, up = ([wi.gate for wi in w], [wi.up for wi in w]) if per_row else (w.gate, w.up)
+    xs, one, gate, up = _operands(w, x, "d_model", "gate", "up")
+    xs = _masked(xs, input_mask)
     # silu(gate x) first, so its temporaries are gone before up x is made;
     # the product commutes bit for bit
     h = silu(_matvec(gate, xs))
@@ -204,14 +211,9 @@ def down_projection(w, h: np.ndarray, intermediate_mask=None) -> np.ndarray:
     [n, d_ff]); intermediate_mask zeroes columns of down (equivalently,
     intermediate units).  w is one MlpWeights or, for rows, one per row, as
     in glu_activations."""
-    per_row = not isinstance(w, MlpWeights)
-    hs, one = _rows(h, (w[0] if per_row else w).d_ff, "d_ff")
-    if per_row and (one or len(w) != len(hs)):
-        raise ValueError("per-row weights need one MlpWeights per row")
-    m = _as_bool_mask(intermediate_mask, hs.shape[1], len(hs))
-    if m is not None:
-        hs = np.where(m, hs, 0.0)
-    y = _matvec([wi.down for wi in w] if per_row else w.down, hs)
+    hs, one, down = _operands(w, h, "d_ff", "down")
+    hs = _masked(hs, intermediate_mask)
+    y = _matvec(down, hs)
     return y[0] if one else y
 
 

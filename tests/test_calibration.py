@@ -1,5 +1,6 @@
 """Threshold calibration, density-allocation sweeps, Pareto filtering, the
-logit-space linear allocation model, and the re-weighting strength sweep."""
+logit-space linear allocation model, and the re-weighting strength sweep
+that the gamma-sweep verb and script run through hwsim.sweep_runs."""
 import itertools
 
 import numpy as np
@@ -18,7 +19,6 @@ from sparsim import (
     SyntheticTraceSpec,
     calibrate_per_layer_thresholds,
     fit_logit_linear,
-    gamma_sweep,
     generate_synthetic_trace,
     global_threshold_for_density,
     layer_densities,
@@ -27,6 +27,7 @@ from sparsim import (
     pareto_front,
     simulate_run,
     sweep_density_allocation,
+    sweep_runs,
     synthetic_layer_weights,
 )
 
@@ -279,18 +280,18 @@ def test_gamma_sweep_rows_and_dip_equivalence():
     tr = generate_synthetic_trace(SyntheticTraceSpec(
         num_tokens=12, num_layers=2, d_model=16, d_ff=48, sigma=1.5, seed=2))
     ws = synthetic_layer_weights(2, 16, 48, seed=2)
-    rows = gamma_sweep(tr, ws, hw, geo, gammas=[0.2, 1.0], densities=[0.25, 0.5])
-    assert len(rows) == 4
-    assert {(r["gamma"], r["density"]) for r in rows} == \
-        {(0.2, 0.25), (0.2, 0.5), (1.0, 0.25), (1.0, 0.5)}
-    for r in rows:
-        assert r["throughput"] > 0
-        assert 0.0 <= r["hit_rate"] <= 1.0
-        assert r["mean_error"] is not None
+    points = [(density, gamma) for gamma in (0.2, 1.0) for density in (0.25, 0.5)]
+    reports = sweep_runs(tr, ws, SchemeConfig(name="dip_ca", density_mid=1.0), points,
+                         "lfu", hw, geo, kernel_eval=True)
+    assert len(reports) == 4
+    for r in reports:
+        assert r.throughput > 0
+        assert 0.0 <= r.hit_rate <= 1.0
+        assert r.mean_error is not None
     # gamma=1 rows coincide with the cache-oblivious scheme
-    row = next(r for r in rows if r["gamma"] == 1.0 and r["density"] == 0.5)
+    row = reports[points.index((0.5, 1.0))]
     plain = simulate_run(tr, ws, SchemeConfig(name="dip", density_mid=0.5),
                          "lfu", hw, geo, kernel_eval=True)
-    assert row["throughput"] == pytest.approx(plain.throughput)
-    assert row["hit_rate"] == pytest.approx(plain.hit_rate)
-    assert row["mean_error"] == pytest.approx(plain.mean_error)
+    assert row.throughput == pytest.approx(plain.throughput)
+    assert row.hit_rate == pytest.approx(plain.hit_rate)
+    assert row.mean_error == pytest.approx(plain.mean_error)

@@ -608,6 +608,17 @@ def _never_called(*args, **kwargs):
                               "calibration": {"num_inputs": 2**25},
                               "grid": {"densities_in": [0.5], "densities_mid": [0.5]},
                               "targets": [0.5]}, "the calibration inputs"),
+    # a 512 MiB trace of 2**26 one-unit tokens fits, but the engine keeps
+    # hundreds of bytes per token: its counts, kernel errors and TokenCosts
+    ("run", _run_config(trace={"synthetic": {"num_tokens": 2**26}},
+                        geometry={**GEOMETRY, "num_layers": 1, "d_model": 1, "d_ff": 1}),
+     "the engine's per-token state"),
+    # a small trace, but a grid of 4096 points, each with its own state
+    ("gamma-sweep", {**_run_config(trace={"synthetic": {"num_tokens": 2**15}}),
+                     "scheme": None, "gammas": [0.5] * 64, "densities": [0.5] * 64},
+     "the engine's per-token state"),
+    ("sweep", _run_config(trace={"synthetic": {"num_tokens": 2**15}},
+                          sweep={"densities": [0.5] * 4096}), "the engine's per-token state"),
 ])
 def test_validation_error_when_config_exceeds_the_size_limit(tmp_path, capsys, monkeypatch,
                                                               verb, cfg, what):
@@ -624,6 +635,25 @@ def test_validation_error_when_config_exceeds_the_size_limit(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {what} would take ")
     assert err.endswith(f"over the limit of {MAX_ARRAY_BYTES} bytes\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_engine_state_limit_counts_the_tokens_of_a_trace_file(tmp_path, capsys,
+                                                               monkeypatch):
+    # a trace file's token count is known once it is read: a grid too large
+    # for it is exit 1 before the weights are made
+    trace_path = tmp_path / "t.bin"
+    gen_cfg = _write_config(tmp_path, "g.json", {
+        "num_tokens": 2**10, "num_layers": 2, "d_model": 16, "d_ff": 48})
+    assert main(["gen-trace", "--config", gen_cfg, "--out", str(trace_path)]) == EXIT_OK
+    monkeypatch.setattr(traces, "synthetic_layer_weights", _never_called)
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        trace={"file": str(trace_path)}, sweep={"densities": [0.5] * 2**14}))
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: the engine's per-token state would take ")
     assert err.count("\n") == 1
     assert not out.exists()
 

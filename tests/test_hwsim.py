@@ -1,5 +1,7 @@
 """Flash/DRAM timing model: unit-group byte accounting, DRAM allocation,
 per-token costs, and full-trace simulation."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,17 @@ def test_hardware_config_validation():
     with pytest.raises(ValueError):
         HardwareConfig(dram_capacity_bytes=1.0, dram_bandwidth=0.0,
                        flash_bandwidth=1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("config,field", [
+    (ROOMY, "dram_capacity_bytes"), (ROOMY, "dram_bandwidth"), (ROOMY, "flash_bandwidth"),
+    (GEO, "bytes_per_weight"), (GEO, "static_bytes")])
+def test_non_finite_config_fields_are_rejected_by_name(config, field, bad):
+    # NaN passes every < and <= check, so without the finiteness check it
+    # surfaced deep inside a run as "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        dataclasses.replace(config, **{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +555,7 @@ def _oracle_run(trace, weights, scheme, policy, hw, geo):
 @pytest.mark.parametrize("scheme,policy", [
     (s, p) for s in SCHEMES for p in POLICY_NAMES
     if not (SCHEMES[s].cache_aware and p == "belady")])  # the pairs simulate_run rejects
-def test_simulate_run_matches_per_unit_oracle(scheme, policy):
+def test_simulate_run_matches_per_unit_oracle(scheme, policy, monkeypatch):
     geo = GEOMETRY_PRESETS["desk-small"]
     # a third of the MLP bytes fits, so the caches evict and bypass
     hw = HardwareConfig(dram_capacity_bytes=geo.total_mlp_bytes / 3,
@@ -550,12 +563,18 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy):
     tr = _trace(num_tokens=10, geo=geo, seed=5)
     w = _weights(geo, seed=5)
     cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
-    report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
     expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
-    for t, (got, want) in enumerate(zip(report.tokens, expected)):
-        assert got == want, f"token {t}"
-    assert len(report.tokens) == len(expected)
-    assert report.mean_error == mean_error  # bit for bit, same summation order
+    # the default _ROW_BLOCK streams all tokens as one block; 3 makes
+    # one-token blocks, and 1 also puts each layer's masks in its own batch
+    for row_block in (hwsim._ROW_BLOCK, 3, 1):
+        monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+        report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
+        for t, (got, want) in enumerate(zip(report.tokens, expected)):
+            assert got == want, f"token {t}, _ROW_BLOCK {row_block}"
+        assert len(report.tokens) == len(expected)
+        # bit for bit, same summation order
+        assert report.mean_error == mean_error, row_block
+        monkeypatch.undo()
     if policy != "nocache" and scheme != "dense":
         assert any(tc.misses > tc.bypassed for tc in report.tokens[1:])
 

@@ -183,18 +183,40 @@ def test_scheme_rows_match_per_vector_calls(batch, tied, data):
                                           oracles.keep_mask(D_FF, mid_order))
 
 
+def _assert_row_equals(rows, i, want):
+    # row i of a batch against the one-row call want, every field bit for bit
+    for field in ("input_order", "input_mask", "intermediate_order", "intermediate_mask",
+                  "glu"):
+        got, one = getattr(rows, field), getattr(want, field)
+        assert (got is None) == (one is None), field
+        if got is not None:
+            assert np.array_equal(got[i], one[0]), field
+
+
 @given(batches(), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_dip_ca_rows_with_per_row_weights_match_per_row_calls(batch, tied, shared, data):
-    # one token's layers, for every point of a sweep, as one batch: row i has
-    # its own weights, residency and gamma; shared draws the weights from a
-    # pool of two, so runs of rows share one MlpWeights as a layer's do
+def test_scheme_rows_with_per_row_weights_match_per_row_calls(batch, tied, shared, data):
+    # many layers and tokens, for every point of a sweep, as one batch: row i
+    # has its own weights (and for dip_ca its own residency and gamma), and
+    # equals the one-row call on them bit for bit; shared draws the weights
+    # from a pool of two, so runs of rows share one MlpWeights as a layer's do
     x, rng = batch
     n = len(x)
     pool = [_weights(rng, tied) for _ in range(2 if shared else n)]
     ws = [pool[int(rng.integers(2))] if shared else pool[i] for i in range(n)]
     k_in = data.draw(st.integers(1, D_MODEL))
     k_mid = data.draw(st.integers(1, D_FF))
+    for scheme in (glu_pruning_rows, gate_pruning_rows, up_pruning_rows,
+                   predictive_oracle_rows):
+        rows = scheme(ws, x, k_mid)
+        for i, row in enumerate(x):
+            _assert_row_equals(rows, i, scheme(ws[i], row[None], k_mid))
+    rows = dip_rows(ws, x, k_in, k_mid)
+    for i, row in enumerate(x):
+        _assert_row_equals(rows, i, dip_rows(ws[i], row[None], k_in, k_mid))
+        assert np.array_equal(rows.glu[i],
+                              oracles.glu_activations(ws[i], row, rows.input_mask[i]))
+
     gamma = data.draw(st.sampled_from([0.0, 0.2, 0.5]))
     gammas = rng.choice([0.0, 0.2, 0.5, 1.0], n)
     c_in = rng.integers(0, 2, (n, D_MODEL)).astype(np.int8)
@@ -205,21 +227,15 @@ def test_dip_ca_rows_with_per_row_weights_match_per_row_calls(batch, tied, share
         y = down_projection(ws, rows.glu, rows.intermediate_mask)
         for i, row in enumerate(x):
             g_i = g[i] if isinstance(g, np.ndarray) else g
-            want = dip_ca_rows(ws[i], row[None], c_in[i], c_mid[i], k_in, k_mid, g_i,
-                               re_in, re_mid)
-            for field in ("input_order", "input_mask", "intermediate_order",
-                          "intermediate_mask"):
-                assert np.array_equal(getattr(rows, field)[i], getattr(want, field)[0])
+            _assert_row_equals(rows, i, dip_ca_rows(ws[i], row[None], c_in[i], c_mid[i],
+                                                    k_in, k_mid, g_i, re_in, re_mid))
             assert np.array_equal(rows.glu[i],
                                   oracles.glu_activations(ws[i], row, rows.input_mask[i]))
             assert np.array_equal(y[i], down_projection(ws[i], rows.glu[i],
                                                         rows.intermediate_mask[i]))
             if g_i == 1.0:
                 # no re-weighting: plain input pruning, down to the last bit
-                dip = dip_rows(ws[i], row[None], k_in, k_mid)
-                for field in ("input_order", "input_mask", "intermediate_order",
-                              "intermediate_mask", "glu"):
-                    assert np.array_equal(getattr(rows, field)[i], getattr(dip, field)[0])
+                _assert_row_equals(rows, i, dip_rows(ws[i], row[None], k_in, k_mid))
 
 
 @given(batches(), st.booleans(),

@@ -30,3 +30,21 @@ def test_script_main_prints_its_table(script, argv, header, rows, monkeypatch, c
     assert lines[at].split() == header
     assert set(lines[at + 1]) == {"-"}
     assert len(lines) - at - 2 == rows
+
+
+def test_src_lines_counts_code_lines_only(monkeypatch, capsys):
+    path = os.path.join(SCRIPTS, "src_lines.py")
+    script = runpy.run_path(path)
+    text = ('"""Doc\nstring."""\n\n# comment\nx = 1  # trailing\n\n'
+            'def f():\n    """One."""\n    return (1,\n            2)\n')
+    # code: x = 1, def f():, and the two lines of the return
+    assert script["count_lines"](text) == (10, 4)
+    monkeypatch.setattr(sys, "argv", [path])
+    assert script["main"]() is None
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["physical", "logic", "file"]
+    *files, total = [line.split() for line in lines[2:]]
+    assert total[2] == "total" and any(f[2].endswith("hwsim.py") for f in files)
+    for column in (0, 1):
+        assert sum(int(f[column]) for f in files) == int(total[column])
+    assert 0 < int(total[1]) < int(total[0])

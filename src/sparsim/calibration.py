@@ -55,35 +55,34 @@ def _require_activations(trace: Trace) -> np.ndarray:
     return acts
 
 
-def calibrate_per_layer_thresholds(trace: Trace, target_density: float) -> masking.PerLayerThreshold:
-    """Per-layer thresholds realizing a target keep-fraction.
-
-    Threshold of layer l is the empirical (1 - density)-quantile of the
-    pooled |activations| of that layer; density 1.0 maps to threshold 0.
-    """
+def _magnitudes(trace: Trace, target_density: float) -> np.ndarray:
+    """|activations| of a trace [tokens, layers, d_model] to calibrate on."""
     if not 0.0 < target_density <= 1.0:
         raise ValueError("target_density must be in (0, 1]")
-    acts = _require_activations(trace)
-    thresholds = []
-    for l in range(acts.shape[1]):
-        if target_density == 1.0:
-            thresholds.append(0.0)
-        else:
-            mags = np.abs(acts[:, l, :]).ravel()
-            thresholds.append(float(np.quantile(mags, 1.0 - target_density)))
-    return masking.PerLayerThreshold(tuple(thresholds))
+    return np.abs(_require_activations(trace))
+
+
+def _cutoff(mags: np.ndarray, target_density: float) -> float:
+    """The empirical (1 - density)-quantile of the magnitudes mags, pooled;
+    density 1.0 maps to 0."""
+    if target_density == 1.0:
+        return 0.0
+    return float(np.quantile(mags.ravel(), 1.0 - target_density))
+
+
+def calibrate_per_layer_thresholds(trace: Trace, target_density: float) -> masking.PerLayerThreshold:
+    """Per-layer thresholds realizing a target keep-fraction: the cutoff of
+    layer l pools that layer's |activations|."""
+    mags = _magnitudes(trace, target_density)
+    return masking.PerLayerThreshold(tuple(_cutoff(mags[:, l], target_density)
+                                           for l in range(mags.shape[1])))
 
 
 def global_threshold_for_density(trace: Trace, target_density: float) -> masking.GlobalThreshold:
     """Single threshold from the quantile of |activations| pooled over all
     layers; realizes the target density only on average across layers."""
-    if not 0.0 < target_density <= 1.0:
-        raise ValueError("target_density must be in (0, 1]")
-    acts = _require_activations(trace)
-    if target_density == 1.0:
-        return masking.GlobalThreshold(0.0)
-    return masking.GlobalThreshold(float(np.quantile(np.abs(acts).ravel(),
-                                                     1.0 - target_density)))
+    return masking.GlobalThreshold(_cutoff(_magnitudes(trace, target_density),
+                                           target_density))
 
 
 def layer_densities(trace: Trace, spec: masking.ThresholdSpec) -> np.ndarray:
@@ -216,10 +215,9 @@ class AllocationModel:
     def predict(self, target_density: float) -> Tuple[float, float]:
         """(input density, intermediate density); clamped into (0.001, 0.999)."""
         t = _logit(np.array(target_density))
-        rho_in = 1.0 / (1.0 + math.exp(-(self.coef_in[0] + self.coef_in[1] * t)))
-        rho_mid = 1.0 / (1.0 + math.exp(-(self.coef_mid[0] + self.coef_mid[1] * t)))
         lo, hi = _LOGIT_CLAMP
-        return float(np.clip(rho_in, lo, hi)), float(np.clip(rho_mid, lo, hi))
+        return tuple(float(np.clip(1.0 / (1.0 + math.exp(-(c0 + c1 * t))), lo, hi))
+                     for c0, c1 in (self.coef_in, self.coef_mid))
 
 
 def fit_logit_linear(points: Sequence[AllocationPoint]) -> AllocationModel:
@@ -232,12 +230,10 @@ def fit_logit_linear(points: Sequence[AllocationPoint]) -> AllocationModel:
     if np.ptp(targets) == 0:
         raise ValueError("degenerate fit: all points share one memory fraction")
     design = np.column_stack([np.ones_like(targets), targets])
-    coef_in, *_ = np.linalg.lstsq(design, _logit(np.array([p.density_in for p in points])),
-                                  rcond=None)
-    coef_mid, *_ = np.linalg.lstsq(design, _logit(np.array([p.density_mid for p in points])),
-                                   rcond=None)
-    return AllocationModel(coef_in=(float(coef_in[0]), float(coef_in[1])),
-                           coef_mid=(float(coef_mid[0]), float(coef_mid[1])))
+    return AllocationModel(*(
+        tuple(float(c) for c in np.linalg.lstsq(
+            design, _logit(np.array([getattr(p, side) for p in points])), rcond=None)[0])
+        for side in ("density_in", "density_mid")))
 
 
 @dataclass(frozen=True)

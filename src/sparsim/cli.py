@@ -14,10 +14,10 @@ reads (hwsim.Scheme.reads) is rejected.  Reports are JSON written atomically
 (temp file + rename) with sorted keys, so re-running an identical config and
 seed reproduces the report byte-for-byte except the timestamp field.
 
-Exit codes: 0 success, 1 validation error (including a config that nests
-too deeply to parse, or whose arrays exceed MAX_ARRAY_BYTES or do not fit
-in memory), 2 simulation error
-(including a modelled latency that overflows the float range), 3 I/O error.
+Exit codes: 0 success, 1 validation error (including a usage error, and a
+config that nests too deeply to parse, or whose arrays exceed
+MAX_ARRAY_BYTES or do not fit in memory), 2 simulation error (including a
+modelled latency that overflows the float range), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -271,9 +271,9 @@ class _Setup(NamedTuple):
 def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -> _Setup:
     """The config of run, sweep or gamma-sweep: the keys they share (seed,
     geometry, hardware, trace) and the verb's own schema and required keys.
-    runs(fields) gives the engine's scheme, policy and points, whose state
-    (with per-token records if records) is checked before the trace and the
-    synthetic layer weights are built."""
+    runs(fields) gives the engine's scheme, policy and points, whose caches
+    and per-token state (with per-token records if records) are checked
+    before the trace and the synthetic layer weights are built."""
     fields = _fields(_load_config(args), "", {
         "seed": _int, "geometry": _geometry, "hardware": _hardware, **schema,
         "trace": _raw}, ("trace", "geometry", "hardware") + required)
@@ -282,10 +282,15 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     _check_bytes("the MLP weights", 3, geo.num_layers, geo.d_model, geo.d_ff)
     scheme, policy, points = runs(fields)
     groups = hwsim.scheme_groups(scheme, geo)
+    units = sum(g.universe for g in groups)  # the units of one layer's caches
+    # 16 words per unit of every (point, layer)'s caches: 33 B of CacheState, an
+    # 8 B flat id per active unit, and the stream's and replay's per-token arrays
+    # (68-106 B per unit in all, measured as tracemalloc peak slopes)
+    _check_bytes("the engine's caches", points, geo.num_layers, units, 16)
     # 8-byte words per token and point: per layer, each group's hit, miss and
     # bypass counts, the kernel error and with belady the stream and next uses;
     # 64 (0.35-0.55 kB measured, mostly a TokenCost), 256 per record (~2 kB)
-    stream = 2 * sum(g.universe for g in groups) if policy == "belady" else 0
+    stream = 2 * units if policy == "belady" else 0
     words = geo.num_layers * (3 * len(groups) + 1 + stream) + 64 + 256 * records
     trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed, (points, words))
     weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
@@ -400,13 +405,6 @@ def _cmd_sweep(args) -> None:
     _write_report(args.out, out)
 
 
-def _signed_heavy_tailed(rng: np.random.Generator, n: int, dim: int,
-                         sigma: float) -> np.ndarray:
-    mags = rng.lognormal(mean=0.0, sigma=sigma, size=(n, dim))
-    signs = rng.integers(0, 2, size=(n, dim)) * 2 - 1
-    return mags * signs
-
-
 def _cmd_calibrate_allocation(args) -> None:
     cfg = _fields(_load_config(args), "", {
         "seed": _int, "block": _raw, "calibration": _raw, "grid": _raw, "targets": _raw},
@@ -424,7 +422,7 @@ def _cmd_calibrate_allocation(args) -> None:
     _check_bytes("the calibration inputs", calib["num_inputs"], d_model)
     w = MlpWeights.random(d_model, d_ff, seed=block["seed"])
     rng = np.random.default_rng(calib["seed"])
-    inputs = _signed_heavy_tailed(rng, calib["num_inputs"], d_model, calib["sigma"])
+    inputs = traces.signed_lognormal(rng, (calib["num_inputs"], d_model), 0.0, calib["sigma"])
     if not np.isfinite(inputs).all():
         raise ConfigError("calibration.sigma gives inputs beyond the float range")
     grid = _fields(cfg["grid"], "grid", {"densities_in": _floats, "densities_mid": _floats},
@@ -475,8 +473,16 @@ def _cmd_gamma_sweep(args) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors: one stderr
+    line and exit 1, like every other bad input.  --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsim",
         description="Trace-driven simulator for dynamic activation sparsity "
                     "under flash/DRAM memory constraints.")
@@ -494,15 +500,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--per-token", action="store_true",
-                       help="include per-token cost records in the report")
+        if name == "run":
+            p.add_argument("--per-token", action="store_true",
+                           help="include per-token cost records in the report")
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.fn(args)
         return EXIT_OK
     except SimulationError as e:

@@ -238,9 +238,8 @@ SCHEMES: Dict[str, Scheme] = {
     "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
     "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.gate_pruning_rows(w, x, k_mid)),
     "up": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.up_pruning_rows(w, x, k_mid)),
-    # oracle logits |GLU(x)| stand in for a trained predictor
-    "predictive": Scheme(3, lambda cfg, w, x, k_in, k_mid:
-                         masking.predictive_oracle_rows(w, x, k_mid)),
+    # oracle logits |GLU(x)| stand in for a trained predictor: glu's selection
+    "predictive": Scheme(3, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
     "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.dip_rows(w, x, k_in, k_mid),
                   input_bundles=True, prunes_input=True),
     "dip_ca": Scheme(1, lambda cfg, w, x, k_in, k_mid, c_in, c_mid, gamma: masking.dip_ca_rows(
@@ -342,8 +341,8 @@ class _Batch(NamedTuple):
     tokens.  A mask row serves the (layer, point) pairs of its layer and k,
     or its own pair when the masks read the caches.  Per served pair s:
     row[s] is its mask row, and ids[s] each active-unit column's offset onto
-    the flat axis; when the masks read the caches, cols[g][s] holds the flat
-    ids of every unit of its cache of group g."""
+    the flat axis; when the masks read the caches, caches is the range of
+    the flat axis that holds the pairs' caches, pair by pair, group by group."""
 
     k: Tuple[int, int]
     layer: np.ndarray  # int [R], each mask row's layer, layer-major
@@ -351,7 +350,7 @@ class _Batch(NamedTuple):
     point: np.ndarray  # int [S]
     gamma: np.ndarray  # float [S], the point's gamma
     ids: np.ndarray    # int [S, active units of a row]
-    cols: Tuple[np.ndarray, ...]  # int [S, universe] per group, or ()
+    caches: Optional[slice]  # flat ids of the pairs' caches, or None
 
 
 def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndarray:
@@ -401,8 +400,8 @@ def _layout(configs: Sequence[SchemeConfig], entry: Scheme, groups: Sequence[Gro
             batches.append(_Batch(
                 k, layer[s][::served], np.arange(r1 - r0).repeat(served), point[s], gamma[s],
                 np.repeat(base[s], widths, axis=1),
-                tuple(base[s, gi, None] + np.arange(g.universe) for gi, g in enumerate(groups)
-                      if entry.cache_aware)))
+                slice(*caches.offsets[[s.start * len(groups), s.stop * len(groups)]].tolist())
+                if entry.cache_aware else None))
         start += geo.num_layers * len(points)
     widest = max(len(configs), max(len(b.layer) for b in batches))
     block = 1 if entry.cache_aware else max(1, _ROW_BLOCK // widest)
@@ -424,6 +423,7 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
     [points, tokens, layers] gets each error once its masks exist.
     """
     entry = SCHEMES[scheme.name]
+    splits = np.cumsum([g.universe for g in groups[:-1]])
     span = block if errors is None else max(block, _ROW_BLOCK // len(errors))
     for t0 in range(0, acts.shape[0], span):
         x = acts[t0:t0 + span].transpose(1, 0, 2)  # [layers, tokens, d_model]
@@ -437,7 +437,8 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                 xs = x[b.layer, i0:i0 + n].reshape(-1, geo.d_model)  # row-major
                 w = None if weights is None else [weights[l] for l in b.layer.repeat(n)]
                 # a cache-aware row, one token long, reads its own pair's caches
-                extra = () if bits is None else (*(bits[c] for c in b.cols), b.gamma)
+                extra = () if bits is None else (*np.split(
+                    bits[b.caches].reshape(len(b.row), -1), splits, axis=1), b.gamma)
                 rows = (entry.rows(scheme, w, xs, *b.k, *extra) if entry.rows
                         else masking.dense_rows(len(xs), geo.d_model, geo.d_ff))
                 if errors is not None:

@@ -4,7 +4,9 @@ Covers deterministic top-k selection, three thresholding strategies (global,
 per-layer calibrated, per-token top-k), the baseline per-token sparsification
 schemes (GLU / gate / up / predictive pruning), dynamic input pruning over
 both the input and intermediate dimensions, and its cache-aware variant that
-re-weights selection scores by current cache residency.
+re-weights selection scores by current cache residency.  The simulator's
+predictive scheme, with oracle logits |GLU(x)|, selects glu_pruning_rows'
+units, so it calls that function.
 
 Masks are bool arrays.  There is one row order (rank_rows): each row's
 units from the largest key down, ties to the lower index, i.e. a stable
@@ -46,7 +48,6 @@ __all__ = [
     "gate_pruning_rows",
     "up_pruning_rows",
     "predictive_rows",
-    "predictive_oracle_rows",
     "dip_rows",
     "dip_ca_rows",
     "dip_ca_scores",
@@ -244,13 +245,6 @@ def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
     the predictor's own bytes count as static residency in the simulator.
     """
     return _intermediate_rows(x, predictor_forward(p, x), k_mid)
-
-
-def predictive_oracle_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
-    """Predictive scheme with oracle logits |GLU(x)|: selects exactly the GLU
-    pruning mask but prunes up and gate as well."""
-    h = glu_activations(w, x)
-    return _intermediate_rows(x, np.abs(h), k_mid, h)
 
 
 def dip_rows(w, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:

@@ -17,7 +17,8 @@ square root of one dot product, as np.linalg.norm does for a vector.
 All math runs in float64 and is deterministic given explicit seeds, so the
 numeric tolerances in the test-suite are reproducible across machines.
 Gradients are hand-written; the tests check them against central finite
-differences.
+differences.  Both trainers run one loop, _descend: plain gradient descent
+that returns the best iterate and every loss.
 """
 
 from __future__ import annotations
@@ -389,10 +390,9 @@ def distill_loss_and_grads(w: MlpWeights, ad: MlpAdapters, in_masks: np.ndarray,
     return loss, grads
 
 
-@dataclass
-class DistillResult:
-    adapters: MlpAdapters
-    losses: list
+class _TrainResult:
+    """The losses of every iterate, first to last; the parameters returned
+    are those of the best one."""
 
     @property
     def initial_loss(self) -> float:
@@ -401,6 +401,31 @@ class DistillResult:
     @property
     def final_loss(self) -> float:
         return min(self.losses)
+
+
+def _descend(params: dict, loss_and_grads, steps: int, lr: float, what: str):
+    """Plain gradient descent: steps updates p -= lr * grad, in place, on the
+    live arrays params (name -> array), each after loss_and_grads() gives
+    the loss at the current arrays and a gradient per name.  Returns the
+    steps + 1 losses and copies of the arrays of the first iterate with the
+    lowest one.  A non-finite loss raises TrainingDivergedError naming what."""
+    losses, best = [], None
+    for _ in range(steps + 1):
+        loss, grads = loss_and_grads()
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"{what} loss became {loss}")
+        if best is None or loss < best[0]:
+            best = (loss, {k: v.copy() for k, v in params.items()})
+        losses.append(loss)
+        for k, v in params.items():
+            v -= lr * grads[k]
+    return losses, best[1]
+
+
+@dataclass
+class DistillResult(_TrainResult):
+    adapters: MlpAdapters
+    losses: list
 
 
 def lora_fit_distill(w: MlpWeights, inputs: Sequence[np.ndarray], input_masks: np.ndarray,
@@ -433,26 +458,12 @@ def lora_fit_distill(w: MlpWeights, inputs: Sequence[np.ndarray], input_masks: n
 
     rng = np.random.default_rng(seed)
     ad = MlpAdapters.init(w, rank, rng)
-    losses = []
-    best = None
-    for _ in range(iters + 1):
-        loss, grads = distill_loss_and_grads(w, ad, in_masks, mid_masks, x_batch, teacher)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"distillation loss became {loss}")
-        losses.append(loss)
-        if best is None or loss < best[0]:
-            best = (loss, MlpAdapters(
-                up=LoraAdapter(ad.up.a.copy(), ad.up.b.copy()),
-                gate=LoraAdapter(ad.gate.a.copy(), ad.gate.b.copy()),
-                down=LoraAdapter(ad.down.a.copy(), ad.down.b.copy()),
-            ))
-        ad.up.a -= lr * grads["up_a"]
-        ad.up.b -= lr * grads["up_b"]
-        ad.gate.a -= lr * grads["gate_a"]
-        ad.gate.b -= lr * grads["gate_b"]
-        ad.down.a -= lr * grads["down_a"]
-        ad.down.b -= lr * grads["down_b"]
-    return DistillResult(adapters=best[1], losses=losses)
+    sides = ("up", "gate", "down")
+    params = {f"{m}_{f}": getattr(getattr(ad, m), f) for m in sides for f in "ab"}
+    losses, best = _descend(params, lambda: distill_loss_and_grads(
+        w, ad, in_masks, mid_masks, x_batch, teacher), iters, lr, "distillation")
+    adapters = MlpAdapters(*(LoraAdapter(best[f"{m}_a"], best[f"{m}_b"]) for m in sides))
+    return DistillResult(adapters=adapters, losses=losses)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +568,9 @@ def predictor_loss_and_grads(p: Predictor, x_batch: np.ndarray, targets: np.ndar
 
 
 @dataclass
-class PredictorTrainResult:
+class PredictorTrainResult(_TrainResult):
     predictor: Predictor
     losses: list
-
-    @property
-    def initial_loss(self) -> float:
-        return self.losses[0]
-
-    @property
-    def final_loss(self) -> float:
-        return min(self.losses)
 
 
 def predictor_train(data: Sequence, hidden: int = 64, epochs: int = 20,
@@ -586,17 +589,9 @@ def predictor_train(data: Sequence, hidden: int = 64, epochs: int = 20,
     glu_batch = np.asarray(glus, dtype=float)
     targets = topk_binary_targets(glu_batch, target_frac)
     p = Predictor.create(x_batch.shape[1], glu_batch.shape[1], hidden=hidden, seed=seed)
-    losses = []
-    best = None
-    for _ in range(epochs + 1):
-        loss, grads = predictor_loss_and_grads(p, x_batch, targets)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"predictor loss became {loss}")
-        losses.append(loss)
-        if best is None or loss < best[0]:
-            best = (loss, Predictor(p.w1.copy(), p.b1.copy(), p.w2.copy(), p.b2.copy()))
-        p.w1 -= lr * grads["w1"]
-        p.b1 -= lr * grads["b1"]
-        p.w2 -= lr * grads["w2"]
-        p.b2 -= lr * grads["b2"]
-    return PredictorTrainResult(predictor=best[1], losses=losses)
+    names = ("w1", "b1", "w2", "b2")
+    losses, best = _descend({k: getattr(p, k) for k in names},
+                            lambda: predictor_loss_and_grads(p, x_batch, targets),
+                            epochs, lr, "predictor")
+    return PredictorTrainResult(predictor=Predictor(*(best[k] for k in names)),
+                                losses=losses)

@@ -1,9 +1,10 @@
 """Synthetic activation traces and the binary trace file format.
 
 Traces hold one activation vector per (token, layer) and are generated as
-sign * lognormal(mu_l, sigma_l) with i.i.d. Rademacher signs: heavy-tailed
-magnitudes whose scale differs per layer, mimicking how activation statistics
-drift with depth.  Generation is deterministic per seed, and generated values
+signed_lognormal(mu_l, sigma_l): sign * lognormal with i.i.d. Rademacher
+signs, heavy-tailed magnitudes whose scale differs per layer, mimicking how
+activation statistics drift with depth.  The CLI's calibration inputs are
+drawn by the same function.  Generation is deterministic per seed, and generated values
 are quantized through float32 so an in-memory trace equals its file
 round-trip bit-for-bit.
 
@@ -29,6 +30,7 @@ __all__ = [
     "TraceFormatError",
     "SyntheticTraceSpec",
     "Trace",
+    "signed_lognormal",
     "generate_synthetic_trace",
     "synthetic_layer_weights",
     "write_trace",
@@ -99,20 +101,22 @@ class Trace:
         return self.activations.shape[0]
 
 
-def generate_synthetic_trace(spec: SyntheticTraceSpec) -> Trace:
-    """Heavy-tailed synthetic activations, deterministic per seed.
+def signed_lognormal(rng: np.random.Generator, shape, mu: float, sigma: float) -> np.ndarray:
+    """Values of the given shape, |value| ~ lognormal(mu, sigma) and sign ~
+    Rademacher, all i.i.d.; rng draws every magnitude, then every sign."""
+    mags = rng.lognormal(mean=mu, sigma=sigma, size=shape)
+    return mags * (rng.integers(0, 2, size=shape) * 2 - 1)
 
-    Per layer l: |value| ~ lognormal(mu_l, sigma_l), sign ~ Rademacher,
-    all i.i.d. across tokens and channels.  Values pass through float32 so
-    file round-trips are bit-exact.
-    """
+
+def generate_synthetic_trace(spec: SyntheticTraceSpec) -> Trace:
+    """Heavy-tailed synthetic activations, deterministic per seed: layer by
+    layer, signed_lognormal(mu_l, sigma_l) over tokens and channels.  Values
+    pass through float32 so file round-trips are bit-exact."""
     rng = np.random.default_rng(spec.seed)
     acts = np.empty((spec.num_tokens, spec.num_layers, spec.d_model))
     for l in range(spec.num_layers):
-        mags = rng.lognormal(mean=spec.mu[l], sigma=spec.sigma[l],
-                             size=(spec.num_tokens, spec.d_model))
-        signs = rng.integers(0, 2, size=(spec.num_tokens, spec.d_model)) * 2 - 1
-        acts[:, l, :] = mags * signs
+        acts[:, l, :] = signed_lognormal(rng, (spec.num_tokens, spec.d_model),
+                                         spec.mu[l], spec.sigma[l])
     acts = acts.astype(np.float32).astype(np.float64)
     if not np.isfinite(acts).all():
         raise ValueError("mu and sigma give activations beyond the float32 range")

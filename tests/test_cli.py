@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsim import MlpWeights, Trace, read_trace, traces, write_trace
-from sparsim import cli as cli_module
 from sparsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -509,6 +508,40 @@ def test_validation_error_for_malformed_json(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--config", "c.json"], "the following arguments are required: --out"),
+    (["run", "--config", "c.json", "--out", "r.json", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+    (["simulate", "--config", "c.json", "--out", "r.json"], "invalid choice: 'simulate'"),
+], ids=["no-out", "seed-not-an-int", "no-verb", "unknown-verb"])
+def test_usage_errors_are_validation_errors(capsys, argv, message):
+    # one stderr line and exit 1, as for a bad config; no usage block
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--per-token" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["gen-trace", "sweep", "calibrate-allocation",
+                                  "gamma-sweep"])
+def test_per_token_is_a_run_flag_only(tmp_path, capsys, verb):
+    # only run writes per-token records; other verbs reject the flag
+    cfg = _write_config(tmp_path, "c.json", _FUZZ_CONFIGS[verb])
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out), "--per-token"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: unrecognized arguments: --per-token\n"
+    assert not out.exists()
+
+
 def test_validation_error_for_unknown_preset(tmp_path):
     cfg = _write_config(tmp_path, "c.json", _run_config(geometry="no-such-preset"))
     out = tmp_path / "r.json"
@@ -619,6 +652,11 @@ def _never_called(*args, **kwargs):
      "the engine's per-token state"),
     ("sweep", _run_config(trace={"synthetic": {"num_tokens": 2**15}},
                           sweep={"densities": [0.5] * 4096}), "the engine's per-token state"),
+    # one token, but 120 x 120 points, each with a cache per layer and group
+    # of the 512 units of a medium-7.4gb layer
+    ("gamma-sweep", {**_run_config(trace={"synthetic": {"num_tokens": 1}}),
+                     "geometry": "medium-7.4gb", "hardware": "phone-4gb", "scheme": None,
+                     "gammas": [0.5] * 120, "densities": [0.5] * 120}, "the engine's caches"),
 ])
 def test_validation_error_when_config_exceeds_the_size_limit(tmp_path, capsys, monkeypatch,
                                                               verb, cfg, what):
@@ -626,7 +664,7 @@ def test_validation_error_when_config_exceeds_the_size_limit(tmp_path, capsys, m
     # every allocator of a trace, weights or inputs fails the test if reached
     for mod, name in ((traces, "generate_synthetic_trace"),
                       (traces, "synthetic_layer_weights"), (MlpWeights, "random"),
-                      (cli_module, "_signed_heavy_tailed")):
+                      (traces, "signed_lognormal")):
         monkeypatch.setattr(mod, name, _never_called)
     cfg = {k: v for k, v in cfg.items() if v is not None}
     out = tmp_path / "out"

@@ -25,7 +25,6 @@ from sparsim.masking import (
     dense_rows,
     gate_pruning_rows,
     glu_pruning_rows,
-    predictive_oracle_rows,
     predictive_rows,
     topk_rows,
     up_pruning_rows,
@@ -197,14 +196,6 @@ def test_scheme_dip_toy(toy_weights, toy_x):
     assert active(ms.intermediate_mask[0]) == (0,)
     y = sparse_forward(toy_weights, ms, toy_x)
     np.testing.assert_allclose(y, [0.7310585786300049, 0.0], atol=1e-9)
-
-
-def test_scheme_predictive_oracle_matches_glu_selection(toy_weights, toy_x):
-    oracle = predictive_oracle_rows(toy_weights, toy_x[None], 1)
-    glu = glu_pruning_rows(toy_weights, toy_x[None], 1)
-    np.testing.assert_array_equal(oracle.intermediate_mask, glu.intermediate_mask)
-    # predictive prunes all three matrices, yet its input mask stays full
-    assert oracle.input_mask.all()
 
 
 def test_scheme_predictive_ranks_raw_logits():

@@ -303,6 +303,27 @@ def test_distill_divergence_raises():
                              rank=2, iters=200, lr=1e6, seed=0)
 
 
+def _not_monotone(losses):
+    # a loss that rises at some step, and a best iterate before the last
+    return (any(b > a for a, b in zip(losses, losses[1:]))
+            and losses.index(min(losses)) < len(losses) - 1)
+
+
+def test_distill_returns_the_best_iterate():
+    # at this step size the loss is not monotone, so the best adapters are
+    # neither the last iterate nor live arrays that later steps moved on
+    w = MlpWeights.random(4, 12, seed=3)
+    inputs = np.random.default_rng(4).standard_normal((8, 4))
+    masks = dip_rows(w, inputs, 2, 6)
+    res = lora_fit_distill(w, inputs, masks.input_mask, masks.intermediate_mask,
+                           rank=2, iters=20, lr=1.8, seed=0)
+    assert _not_monotone(res.losses)
+    loss, _ = distill_loss_and_grads(w, res.adapters, masks.input_mask.astype(float),
+                                     masks.intermediate_mask.astype(float), inputs,
+                                     mlp_dense_forward(w, inputs))
+    assert loss == res.final_loss
+
+
 # ---------------------------------------------------------------------------
 # predictor
 # ---------------------------------------------------------------------------
@@ -380,6 +401,18 @@ def test_predictor_train_zero_epochs_and_divergence():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingDivergedError):
             predictor_train(big, hidden=4, epochs=300, lr=1e8)
+
+
+def test_predictor_train_returns_the_best_iterate():
+    rng = np.random.default_rng(8)
+    w = MlpWeights.random(6, 24, seed=7)
+    xs = rng.standard_normal((16, 6))
+    data = [(x, glu_activations(w, x)) for x in xs]
+    res = predictor_train(data, hidden=8, epochs=40, lr=50.0, target_frac=0.25, seed=0)
+    assert _not_monotone(res.losses)
+    targets = topk_binary_targets(np.array([g for _, g in data]), 0.25)
+    loss, _ = predictor_loss_and_grads(res.predictor, xs, targets)
+    assert loss == res.final_loss
 
 
 # ---------------------------------------------------------------------------

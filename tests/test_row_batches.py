@@ -26,7 +26,6 @@ from sparsim.masking import (
     dip_rows,
     gate_pruning_rows,
     glu_pruning_rows,
-    predictive_oracle_rows,
     rank_rows,
     topk_rows,
     up_pruning_rows,
@@ -162,8 +161,6 @@ def test_scheme_rows_match_per_vector_calls(batch, tied, data):
         (glu_pruning_rows(w, x, k_mid), lambda r: oracles.glu_orders(w, r, k_mid)),
         (gate_pruning_rows(w, x, k_mid), lambda r: oracles.gate_orders(w, r, k_mid)),
         (up_pruning_rows(w, x, k_mid), lambda r: oracles.up_orders(w, r, k_mid)),
-        (predictive_oracle_rows(w, x, k_mid),
-         lambda r: oracles.predictive_oracle_orders(w, r, k_mid)),
         (dip_rows(w, x, k_in, k_mid), lambda r: oracles.dip_orders(w, r, k_in, k_mid)),
         (dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid, gamma),
          lambda r: oracles.dip_ca_orders(w, r, c_in, c_mid, k_in, k_mid, gamma)),
@@ -206,8 +203,7 @@ def test_scheme_rows_with_per_row_weights_match_per_row_calls(batch, tied, share
     ws = [pool[int(rng.integers(2))] if shared else pool[i] for i in range(n)]
     k_in = data.draw(st.integers(1, D_MODEL))
     k_mid = data.draw(st.integers(1, D_FF))
-    for scheme in (glu_pruning_rows, gate_pruning_rows, up_pruning_rows,
-                   predictive_oracle_rows):
+    for scheme in (glu_pruning_rows, gate_pruning_rows, up_pruning_rows):
         rows = scheme(ws, x, k_mid)
         for i, row in enumerate(x):
             _assert_row_equals(rows, i, scheme(ws[i], row[None], k_mid))

@@ -26,20 +26,34 @@ order, and the misses admitted are the first ones in admission order:
 1. hits: active units already resident; bump their count and recency;
 2. free slots: capacity minus resident count;
 3. evictions: of the misses that find no free slot, as many as there are
-   non-active residents evict those with the smallest keys (one lexsort);
+   non-active residents evict those with the smallest keys;
 4. admission: the first misses, one per free or freed slot;
 5. bypass: the remaining misses.
+
+Step 3 ranks the candidates, cache by cache and each cache's by its key,
+with one stable argsort of one int64 key.  With C the clock, every
+resident's freq and last_use lie in [0, C] (a token offers a unit at most
+once), so lfu keys on (cache * (C + 1) + freq) * (C + 1) + last_use and lru
+on cache * (C + 1) + last_use.  Belady keys on cache * (M - m + 1) +
+(M - next_use), with M and m the largest and smallest next use among the
+candidates.  Each key orders its fields lexicographically, cache first, and
+the largest is caches * (C + 1)^2 - 1 for lfu, caches * (C + 1) - 1 for lru
+and caches * (M - m + 1) - 1 for Belady.  A key that could reach 2^63
+(caches * (C + 1)^2 >= 2^63 for lfu: about 3e9 tokens for one cache) does
+not fit in int64, and then the fields go to np.lexsort, which gives the
+same order.  Candidates ascend by flat id and both sorts are stable, so
+ties go to the lowest id.
 
 One CacheState holds many independent caches (a run's layers and unit
 groups, and every point of a sweep) over one flat unit axis, each cache a
 contiguous range of it, and replay advances them all by one token in one
 batch.  This equals advancing each cache on its own.  Caches share no unit,
-and every rule above reads only the keys of the cache's own units: the
-lexsort takes the cache id as its leading key, so each cache's candidates
-keep their own key order, and victims and admissions are counted within
-each cache.  The one thing the caches share is the clock, and a shared
-clock reads the same as a private one because every cache advances exactly
-once per token, with or without active units.
+and every rule above reads only the keys of the cache's own units: the sort
+key leads with the cache id, so each cache's candidates keep their own key
+order, and victims and admissions are counted within each cache.  The one
+thing the caches share is the clock, and a shared clock reads the same as a
+private one because every cache advances exactly once per token, with or
+without active units.
 
 Belady keys come from belady_precompute, which gives each token an array,
 aligned with its units, of each unit's next access position.  replay writes
@@ -66,6 +80,9 @@ __all__ = [
 ]
 
 POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
+
+# Every eviction key lies below this bound, or the keys go to np.lexsort.
+_KEY_LIMIT = 1 << 63
 
 
 class Group(IntEnum):
@@ -135,10 +152,10 @@ def belady_precompute(trace: Sequence[Sequence[int]]) -> List[np.ndarray]:
     return next_use
 
 
-def _rank_within(owner: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each entry's position within its cache's run of a non-decreasing
-    array of cache ids, given the run lengths (entries per cache)."""
-    return np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+def _leading(counts: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Per entry of an array that goes cache by cache (counts entries per
+    cache), whether it is among the first taken of its cache's."""
+    return np.arange(counts.sum()) < np.repeat(np.cumsum(counts) - counts + taken, counts)
 
 
 def replay(state: CacheState, active_units: Sequence[int], policy: str,
@@ -173,46 +190,67 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
         state.next_use[active] = next_use
     state.clock += 1
     n = state.num_caches
+    resident = state.is_resident
 
-    hit = state.is_resident[active]
-    hits = active[hit]
-    state.freq[hits] += 1
-    state.last_use[hits] = state.clock
-    misses, miss_owner = active[~hit], owner[~hit]
-    n_hits = np.bincount(owner[hit], minlength=n)
-    n_misses = np.bincount(miss_owner, minlength=n)
+    hit = resident[active]
+    # one count per (cache, miss or hit), cache by cache
+    n_misses, n_hits = np.bincount(2 * owner + hit, minlength=2 * n).reshape(n, 2).T
+    # every active unit is used now: a hit counts one more use and a miss
+    # starts at one.  A bypassed miss stays non-resident, and nothing reads
+    # a non-resident's freq or last_use.
+    state.freq *= resident | ~is_active
+    state.freq += is_active
+    state.last_use[active] = state.clock
     if policy == "nocache":
         return n_hits, n_misses, n_misses.copy()
 
     admitted = np.minimum(n_misses, state.capacity_units - state.count)
     short = n_misses - admitted
     if short.any():
-        candidates = np.flatnonzero(state.is_resident & ~is_active)
+        candidates = np.flatnonzero(resident > is_active)  # the non-active residents
         cand_owner = state.cache_of[candidates]
-        wanted = short[cand_owner] > 0
-        candidates, cand_owner = candidates[wanted], cand_owner[wanted]
-        n_cand = np.bincount(cand_owner, minlength=n)
-        n_evict = np.minimum(short, n_cand)
-        # the cache id leads; candidates ascend by index and lexsort is
-        # stable, so ties go to the lowest index
-        if policy == "lfu":
-            keys = (state.last_use[candidates], state.freq[candidates], cand_owner)
-        elif policy == "lru":
-            keys = (state.last_use[candidates], cand_owner)
-        else:
-            keys = (-state.next_use[candidates], cand_owner)
-        order = np.lexsort(keys)
-        ranked, ranked_owner = candidates[order], cand_owner[order]
-        state.is_resident[ranked[_rank_within(ranked_owner, n_cand)
-                                 < n_evict[ranked_owner]]] = False
-        state.count -= n_evict
-        admitted += n_evict
-    admit = misses[_rank_within(miss_owner, n_misses) < admitted[miss_owner]]
-    state.is_resident[admit] = True
-    state.freq[admit] = 1
-    state.last_use[admit] = state.clock
+        if not short.all():  # only the short caches evict
+            wanted = short[cand_owner] > 0
+            candidates, cand_owner = candidates[wanted], cand_owner[wanted]
+        if candidates.size:
+            n_cand = np.bincount(cand_owner, minlength=n)
+            n_evict = np.minimum(short, n_cand)
+            order = _eviction_order(state, candidates, cand_owner, policy)
+            resident[candidates[order[_leading(n_cand, n_evict)]]] = False
+            state.count -= n_evict
+            admitted += n_evict
+    bypassed = n_misses - admitted
+    if not bypassed.any():
+        resident |= is_active  # every miss is admitted
+    elif admitted.any():
+        resident[active[~hit][_leading(n_misses, admitted)]] = True
     state.count += admitted
-    return n_hits, n_misses, n_misses - admitted
+    return n_hits, n_misses, bypassed
+
+
+def _eviction_order(state: CacheState, units: np.ndarray, owner: np.ndarray,
+                    policy: str) -> np.ndarray:
+    """The order in which the candidates units (ascending flat ids, owner
+    their cache ids) are evicted: cache by cache, each cache's by its
+    eviction key, ties to the lowest id.  One stable argsort of one int64
+    key when no key can overflow (see the module docstring), else lexsort."""
+    if policy == "belady":
+        upcoming = state.next_use[units]
+        top, low = int(upcoming.max()), int(upcoming.min())
+        width = top - low + 1
+        if state.num_caches * width < _KEY_LIMIT:
+            return np.argsort(owner * width + (top - upcoming), kind="stable")
+        return np.lexsort((-upcoming, owner))
+    width = state.clock + 1  # freq and last_use lie in [0, clock]
+    last_use = state.last_use[units]
+    if policy == "lru":
+        if state.num_caches * width < _KEY_LIMIT:
+            return np.argsort(owner * width + last_use, kind="stable")
+        return np.lexsort((last_use, owner))
+    freq = state.freq[units]
+    if state.num_caches * width * width < _KEY_LIMIT:
+        return np.argsort((owner * width + freq) * width + last_use, kind="stable")
+    return np.lexsort((last_use, freq, owner))
 
 
 def resident_bitvector(state: CacheState) -> np.ndarray:

@@ -263,7 +263,7 @@ class _Setup(NamedTuple):
     geo: ModelGeometry
     hw: HardwareConfig
     trace: traces.Trace
-    weights: List[MlpWeights]
+    weights: Optional[List[MlpWeights]]  # None when the run never reads them
     fields: dict  # the verb's own keys, read through its schema
     config: dict  # the echo of seed, trace, geometry and hardware
 
@@ -293,8 +293,11 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     stream = 2 * units if policy == "belady" else 0
     words = geo.num_layers * (3 * len(groups) + 1 + stream) + 64 + 256 * records
     trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed, (points, words))
-    weights = traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff,
-                                             seed=seed)
+    # the engine reads the weights for row masks or kernel_eval; sweep and
+    # gamma-sweep always have row masks, and run's kernel_eval defaults off
+    weights = (traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff, seed=seed)
+               if SCHEMES[scheme].rows is not None or fields.get("kernel_eval", False)
+               else None)
     return _Setup(geo, hw, trace, weights, fields, {
         "seed": seed, "trace": trace_echo, "geometry": geo_echo, "hardware": hw_echo})
 

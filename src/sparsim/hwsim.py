@@ -24,6 +24,14 @@ builds its masks over a block of tokens in one call.  A row serves every
 point with its (k_in, k_mid); cache-aware masks read the caches, so their
 rows serve one point and their blocks are one token.  Each point keeps its
 own caches, so its report equals its own simulate_run bit for bit.
+
+kernel_eval computes the dense block forward of each (layer, token) once,
+as its reference.  The schemes that keep every input unit (dense, glu,
+gate, up, predictive) keep its GLU too, for one block of tokens at a time
+(see _unit_stream): glu and predictive score on it, every such scheme's
+output is the down projection of it under the intermediate mask, and
+dense's output is the reference itself.  Every row still goes through one
+gemv per matrix, so reports do not depend on how rows are batched.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 from . import masking
 from .cache import (POLICY_NAMES, CacheState, Group, belady_precompute, replay,
                     resident_bitvector)
-from .mlp import MlpWeights, down_projection, glu_activations, mlp_dense_forward, rel_l2_rows
+from .mlp import MlpWeights, _masked, down_projection, glu_activations, rel_l2_rows
 
 __all__ = [
     "SimulationError",
@@ -209,7 +217,9 @@ class Scheme:
     the previous token's replay and Belady is ill-defined.
     rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
     RowMasks of the rows x, w holding one MlpWeights per row; None for a
-    scheme that keeps every unit.
+    scheme that keeps every unit.  A scheme that keeps every input unit
+    also takes glu=, the rows' dense GLU when the caller has it, and glu
+    and predictive score on it in place of computing it again.
     """
 
     mid_matrices: int
@@ -235,11 +245,15 @@ class Scheme:
 
 SCHEMES: Dict[str, Scheme] = {
     "dense": Scheme(1, None, input_bundles=True),
-    "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
-    "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.gate_pruning_rows(w, x, k_mid)),
-    "up": Scheme(2, lambda cfg, w, x, k_in, k_mid: masking.up_pruning_rows(w, x, k_mid)),
+    "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid, glu=None: masking.glu_pruning_rows(
+        w, x, k_mid, glu)),
+    "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid, glu=None: masking.gate_pruning_rows(
+        w, x, k_mid)),
+    "up": Scheme(2, lambda cfg, w, x, k_in, k_mid, glu=None: masking.up_pruning_rows(
+        w, x, k_mid)),
     # oracle logits |GLU(x)| stand in for a trained predictor: glu's selection
-    "predictive": Scheme(3, lambda cfg, w, x, k_in, k_mid: masking.glu_pruning_rows(w, x, k_mid)),
+    "predictive": Scheme(3, lambda cfg, w, x, k_in, k_mid, glu=None: masking.glu_pruning_rows(
+        w, x, k_mid, glu)),
     "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.dip_rows(w, x, k_in, k_mid),
                   input_bundles=True, prunes_input=True),
     "dip_ca": Scheme(1, lambda cfg, w, x, k_in, k_mid, c_in, c_mid, gamma: masking.dip_ca_rows(
@@ -334,6 +348,10 @@ class RunReport:
 # Rows per mask-building call and per kernel_eval block: bounds the
 # [rows, d_ff] temporaries, whatever the trace length and the number of points.
 _ROW_BLOCK = 256
+# Mask rows whose kernel errors wait to be computed together: enough for one
+# down projection per layer to serve many one-token blocks, few enough to
+# keep their GLU rows small.
+_EVAL_ROWS = 64
 
 
 class _Batch(NamedTuple):
@@ -408,6 +426,34 @@ def _layout(configs: Sequence[SchemeConfig], entry: Scheme, groups: Sequence[Gro
     return caches, batches, block, cid
 
 
+def _score(pending, weights: Sequence[MlpWeights], ref: np.ndarray, t0: int,
+           errors: np.ndarray) -> None:
+    """Write the kernel errors of pending mask rows into errors [points,
+    tokens, layers].  Each pending entry is (batch, first token of its block
+    within the span from t0, tokens, the rows' GLU under their intermediate
+    masks, or None when the output is the reference itself).  The rows go
+    to the down projection layer by layer, so each layer's matrix serves
+    all its rows in one stacked product; each row is still one gemv."""
+    y_ref = np.concatenate([ref[b.layer, i0:i0 + n].reshape(-1, ref.shape[2])
+                            for b, i0, n, _ in pending])
+    y = y_ref
+    if len(pending) == 1 and pending[0][3] is not None:  # a batch goes layer by layer
+        b, _, n, glu = pending[0]
+        y = down_projection([weights[l] for l in b.layer.repeat(n)], glu)
+    elif pending[0][3] is not None:
+        layer = np.concatenate([b.layer.repeat(n) for b, _, n, _ in pending])
+        order = np.argsort(layer, kind="stable")
+        y = np.empty_like(y_ref)
+        y[order] = down_projection([weights[l] for l in layer[order]],
+                                   np.concatenate([hm for *_, hm in pending])[order])
+    err = rel_l2_rows(y_ref, y)
+    start = 0
+    for b, i0, n, _ in pending:
+        rows = err[start:start + len(b.layer) * n].reshape(-1, n)
+        errors[b.point[:, None], t0 + i0 + np.arange(n), b.layer[b.row, None]] = rows[b.row]
+        start += len(b.layer) * n
+
+
 def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                  acts: np.ndarray, caches: CacheState, batches: Sequence[_Batch],
                  block: int, groups: Sequence[GroupSpec], geo: ModelGeometry,
@@ -418,17 +464,36 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
     Each batch builds its rows' masks over a block in one call, row-major
     with one MlpWeights per (row, token), so a layer's weights serve one
     run.  Cache-aware masks read the residency when their one-token block is
-    requested, after the previous token's replay.  The kernel_eval dense
-    reference is made per layer for _ROW_BLOCK // points tokens, and errors
-    [points, tokens, layers] gets each error once its masks exist.
+    requested, after the previous token's replay.
+
+    Under kernel_eval, errors [points, tokens, layers] gets the errors of a
+    span of tokens against the dense reference, made per layer over the
+    span.  A scheme that keeps every input unit (dense, glu, gate, up,
+    predictive) also keeps the reference's GLU H: glu and predictive score
+    on it, the others' outputs are down @ H under their intermediate masks,
+    and dense's output is the reference itself.  Its span is then one block,
+    so H has at most _ROW_BLOCK rows (one token's layers when a model has
+    more); the other schemes' spans are _ROW_BLOCK // points tokens.  The
+    errors of a span's mask rows are computed when the span ends, or sooner
+    when more than _EVAL_ROWS rows would wait (_score), so the one-token
+    blocks of cache-aware masks share each layer's down projection too.
     """
     entry = SCHEMES[scheme.name]
     splits = np.cumsum([g.universe for g in groups[:-1]])
-    span = block if errors is None else max(block, _ROW_BLOCK // len(errors))
+    keep_glu = errors is not None and not entry.prunes_input
+    span = block if errors is None or keep_glu else max(block, _ROW_BLOCK // len(errors))
+    h = ref = None
     for t0 in range(0, acts.shape[0], span):
         x = acts[t0:t0 + span].transpose(1, 0, 2)  # [layers, tokens, d_model]
-        ref = (np.stack([mlp_dense_forward(weights[l], x[l]) for l in range(len(x))])
-               if errors is not None else None)
+        if errors is not None:
+            ref = np.empty(x.shape)
+            h = np.empty(x.shape[:2] + (geo.d_ff,)) if keep_glu else None
+            for l, w in enumerate(weights):
+                glu = glu_activations(w, x[l])
+                ref[l] = down_projection(w, glu)
+                if keep_glu:
+                    h[l] = glu
+        pending, held = [], 0
         for i0 in range(0, x.shape[1], block):
             n = min(block, x.shape[1] - i0)
             bits = resident_bitvector(caches) if entry.cache_aware else None
@@ -439,53 +504,53 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                 # a cache-aware row, one token long, reads its own pair's caches
                 extra = () if bits is None else (*np.split(
                     bits[b.caches].reshape(len(b.row), -1), splits, axis=1), b.gamma)
-                rows = (entry.rows(scheme, w, xs, *b.k, *extra) if entry.rows
+                hb = None if h is None else h[b.layer, i0:i0 + n].reshape(-1, geo.d_ff)
+                kept = {} if hb is None or entry.rows is None else {"glu": hb}
+                rows = (entry.rows(scheme, w, xs, *b.k, *extra, **kept) if entry.rows
                         else masking.dense_rows(len(xs), geo.d_model, geo.d_ff))
                 if errors is not None:
-                    glu = rows.glu if rows.glu is not None else glu_activations(
-                        w, xs, rows.input_mask)
-                    err = rel_l2_rows(ref[b.layer, i0:i0 + n].reshape(xs.shape),
-                                      down_projection(w, glu, rows.intermediate_mask))
-                    errors[b.point[:, None], t0 + i0 + np.arange(n),
-                           b.layer[b.row, None]] = err.reshape(-1, n)[b.row]
+                    if held + len(xs) > _EVAL_ROWS and pending:
+                        _score(pending, weights, ref, t0, errors)
+                        pending, held = [], 0
+                    pending.append((b, i0, n, None if entry.rows is None else _masked(
+                        hb if rows.glu is None else rows.glu, rows.intermediate_mask)))
+                    held += len(xs)
                 units = _group_units(rows, groups).reshape(len(b.layer), n, -1)[b.row]
                 ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
             yield from np.concatenate(ids, axis=1)
+        if pending:
+            _score(pending, weights, ref, t0, errors)
 
 
-def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
+def _running_sums(start, terms: np.ndarray) -> np.ndarray:
     """start + terms[..., 0] + terms[..., 1] + ..., added left to right as
-    a loop would: the order fixes the float sums."""
-    first = np.full(terms.shape[:-1] + (1,), start)
+    a loop would: the order fixes the float sums.  start broadcasts
+    against terms[..., 0]."""
+    first = np.broadcast_to(start, terms.shape[:-1])[..., None]
     return np.cumsum(np.concatenate([first, terms], axis=-1), axis=-1)[..., -1]
 
 
-def _report(hits: np.ndarray, misses: np.ndarray, bypassed: np.ndarray,
-            groups: Sequence[GroupSpec], static: float, hw: HardwareConfig,
-            errors: Optional[np.ndarray]) -> RunReport:
-    """Stage 3 for one point: price its per-token, per-layer, per-group
-    counts [tokens, layers, groups] into a RunReport.  Static bytes are read
-    over DRAM once per token."""
-    num_tokens, num_layers, num_groups = hits.shape
+def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
+            hw: HardwareConfig, errors: Optional[np.ndarray]) -> RunReport:
+    """Stage 3 for one point: price its per-token, per-layer, per-group hit,
+    miss and bypass counts [3, tokens, layers, groups] into a RunReport.
+    Static bytes are read over DRAM once per token."""
+    _, num_tokens, num_layers, num_groups = counts.shape
     ub = np.array([g.unit_bytes for g in groups])
     # inf is caught below, with the totals
     with np.errstate(over="ignore"):
-        flash_units, dram_units = misses * ub, hits * ub
-        # a token's bytes add up over (layer, group), a layer's over
-        # (token, group)
-        by_token = (num_tokens, num_layers * num_groups)
-        flash = _running_sums(0.0, flash_units.reshape(by_token))
-        dram = _running_sums(static, dram_units.reshape(by_token))
+        # flash carries the misses' bytes, DRAM the hits'; a token's bytes
+        # add up over (layer, group), a layer's over (token, group)
+        traffic = counts[[1, 0]] * ub
+        flash, dram = _running_sums(
+            [[0.0], [static]], traffic.reshape(2, num_tokens, num_layers * num_groups))
         latency = flash / hw.flash_bandwidth + dram / hw.dram_bandwidth
-        by_layer = (num_layers, num_tokens * num_groups)
-        layer_flash = _running_sums(0.0, flash_units.transpose(1, 0, 2).reshape(by_layer))
-        layer_dram = _running_sums(0.0, dram_units.transpose(1, 0, 2).reshape(by_layer))
+        layer_flash, layer_dram = _running_sums(0.0, traffic.transpose(0, 2, 1, 3).reshape(
+            2, num_layers, num_tokens * num_groups))
     tokens = [TokenCost(*cost) for cost in zip(
-        flash.tolist(), dram.tolist(), latency.tolist(),
-        *(c.sum(axis=(1, 2)).tolist() for c in (hits, misses, bypassed)))]
+        flash.tolist(), dram.tolist(), latency.tolist(), *counts.sum(axis=(2, 3)).tolist())]
     per_layer = [LayerStats(l, *stats) for l, stats in enumerate(zip(
-        *(c.sum(axis=(0, 2)).tolist() for c in (hits, misses, bypassed)),
-        layer_flash.tolist(), layer_dram.tolist()))]
+        *counts.sum(axis=(1, 3)).tolist(), layer_flash.tolist(), layer_dram.tolist()))]
 
     total_latency = sum(tc.latency_s for tc in tokens)
     flash_bytes = sum(tc.flash_bytes for tc in tokens)
@@ -559,8 +624,8 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
         next_use = [None] * num_tokens
     counts = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
     for t, (active, upcoming) in enumerate(zip(stream, next_use)):
-        counts[:, t] = replay(caches, active, policy, upcoming)
-    return [_report(*counts[:, :, cid[p]], groups, static, hw,
+        counts[0, t], counts[1, t], counts[2, t] = replay(caches, active, policy, upcoming)
+    return [_report(counts[:, :, cid[p]], groups, static, hw,
                     errors[p] if errors is not None else None)
             for p in range(len(configs))]
 

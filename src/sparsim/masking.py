@@ -98,7 +98,7 @@ def rank_rows(keys: np.ndarray) -> np.ndarray:
         raise ValueError("keys must be a 2-d batch of rows")
     neg = -keys
     order = np.argsort(neg, axis=1)
-    s = np.take_along_axis(neg, order, axis=1)
+    s = np.take(neg, _flat(order, neg.shape[1]))
     redo = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
     if redo.any():
         order[redo] = np.argsort(neg[redo], axis=1, kind="stable")
@@ -118,8 +118,14 @@ def topk_rows(keys: np.ndarray, k: int):
     # a compact copy: a view would keep all dim columns alive
     order = np.ascontiguousarray(ranked[:, :k])
     mask = np.zeros(ranked.shape, dtype=bool)
-    mask[np.arange(len(ranked))[:, None], order] = True
+    mask.reshape(-1)[_flat(order, mask.shape[1])] = True
     return order, mask
+
+
+def _flat(cols: np.ndarray, dim: int) -> np.ndarray:
+    """The flat indices of columns cols [n, m] of the rows of an [n, dim]
+    C-ordered array: one 1-D gather or scatter in place of a 2-D one."""
+    return cols + np.arange(len(cols))[:, None] * dim
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +221,13 @@ def dense_rows(n: int, d_model: int, d_ff: int) -> RowMasks:
     return RowMasks(in_order, in_mask, mid_order, mid_mask)
 
 
-def glu_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
+def glu_pruning_rows(w, x: np.ndarray, k_mid: int, glu: Optional[np.ndarray] = None) -> RowMasks:
     """Keep the k_mid largest |gated intermediate| values of each row of x
     [n, d_model].  Needs the full up and gate products to score, so only the
-    down projection is pruned."""
-    h = glu_activations(w, x)
+    down projection is pruned.  glu, the rows' gated intermediates
+    glu_activations(w, x) when the caller has them, is scored in place of
+    computing them again."""
+    h = glu_activations(w, x) if glu is None else glu
     return _intermediate_rows(x, np.abs(h), k_mid, h)
 
 

@@ -65,11 +65,13 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     # Evaluated through e = exp(-|v|) so neither branch can overflow:
     # 1 / (1 + e) for v >= 0, e / (1 + e) otherwise.  In-place ufuncs keep
     # the temporaries of a [n, d_ff] batch down to three arrays.
+    # As e <= 1, max(e, v >= 0) is that numerator, NaN included, without
+    # the branch per element that np.where pays on signs in no pattern.
     v = np.asarray(v, dtype=float)
     e = np.abs(v, out=np.empty_like(v))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(v >= 0, 1.0, e)
+    num = np.maximum(e, v >= 0, out=np.empty_like(v))
     e += 1.0
     return np.divide(num, e, out=num)
 
@@ -151,13 +153,18 @@ def _rows(x, dim: int, name: str = "d_model"):
 
 def _masked(xs: np.ndarray, mask) -> np.ndarray:
     """Rows xs [n, dim] with the entries that mask, one bool vector [dim] or
-    one per row [n, dim], leaves out set to zero; xs when mask is None."""
+    one per row [n, dim], leaves out set to zero; xs when mask is None.
+
+    Bit for bit np.where(mask, xs, 0.0): each float's bits times 0 or 1 as
+    an integer, which keeps -0.0, inf and NaN where the mask keeps them and
+    has no branch per element, which np.where pays on masks in no pattern.
+    """
     if mask is None:
         return xs
     arr = np.asarray(mask).astype(bool, copy=False)
     if arr.shape != xs.shape[1:] and arr.shape != xs.shape:
         raise ValueError(f"mask length {arr.shape} does not match dimension {xs.shape[1]}")
-    return np.where(arr, xs, 0.0)
+    return np.multiply(xs.view(np.uint64), arr, dtype=np.uint64).view(np.float64)
 
 
 def _matvec(m, x: np.ndarray) -> np.ndarray:

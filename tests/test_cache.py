@@ -1,6 +1,7 @@
 """Per-layer DRAM cache: LFU / LRU / offline-optimal / no-cache eviction,
 hit/miss/bypass accounting, and the offline policy's optimality against an
 exhaustive-search oracle."""
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -281,6 +282,63 @@ def test_replay_of_many_caches_matches_one_oracle_per_cache(case, kind):
             mine = resident[(resident >= offsets[c]) & (resident < offsets[c + 1])]
             assert set((mine - offsets[c]).tolist()) == refs[c].resident, \
                 f"token {pos} cache {c}"
+
+
+def _last_clock_that_fits(kind, caches):
+    """The largest clock at which every lfu or lru eviction key fits in
+    int64: caches * (clock + 1)^2 < 2^63 for lfu, caches * (clock + 1) for lru."""
+    most = (2**63 - 1) // caches
+    return (math.isqrt(most) if kind == "lfu" else most) - 1
+
+
+@pytest.mark.parametrize("kind", ["lfu", "lru", "belady"])
+def test_replay_past_the_int64_key_bound_matches_one_oracle_per_cache(kind, monkeypatch):
+    # lfu and lru start the clock 8 tokens before their keys stop fitting in
+    # int64, so the first tokens sort one key and the rest fall back to
+    # lexsort.  Belady's key width is the spread of the candidates' next
+    # uses, not the clock: a unit never used again gets next use 2^62 (any
+    # value past the trace ranks as the oracle's infinity), so a token whose
+    # candidates mix it with real positions falls back.
+    universes, capacities = [8, 3, 10], [4, 1, 5]
+    offsets = np.concatenate(([0], np.cumsum(universes)))
+    calls = {"argsort": 0, "lexsort": 0}
+    for name in calls:
+        def counted(*args, _sort=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _sort(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+
+    rng = np.random.default_rng(0)
+    for case in range(10):
+        tokens = [[[int(u) for u in rng.permutation(size)[:rng.integers(0, size // 2 + 2)]]
+                   for size in universes] for _ in range(16)]
+        flat = [[offsets[c] + u for c, units in enumerate(tok) for u in units]
+                for tok in tokens]
+        next_use = [None] * len(flat)
+        if kind == "belady":
+            next_use = [np.where(u == len(flat), 2**62, u) for u in belady_precompute(flat)]
+        state = CacheState(capacity_units=capacities, universe=universes)
+        refs = [ReferenceCache(cap) for cap in capacities]
+        if kind != "belady":
+            state.clock = _last_clock_that_fits(kind, len(universes)) - 8
+            for ref in refs:
+                ref.clock = state.clock
+        for pos, (tok, active) in enumerate(zip(tokens, flat)):
+            hits, misses, bypassed = replay(state, active, kind, next_use[pos])
+            resident = state.resident
+            for c, units in enumerate(tok):
+                where = f"case {case} token {pos} cache {c}"
+                expected = refs[c].update(units, kind, trace=[t[c] for t in tokens],
+                                          position=pos)
+                assert (hits[c], misses[c], bypassed[c]) == expected, where
+                mine = resident[(resident >= offsets[c]) & (resident < offsets[c + 1])]
+                assert set((mine - offsets[c]).tolist()) == refs[c].resident, where
+                if kind != "belady":
+                    assert {u: int(state.last_use[offsets[c] + u])
+                            for u in refs[c].resident} == refs[c].last_use, where
+                    assert {u: int(state.freq[offsets[c] + u])
+                            for u in refs[c].resident} == refs[c].freq, where
+    assert calls["argsort"] and calls["lexsort"], calls
 
 
 def test_replay_validates_the_flat_units():

@@ -97,6 +97,25 @@ def test_run_kernel_eval_and_presets(tmp_path):
     assert report["config"]["hardware"]["preset"] == "phone-4gb"
 
 
+def test_run_builds_the_weights_only_when_it_reads_them(tmp_path, monkeypatch):
+    # a dense run without kernel_eval has no row masks and no forward pass;
+    # kernel_eval or a pruning scheme reads the weights
+    built = []
+    real = traces.synthetic_layer_weights
+    monkeypatch.setattr(traces, "synthetic_layer_weights",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    for scheme, kernel_eval, reads in (({"name": "dense"}, False, False),
+                                       ({"name": "dense"}, True, True),
+                                       ({"name": "glu", "density_mid": 0.5}, False, True)):
+        cfg = _write_config(tmp_path, "c.json", _run_config(scheme=scheme,
+                                                            kernel_eval=kernel_eval))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert bool(built) == reads, (scheme, kernel_eval)
+        assert _load(out)["metrics"]["mean_error"] == (0.0 if kernel_eval else None)
+        built.clear()
+
+
 def test_run_reports_are_deterministic_modulo_timestamp(tmp_path):
     cfg = _write_config(tmp_path, "c.json", _run_config(kernel_eval=True))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

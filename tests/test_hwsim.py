@@ -29,7 +29,7 @@ from sparsim import (
     synthetic_layer_weights,
     throughput_at_error,
 )
-from sparsim import cache, hwsim
+from sparsim import cache, hwsim, masking, mlp
 from sparsim.hwsim import POLICY_NAMES
 
 
@@ -357,6 +357,26 @@ def test_kernel_eval_reports_mean_error():
     assert no_eval.mean_error is None
 
 
+@pytest.mark.parametrize("scheme,gemvs", [("dense", 3), ("glu", 4)])
+def test_kernel_eval_computes_each_dense_forward_once(scheme, gemvs, monkeypatch):
+    # the reference's gate, up and down products are the only gemvs of a
+    # dense (layer, token); glu scores on the reference's GLU and adds one
+    # down projection under its mask
+    rows = []
+    matvec = mlp._matvec
+
+    def counted(m, x):
+        rows.append(len(x))
+        return matvec(m, x)
+
+    monkeypatch.setattr(mlp, "_matvec", counted)
+    monkeypatch.setattr(masking, "_matvec", counted)
+    tr = _trace(num_tokens=5)
+    simulate_run(tr, _weights(), SchemeConfig(name=scheme, density_mid=0.5), "lfu",
+                 ROOMY, GEO, kernel_eval=True)
+    assert sum(rows) == gemvs * tr.num_tokens * GEO.num_layers
+
+
 def test_simulate_run_validation_errors():
     with pytest.raises(SimulationError):
         simulate_run(np.zeros((2, 3, 8)), _weights(),
@@ -565,9 +585,12 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy, monkeypatch):
     cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
     expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
     # the default _ROW_BLOCK streams all tokens as one block; 3 makes
-    # one-token blocks, and 1 also puts each layer's masks in its own batch
-    for row_block in (hwsim._ROW_BLOCK, 3, 1):
+    # one-token blocks, and 1 also puts each layer's masks in its own batch.
+    # _EVAL_ROWS of 3 and 1 compute the kernel errors of a few mask rows at
+    # a time
+    for row_block, eval_rows in ((hwsim._ROW_BLOCK, hwsim._EVAL_ROWS), (3, 3), (1, 1)):
         monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(hwsim, "_EVAL_ROWS", eval_rows)
         report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
         for t, (got, want) in enumerate(zip(report.tokens, expected)):
             assert got == want, f"token {t}, _ROW_BLOCK {row_block}"
@@ -642,7 +665,8 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
     # it) and its gamma, or the base gamma when the point's is None.  Every
     # scheme under every policy it accepts; the points hold two
     # (k_in, k_mid) pairs and a repeated point; a small _ROW_BLOCK splits the
-    # mask rows into several batches and the tokens into several blocks
+    # mask rows into several batches and the tokens into several blocks, and
+    # a small _EVAL_ROWS scores their errors a few rows at a time
     trs = (_trace(num_tokens=6), np.zeros((0, GEO.num_layers, GEO.d_model)))
     w = _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
@@ -657,6 +681,7 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
             kernel_eval=True) for density, gamma in points] for tr in trs]
         for row_block in (hwsim._ROW_BLOCK, 3):
             monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+            monkeypatch.setattr(hwsim, "_EVAL_ROWS", min(row_block, hwsim._EVAL_ROWS))
             for tr, want in zip(trs, wants):
                 case = (scheme, policy, row_block, len(want[0].tokens))
                 got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)

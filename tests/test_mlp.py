@@ -31,7 +31,7 @@ from sparsim import (
     silu_grad,
     topk_binary_targets,
 )
-from sparsim.mlp import _student_forward
+from sparsim.mlp import _masked, _sigmoid, _student_forward
 from oracles import fd_worst_rel_err as _fd_check
 
 
@@ -46,6 +46,19 @@ def test_silu_known_values():
     # large-magnitude inputs must not overflow
     assert silu(100.0) == pytest.approx(100.0)
     assert silu(-100.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mask_and_sigmoid_keep_the_bits_of_their_np_where_forms():
+    # _masked multiplies each float's bits by 0 or 1 and _sigmoid takes
+    # max(e, v >= 0) as its numerator; on -0.0, inf, NaN and subnormals too
+    # both equal np.where bit for bit
+    x = np.array([[-0.0, 0.0, np.inf, -np.inf, np.nan, -2.5, 3.0, -1e-310, 800.0]])
+    mask = np.array([[True, False, True, False, True, False, True, True, False]])
+    want = np.where(mask, x, 0.0)
+    assert _masked(x, mask).tobytes() == want.tobytes()
+    assert _masked(np.repeat(x, 2, axis=0), mask[0]).tobytes() == np.repeat(want, 2, 0).tobytes()
+    e = np.exp(-np.abs(x))
+    assert _sigmoid(x).tobytes() == (np.where(x >= 0, 1.0, e) / (e + 1.0)).tobytes()
 
 
 def test_silu_scalar_returns_float_array_returns_array():

@@ -65,6 +65,7 @@ flat unit axis serves every cache.
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
 from typing import List, Optional, Sequence
 
@@ -209,9 +210,8 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
     if short.any():
         candidates = np.flatnonzero(resident > is_active)  # the non-active residents
         cand_owner = state.cache_of[candidates]
-        if not short.all():  # only the short caches evict
-            wanted = short[cand_owner] > 0
-            candidates, cand_owner = candidates[wanted], cand_owner[wanted]
+        wanted = short[cand_owner] > 0  # only the short caches evict
+        candidates, cand_owner = candidates[wanted], cand_owner[wanted]
         if candidates.size:
             n_cand = np.bincount(cand_owner, minlength=n)
             n_evict = np.minimum(short, n_cand)
@@ -219,38 +219,35 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
             resident[candidates[order[_leading(n_cand, n_evict)]]] = False
             state.count -= n_evict
             admitted += n_evict
-    bypassed = n_misses - admitted
-    if not bypassed.any():
-        resident |= is_active  # every miss is admitted
-    elif admitted.any():
-        resident[active[~hit][_leading(n_misses, admitted)]] = True
+    resident[active[~hit][_leading(n_misses, admitted)]] = True
     state.count += admitted
-    return n_hits, n_misses, bypassed
+    return n_hits, n_misses, n_misses - admitted
 
 
 def _eviction_order(state: CacheState, units: np.ndarray, owner: np.ndarray,
                     policy: str) -> np.ndarray:
     """The order in which the candidates units (ascending flat ids, owner
     their cache ids) are evicted: cache by cache, each cache's by its
-    eviction key, ties to the lowest id.  One stable argsort of one int64
-    key when no key can overflow (see the module docstring), else lexsort."""
-    if policy == "belady":
+    eviction key, ties to the lowest id.  The key's fields, most significant
+    first, each with its width, make one int64 key for one stable argsort,
+    or go to np.lexsort when the key could reach 2^63 (see the module
+    docstring)."""
+    if policy == "belady":  # farthest next use first
         upcoming = state.next_use[units]
-        top, low = int(upcoming.max()), int(upcoming.min())
-        width = top - low + 1
-        if state.num_caches * width < _KEY_LIMIT:
-            return np.argsort(owner * width + (top - upcoming), kind="stable")
-        return np.lexsort((-upcoming, owner))
-    width = state.clock + 1  # freq and last_use lie in [0, clock]
-    last_use = state.last_use[units]
-    if policy == "lru":
-        if state.num_caches * width < _KEY_LIMIT:
-            return np.argsort(owner * width + last_use, kind="stable")
-        return np.lexsort((last_use, owner))
-    freq = state.freq[units]
-    if state.num_caches * width * width < _KEY_LIMIT:
-        return np.argsort((owner * width + freq) * width + last_use, kind="stable")
-    return np.lexsort((last_use, freq, owner))
+        top = int(upcoming.max())
+        fields = [(owner, state.num_caches), (top - upcoming, top - int(upcoming.min()) + 1)]
+    else:  # freq and last_use lie in [0, clock]
+        width = state.clock + 1
+        fields = [(owner, state.num_caches)]
+        if policy == "lfu":
+            fields.append((state.freq[units], width))
+        fields.append((state.last_use[units], width))
+    if math.prod(w for _, w in fields) >= _KEY_LIMIT:
+        return np.lexsort([f for f, _ in reversed(fields)])
+    key = fields[0][0]
+    for field, width in fields[1:]:
+        key = key * width + field
+    return np.argsort(key, kind="stable")
 
 
 def resident_bitvector(state: CacheState) -> np.ndarray:

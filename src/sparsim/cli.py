@@ -264,6 +264,7 @@ class _Setup(NamedTuple):
     hw: HardwareConfig
     trace: traces.Trace
     weights: Optional[List[MlpWeights]]  # None when the run never reads them
+    kernel_eval: bool
     fields: dict  # the verb's own keys, read through its schema
     config: dict  # the echo of seed, trace, geometry and hardware
 
@@ -271,16 +272,17 @@ class _Setup(NamedTuple):
 def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -> _Setup:
     """The config of run, sweep or gamma-sweep: the keys they share (seed,
     geometry, hardware, trace) and the verb's own schema and required keys.
-    runs(fields) gives the engine's scheme, policy and points, whose caches
-    and per-token state (with per-token records if records) are checked
-    before the trace and the synthetic layer weights are built."""
+    runs(fields) gives the engine's scheme, policy, points and kernel_eval.
+    The caches and per-token state (with per-token records if records) are
+    checked before the trace is built, and the synthetic layer weights are
+    built when the engine reads them: for row masks or kernel_eval."""
     fields = _fields(_load_config(args), "", {
         "seed": _int, "geometry": _geometry, "hardware": _hardware, **schema,
         "trace": _raw}, ("trace", "geometry", "hardware") + required)
     seed = fields.pop("seed", 0)
     (geo, geo_echo), (hw, hw_echo) = fields.pop("geometry"), fields.pop("hardware")
     _check_bytes("the MLP weights", 3, geo.num_layers, geo.d_model, geo.d_ff)
-    scheme, policy, points = runs(fields)
+    scheme, policy, points, kernel_eval = runs(fields)
     groups = hwsim.scheme_groups(scheme, geo)
     units = sum(g.universe for g in groups)  # the units of one layer's caches
     # 16 words per unit of every (point, layer)'s caches: 33 B of CacheState, an
@@ -293,12 +295,9 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     stream = 2 * units if policy == "belady" else 0
     words = geo.num_layers * (3 * len(groups) + 1 + stream) + 64 + 256 * records
     trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed, (points, words))
-    # the engine reads the weights for row masks or kernel_eval; sweep and
-    # gamma-sweep always have row masks, and run's kernel_eval defaults off
     weights = (traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff, seed=seed)
-               if SCHEMES[scheme].rows is not None or fields.get("kernel_eval", False)
-               else None)
-    return _Setup(geo, hw, trace, weights, fields, {
+               if SCHEMES[scheme].rows is not None or kernel_eval else None)
+    return _Setup(geo, hw, trace, weights, kernel_eval, fields, {
         "seed": seed, "trace": trace_echo, "geometry": geo_echo, "hardware": hw_echo})
 
 
@@ -334,14 +333,14 @@ def _metrics(report: hwsim.RunReport) -> dict:
 
 def _cmd_run(args) -> None:
     s = _setup(args, {"scheme": _scheme, "policy": _policy, "kernel_eval": _bool},
-               ("scheme", "policy"), lambda f: (f["scheme"][0].name, f["policy"], 1),
+               ("scheme", "policy"), lambda f: (f["scheme"][0].name, f["policy"], 1,
+                                                f.get("kernel_eval", False)),
                args.per_token)
     (scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
-    kernel_eval = s.fields.get("kernel_eval", False)
     report = hwsim.simulate_run(s.trace, s.weights, scheme, policy, s.hw, s.geo,
-                                kernel_eval=kernel_eval)
+                                kernel_eval=s.kernel_eval)
     out = _report_skeleton("run", {**s.config, "scheme": scheme_echo, "policy": policy,
-                                   "kernel_eval": kernel_eval})
+                                   "kernel_eval": s.kernel_eval})
     out["metrics"] = _metrics(report)
     out["per_layer"] = [{**dataclasses.asdict(ls), "hit_rate": ls.hit_rate}
                         for ls in report.per_layer]
@@ -357,13 +356,13 @@ def _cmd_gen_trace(args) -> None:
     traces.write_trace(args.out, trace)
 
 
-def _sweep_rows(s: _Setup, scheme: SchemeConfig, points, policy: str, kernel_eval: bool,
+def _sweep_rows(s: _Setup, scheme: SchemeConfig, points, policy: str,
                 error_key: str) -> List[dict]:
     """One report row per (density, gamma) point of one hwsim.sweep_runs
     pass; the row names the point's gamma when it sets one, and its mean
     kernel error under error_key."""
     reports = hwsim.sweep_runs(s.trace, s.weights, scheme, points, policy, s.hw, s.geo,
-                               kernel_eval=kernel_eval)
+                               kernel_eval=s.kernel_eval)
     return [{"density": density, "throughput": rep.throughput,
              "steady_state_throughput": rep.steady_state_throughput,
              error_key: rep.mean_error, "hit_rate": rep.hit_rate,
@@ -375,11 +374,12 @@ _GRID = {"densities": _nonempty_floats, "gammas": _nonempty_floats, "error_budge
 
 
 def _cmd_sweep(args) -> None:
+    # error budgets need the kernel error, so the sweep always evaluates it
     s = _setup(args, {"scheme": _sweep_scheme, "policy": _policy,
                       "sweep": lambda v, what: _fields(v, what, _GRID, ("densities",))},
                ("scheme", "policy", "sweep"), lambda f: (
                    f["scheme"][0].name, f["policy"],
-                   len(f["sweep"]["densities"]) * len(f["sweep"].get("gammas", [None]))))
+                   len(f["sweep"]["densities"]) * len(f["sweep"].get("gammas", [None])), True))
     (base_scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
     grid = s.fields["sweep"]
     densities, gammas = grid["densities"], grid.get("gammas")
@@ -387,8 +387,7 @@ def _cmd_sweep(args) -> None:
     if gammas is not None and not SCHEMES[base_scheme.name].cache_aware:
         raise ConfigError("sweep.gammas only applies to cache-aware schemes (dip_ca)")
     points = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
-    # error budgets need the kernel error, so the sweep always evaluates it
-    rows = _sweep_rows(s, base_scheme, points, policy, True, "error")
+    rows = _sweep_rows(s, base_scheme, points, policy, "error")
 
     summaries = []
     for budget in budgets:
@@ -456,18 +455,17 @@ def _cmd_gamma_sweep(args) -> None:
     s = _setup(args, {"policy": _policy, "kernel_eval": _bool, "gammas": _nonempty_floats,
                       "densities": _nonempty_floats}, ("gammas", "densities"),
                lambda f: ("dip_ca", f.get("policy", "lfu"),
-                          len(f["gammas"]) * len(f["densities"])))
+                          len(f["gammas"]) * len(f["densities"]), f.get("kernel_eval", True)))
     policy = s.fields.get("policy", "lfu")
-    kernel_eval = s.fields.get("kernel_eval", True)
     gammas, densities = s.fields["gammas"], s.fields["densities"]
     # dip_ca, gamma by gamma (gamma = 1 rows equal dip); belady is rejected
     # by hwsim._simulate, since dip_ca masks depend on the cache
     points = [(density, gamma) for gamma in gammas for density in densities]
     rows = _sweep_rows(s, SchemeConfig(name="dip_ca", density_mid=1.0), points, policy,
-                       kernel_eval, "mean_error")
+                       "mean_error")
     out = _report_skeleton("gamma-sweep", {
         **s.config, "policy": policy, "gammas": gammas, "densities": densities,
-        "kernel_eval": kernel_eval})
+        "kernel_eval": s.kernel_eval})
     out["rows"] = rows
     _write_report(args.out, out)
 

@@ -345,13 +345,10 @@ class RunReport:
     mean_error: Optional[float] = None
 
 
-# Rows per mask-building call and per kernel_eval block: bounds the
-# [rows, d_ff] temporaries, whatever the trace length and the number of points.
+# Rows per mask-building call, per kernel_eval block and per kernel error
+# batch: bounds the [rows, d_ff] temporaries, whatever the trace length and
+# the number of points.
 _ROW_BLOCK = 256
-# Mask rows whose kernel errors wait to be computed together: enough for one
-# down projection per layer to serve many one-token blocks, few enough to
-# keep their GLU rows small.
-_EVAL_ROWS = 64
 
 
 class _Batch(NamedTuple):
@@ -431,21 +428,20 @@ def _score(pending, weights: Sequence[MlpWeights], ref: np.ndarray, t0: int,
     """Write the kernel errors of pending mask rows into errors [points,
     tokens, layers].  Each pending entry is (batch, first token of its block
     within the span from t0, tokens, the rows' GLU under their intermediate
-    masks, or None when the output is the reference itself).  The rows go
-    to the down projection layer by layer, so each layer's matrix serves
-    all its rows in one stacked product; each row is still one gemv."""
+    masks, or None when the output is the reference itself).  Each layer's
+    matrix serves all its pending rows in one stacked product; each row is
+    still one gemv."""
     y_ref = np.concatenate([ref[b.layer, i0:i0 + n].reshape(-1, ref.shape[2])
                             for b, i0, n, _ in pending])
     y = y_ref
-    if len(pending) == 1 and pending[0][3] is not None:  # a batch goes layer by layer
-        b, _, n, glu = pending[0]
-        y = down_projection([weights[l] for l in b.layer.repeat(n)], glu)
-    elif pending[0][3] is not None:
-        layer = np.concatenate([b.layer.repeat(n) for b, _, n, _ in pending])
-        order = np.argsort(layer, kind="stable")
+    if pending[0][3] is not None:
+        layers = [b.layer.repeat(n) for b, _, n, _ in pending]
+        layer = np.concatenate(layers)
         y = np.empty_like(y_ref)
-        y[order] = down_projection([weights[l] for l in layer[order]],
-                                   np.concatenate([hm for *_, hm in pending])[order])
+        # every layer, not np.unique(layer): its first call imports numpy.ma (1.1 MB)
+        for l, w in enumerate(weights):
+            y[layer == l] = down_projection(w, np.concatenate(
+                [hm[at == l] for at, (*_, hm) in zip(layers, pending)]))
     err = rel_l2_rows(y_ref, y)
     start = 0
     for b, i0, n, _ in pending:
@@ -474,9 +470,10 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
     and dense's output is the reference itself.  Its span is then one block,
     so H has at most _ROW_BLOCK rows (one token's layers when a model has
     more); the other schemes' spans are _ROW_BLOCK // points tokens.  The
-    errors of a span's mask rows are computed when the span ends, or sooner
-    when more than _EVAL_ROWS rows would wait (_score), so the one-token
-    blocks of cache-aware masks share each layer's down projection too.
+    errors of a span's mask rows are computed before its last block is
+    yielded, or sooner when more than _ROW_BLOCK rows would wait (_score),
+    so the one-token blocks of cache-aware masks share each layer's down
+    projection too, and errors is complete once the last token is yielded.
     """
     entry = SCHEMES[scheme.name]
     splits = np.cumsum([g.universe for g in groups[:-1]])
@@ -509,7 +506,7 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                 rows = (entry.rows(scheme, w, xs, *b.k, *extra, **kept) if entry.rows
                         else masking.dense_rows(len(xs), geo.d_model, geo.d_ff))
                 if errors is not None:
-                    if held + len(xs) > _EVAL_ROWS and pending:
+                    if held + len(xs) > _ROW_BLOCK:
                         _score(pending, weights, ref, t0, errors)
                         pending, held = [], 0
                     pending.append((b, i0, n, None if entry.rows is None else _masked(
@@ -517,9 +514,9 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
                     held += len(xs)
                 units = _group_units(rows, groups).reshape(len(b.layer), n, -1)[b.row]
                 ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
+            if pending and i0 + n == x.shape[1]:  # the span's errors, before its last tokens
+                _score(pending, weights, ref, t0, errors)
             yield from np.concatenate(ids, axis=1)
-        if pending:
-            _score(pending, weights, ref, t0, errors)
 
 
 def _running_sums(start, terms: np.ndarray) -> np.ndarray:

@@ -585,12 +585,9 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy, monkeypatch):
     cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
     expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
     # the default _ROW_BLOCK streams all tokens as one block; 3 makes
-    # one-token blocks, and 1 also puts each layer's masks in its own batch.
-    # _EVAL_ROWS of 3 and 1 compute the kernel errors of a few mask rows at
-    # a time
-    for row_block, eval_rows in ((hwsim._ROW_BLOCK, hwsim._EVAL_ROWS), (3, 3), (1, 1)):
+    # one-token blocks, and 1 also puts each layer's masks in its own batch
+    for row_block in (hwsim._ROW_BLOCK, 3, 1):
         monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
-        monkeypatch.setattr(hwsim, "_EVAL_ROWS", eval_rows)
         report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
         for t, (got, want) in enumerate(zip(report.tokens, expected)):
             assert got == want, f"token {t}, _ROW_BLOCK {row_block}"
@@ -665,8 +662,7 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
     # it) and its gamma, or the base gamma when the point's is None.  Every
     # scheme under every policy it accepts; the points hold two
     # (k_in, k_mid) pairs and a repeated point; a small _ROW_BLOCK splits the
-    # mask rows into several batches and the tokens into several blocks, and
-    # a small _EVAL_ROWS scores their errors a few rows at a time
+    # mask rows into several batches and the tokens into several blocks
     trs = (_trace(num_tokens=6), np.zeros((0, GEO.num_layers, GEO.d_model)))
     w = _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
@@ -681,7 +677,6 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
             kernel_eval=True) for density, gamma in points] for tr in trs]
         for row_block in (hwsim._ROW_BLOCK, 3):
             monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
-            monkeypatch.setattr(hwsim, "_EVAL_ROWS", min(row_block, hwsim._EVAL_ROWS))
             for tr, want in zip(trs, wants):
                 case = (scheme, policy, row_block, len(want[0].tokens))
                 got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)

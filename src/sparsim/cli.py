@@ -263,7 +263,7 @@ class _Setup(NamedTuple):
     geo: ModelGeometry
     hw: HardwareConfig
     trace: traces.Trace
-    weights: Optional[List[MlpWeights]]  # None when the run never reads them
+    weights: Optional[List[MlpWeights]]  # None unless the scheme has row masks
     kernel_eval: bool
     fields: dict  # the verb's own keys, read through its schema
     config: dict  # the echo of seed, trace, geometry and hardware
@@ -275,7 +275,8 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     runs(fields) gives the engine's scheme, policy, points and kernel_eval.
     The caches and per-token state (with per-token records if records) are
     checked before the trace is built, and the synthetic layer weights are
-    built when the engine reads them: for row masks or kernel_eval."""
+    built when the engine reads them: for row masks.  A scheme without them
+    is the dense block, whose kernel error is 0 without a forward."""
     fields = _fields(_load_config(args), "", {
         "seed": _int, "geometry": _geometry, "hardware": _hardware, **schema,
         "trace": _raw}, ("trace", "geometry", "hardware") + required)
@@ -296,7 +297,7 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     words = geo.num_layers * (3 * len(groups) + 1 + stream) + 64 + 256 * records
     trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed, (points, words))
     weights = (traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff, seed=seed)
-               if SCHEMES[scheme].rows is not None or kernel_eval else None)
+               if SCHEMES[scheme].rows is not None else None)
     return _Setup(geo, hw, trace, weights, kernel_eval, fields, {
         "seed": seed, "trace": trace_echo, "geometry": geo_echo, "hardware": hw_echo})
 

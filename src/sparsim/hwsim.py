@@ -11,7 +11,8 @@ once per token in full.
 Units partition the three MLP matrices per layer.  Which matrices fold into
 which unit group depends on the sparsification scheme: schemes that keep a
 matrix dense stream it as always-active per-column chunks through the same
-cache machinery, so residency accounting stays uniform.
+cache machinery, so residency accounting stays uniform.  A scheme without
+row masks (dense) keeps every unit: all its groups are always active.
 
 Each scheme is one entry of SCHEMES, and its unit groups, k values, static
 charge, mask stream and Belady rejection all read from that entry.
@@ -26,12 +27,13 @@ rows serve one point and their blocks are one token.  Each point keeps its
 own caches, so its report equals its own simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
-as its reference.  The schemes that keep every input unit (dense, glu,
-gate, up, predictive) keep its GLU too, for one block of tokens at a time
-(see _unit_stream): glu and predictive score on it, every such scheme's
-output is the down projection of it under the intermediate mask, and
-dense's output is the reference itself.  Every row still goes through one
-gemv per matrix, so reports do not depend on how rows are batched.
+as its reference.  The schemes that keep every input unit (glu, gate, up,
+predictive) keep its GLU too, for one block of tokens at a time (see
+_unit_stream): glu and predictive score on it, and every such scheme's
+output is the down projection of it under the intermediate mask.  Every
+row still goes through one gemv per matrix, so reports do not depend on how
+rows are batched.  A scheme without row masks is the dense block: its
+error is 0, and it reads no weights and runs no forward.
 """
 
 from __future__ import annotations
@@ -115,6 +117,9 @@ class ModelGeometry:
             raise ValueError("bytes_per_weight must be > 0")
         if self.static_bytes < 0:
             raise ValueError("static_bytes must be >= 0")
+        if not math.isfinite(self.total_bytes):
+            raise ValueError(f"bytes_per_weight {self.bytes_per_weight} makes the "
+                             "model's bytes overflow the float range")
 
     @property
     def mlp_bytes_per_layer(self) -> float:
@@ -132,7 +137,8 @@ class ModelGeometry:
 @dataclass(frozen=True)
 class GroupSpec:
     """One unit group of a layer: universe size, bytes per unit, and whether
-    every unit is active every token (dense-kept matrices)."""
+    every unit is active every token (dense-kept matrices, and every group of
+    a scheme without row masks)."""
 
     kind: Group
     universe: int
@@ -150,15 +156,17 @@ def scheme_groups(scheme: str, geo: ModelGeometry) -> Tuple[GroupSpec, ...]:
     The group byte sizes always sum to the layer's full MLP bytes: matrices
     pruned by the intermediate mask fold into the intermediate bundle (so its
     unit size grows for schemes that prune up or gate rows), and matrices a
-    scheme keeps dense become always-active column chunks.
+    scheme keeps dense become always-active column chunks.  Every group of a
+    scheme without row masks is always active.
     """
     entry = SCHEMES.get(scheme)
     if entry is None:
         raise ValueError(f"unknown scheme {scheme!r}")
     dm, dff, bpw = geo.d_model, geo.d_ff, geo.bytes_per_weight
-    mid = GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, entry.mid_matrices * dm * bpw)
+    dense = entry.rows is None
+    mid = GroupSpec(Group.INTERMEDIATE_BUNDLE, dff, entry.mid_matrices * dm * bpw, dense)
     if entry.input_bundles:
-        return (GroupSpec(Group.INPUT_BUNDLE, dm, 2.0 * dff * bpw), mid)
+        return (GroupSpec(Group.INPUT_BUNDLE, dm, 2.0 * dff * bpw, dense), mid)
     if entry.mid_matrices < 3:
         return (GroupSpec(Group.DENSE_CHUNK, (3 - entry.mid_matrices) * dm, dff * bpw,
                           always_active=True), mid)
@@ -196,7 +204,8 @@ def allocate_dram(hw: HardwareConfig, geo: ModelGeometry, groups: Sequence[Group
     capacities = []
     for g in groups:
         share = per_layer_bytes * (g.total_bytes / total_group_bytes)
-        capacities.append(min(g.universe, int(share // g.unit_bytes)))
+        # clamped before int: a tiny unit_bytes makes the quotient inf
+        capacities.append(int(min(g.universe, share // g.unit_bytes)))
     return tuple(capacities)
 
 
@@ -217,7 +226,8 @@ class Scheme:
     the previous token's replay and Belady is ill-defined.
     rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
     RowMasks of the rows x, w holding one MlpWeights per row; None for a
-    scheme that keeps every unit.  A scheme that keeps every input unit
+    scheme that keeps every unit, which streams every unit, reads no
+    weights and has kernel error 0.  A scheme that keeps every input unit
     also takes glu=, the rows' dense GLU when the caller has it, and glu
     and predictive score on it in place of computing it again.
     """
@@ -368,10 +378,11 @@ class _Batch(NamedTuple):
     caches: Optional[slice]  # flat ids of the pairs' caches, or None
 
 
-def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndarray:
-    """Each row's active units [n, units], group by group, each group's in
-    admission order (unit indices within the group)."""
-    n = len(rows.input_mask)
+def _group_units(rows: Optional[masking.RowMasks], n: int,
+                 groups: Sequence[GroupSpec]) -> np.ndarray:
+    """The active units [n, units] of n rows, group by group, each group's in
+    admission order (unit indices within the group).  rows is read only for
+    groups that are not always active."""
     return np.concatenate([
         np.broadcast_to(np.arange(g.universe), (n, g.universe)) if g.always_active
         else rows.input_order if g.kind == Group.INPUT_BUNDLE else rows.intermediate_order
@@ -428,20 +439,17 @@ def _score(pending, weights: Sequence[MlpWeights], ref: np.ndarray, t0: int,
     """Write the kernel errors of pending mask rows into errors [points,
     tokens, layers].  Each pending entry is (batch, first token of its block
     within the span from t0, tokens, the rows' GLU under their intermediate
-    masks, or None when the output is the reference itself).  Each layer's
-    matrix serves all its pending rows in one stacked product; each row is
-    still one gemv."""
+    masks).  Each layer's matrix serves all its pending rows in one stacked
+    product; each row is still one gemv."""
     y_ref = np.concatenate([ref[b.layer, i0:i0 + n].reshape(-1, ref.shape[2])
                             for b, i0, n, _ in pending])
-    y = y_ref
-    if pending[0][3] is not None:
-        layers = [b.layer.repeat(n) for b, _, n, _ in pending]
-        layer = np.concatenate(layers)
-        y = np.empty_like(y_ref)
-        # every layer, not np.unique(layer): its first call imports numpy.ma (1.1 MB)
-        for l, w in enumerate(weights):
-            y[layer == l] = down_projection(w, np.concatenate(
-                [hm[at == l] for at, (*_, hm) in zip(layers, pending)]))
+    layers = [b.layer.repeat(n) for b, _, n, _ in pending]
+    layer = np.concatenate(layers)
+    y = np.empty_like(y_ref)
+    # every layer, not np.unique(layer): its first call imports numpy.ma (1.1 MB)
+    for l, w in enumerate(weights):
+        y[layer == l] = down_projection(w, np.concatenate(
+            [hm[at == l] for at, (*_, hm) in zip(layers, pending)]))
     err = rel_l2_rows(y_ref, y)
     start = 0
     for b, i0, n, _ in pending:
@@ -460,20 +468,22 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
     Each batch builds its rows' masks over a block in one call, row-major
     with one MlpWeights per (row, token), so a layer's weights serve one
     run.  Cache-aware masks read the residency when their one-token block is
-    requested, after the previous token's replay.
+    requested, after the previous token's replay.  A scheme without row
+    masks builds none: every unit of every row is active.
 
-    Under kernel_eval, errors [points, tokens, layers] gets the errors of a
-    span of tokens against the dense reference, made per layer over the
-    span.  A scheme that keeps every input unit (dense, glu, gate, up,
-    predictive) also keeps the reference's GLU H: glu and predictive score
-    on it, the others' outputs are down @ H under their intermediate masks,
-    and dense's output is the reference itself.  Its span is then one block,
-    so H has at most _ROW_BLOCK rows (one token's layers when a model has
-    more); the other schemes' spans are _ROW_BLOCK // points tokens.  The
-    errors of a span's mask rows are computed before its last block is
-    yielded, or sooner when more than _ROW_BLOCK rows would wait (_score),
-    so the one-token blocks of cache-aware masks share each layer's down
-    projection too, and errors is complete once the last token is yielded.
+    Under kernel_eval with row masks, errors [points, tokens, layers] gets
+    the errors of a span of tokens against the dense reference, made per
+    layer over the span; without row masks, errors is None.  A scheme that
+    keeps every input unit (glu, gate, up, predictive) also keeps the
+    reference's GLU H: glu and predictive score on it, and the others'
+    outputs are down @ H under their intermediate masks.  Its span is then
+    one block, so H has at most _ROW_BLOCK rows (one token's layers when a
+    model has more); the other schemes' spans are _ROW_BLOCK // points
+    tokens.  The errors of a span's mask rows are computed before its last
+    block is yielded, or sooner when more than _ROW_BLOCK rows would wait
+    (_score), so the one-token blocks of cache-aware masks share each
+    layer's down projection too, and errors is complete once the last token
+    is yielded.
     """
     entry = SCHEMES[scheme.name]
     splits = np.cumsum([g.universe for g in groups[:-1]])
@@ -496,23 +506,24 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
             bits = resident_bitvector(caches) if entry.cache_aware else None
             ids = []
             for b in batches:
-                xs = x[b.layer, i0:i0 + n].reshape(-1, geo.d_model)  # row-major
-                w = None if weights is None else [weights[l] for l in b.layer.repeat(n)]
-                # a cache-aware row, one token long, reads its own pair's caches
-                extra = () if bits is None else (*np.split(
-                    bits[b.caches].reshape(len(b.row), -1), splits, axis=1), b.gamma)
-                hb = None if h is None else h[b.layer, i0:i0 + n].reshape(-1, geo.d_ff)
-                kept = {} if hb is None or entry.rows is None else {"glu": hb}
-                rows = (entry.rows(scheme, w, xs, *b.k, *extra, **kept) if entry.rows
-                        else masking.dense_rows(len(xs), geo.d_model, geo.d_ff))
+                m, rows = len(b.layer) * n, None  # the batch's rows over the block
+                if entry.rows is not None:
+                    xs = x[b.layer, i0:i0 + n].reshape(m, geo.d_model)  # row-major
+                    w = [weights[l] for l in b.layer.repeat(n)]
+                    # a cache-aware row, one token long, reads its own pair's caches
+                    extra = () if bits is None else (*np.split(
+                        bits[b.caches].reshape(len(b.row), -1), splits, axis=1), b.gamma)
+                    hb = None if h is None else h[b.layer, i0:i0 + n].reshape(m, geo.d_ff)
+                    kept = {} if hb is None else {"glu": hb}
+                    rows = entry.rows(scheme, w, xs, *b.k, *extra, **kept)
                 if errors is not None:
-                    if held + len(xs) > _ROW_BLOCK:
+                    if held + m > _ROW_BLOCK:
                         _score(pending, weights, ref, t0, errors)
                         pending, held = [], 0
-                    pending.append((b, i0, n, None if entry.rows is None else _masked(
+                    pending.append((b, i0, n, _masked(
                         hb if rows.glu is None else rows.glu, rows.intermediate_mask)))
-                    held += len(xs)
-                units = _group_units(rows, groups).reshape(len(b.layer), n, -1)[b.row]
+                    held += m
+                units = _group_units(rows, m, groups).reshape(len(b.layer), n, -1)[b.row]
                 ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
             if pending and i0 + n == x.shape[1]:  # the span's errors, before its last tokens
                 _score(pending, weights, ref, t0, errors)
@@ -594,7 +605,7 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
         raise SimulationError(
             "belady eviction is ill-defined for cache-aware masking: the mask "
             "depends on cache contents, which depend on future evictions")
-    if entry.rows is not None or kernel_eval:
+    if entry.rows is not None:
         if weights is None or len(weights) != geo.num_layers:
             raise SimulationError("scheme needs one MlpWeights per layer")
         for w in weights:
@@ -611,9 +622,10 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
     caches, batches, block, cid = _layout(configs, entry, groups, capacities, geo)
     num_tokens = acts.shape[0]
 
-    errors = np.empty((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
+    # the dense block's own output has error 0: only row masks are scored
+    errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
     stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, geo,
-                          errors)
+                          errors if entry.rows is not None else None)
     if policy == "belady":
         stream = list(stream)
         next_use = belady_precompute(stream)
@@ -643,8 +655,10 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     token's replay its next-use array, and is rejected with SimulationError
     for cache-aware schemes, whose masks depend on cache contents.  kernel_eval
     additionally runs the block forward per token/layer and reports the mean
-    relative-L2 error against the dense block.  Raises SimulationError when
-    the modelled latency or traffic overflows the float range.
+    relative-L2 error against the dense block; a scheme without row masks
+    is the dense block, so its error is 0 and weights may be None.  Raises
+    SimulationError when the modelled latency or traffic overflows the
+    float range.
     """
     return _simulate(trace, weights, scheme, [scheme], policy, hw, geo, kernel_eval)[0]
 

@@ -43,7 +43,6 @@ __all__ = [
     "PerTokenTopK",
     "ThresholdSpec",
     "apply_threshold",
-    "dense_rows",
     "glu_pruning_rows",
     "gate_pruning_rows",
     "up_pruning_rows",
@@ -212,13 +211,6 @@ def _input_pruning_rows(w, x: np.ndarray, in_scores: np.ndarray,
     h = glu_activations(w, x, in_mask)
     mid_order, mid_mask = topk_rows(mid_score(h), k_mid)
     return RowMasks(in_order, in_mask, mid_order, mid_mask, h)
-
-
-def dense_rows(n: int, d_model: int, d_ff: int) -> RowMasks:
-    """n rows of all-ones masks; the no-sparsity baseline."""
-    in_order, in_mask = _full_side(n, d_model)
-    mid_order, mid_mask = _full_side(n, d_ff)
-    return RowMasks(in_order, in_mask, mid_order, mid_mask)
 
 
 def glu_pruning_rows(w, x: np.ndarray, k_mid: int, glu: Optional[np.ndarray] = None) -> RowMasks:

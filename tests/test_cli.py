@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsim import MlpWeights, Trace, read_trace, traces, write_trace
+from sparsim import MlpWeights, Trace, hwsim, read_trace, traces, write_trace
 from sparsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -98,14 +98,14 @@ def test_run_kernel_eval_and_presets(tmp_path):
 
 
 def test_run_builds_the_weights_only_when_it_reads_them(tmp_path, monkeypatch):
-    # a dense run without kernel_eval has no row masks and no forward pass;
-    # kernel_eval or a pruning scheme reads the weights
+    # dense has no row masks and is the dense block itself, so its kernel
+    # error is 0 without a forward pass; only a pruning scheme reads weights
     built = []
     real = traces.synthetic_layer_weights
     monkeypatch.setattr(traces, "synthetic_layer_weights",
                         lambda *a, **k: built.append(a) or real(*a, **k))
     for scheme, kernel_eval, reads in (({"name": "dense"}, False, False),
-                                       ({"name": "dense"}, True, True),
+                                       ({"name": "dense"}, True, False),
                                        ({"name": "glu", "density_mid": 0.5}, False, True)):
         cfg = _write_config(tmp_path, "c.json", _run_config(scheme=scheme,
                                                             kernel_eval=kernel_eval))
@@ -452,6 +452,32 @@ def test_simulation_error_for_latency_overflow(tmp_path, capsys, per_token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("geometry,dram", [
+    ({"num_layers": 2, "d_model": 8, "d_ff": 16, "bytes_per_weight": 1e-12}, 1e300),
+    ({**GEOMETRY, "bytes_per_weight": 1e-320}, HARDWARE["dram_capacity_bytes"]),
+])
+def test_run_caches_every_unit_when_the_unit_count_overflows(tmp_path, capsys, monkeypatch,
+                                                            geometry, dram):
+    # DRAM over the unit bytes by more than the float range: inf units per
+    # cache were an OverflowError traceback, and now cap at the universe
+    allocated = []
+    real = hwsim.allocate_dram
+
+    def spy(hw, geo, groups, **kwargs):
+        capacities = real(hw, geo, groups, **kwargs)
+        allocated.append((capacities, tuple(g.universe for g in groups)))
+        return capacities
+
+    monkeypatch.setattr(hwsim, "allocate_dram", spy)
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        geometry=geometry, hardware={**HARDWARE, "dram_capacity_bytes": dram}))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    capacities, universes = allocated[-1]
+    assert capacities == universes
+
+
 def test_simulation_error_for_trace_geometry_mismatch(tmp_path, capsys):
     gen_cfg = _write_config(tmp_path, "g.json", {
         "num_tokens": 4, "num_layers": 1, "d_model": 8, "d_ff": 24})
@@ -626,10 +652,15 @@ def test_validation_error_when_config_exceeds_memory(tmp_path, capsys, monkeypat
                               "calibration": {"sigma": 1e12},
                               "grid": {"densities_in": [0.5], "densities_mid": [0.5]},
                               "targets": [0.5]}, "calibration.sigma"),
+    # 3e310 bytes per layer: inf unit bytes once gave "cannot convert float
+    # NaN to integer"
+    ("run", _run_config(geometry={"num_layers": 2, "d_model": 100, "d_ff": 100,
+                                  "bytes_per_weight": 1e306}), "bytes_per_weight"),
 ])
 def test_validation_error_for_inputs_that_overflow(tmp_path, capsys, verb, cfg, what):
-    # a huge mu or sigma overflows the generated data: rejected where it is
-    # made, with one stderr line and no numpy warning
+    # a huge mu or sigma overflows the generated data, and a huge
+    # bytes_per_weight the model's bytes: rejected where they are made,
+    # with one stderr line and no numpy warning
     out = tmp_path / "out"
     assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
                  "--out", str(out)]) == EXIT_VALIDATION

@@ -64,6 +64,8 @@ def test_geometry_validation():
         ModelGeometry(0, 8, 24, 2.0)
     with pytest.raises(ValueError):
         ModelGeometry(2, 8, 24, -1.0)
+    with pytest.raises(ValueError, match="bytes_per_weight"):
+        ModelGeometry(2, 100, 100, 1e306)  # 3e310 bytes per layer: inf
 
 
 def test_unit_bytes_canonical_groups():
@@ -135,6 +137,13 @@ def test_allocate_dram_caps_at_universe():
     hw = HardwareConfig(dram_capacity_bytes=1e6, dram_bandwidth=1.0,
                         flash_bandwidth=1.0)
     assert allocate_dram(hw, geo, groups) == (3,)
+    # shares whose unit count overflows to inf cap at the universe too
+    for dram, bytes_per_weight in ((1e300, 1e-12), (1e6, 1e-320)):
+        geo = ModelGeometry(2, 8, 16, bytes_per_weight)
+        groups = scheme_groups("dip", geo)
+        hw = HardwareConfig(dram_capacity_bytes=dram, dram_bandwidth=1.0,
+                            flash_bandwidth=1.0)
+        assert allocate_dram(hw, geo, groups) == tuple(g.universe for g in groups)
 
 
 def test_allocate_dram_subtracts_static_and_rejects_overflow():
@@ -357,11 +366,11 @@ def test_kernel_eval_reports_mean_error():
     assert no_eval.mean_error is None
 
 
-@pytest.mark.parametrize("scheme,gemvs", [("dense", 3), ("glu", 4)])
+@pytest.mark.parametrize("scheme,gemvs", [("dense", 0), ("glu", 4)])
 def test_kernel_eval_computes_each_dense_forward_once(scheme, gemvs, monkeypatch):
-    # the reference's gate, up and down products are the only gemvs of a
-    # dense (layer, token); glu scores on the reference's GLU and adds one
-    # down projection under its mask
+    # dense is the reference itself and runs no forward; glu computes the
+    # reference's gate, up and down products, scores on its GLU and adds
+    # one down projection under its mask
     rows = []
     matvec = mlp._matvec
 
@@ -375,6 +384,18 @@ def test_kernel_eval_computes_each_dense_forward_once(scheme, gemvs, monkeypatch
     simulate_run(tr, _weights(), SchemeConfig(name=scheme, density_mid=0.5), "lfu",
                  ROOMY, GEO, kernel_eval=True)
     assert sum(rows) == gemvs * tr.num_tokens * GEO.num_layers
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_dense_kernel_eval_reads_no_weights(policy):
+    # dense is the dense block: error 0 without weights, and the run with
+    # weights is the same report bit for bit
+    dense = SchemeConfig(name="dense")
+    without = simulate_run(_trace(), None, dense, policy, ROOMY, GEO, kernel_eval=True)
+    with_weights = simulate_run(_trace(), _weights(), dense, policy, ROOMY, GEO,
+                                kernel_eval=True)
+    assert without == with_weights
+    assert without.mean_error == 0.0
 
 
 def test_simulate_run_validation_errors():

@@ -22,7 +22,6 @@ from sparsim import (
     silu,
 )
 from sparsim.masking import (
-    dense_rows,
     gate_pruning_rows,
     glu_pruning_rows,
     predictive_rows,
@@ -158,9 +157,8 @@ def sparse_forward(w, rows, x):
 
 
 def test_scheme_dense_keeps_everything(toy_weights, toy_x):
-    ms = dense_rows(1, 2, 3)
-    assert ms.input_mask.sum() == 2 and ms.intermediate_mask.sum() == 3
-    y = sparse_forward(toy_weights, ms, toy_x)
+    # all-ones masks keep every unit: the forward is the dense block's
+    y = mlp_sparse_forward(toy_weights, toy_x, np.ones(2, dtype=bool), np.ones(3, dtype=bool))
     np.testing.assert_allclose(y, mlp_dense_forward(toy_weights, toy_x), atol=0)
 
 
@@ -319,6 +317,7 @@ def test_sparse_forward_glu_like_schemes_zero_only_down(toy_weights, toy_x):
 
 
 def test_sparse_forward_rejects_wrong_dims(toy_weights):
-    ms = dense_rows(1, 3, 4)  # wrong dims for the 2/3 toy block
+    # all-ones masks of the wrong dims for the 2/3 toy block
     with pytest.raises(ValueError):
-        sparse_forward(toy_weights, ms, np.ones(2))
+        mlp_sparse_forward(toy_weights, np.ones(2), np.ones(3, dtype=bool),
+                           np.ones(4, dtype=bool))

@@ -21,7 +21,6 @@ from sparsim import (
     topk_binary_targets,
 )
 from sparsim.masking import (
-    dense_rows,
     dip_ca_rows,
     dip_rows,
     gate_pruning_rows,
@@ -157,7 +156,6 @@ def test_scheme_rows_match_per_vector_calls(batch, tied, data):
     c_in = rng.integers(0, 2, D_MODEL)
     c_mid = rng.integers(0, 2, D_FF)
     cases = [
-        (dense_rows(len(x), D_MODEL, D_FF), lambda r: oracles.dense_orders(D_MODEL, D_FF)),
         (glu_pruning_rows(w, x, k_mid), lambda r: oracles.glu_orders(w, r, k_mid)),
         (gate_pruning_rows(w, x, k_mid), lambda r: oracles.gate_orders(w, r, k_mid)),
         (up_pruning_rows(w, x, k_mid), lambda r: oracles.up_orders(w, r, k_mid)),

@@ -263,7 +263,7 @@ class _Setup(NamedTuple):
     geo: ModelGeometry
     hw: HardwareConfig
     trace: traces.Trace
-    weights: Optional[List[MlpWeights]]  # None unless the scheme has row masks
+    weights: Optional[MlpWeights]  # the layers' stack; None unless the scheme has row masks
     kernel_eval: bool
     fields: dict  # the verb's own keys, read through its schema
     config: dict  # the echo of seed, trace, geometry and hardware

@@ -21,10 +21,12 @@ There is one engine, and simulate_run is its one-point case.  sweep_runs
 runs every (density, gamma) point of a grid in lockstep: per token, one
 replay call advances the caches of every (point, layer, unit group).  Its
 mask stream is one loop for every scheme, in which a batch of mask rows
-builds its masks over a block of tokens in one call.  A row serves every
-point with its (k_in, k_mid); cache-aware masks read the caches, so their
-rows serve one point and their blocks are one token.  Each point keeps its
-own caches, so its report equals its own simulate_run bit for bit.
+builds its masks over a block of tokens in one call.  Every batch spans all
+layers, its rows layer-major, so the layers' weights go as one stack (see
+mlp).  A row serves every point with its (k_in, k_mid); cache-aware masks
+read the caches, so their rows serve one point and their blocks are one
+token.  Each point keeps its own caches, so its report equals its own
+simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
 as its reference.  The schemes that keep every input unit (glu, gate, up,
@@ -225,7 +227,7 @@ class Scheme:
     cache_aware: masks read the caches' residency, so each token's follow
     the previous token's replay and Belady is ill-defined.
     rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
-    RowMasks of the rows x, w holding one MlpWeights per row; None for a
+    RowMasks of the rows x, layer-major over w's stack of layers; None for a
     scheme that keeps every unit, which streams every unit, reads no
     weights and has kernel error 0.  A scheme that keeps every input unit
     also takes glu=, the rows' dense GLU when the caller has it, and glu
@@ -355,22 +357,24 @@ class RunReport:
     mean_error: Optional[float] = None
 
 
-# Rows per mask-building call, per kernel_eval block and per kernel error
-# batch: bounds the [rows, d_ff] temporaries, whatever the trace length and
-# the number of points.
+# Rows per mask-building call, per kernel_eval span and per kernel error
+# batch: bounds the [rows, d_ff] temporaries to max(_ROW_BLOCK, one token's
+# layers) rows, whatever the trace length and the number of points.
 _ROW_BLOCK = 256
 
 
 class _Batch(NamedTuple):
-    """Mask rows of one k = (k_in, k_mid), built by one call over a block of
-    tokens.  A mask row serves the (layer, point) pairs of its layer and k,
-    or its own pair when the masks read the caches.  Per served pair s:
-    row[s] is its mask row, and ids[s] each active-unit column's offset onto
-    the flat axis; when the masks read the caches, caches is the range of
-    the flat axis that holds the pairs' caches, pair by pair, group by group."""
+    """Mask rows of one k = (k_in, k_mid) over every layer, built by one call
+    over a block of tokens: per token, per_layer rows of each layer,
+    layer-major.  A mask row serves the (layer, point) pairs of its layer
+    and k, or its own pair when the masks read the caches.  Per served pair
+    s: row[s] is its mask row, and ids[s] each active-unit column's offset
+    onto the flat axis; when the masks read the caches, caches is the range
+    of the flat axis that holds the pairs' caches, pair by pair, group by
+    group."""
 
     k: Tuple[int, int]
-    layer: np.ndarray  # int [R], each mask row's layer, layer-major
+    per_layer: int     # mask rows per layer and token
     row: np.ndarray    # int [S]
     point: np.ndarray  # int [S]
     gamma: np.ndarray  # float [S], the point's gamma
@@ -395,135 +399,139 @@ def _layout(configs: Sequence[SchemeConfig], entry: Scheme, groups: Sequence[Gro
     batches that stream into them, the block length in tokens and each
     point's cache ids [points, layers, groups].
 
-    The (layer, point) pairs go grouped by (k_in, k_mid), layer-major within
-    a k, and their caches in that order, group by group, so each token's
-    active units come out cache by cache in ascending order.  A mask row
-    serves every pair of its layer and k, or its own pair when the scheme is
-    cache aware; then a block is one token, as masks follow the previous
-    token's replay.  Otherwise it is _ROW_BLOCK // max(points, mask rows of
-    a batch) tokens, so one call takes at most _ROW_BLOCK rows.
+    The points go grouped by (k_in, k_mid), each k's split into chunks, and
+    each chunk's (layer, point) pairs layer-major; their caches go in that
+    order, group by group, so each token's active units come out cache by
+    cache in ascending order.  A chunk is one batch over every layer.
+    Unless the scheme is cache aware, a chunk is all of its k's points, a
+    mask row serves every pair of its layer, and a block is _ROW_BLOCK //
+    max(points, layers) tokens.  A cache-aware mask row serves its own pair,
+    a chunk is _ROW_BLOCK // layers points, and a block is one token, as
+    masks follow the previous token's replay.  Either way one call takes at
+    most max(_ROW_BLOCK, layers) rows.
     """
+    num_layers = geo.num_layers
     by_k: Dict[Tuple[int, int], List[int]] = {}
     for p, cfg in enumerate(configs):
         by_k.setdefault(cfg.k_values(geo), []).append(p)
+    size = max(1, _ROW_BLOCK // num_layers) if entry.cache_aware else len(configs)
+    chunks = [(k, points[c:c + size]) for k, points in by_k.items()
+              for c in range(0, len(points), size)]
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
-        (l, p) for points in by_k.values() for l in range(geo.num_layers) for p in points]))
+        (l, p) for _, points in chunks for l in range(num_layers) for p in points]))
     caches = CacheState(np.tile(capacities, len(layer)),
                         np.tile([g.universe for g in groups], len(layer)))
     base = caches.offsets[:-1].reshape(len(layer), len(groups))
-    cid = np.empty((len(configs), geo.num_layers, len(groups)), dtype=np.intp)
+    cid = np.empty((len(configs), num_layers, len(groups)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
     gamma = np.array([configs[p].gamma for p in point])
     batches, start = [], 0
-    for k, points in by_k.items():
+    for k, points in chunks:
         widths = [g.universe if g.always_active
                   else k[0] if g.kind == Group.INPUT_BUNDLE else k[1] for g in groups]
-        served = 1 if entry.cache_aware else len(points)  # pairs per mask row
-        num_rows = geo.num_layers * len(points) // served
-        for r0 in range(0, num_rows, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, num_rows)
-            s = slice(start + r0 * served, start + r1 * served)
-            batches.append(_Batch(
-                k, layer[s][::served], np.arange(r1 - r0).repeat(served), point[s], gamma[s],
-                np.repeat(base[s], widths, axis=1),
-                slice(*caches.offsets[[s.start * len(groups), s.stop * len(groups)]].tolist())
-                if entry.cache_aware else None))
-        start += geo.num_layers * len(points)
-    widest = max(len(configs), max(len(b.layer) for b in batches))
-    block = 1 if entry.cache_aware else max(1, _ROW_BLOCK // widest)
+        per_layer = len(points) if entry.cache_aware else 1
+        s = slice(start, start + num_layers * len(points))
+        batches.append(_Batch(
+            k, per_layer, np.arange(num_layers * per_layer).repeat(len(points) // per_layer),
+            point[s], gamma[s], np.repeat(base[s], widths, axis=1),
+            slice(*caches.offsets[[s.start * len(groups), s.stop * len(groups)]].tolist())
+            if entry.cache_aware else None))
+        start = s.stop
+    block = 1 if entry.cache_aware else max(1, _ROW_BLOCK // max(len(configs), num_layers))
     return caches, batches, block, cid
 
 
-def _score(pending, weights: Sequence[MlpWeights], ref: np.ndarray, t0: int,
+def _tiled(a: np.ndarray, i0: int, n: int, per_layer: int) -> np.ndarray:
+    """Rows [layers * per_layer * n, dim] of a [layers, tokens, dim]: tokens
+    i0 to i0 + n of each layer, per_layer times over, layer-major as the
+    mask rows of a batch go."""
+    return np.tile(a[:, i0:i0 + n], (1, per_layer, 1)).reshape(-1, a.shape[2])
+
+
+def _score(pending, weights: MlpWeights, ref: np.ndarray, t0: int,
            errors: np.ndarray) -> None:
     """Write the kernel errors of pending mask rows into errors [points,
     tokens, layers].  Each pending entry is (batch, first token of its block
     within the span from t0, tokens, the rows' GLU under their intermediate
-    masks).  Each layer's matrix serves all its pending rows in one stacked
-    product; each row is still one gemv."""
-    y_ref = np.concatenate([ref[b.layer, i0:i0 + n].reshape(-1, ref.shape[2])
-                            for b, i0, n, _ in pending])
-    layers = [b.layer.repeat(n) for b, _, n, _ in pending]
-    layer = np.concatenate(layers)
-    y = np.empty_like(y_ref)
-    # every layer, not np.unique(layer): its first call imports numpy.ma (1.1 MB)
-    for l, w in enumerate(weights):
-        y[layer == l] = down_projection(w, np.concatenate(
-            [hm[at == l] for at, (*_, hm) in zip(layers, pending)]))
-    err = rel_l2_rows(y_ref, y)
+    masks).  Every entry's rows go layer-major, so they join one stacked
+    down projection, each layer's side by side; each row is still one
+    gemv."""
+    num_layers, _, d_model = ref.shape
+    hm = np.concatenate([h.reshape(num_layers, -1, h.shape[1]) for *_, h in pending], axis=1)
+    y_ref = np.concatenate([_tiled(ref, i0, n, b.per_layer).reshape(num_layers, -1, d_model)
+                            for b, i0, n, _ in pending], axis=1)
+    err = rel_l2_rows(y_ref.reshape(-1, d_model), down_projection(
+        weights, hm.reshape(-1, hm.shape[2]))).reshape(num_layers, -1)
     start = 0
     for b, i0, n, _ in pending:
-        rows = err[start:start + len(b.layer) * n].reshape(-1, n)
-        errors[b.point[:, None], t0 + i0 + np.arange(n), b.layer[b.row, None]] = rows[b.row]
-        start += len(b.layer) * n
+        rows = err[:, start:start + b.per_layer * n].reshape(-1, n)  # [mask rows, tokens]
+        errors[b.point[:, None], t0 + i0 + np.arange(n),
+               b.row[:, None] // b.per_layer] = rows[b.row]
+        start += b.per_layer * n
 
 
-def _unit_stream(scheme: SchemeConfig, weights: Optional[Sequence[MlpWeights]],
+def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
                  acts: np.ndarray, caches: CacheState, batches: Sequence[_Batch],
                  block: int, groups: Sequence[GroupSpec], geo: ModelGeometry,
                  errors: Optional[np.ndarray]):
     """Stage 1: per token, the flat ids of every point's active units, cache
     by cache in ascending order, each cache's in admission order.
 
-    Each batch builds its rows' masks over a block in one call, row-major
-    with one MlpWeights per (row, token), so a layer's weights serve one
-    run.  Cache-aware masks read the residency when their one-token block is
-    requested, after the previous token's replay.  A scheme without row
-    masks builds none: every unit of every row is active.
+    Each batch builds its rows' masks over a block in one call, its rows
+    layer-major against the stack of layers.  Cache-aware masks read the
+    residency when their one-token block is requested, after the previous
+    token's replay.  A scheme without row masks builds none: every unit of
+    every row is active.
 
     Under kernel_eval with row masks, errors [points, tokens, layers] gets
-    the errors of a span of tokens against the dense reference, made per
-    layer over the span; without row masks, errors is None.  A scheme that
-    keeps every input unit (glu, gate, up, predictive) also keeps the
-    reference's GLU H: glu and predictive score on it, and the others'
-    outputs are down @ H under their intermediate masks.  Its span is then
-    one block, so H has at most _ROW_BLOCK rows (one token's layers when a
-    model has more); the other schemes' spans are _ROW_BLOCK // points
-    tokens.  The errors of a span's mask rows are computed before its last
-    block is yielded, or sooner when more than _ROW_BLOCK rows would wait
-    (_score), so the one-token blocks of cache-aware masks share each
-    layer's down projection too, and errors is complete once the last token
-    is yielded.
+    the errors of a span of tokens against the dense reference, one stacked
+    forward over the span's layers and tokens; without row masks, errors is
+    None.  A scheme that keeps every input unit (glu, gate, up, predictive)
+    also keeps the reference's GLU H: glu and predictive score on it, and
+    the others' outputs are down @ H under their intermediate masks.  Its
+    span is then one block; the other schemes' spans are _ROW_BLOCK //
+    (points * layers) tokens.  So the forward, H and each batch's rows stay
+    within max(_ROW_BLOCK, one token's layers) rows.  The errors of a span's
+    mask rows are computed before its last block is yielded, or sooner when
+    more than _ROW_BLOCK rows would wait (_score), so the one-token blocks of
+    cache-aware masks share one down projection too, and errors is complete
+    once the last token is yielded.
     """
     entry = SCHEMES[scheme.name]
     splits = np.cumsum([g.universe for g in groups[:-1]])
     keep_glu = errors is not None and not entry.prunes_input
-    span = block if errors is None or keep_glu else max(block, _ROW_BLOCK // len(errors))
+    span = block if errors is None or keep_glu else max(
+        block, _ROW_BLOCK // (len(errors) * geo.num_layers))
     h = ref = None
     for t0 in range(0, acts.shape[0], span):
         x = acts[t0:t0 + span].transpose(1, 0, 2)  # [layers, tokens, d_model]
         if errors is not None:
-            ref = np.empty(x.shape)
-            h = np.empty(x.shape[:2] + (geo.d_ff,)) if keep_glu else None
-            for l, w in enumerate(weights):
-                glu = glu_activations(w, x[l])
-                ref[l] = down_projection(w, glu)
-                if keep_glu:
-                    h[l] = glu
+            glu = glu_activations(weights, x.reshape(-1, geo.d_model))
+            ref = down_projection(weights, glu).reshape(x.shape)
+            h = glu.reshape(x.shape[:2] + (geo.d_ff,)) if keep_glu else None
         pending, held = [], 0
         for i0 in range(0, x.shape[1], block):
             n = min(block, x.shape[1] - i0)
             bits = resident_bitvector(caches) if entry.cache_aware else None
             ids = []
             for b in batches:
-                m, rows = len(b.layer) * n, None  # the batch's rows over the block
+                m, rows = geo.num_layers * b.per_layer * n, None  # the batch's rows
                 if entry.rows is not None:
-                    xs = x[b.layer, i0:i0 + n].reshape(m, geo.d_model)  # row-major
-                    w = [weights[l] for l in b.layer.repeat(n)]
                     # a cache-aware row, one token long, reads its own pair's caches
                     extra = () if bits is None else (*np.split(
                         bits[b.caches].reshape(len(b.row), -1), splits, axis=1), b.gamma)
-                    hb = None if h is None else h[b.layer, i0:i0 + n].reshape(m, geo.d_ff)
+                    hb = None if h is None else _tiled(h, i0, n, b.per_layer)
                     kept = {} if hb is None else {"glu": hb}
-                    rows = entry.rows(scheme, w, xs, *b.k, *extra, **kept)
+                    rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer),
+                                      *b.k, *extra, **kept)
                 if errors is not None:
-                    if held + m > _ROW_BLOCK:
+                    if pending and held + m > _ROW_BLOCK:
                         _score(pending, weights, ref, t0, errors)
                         pending, held = [], 0
                     pending.append((b, i0, n, _masked(
                         hb if rows.glu is None else rows.glu, rows.intermediate_mask)))
                     held += m
-                units = _group_units(rows, m, groups).reshape(len(b.layer), n, -1)[b.row]
+                units = _group_units(rows, m, groups).reshape(m // n, n, -1)[b.row]
                 ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
             if pending and i0 + n == x.shape[1]:  # the span's errors, before its last tokens
                 _score(pending, weights, ref, t0, errors)
@@ -566,16 +574,20 @@ def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
     if not all(map(math.isfinite, (total_latency, flash_bytes, dram_bytes))):
         raise SimulationError("modelled latency or traffic overflows the float range: "
                               "check the bandwidths and byte sizes")
+    # every token reads at least one unit of bytes > 0: a latency of 0 underflowed
+    if not (latency > 0).all():
+        raise SimulationError("modelled latency of a token underflows to 0: "
+                              "check the bandwidths and byte sizes")
+    throughput = num_tokens / total_latency if num_tokens else 0.0
     tail_latency = sum(tc.latency_s for tc in tokens[1:])
     total_hits = sum(tc.hits for tc in tokens)
     total_accesses = sum(tc.hits + tc.misses for tc in tokens)
     return RunReport(
         num_tokens=num_tokens,
         tokens=tokens,
-        throughput=num_tokens / total_latency if total_latency > 0 else 0.0,
-        steady_state_throughput=(
-            (num_tokens - 1) / tail_latency if tail_latency > 0
-            else (num_tokens / total_latency if total_latency > 0 else 0.0)),
+        throughput=throughput,
+        steady_state_throughput=(num_tokens - 1) / tail_latency if num_tokens > 1
+        else throughput,
         hit_rate=total_hits / total_accesses if total_accesses else 0.0,
         flash_bytes=flash_bytes,
         dram_bytes=dram_bytes,
@@ -585,7 +597,7 @@ def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
     )
 
 
-def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
+def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
               configs: Sequence[SchemeConfig], policy: str, hw: HardwareConfig,
               geo: ModelGeometry, kernel_eval: bool) -> List[RunReport]:
     """The engine: every point of configs (scheme with its own density_mid,
@@ -605,12 +617,11 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
         raise SimulationError(
             "belady eviction is ill-defined for cache-aware masking: the mask "
             "depends on cache contents, which depend on future evictions")
-    if entry.rows is not None:
-        if weights is None or len(weights) != geo.num_layers:
-            raise SimulationError("scheme needs one MlpWeights per layer")
-        for w in weights:
-            if w.d_model != geo.d_model or w.d_ff != geo.d_ff:
-                raise SimulationError("weight shapes do not match geometry")
+    shape = (geo.num_layers, geo.d_ff, geo.d_model)
+    if entry.rows is not None and (not isinstance(weights, MlpWeights)
+                                   or weights.up.shape != shape):
+        raise SimulationError(f"scheme needs MlpWeights stacked as [layers, d_ff, d_model] "
+                              f"= {list(shape)}, one block per layer")
 
     static = geo.static_bytes
     if entry.mid_matrices == 3:
@@ -639,16 +650,18 @@ def _simulate(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConf
             for p in range(len(configs))]
 
 
-def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
+def simulate_run(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
                  policy: str, hw: HardwareConfig, geo: ModelGeometry,
                  kernel_eval: bool = False) -> RunReport:
     """Simulate a full activation trace under one scheme and eviction policy:
     the one-point case of sweep_runs' engine.
 
     trace supplies activations of shape [num_tokens, num_layers, d_model]
-    (a traces.Trace or a bare array).  Caches start cold; first-token misses
-    are included in throughput, and steady_state_throughput excludes the
-    first token so warm-cache figures can be read off directly.  Masks turn
+    (a traces.Trace or a bare array), and weights the MlpWeights stacked
+    over the layers (traces.synthetic_layer_weights).  Caches start cold;
+    first-token misses are included in throughput, and
+    steady_state_throughput excludes the first token so warm-cache figures
+    can be read off directly.  Masks turn
     into a stream of unit accesses (stage 1) that is replayed through the
     caches (stage 2) and priced (stage 3).  The policy is a name from
     POLICY_NAMES; "belady" reads the whole stream first and hands each
@@ -663,7 +676,7 @@ def simulate_run(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeC
     return _simulate(trace, weights, scheme, [scheme], policy, hw, geo, kernel_eval)[0]
 
 
-def sweep_runs(trace, weights: Optional[Sequence[MlpWeights]], scheme: SchemeConfig,
+def sweep_runs(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
                points: Sequence[Tuple[float, Optional[float]]], policy: str,
                hw: HardwareConfig, geo: ModelGeometry,
                kernel_eval: bool = False) -> List[RunReport]:

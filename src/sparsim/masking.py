@@ -19,8 +19,9 @@ picks in selection order, which is the order the simulator's caches admit
 units in.  A single vector x goes as the one-row batch x[None].
 Projections go through mlp's stacked matrix-vector product, so a row's
 masks do not depend on the batch around it, bit for bit.  Weights are one
-MlpWeights for every row or one per row, so many layers and tokens go in
-one call; dip_ca_rows also takes per-row residency and gamma.
+MlpWeights block for every row or a stack of layers, whose rows go
+layer-major with equal rows per layer (see mlp), so many layers and tokens
+go in one call; dip_ca_rows also takes per-row residency and gamma.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mlp import Predictor, _matvec, _operands, glu_activations, predictor_forward, silu
+from .mlp import Predictor, _matvec, _rows, glu_activations, predictor_forward, silu
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -186,7 +187,7 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # ---------------------------------------------------------------------------
 #
 # Each scheme is one function over a batch of rows X [n, d_model] that
-# returns RowMasks; w is one MlpWeights or one per row.  Every score is >= 0
+# returns RowMasks; w is one MlpWeights block or a stack.  Every score is >= 0
 # or, for predictor logits, ranked by value, so the scores are the top-k
 # keys themselves.
 
@@ -226,15 +227,15 @@ def glu_pruning_rows(w, x: np.ndarray, k_mid: int, glu: Optional[np.ndarray] = N
 def gate_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
     """Score intermediate units by |silu(gate x)|; the gate product itself
     stays dense, the up and down weights are pruned by the mask."""
-    xs, _, gate = _operands(w, x, "d_model", "gate")
-    return _intermediate_rows(xs, np.abs(silu(_matvec(gate, xs))), k_mid)
+    xs, _ = _rows(x, w.d_model)
+    return _intermediate_rows(xs, np.abs(silu(_matvec(w.gate, xs))), k_mid)
 
 
 def up_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
     """Score intermediate units by |up x|; the up product stays dense, the
     gate and down weights are pruned by the mask."""
-    xs, _, up = _operands(w, x, "d_model", "up")
-    return _intermediate_rows(xs, np.abs(_matvec(up, xs)), k_mid)
+    xs, _ = _rows(x, w.d_model)
+    return _intermediate_rows(xs, np.abs(_matvec(w.up, xs)), k_mid)
 
 
 def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
@@ -268,8 +269,8 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     selections by default; the switches turn either side back into plain
     magnitude scoring.  gamma=1 reproduces dip_rows exactly.  Each
     residency is one vector for every row or one per row ([n, d_model] and
-    [n, d_ff]), and gamma one number or one per row.  Row i equals the call
-    on its own weights, residency and gamma bit for bit.
+    [n, d_ff]), and gamma one number or one per row.  Row i equals the
+    one-row call on its own layer's block, residency and gamma bit for bit.
     """
     xs = np.asarray(x, dtype=float)
     gamma_mid = gamma if reweight_intermediate else 1.0

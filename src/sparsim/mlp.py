@@ -14,6 +14,13 @@ goes through gemm, whose blocking changes the last bits and with them the
 top-k selections downstream.  Per-row errors likewise take each norm as the
 square root of one dot product, as np.linalg.norm does for a vector.
 
+MlpWeights is one block (2-D matrices) or a stack of layers (3-D matrices,
+layer first).  A stack takes its rows layer-major, n / layers rows per
+layer, so one call runs the rows of every layer, each row against its own
+layer's block: np.matmul(W[:, None], X[:, :, :, None]) is still one gemv
+per row, and row i equals the one-row call on its layer's block bit for
+bit.
+
 All math runs in float64 and is deterministic given explicit seeds, so the
 numeric tolerances in the test-suite are reproducible across machines.
 Gradients are hand-written; the tests check them against central finite
@@ -100,7 +107,9 @@ def silu_grad(v):
 class MlpWeights:
     """One gated-MLP block: up/gate project d_model -> d_ff, down projects back.
 
-    up, gate: [d_ff, d_model]; down: [d_model, d_ff].
+    up, gate: [d_ff, d_model]; down: [d_model, d_ff].  A stack of layers
+    puts a leading layer axis on all three: up, gate [layers, d_ff,
+    d_model], down [layers, d_model, d_ff].
     """
 
     up: np.ndarray
@@ -111,10 +120,10 @@ class MlpWeights:
         self.up = np.asarray(self.up, dtype=float)
         self.gate = np.asarray(self.gate, dtype=float)
         self.down = np.asarray(self.down, dtype=float)
-        if self.up.ndim != 2 or self.gate.shape != self.up.shape:
-            raise ValueError("up and gate must be 2-d with identical shapes")
-        if self.down.shape != (self.up.shape[1], self.up.shape[0]):
-            raise ValueError("down must have shape [d_model, d_ff]")
+        if self.up.ndim not in (2, 3) or self.gate.shape != self.up.shape:
+            raise ValueError("up and gate must be 2-d (or 3-d, a stack) with identical shapes")
+        if self.down.shape != self.up.shape[:-2] + (self.d_model, self.d_ff):
+            raise ValueError("down must have shape [d_model, d_ff] (per layer of a stack)")
         if min(self.up.shape) < 1:
             raise ValueError("dimensions must be >= 1")
         for m in (self.up, self.gate, self.down):
@@ -123,21 +132,29 @@ class MlpWeights:
 
     @property
     def d_model(self) -> int:
-        return self.up.shape[1]
+        return self.up.shape[-1]
 
     @property
     def d_ff(self) -> int:
-        return self.up.shape[0]
+        return self.up.shape[-2]
 
     @classmethod
     def random(cls, d_model: int, d_ff: int, seed: int = 0) -> "MlpWeights":
         """Gaussian weights at 1/sqrt(fan-in) scale, deterministic per seed."""
-        rng = np.random.default_rng(seed)
-        return cls(
-            up=rng.standard_normal((d_ff, d_model)) / np.sqrt(d_model),
-            gate=rng.standard_normal((d_ff, d_model)) / np.sqrt(d_model),
-            down=rng.standard_normal((d_model, d_ff)) / np.sqrt(d_ff),
-        )
+        up, gate = np.empty((2, d_ff, d_model))
+        down = np.empty((d_model, d_ff))
+        _fill_random(seed, up, gate, down)
+        return cls(up, gate, down)
+
+
+def _fill_random(seed: int, *matrices: np.ndarray) -> None:
+    """Fill each matrix in place, in order, with standard normals over the
+    square root of its fan-in (its column count), from one generator seeded
+    with seed."""
+    rng = np.random.default_rng(seed)
+    for m in matrices:
+        rng.standard_normal(out=m)
+        m /= np.sqrt(m.shape[-1])
 
 
 def _rows(x, dim: int, name: str = "d_model"):
@@ -167,61 +184,43 @@ def _masked(xs: np.ndarray, mask) -> np.ndarray:
     return np.multiply(xs.view(np.uint64), arr, dtype=np.uint64).view(np.float64)
 
 
-def _matvec(m, x: np.ndarray) -> np.ndarray:
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ x_i for every row x_i of x [n, cols]: one gemv per row, so each
     row equals the 1-D product bit for bit (see the module docstring).  m is
-    one matrix for every row or a sequence of n matrices, m[i] for row i;
-    each run of rows with one matrix goes as one stacked product."""
-    if isinstance(m, np.ndarray):
-        return np.matmul(m, x[:, :, None])[:, :, 0]
-    out = np.empty((len(x), m[0].shape[0]))
-    start = 0
-    for i in range(1, len(m) + 1):
-        if i == len(m) or m[i] is not m[start]:
-            out[start:i] = np.matmul(m[start], x[start:i, :, None])[:, :, 0]
-            start = i
-    return out
+    one matrix [rows, cols] for every row or a stack [layers, rows, cols]
+    whose layer l serves the l-th n / layers rows; another n raises
+    ValueError."""
+    stack = m.reshape((-1,) + m.shape[-2:])
+    if len(x) % len(stack):
+        raise ValueError(f"{len(x)} rows do not split evenly over {len(stack)} layers")
+    xs = x.reshape(len(stack), len(x) // len(stack), x.shape[1], 1)
+    return np.matmul(stack[:, None], xs).reshape(len(x), stack.shape[1])
 
 
-def _operands(w, x, dim: str, *names: str):
-    """Rows x as a float batch [n, dim], whether x came as one vector, and
-    w's matrices names.  w is one MlpWeights for every row or, for rows, a
-    sequence of n of one shape, w[i] for row i (the layers of one token,
-    say), whose matrices go as the lists _matvec takes."""
-    shared = isinstance(w, MlpWeights)
-    xs, one = _rows(x, getattr(w if shared else w[0], dim), dim)
-    if not shared and (one or len(w) != len(xs)):
-        raise ValueError("per-row weights need one MlpWeights per row")
-    return (xs, one, *(getattr(w, m) if shared else [getattr(wi, m) for wi in w]
-                       for m in names))
-
-
-def glu_activations(w, x: np.ndarray, input_mask=None) -> np.ndarray:
+def glu_activations(w: MlpWeights, x: np.ndarray, input_mask=None) -> np.ndarray:
     """Gated intermediate (up x) * silu(gate x): [d_ff] for one input vector,
-    [n, d_ff] for rows [n, d_model].
+    [n, d_ff] for rows [n, d_model], layer-major when w is a stack.
 
-    w is one MlpWeights for every row or one per row (see _operands); both
-    run one gemv pair per row.  With input_mask set, masked-out input
+    Each row runs one gemv pair.  With input_mask set, masked-out input
     columns of up and gate are zeroed before the projection, which equals
     zeroing those entries of x.
     """
-    xs, one, gate, up = _operands(w, x, "d_model", "gate", "up")
+    xs, one = _rows(x, w.d_model)
     xs = _masked(xs, input_mask)
     # silu(gate x) first, so its temporaries are gone before up x is made;
     # the product commutes bit for bit
-    h = silu(_matvec(gate, xs))
-    h *= _matvec(up, xs)
+    h = silu(_matvec(w.gate, xs))
+    h *= _matvec(w.up, xs)
     return h[0] if one else h
 
 
-def down_projection(w, h: np.ndarray, intermediate_mask=None) -> np.ndarray:
+def down_projection(w: MlpWeights, h: np.ndarray, intermediate_mask=None) -> np.ndarray:
     """Block output down @ h from gated intermediates h ([d_ff] or
-    [n, d_ff]); intermediate_mask zeroes columns of down (equivalently,
-    intermediate units).  w is one MlpWeights or, for rows, one per row, as
-    in glu_activations."""
-    hs, one, down = _operands(w, h, "d_ff", "down")
+    [n, d_ff], layer-major when w is a stack); intermediate_mask zeroes
+    columns of down (equivalently, intermediate units)."""
+    hs, one = _rows(h, w.d_ff, "d_ff")
     hs = _masked(hs, intermediate_mask)
-    y = _matvec(down, hs)
+    y = _matvec(w.down, hs)
     return y[0] if one else y
 
 

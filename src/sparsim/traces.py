@@ -20,11 +20,11 @@ import os
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .mlp import MlpWeights
+from .mlp import MlpWeights, _fill_random
 
 __all__ = [
     "TraceFormatError",
@@ -125,11 +125,17 @@ def generate_synthetic_trace(spec: SyntheticTraceSpec) -> Trace:
 
 
 def synthetic_layer_weights(num_layers: int, d_model: int, d_ff: int,
-                            seed: int = 0) -> List[MlpWeights]:
-    """One random MLP block per layer, independently seeded via SeedSequence
-    spawning so layer weights are decorrelated but reproducible."""
+                            seed: int = 0) -> MlpWeights:
+    """A stack of random MLP blocks, one per layer, independently seeded via
+    SeedSequence spawning so layer weights are decorrelated but
+    reproducible: layer l equals MlpWeights.random(d_model, d_ff, s_l) bit
+    for bit, drawn in place into the stack."""
     seeds = np.random.SeedSequence(seed).generate_state(num_layers)
-    return [MlpWeights.random(d_model, d_ff, seed=int(s)) for s in seeds]
+    up, gate = np.empty((2, num_layers, d_ff, d_model))
+    down = np.empty((num_layers, d_model, d_ff))
+    for l, s in enumerate(seeds):
+        _fill_random(int(s), up[l], gate[l], down[l])
+    return MlpWeights(up, gate, down)
 
 
 # ---------------------------------------------------------------------------

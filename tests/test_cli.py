@@ -452,6 +452,28 @@ def test_simulation_error_for_latency_overflow(tmp_path, capsys, per_token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("per_token", [False, True])
+def test_simulation_error_for_latency_underflow(tmp_path, capsys, per_token):
+    # 1e-320 B weights at GB/s: every token's latency underflows to 0, which
+    # reported throughputs of 0.0 tok/s as if the run had stalled
+    cfg = _write_config(tmp_path, "c.json", _run_config(geometry={
+        "num_layers": 2, "d_model": 8, "d_ff": 16, "bytes_per_weight": 1e-320}))
+    out = tmp_path / "r.json"
+    argv = ["run", "--config", cfg, "--out", str(out)] + ["--per-token"] * per_token
+    assert main(argv) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and "underflows" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    # no tokens, no latency: throughput stays 0.0
+    cfg = _write_config(tmp_path, "c.json", {**_load(cfg), "trace": {
+        "synthetic": {"num_tokens": 0}}})
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    metrics = _load(out)["metrics"]
+    assert metrics["throughput_tok_per_s"] == metrics["steady_state_throughput_tok_per_s"] == 0.0
+
+
 @pytest.mark.parametrize("geometry,dram", [
     ({"num_layers": 2, "d_model": 8, "d_ff": 16, "bytes_per_weight": 1e-12}, 1e300),
     ({**GEOMETRY, "bytes_per_weight": 1e-320}, HARDWARE["dram_capacity_bytes"]),
@@ -469,8 +491,10 @@ def test_run_caches_every_unit_when_the_unit_count_overflows(tmp_path, capsys, m
         return capacities
 
     monkeypatch.setattr(hwsim, "allocate_dram", spy)
-    cfg = _write_config(tmp_path, "c.json", _run_config(
-        geometry=geometry, hardware={**HARDWARE, "dram_capacity_bytes": dram}))
+    # bandwidths of 1e-300 B/s keep the latency of 1e-320 B weights a normal
+    # float: at HARDWARE's it underflows to 0, which is exit 2
+    cfg = _write_config(tmp_path, "c.json", _run_config(geometry=geometry, hardware={
+        "dram_capacity_bytes": dram, "dram_bandwidth": 1e-300, "flash_bandwidth": 1e-300}))
     out = tmp_path / "r.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == ""

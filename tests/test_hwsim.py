@@ -13,6 +13,7 @@ from sparsim import (
     GroupSpec,
     SCHEMES,
     HardwareConfig,
+    MlpWeights,
     ModelGeometry,
     SchemeConfig,
     SimulationError,
@@ -46,6 +47,11 @@ def _trace(num_tokens=4, geo=GEO, seed=0, sigma=1.0):
 
 def _weights(geo=GEO, seed=0):
     return synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff, seed=seed)
+
+
+def _layer(w, l):
+    """Layer l of a stack of layers, as one block."""
+    return MlpWeights(w.up[l], w.gate[l], w.down[l])
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +415,17 @@ def test_simulate_run_validation_errors():
         bad_w = synthetic_layer_weights(2, 8, 16, seed=0)
         simulate_run(_trace(), bad_w, SchemeConfig(name="dip", density_mid=0.5),
                      "lfu", ROOMY, GEO)
+    # the weights must be one stack of GEO's layers: not a stack of another
+    # depth, nor one block, nor a list of the layers' blocks
+    w = _weights()
+    for bad_w in (synthetic_layer_weights(3, 8, 24, seed=0),
+                  synthetic_layer_weights(1, 8, 24, seed=0), _layer(w, 0),
+                  synthetic_layer_weights(2, 24, 8, seed=0),
+                  [_layer(w, l) for l in range(GEO.num_layers)]):
+        for scheme in ("dip", "dip_ca", "glu"):
+            with pytest.raises(SimulationError, match="stacked"):
+                sweep_runs(_trace(), bad_w, SchemeConfig(name=scheme, density_mid=0.5),
+                           [(0.5, None)], "lfu", ROOMY, GEO, kernel_eval=True)
     with pytest.raises(ValueError):
         simulate_run(_trace(), _weights(), SchemeConfig(name="dense"),
                      "fifo", ROOMY, GEO)
@@ -538,7 +555,7 @@ def _token_orders(scheme, weights, x, geo, k_in, k_mid, caches=None):
         "dip": lambda w, x, l: oracles.dip_orders(w, x, k_in, k_mid),
         "dip_ca": dip_ca,
     }[scheme.name]
-    return [one(weights[l], x[l], l) for l in range(geo.num_layers)]
+    return [one(_layer(weights, l), x[l], l) for l in range(geo.num_layers)]
 
 
 def _token_units(orders, groups):
@@ -584,8 +601,8 @@ def _oracle_run(trace, weights, scheme, policy, hw, geo):
                 hits, misses, bypassed = hits + h, misses + m, bypassed + b
             in_keep = oracles.keep_mask(geo.d_model, orders[l][0])
             mid_keep = oracles.keep_mask(geo.d_ff, orders[l][1])
-            y_ref = oracles.sparse_forward(weights[l], acts[t, l])
-            y = oracles.sparse_forward(weights[l], acts[t, l], in_keep, mid_keep)
+            y_ref = oracles.sparse_forward(_layer(weights, l), acts[t, l])
+            y = oracles.sparse_forward(_layer(weights, l), acts[t, l], in_keep, mid_keep)
             errors.append(approx_error(y_ref, y).rel_l2)
         costs.append(TokenCost(flash_bytes=flash, dram_bytes=dram,
                                latency_s=flash / hw.flash_bandwidth + dram / hw.dram_bandwidth,
@@ -605,8 +622,8 @@ def test_simulate_run_matches_per_unit_oracle(scheme, policy, monkeypatch):
     w = _weights(geo, seed=5)
     cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
     expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
-    # the default _ROW_BLOCK streams all tokens as one block; 3 makes
-    # one-token blocks, and 1 also puts each layer's masks in its own batch
+    # the default _ROW_BLOCK streams all tokens as one block; 3 and 1 make
+    # one-token blocks, whose kernel errors are scored token by token
     for row_block in (hwsim._ROW_BLOCK, 3, 1):
         monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
         report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)

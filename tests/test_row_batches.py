@@ -3,6 +3,7 @@ sweep against the per-vector oracles, bit for bit, on tie-heavy inputs."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -188,28 +189,46 @@ def _assert_row_equals(rows, i, want):
             assert np.array_equal(got[i], one[0]), field
 
 
-@given(batches(), st.booleans(), st.booleans(), st.data())
+def _stack(blocks):
+    """The blocks as one stack of layers, layer l = blocks[l]."""
+    return MlpWeights(*(np.stack([getattr(b, m) for b in blocks]) for m in ("up", "gate", "down")))
+
+
+def _layer(w, l):
+    """Layer l of a stack of layers, as one block."""
+    return MlpWeights(w.up[l], w.gate[l], w.down[l])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(1, 4),
+       st.integers(1, 6), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_scheme_rows_with_per_row_weights_match_per_row_calls(batch, tied, shared, data):
-    # many layers and tokens, for every point of a sweep, as one batch: row i
-    # has its own weights (and for dip_ca its own residency and gamma), and
-    # equals the one-row call on them bit for bit; shared draws the weights
-    # from a pool of two, so runs of rows share one MlpWeights as a layer's do
-    x, rng = batch
-    n = len(x)
-    pool = [_weights(rng, tied) for _ in range(2 if shared else n)]
-    ws = [pool[int(rng.integers(2))] if shared else pool[i] for i in range(n)]
+def test_scheme_rows_with_per_row_weights_match_per_row_calls(seed, kind, layers, per_layer,
+                                                              tied, data):
+    # many layers and tokens, for every point of a sweep, as one batch over a
+    # stack of layers: the rows go layer-major, per_layer rows per layer, and
+    # row i (for dip_ca with its own residency and gamma) equals the one-row
+    # call on its own layer's block bit for bit
+    rng = np.random.default_rng(seed)
+    n = layers * per_layer
+    x = _rows(kind, n, D_MODEL, rng)
+    ws = _stack([_weights(rng, tied) for _ in range(layers)])
+    block = [_layer(ws, i // per_layer) for i in range(n)]  # each row's layer
     k_in = data.draw(st.integers(1, D_MODEL))
     k_mid = data.draw(st.integers(1, D_FF))
-    for scheme in (glu_pruning_rows, gate_pruning_rows, up_pruning_rows):
+    for scheme, orders in ((glu_pruning_rows, oracles.glu_orders),
+                           (gate_pruning_rows, oracles.gate_orders),
+                           (up_pruning_rows, oracles.up_orders)):
         rows = scheme(ws, x, k_mid)
         for i, row in enumerate(x):
-            _assert_row_equals(rows, i, scheme(ws[i], row[None], k_mid))
+            _assert_row_equals(rows, i, scheme(block[i], row[None], k_mid))
+            assert rows.intermediate_order[i].tolist() == orders(block[i], row, k_mid)[1]
     rows = dip_rows(ws, x, k_in, k_mid)
     for i, row in enumerate(x):
-        _assert_row_equals(rows, i, dip_rows(ws[i], row[None], k_in, k_mid))
+        _assert_row_equals(rows, i, dip_rows(block[i], row[None], k_in, k_mid))
+        assert (rows.input_order[i].tolist(), rows.intermediate_order[i].tolist()) == \
+            oracles.dip_orders(block[i], row, k_in, k_mid)
         assert np.array_equal(rows.glu[i],
-                              oracles.glu_activations(ws[i], row, rows.input_mask[i]))
+                              oracles.glu_activations(block[i], row, rows.input_mask[i]))
 
     gamma = data.draw(st.sampled_from([0.0, 0.2, 0.5]))
     gammas = rng.choice([0.0, 0.2, 0.5, 1.0], n)
@@ -221,15 +240,30 @@ def test_scheme_rows_with_per_row_weights_match_per_row_calls(batch, tied, share
         y = down_projection(ws, rows.glu, rows.intermediate_mask)
         for i, row in enumerate(x):
             g_i = g[i] if isinstance(g, np.ndarray) else g
-            _assert_row_equals(rows, i, dip_ca_rows(ws[i], row[None], c_in[i], c_mid[i],
+            _assert_row_equals(rows, i, dip_ca_rows(block[i], row[None], c_in[i], c_mid[i],
                                                     k_in, k_mid, g_i, re_in, re_mid))
-            assert np.array_equal(rows.glu[i],
-                                  oracles.glu_activations(ws[i], row, rows.input_mask[i]))
-            assert np.array_equal(y[i], down_projection(ws[i], rows.glu[i],
+            assert (rows.input_order[i].tolist(), rows.intermediate_order[i].tolist()) == \
+                oracles.dip_ca_orders(block[i], row, c_in[i], c_mid[i], k_in, k_mid, g_i,
+                                      re_in, re_mid)
+            assert np.array_equal(y[i], down_projection(block[i], rows.glu[i],
                                                         rows.intermediate_mask[i]))
+            assert np.array_equal(y[i], oracles.sparse_forward(
+                block[i], row, rows.input_mask[i], rows.intermediate_mask[i]))
             if g_i == 1.0:
                 # no re-weighting: plain input pruning, down to the last bit
-                _assert_row_equals(rows, i, dip_rows(ws[i], row[None], k_in, k_mid))
+                _assert_row_equals(rows, i, dip_rows(block[i], row[None], k_in, k_mid))
+
+    # one row fewer does not split evenly over two or more layers
+    if layers > 1:
+        for call in (lambda: glu_activations(ws, x[1:]), lambda: glu_activations(ws, x[0]),
+                     lambda: down_projection(ws, rows.glu[1:]),
+                     lambda: glu_pruning_rows(ws, x[1:], k_mid),
+                     lambda: gate_pruning_rows(ws, x[1:], k_mid),
+                     lambda: up_pruning_rows(ws, x[1:], k_mid),
+                     lambda: dip_rows(ws, x[1:], k_in, k_mid),
+                     lambda: dip_ca_rows(ws, x[1:], c_in[0], c_mid[0], k_in, k_mid)):
+            with pytest.raises(ValueError, match="split evenly"):
+                call()
 
 
 @given(batches(), st.booleans(),

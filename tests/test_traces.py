@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsim import (
+    MlpWeights,
     SyntheticTraceSpec,
     Trace,
     TraceFormatError,
@@ -86,11 +87,19 @@ def test_spec_validation():
 
 def test_synthetic_layer_weights():
     ws = synthetic_layer_weights(3, 8, 24, seed=0)
-    assert len(ws) == 3
-    assert all(w.d_model == 8 and w.d_ff == 24 for w in ws)
-    assert not np.array_equal(ws[0].up, ws[1].up)  # layers differ
+    assert ws.up.shape == ws.gate.shape == (3, 24, 8) and ws.down.shape == (3, 8, 24)
+    assert ws.d_model == 8 and ws.d_ff == 24
+    assert not np.array_equal(ws.up[0], ws.up[1])  # layers differ
     ws2 = synthetic_layer_weights(3, 8, 24, seed=0)
-    np.testing.assert_array_equal(ws[2].down, ws2[2].down)
+    np.testing.assert_array_equal(ws.down[2], ws2.down[2])
+    # layer l is the block MlpWeights.random draws from the layer's own
+    # SeedSequence seed, bit for bit
+    for seed, layers in ((0, 3), (7, 1), (2**40, 4)):
+        ws = synthetic_layer_weights(layers, 8, 24, seed=seed)
+        for l, s in enumerate(np.random.SeedSequence(seed).generate_state(layers)):
+            one = MlpWeights.random(8, 24, seed=int(s))
+            for m in ("up", "gate", "down"):
+                assert getattr(ws, m)[l].tobytes() == getattr(one, m).tobytes(), (seed, l, m)
 
 
 # ---------------------------------------------------------------------------

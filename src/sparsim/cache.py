@@ -10,11 +10,13 @@ are admitted while capacity remains, evicting only among residents that are
 not active this token; when nothing is evictable the miss is bypassed
 (streamed without caching).
 
-An eviction policy is a name from POLICY_NAMES: "lfu" (access count within
-the current residency span, reset on eviction; ties by recency then lowest
-unit index), "lru" (ties by lowest index), "belady", the offline oracle
-(farthest next use, never-used-again first, ties by lowest index), and
-"nocache" (every access misses).  replay is the one entry point.
+POLICY_NAMES are the simulator's policies.  replay takes the three eviction
+policies: "lfu" (access count within the current residency span, reset on
+eviction; ties by recency then lowest unit index), "lru" (ties by lowest
+index) and "belady", the offline oracle (farthest next use, never-used-again
+first, ties by lowest index).  "nocache" is no cache: the simulator gives
+every cache capacity 0, which admits nothing, so every access misses and is
+bypassed under any eviction policy.  replay is the one entry point.
 
 One token is replayed as one batch over arrays indexed by unit.  This equals
 offering the units one at a time: a resident that is not active this token
@@ -81,6 +83,7 @@ __all__ = [
 ]
 
 POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
+_EVICTION_POLICIES = POLICY_NAMES[:3]  # what replay takes; nocache is capacity 0
 
 # Every eviction key lies below this bound, or the keys go to np.lexsort.
 _KEY_LIMIT = 1 << 63
@@ -100,10 +103,13 @@ class CacheState:
     Cache i holds units offsets[i] up to offsets[i + 1] (its group's unit
     indices, shifted by offsets[i]) and at most capacity_units[i] of them.
     capacity_units and universe give one entry per cache, or one int each
-    for a single cache, whose flat ids are its unit indices.  The per-unit
-    arrays freq, last_use and next_use are defined exactly for resident
-    units; admission resets freq, so LFU counts are per residency span.
-    clock advances once per replay (one token).
+    for a single cache, whose flat ids are its unit indices.  A state is
+    replayed under one eviction policy, and of the per-unit arrays replay
+    keeps only what that policy reads, exactly for resident units: freq
+    (lfu; admission resets it, so counts are per residency span), last_use
+    (lfu and lru) and next_use (belady).  is_active marks the token's active
+    units during a replay and is all False between replays.  clock advances
+    once per replay (one token).
     """
 
     def __init__(self, capacity_units, universe):
@@ -118,6 +124,7 @@ class CacheState:
         self.cache_of = np.repeat(np.arange(len(sizes)), sizes)
         self.count = np.zeros(len(sizes), dtype=np.int64)  # residents per cache
         self.is_resident = np.zeros(self.universe, dtype=bool)
+        self.is_active = np.zeros(self.universe, dtype=bool)
         self.freq = np.zeros(self.universe, dtype=np.int64)
         self.last_use = np.zeros(self.universe, dtype=np.int64)
         self.next_use = np.zeros(self.universe, dtype=np.int64)
@@ -162,7 +169,7 @@ def _leading(counts: np.ndarray, taken: np.ndarray) -> np.ndarray:
 def replay(state: CacheState, active_units: Sequence[int], policy: str,
            next_use: Optional[Sequence[int]] = None):
     """Advance every cache of state by one token, in place, under the
-    eviction policy named policy (one of POLICY_NAMES).
+    eviction policy named policy ("lfu", "lru" or "belady").
 
     active_units holds the token's active flat unit ids cache by cache, in
     ascending cache order, each cache's in admission order (descending
@@ -171,24 +178,23 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
     is this token's entry of belady_precompute; required for the Belady
     policy, ignored otherwise.
     """
-    if policy not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+    if policy not in _EVICTION_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {_EVICTION_POLICIES}")
     active = np.asarray(active_units, dtype=np.intp)
     if active.ndim != 1:
         raise ValueError("active units must be a flat sequence of unit indices")
     if active.size and (active.min() < 0 or active.max() >= state.universe):
         raise ValueError(f"unit index outside the cache universe [0, {state.universe})")
-    is_active = np.zeros(state.universe, dtype=bool)
-    is_active[active] = True
-    if np.count_nonzero(is_active) != active.size:
-        raise ValueError("active units must be distinct")
     owner = state.cache_of[active]
     if (owner[1:] < owner[:-1]).any():
         raise ValueError("active units must go cache by cache, in ascending cache order")
-    if policy == "belady":
-        if next_use is None or np.shape(next_use) != active.shape:
-            raise ValueError("belady eviction needs one next use per active unit")
-        state.next_use[active] = next_use
+    if policy == "belady" and (next_use is None or np.shape(next_use) != active.shape):
+        raise ValueError("belady eviction needs one next use per active unit")
+    is_active = state.is_active
+    is_active[active] = True
+    if np.count_nonzero(is_active) != active.size:
+        is_active[active] = False
+        raise ValueError("active units must be distinct")
     state.clock += 1
     n = state.num_caches
     resident = state.is_resident
@@ -198,12 +204,13 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
     n_misses, n_hits = np.bincount(2 * owner + hit, minlength=2 * n).reshape(n, 2).T
     # every active unit is used now: a hit counts one more use and a miss
     # starts at one.  A bypassed miss stays non-resident, and nothing reads
-    # a non-resident's freq or last_use.
-    state.freq *= resident | ~is_active
-    state.freq += is_active
-    state.last_use[active] = state.clock
-    if policy == "nocache":
-        return n_hits, n_misses, n_misses.copy()
+    # a non-resident's fields.
+    if policy == "belady":
+        state.next_use[active] = next_use
+    else:
+        if policy == "lfu":
+            state.freq[active] = state.freq[active] * hit + 1
+        state.last_use[active] = state.clock
 
     admitted = np.minimum(n_misses, state.capacity_units - state.count)
     short = n_misses - admitted
@@ -219,9 +226,12 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
             resident[candidates[order[_leading(n_cand, n_evict)]]] = False
             state.count -= n_evict
             admitted += n_evict
-    resident[active[~hit][_leading(n_misses, admitted)]] = True
+    is_active[active] = False
+    bypassed = n_misses - admitted
+    missed = active[~hit]
+    resident[missed[_leading(n_misses, admitted)] if bypassed.any() else missed] = True
     state.count += admitted
-    return n_hits, n_misses, n_misses - admitted
+    return n_hits, n_misses, bypassed
 
 
 def _eviction_order(state: CacheState, units: np.ndarray, owner: np.ndarray,

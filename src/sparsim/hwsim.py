@@ -10,22 +10,31 @@ once per token in full.
 
 Units partition the three MLP matrices per layer.  Which matrices fold into
 which unit group depends on the sparsification scheme: schemes that keep a
-matrix dense stream it as always-active per-column chunks through the same
-cache machinery, so residency accounting stays uniform.  A scheme without
-row masks (dense) keeps every unit: all its groups are always active.
+matrix dense stream it as always-active per-column chunks, with caches and
+hit/miss/bypass accounting like any other group.  A scheme without row
+masks (dense) keeps every unit: all its groups are always active.
+
+The policy nocache is every cache at capacity 0.  A cache of capacity 0 or
+of an always-active group is static: it never has a unit to evict, so its
+counts follow in closed form from the units it sees per token, w, and
+kept = min(w, capacity): token 0 has 0 hits, w misses and w - kept
+bypassed, and every later token kept hits, w - kept misses and w - kept
+bypassed.  Only the other caches replay, so every dense and nocache run
+replays nothing.
 
 Each scheme is one entry of SCHEMES, and its unit groups, k values, static
 charge, mask stream and Belady rejection all read from that entry.
 
 There is one engine, and simulate_run is its one-point case.  sweep_runs
 runs every (density, gamma) point of a grid in lockstep: per token, one
-replay call advances the caches of every (point, layer, unit group).  Its
-mask stream is one loop for every scheme, in which a batch of mask rows
+replay call advances the live caches of every (point, layer, unit group).
+Its mask stream is one loop for every scheme, in which a batch of mask rows
 builds its masks over a block of tokens in one call.  Every batch spans all
 layers, its rows layer-major, so the layers' weights go as one stack (see
 mlp).  A row serves every point with its (k_in, k_mid); cache-aware masks
 read the caches, so their rows serve one point and their blocks are one
-token.  Each point keeps its own caches, so its report equals its own
+token, unless every cache is static and the residency they read is always
+zero.  Each point keeps its own caches, so its report equals its own
 simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
@@ -382,63 +391,89 @@ class _Batch(NamedTuple):
     caches: Optional[slice]  # flat ids of the pairs' caches, or None
 
 
-def _group_units(rows: Optional[masking.RowMasks], n: int,
-                 groups: Sequence[GroupSpec]) -> np.ndarray:
-    """The active units [n, units] of n rows, group by group, each group's in
-    admission order (unit indices within the group).  rows is read only for
-    groups that are not always active."""
-    return np.concatenate([
-        np.broadcast_to(np.arange(g.universe), (n, g.universe)) if g.always_active
-        else rows.input_order if g.kind == Group.INPUT_BUNDLE else rows.intermediate_order
-        for g in groups], axis=1)
+def _width(g: GroupSpec, k: Tuple[int, int]) -> int:
+    """Units of group g active every token at k = (k_in, k_mid)."""
+    return g.universe if g.always_active else k[0] if g.kind == Group.INPUT_BUNDLE else k[1]
 
 
-def _layout(configs: Sequence[SchemeConfig], entry: Scheme, groups: Sequence[GroupSpec],
-            capacities: Sequence[int], geo: ModelGeometry):
-    """The caches of every (point, layer, group) on one flat axis, the mask
-    batches that stream into them, the block length in tokens and each
-    point's cache ids [points, layers, groups].
+def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndarray:
+    """The active units [rows, units] of mask rows, group by group, each
+    group's in admission order (unit indices within the group)."""
+    return np.concatenate([rows.input_order if g.kind == Group.INPUT_BUNDLE
+                           else rows.intermediate_order for g in groups], axis=1)
 
-    The points go grouped by (k_in, k_mid), each k's split into chunks, and
-    each chunk's (layer, point) pairs layer-major; their caches go in that
-    order, group by group, so each token's active units come out cache by
-    cache in ascending order.  A chunk is one batch over every layer.
-    Unless the scheme is cache aware, a chunk is all of its k's points, a
-    mask row serves every pair of its layer, and a block is _ROW_BLOCK //
-    max(points, layers) tokens.  A cache-aware mask row serves its own pair,
-    a chunk is _ROW_BLOCK // layers points, and a block is one token, as
-    masks follow the previous token's replay.  Either way one call takes at
-    most max(_ROW_BLOCK, layers) rows.
+
+def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entry: Scheme,
+            groups: Sequence[GroupSpec], capacities: Sequence[int], live: np.ndarray,
+            geo: ModelGeometry):
+    """The caches of every (point, layer, live group) on one flat axis, the
+    mask batches that stream into them, the block length in tokens and each
+    point's cache ids [points, layers, live groups]; ks holds each point's
+    (k_in, k_mid).
+
+    live marks the groups whose caches replay; a static cache (see the
+    module docstring) has no place on the flat axis and no columns in the
+    stream.  The points go grouped by (k_in, k_mid), each k's split into
+    chunks, and each chunk's (layer, point) pairs layer-major; their caches
+    go in that order, group by group, so each token's active units come out
+    cache by cache in ascending order.  A chunk is one batch over every
+    layer.  Unless the scheme is cache aware, a chunk is all of its k's
+    points and a mask row serves every pair of its layer.  A cache-aware
+    mask row serves its own pair, with its own gamma, and a chunk is
+    _ROW_BLOCK // layers points.  Cache-aware masks follow the previous
+    token's replay, so their blocks are one token, unless no cache is live:
+    then the residency they read is always zero, and their blocks are as
+    long as the others'.  A block is _ROW_BLOCK // max(points, mask rows of
+    a token) tokens, so one call takes at most max(_ROW_BLOCK, one token's
+    layers) rows.
     """
     num_layers = geo.num_layers
+    cached = [g for g, on in zip(groups, live) if on]
     by_k: Dict[Tuple[int, int], List[int]] = {}
-    for p, cfg in enumerate(configs):
-        by_k.setdefault(cfg.k_values(geo), []).append(p)
-    size = max(1, _ROW_BLOCK // num_layers) if entry.cache_aware else len(configs)
+    for p, k in enumerate(ks):
+        by_k.setdefault(k, []).append(p)
+    size = len(configs)
+    if entry.cache_aware:
+        size = min(size, max(1, _ROW_BLOCK // num_layers))
     chunks = [(k, points[c:c + size]) for k, points in by_k.items()
               for c in range(0, len(points), size)]
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
         (l, p) for _, points in chunks for l in range(num_layers) for p in points]))
-    caches = CacheState(np.tile(capacities, len(layer)),
-                        np.tile([g.universe for g in groups], len(layer)))
-    base = caches.offsets[:-1].reshape(len(layer), len(groups))
-    cid = np.empty((len(configs), num_layers, len(groups)), dtype=np.intp)
+    caches = CacheState(np.tile(np.compress(live, capacities), len(layer)),
+                        np.tile([g.universe for g in cached], len(layer)))
+    follows = entry.cache_aware and caches.num_caches > 0  # masks read a live residency
+    base = caches.offsets[:-1].reshape(len(layer), len(cached))
+    cid = np.empty((len(configs), num_layers, len(cached)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
     gamma = np.array([configs[p].gamma for p in point])
     batches, start = [], 0
     for k, points in chunks:
-        widths = [g.universe if g.always_active
-                  else k[0] if g.kind == Group.INPUT_BUNDLE else k[1] for g in groups]
+        widths = [_width(g, k) for g in cached]
         per_layer = len(points) if entry.cache_aware else 1
         s = slice(start, start + num_layers * len(points))
         batches.append(_Batch(
             k, per_layer, np.arange(num_layers * per_layer).repeat(len(points) // per_layer),
             point[s], gamma[s], np.repeat(base[s], widths, axis=1),
-            slice(*caches.offsets[[s.start * len(groups), s.stop * len(groups)]].tolist())
-            if entry.cache_aware else None))
+            slice(*caches.offsets[[s.start * len(cached), s.stop * len(cached)]].tolist())
+            if follows else None))
         start = s.stop
-    block = 1 if entry.cache_aware else max(1, _ROW_BLOCK // max(len(configs), num_layers))
+    rows = num_layers * (size if entry.cache_aware else 1)
+    block = 1 if follows else max(1, _ROW_BLOCK // max(len(configs), rows))
     return caches, batches, block, cid
+
+
+def _residency(bits: Optional[np.ndarray], b: _Batch, groups: Sequence[GroupSpec],
+               live: np.ndarray) -> List[np.ndarray]:
+    """Each group's residency for the cache-aware mask rows of batch b: for
+    a live group, each row's own caches on the flat axis (bits, one token
+    long); a static group has capacity 0, so it holds nothing."""
+    own = iter(())
+    if b.caches is not None:
+        sizes = [g.universe for g, on in zip(groups, live) if on]
+        own = iter(np.split(bits[b.caches].reshape(len(b.row), -1), np.cumsum(sizes[:-1]),
+                            axis=1))
+    return [next(own) if on else np.zeros(g.universe, dtype=np.int8)
+            for g, on in zip(groups, live)]
 
 
 def _tiled(a: np.ndarray, i0: int, n: int, per_layer: int) -> np.ndarray:
@@ -472,16 +507,18 @@ def _score(pending, weights: MlpWeights, ref: np.ndarray, t0: int,
 
 def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
                  acts: np.ndarray, caches: CacheState, batches: Sequence[_Batch],
-                 block: int, groups: Sequence[GroupSpec], geo: ModelGeometry,
-                 errors: Optional[np.ndarray]):
-    """Stage 1: per token, the flat ids of every point's active units, cache
-    by cache in ascending order, each cache's in admission order.
+                 block: int, groups: Sequence[GroupSpec], live: np.ndarray,
+                 geo: ModelGeometry, errors: Optional[np.ndarray]):
+    """Stage 1: per token, the flat ids of every point's active units in
+    the live groups' caches, cache by cache in ascending order, each cache's
+    in admission order.  With no live cache it yields nothing, and only
+    builds the masks that errors needs.
 
     Each batch builds its rows' masks over a block in one call, its rows
     layer-major against the stack of layers.  Cache-aware masks read the
-    residency when their one-token block is requested, after the previous
-    token's replay.  A scheme without row masks builds none: every unit of
-    every row is active.
+    residency when their block is requested, after the previous token's
+    replay when a block is one token; a static cache holds nothing.  A
+    scheme without row masks builds none.
 
     Under kernel_eval with row masks, errors [points, tokens, layers] gets
     the errors of a span of tokens against the dense reference, one stacked
@@ -498,7 +535,9 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     once the last token is yielded.
     """
     entry = SCHEMES[scheme.name]
-    splits = np.cumsum([g.universe for g in groups[:-1]])
+    cached = [g for g, on in zip(groups, live) if on]
+    if not cached and errors is None:
+        return
     keep_glu = errors is not None and not entry.prunes_input
     span = block if errors is None or keep_glu else max(
         block, _ROW_BLOCK // (len(errors) * geo.num_layers))
@@ -512,14 +551,13 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
         pending, held = [], 0
         for i0 in range(0, x.shape[1], block):
             n = min(block, x.shape[1] - i0)
-            bits = resident_bitvector(caches) if entry.cache_aware else None
+            bits = resident_bitvector(caches) if entry.cache_aware and cached else None
             ids = []
             for b in batches:
                 m, rows = geo.num_layers * b.per_layer * n, None  # the batch's rows
                 if entry.rows is not None:
-                    # a cache-aware row, one token long, reads its own pair's caches
-                    extra = () if bits is None else (*np.split(
-                        bits[b.caches].reshape(len(b.row), -1), splits, axis=1), b.gamma)
+                    extra = () if not entry.cache_aware else (
+                        *_residency(bits, b, groups, live), np.repeat(b.gamma, n))
                     hb = None if h is None else _tiled(h, i0, n, b.per_layer)
                     kept = {} if hb is None else {"glu": hb}
                     rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer),
@@ -531,11 +569,13 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
                     pending.append((b, i0, n, _masked(
                         hb if rows.glu is None else rows.glu, rows.intermediate_mask)))
                     held += m
-                units = _group_units(rows, m, groups).reshape(m // n, n, -1)[b.row]
-                ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
+                if cached:
+                    units = _group_units(rows, cached).reshape(m // n, n, -1)[b.row]
+                    ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
             if pending and i0 + n == x.shape[1]:  # the span's errors, before its last tokens
                 _score(pending, weights, ref, t0, errors)
-            yield from np.concatenate(ids, axis=1)
+            if ids:
+                yield from np.concatenate(ids, axis=1)
 
 
 def _running_sums(start, terms: np.ndarray) -> np.ndarray:
@@ -580,14 +620,17 @@ def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
                               "check the bandwidths and byte sizes")
     throughput = num_tokens / total_latency if num_tokens else 0.0
     tail_latency = sum(tc.latency_s for tc in tokens[1:])
+    steady = (num_tokens - 1) / tail_latency if num_tokens > 1 else throughput
+    if not (math.isfinite(throughput) and math.isfinite(steady)):
+        raise SimulationError("modelled throughput overflows the float range: "
+                              "check the bandwidths and byte sizes")
     total_hits = sum(tc.hits for tc in tokens)
     total_accesses = sum(tc.hits + tc.misses for tc in tokens)
     return RunReport(
         num_tokens=num_tokens,
         tokens=tokens,
         throughput=throughput,
-        steady_state_throughput=(num_tokens - 1) / tail_latency if num_tokens > 1
-        else throughput,
+        steady_state_throughput=steady,
         hit_rate=total_hits / total_accesses if total_accesses else 0.0,
         flash_bytes=flash_bytes,
         dram_bytes=dram_bytes,
@@ -597,12 +640,30 @@ def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
     )
 
 
+def _static_counts(widths: np.ndarray, capacities: Sequence[int],
+                   num_tokens: int) -> np.ndarray:
+    """Hit, miss and bypass counts [3, tokens, *widths.shape] of static
+    caches with widths [..., groups] units active every token.  No unit is
+    ever an eviction candidate, so with kept = min(width, capacity), token 0
+    misses all its units and admits kept of them, and every later token hits
+    those kept and misses the rest; every miss past kept is bypassed."""
+    kept = np.minimum(widths, capacities)
+    counts = np.empty((3, num_tokens) + widths.shape, dtype=np.int64)
+    counts[:, 1:] = np.stack([kept, widths - kept, widths - kept])[:, None]
+    counts[:, :1] = np.stack([0 * kept, widths, widths - kept])[:, None]
+    return counts
+
+
 def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
               configs: Sequence[SchemeConfig], policy: str, hw: HardwareConfig,
               geo: ModelGeometry, kernel_eval: bool) -> List[RunReport]:
     """The engine: every point of configs (scheme with its own density_mid,
     density_in and gamma) over one trace, in lockstep.  Per token, one
-    replay call advances the caches of every point, layer and unit group."""
+    replay call advances the live caches of every point, layer and unit
+    group.  nocache gives every cache capacity 0.  Static caches (see the
+    module docstring) are priced in closed form (_static_counts), so a run
+    without a live cache runs no replay and no Belady precompute, and
+    builds masks only for kernel_eval."""
     acts = np.asarray(getattr(trace, "activations", trace), dtype=float)
     if acts.ndim != 3 or acts.shape[1] != geo.num_layers or acts.shape[2] != geo.d_model:
         raise SimulationError(
@@ -628,24 +689,33 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
         static += predictor_static_bytes(geo, scheme.predictor_hidden)
     groups = scheme_groups(scheme.name, geo)
     capacities = allocate_dram(hw, geo, groups, static_bytes=static)
+    if policy == "nocache":  # allocate_dram has checked that the static set fits
+        capacities = (0,) * len(groups)
     if not configs:
         return []
-    caches, batches, block, cid = _layout(configs, entry, groups, capacities, geo)
+    live = np.array([cap > 0 and not g.always_active for g, cap in zip(groups, capacities)],
+                    dtype=bool)
+    ks = [cfg.k_values(geo) for cfg in configs]
+    caches, batches, block, cid = _layout(configs, ks, entry, groups, capacities, live, geo)
     num_tokens = acts.shape[0]
 
     # the dense block's own output has error 0: only row masks are scored
     errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
-    stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, geo,
+    stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, live, geo,
                           errors if entry.rows is not None else None)
-    if policy == "belady":
+    widths = np.array([[_width(g, k) for g in groups] for k in ks])
+    counts = _static_counts(np.repeat(widths[:, None], geo.num_layers, axis=1), capacities,
+                            num_tokens)  # [3, tokens, points, layers, groups]
+    next_use = [None] * num_tokens
+    if policy == "belady" and caches.num_caches:
         stream = list(stream)
         next_use = belady_precompute(stream)
-    else:
-        next_use = [None] * num_tokens
-    counts = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
+    replayed = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
+    # without a live cache the stream yields nothing, and runs only for kernel_eval
     for t, (active, upcoming) in enumerate(zip(stream, next_use)):
-        counts[0, t], counts[1, t], counts[2, t] = replay(caches, active, policy, upcoming)
-    return [_report(counts[:, :, cid[p]], groups, static, hw,
+        replayed[:, t] = replay(caches, active, policy, upcoming)
+    counts[..., live] = replayed[:, :, cid]
+    return [_report(counts[:, :, p], groups, static, hw,
                     errors[p] if errors is not None else None)
             for p in range(len(configs))]
 

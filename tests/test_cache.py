@@ -1,6 +1,6 @@
-"""Per-layer DRAM cache: LFU / LRU / offline-optimal / no-cache eviction,
-hit/miss/bypass accounting, and the offline policy's optimality against an
-exhaustive-search oracle."""
+"""Per-layer DRAM cache: LFU / LRU / offline-optimal eviction, capacity 0
+(the simulator's no-cache policy), hit/miss/bypass accounting, and the
+offline policy's optimality against an exhaustive-search oracle."""
 import math
 from typing import NamedTuple
 
@@ -81,11 +81,16 @@ def test_lfu_tie_breaks_by_lru_then_index():
 
 
 def test_nocache_always_bypasses():
-    stats, state = _run([[A, B], [A, B]], "nocache", capacity=10)
-    assert stats.hits == 0
-    assert stats.misses == 4
-    assert stats.bypassed == 4
-    assert _resident(state) == set()
+    # nocache is capacity 0, which bypasses every access under any policy;
+    # replay itself takes only the eviction policies
+    for kind in ("lfu", "lru", "belady"):
+        stats, state = _run([[A, B], [A, B]], kind, capacity=0)
+        assert stats.hits == 0
+        assert stats.misses == 4
+        assert stats.bypassed == 4
+        assert _resident(state) == set()
+        with pytest.raises(ValueError, match="unknown policy"):
+            replay(state, [A], "nocache")
 
 
 def test_capacity_zero_bypasses_everything():
@@ -195,7 +200,7 @@ def random_trace(draw, max_units=5, max_steps=8):
 
 
 @given(random_trace(), st.integers(min_value=0, max_value=5),
-       st.sampled_from(["lfu", "lru", "belady", "nocache"]))
+       st.sampled_from(["lfu", "lru", "belady"]))
 @settings(max_examples=120, deadline=None)
 def test_capacity_invariant_and_accounting(trace, capacity, kind):
     stats, state = _run(trace, kind, capacity)
@@ -229,7 +234,7 @@ def oracle_case(draw, max_units=8, max_steps=10):
     return universe, capacity, trace
 
 
-@given(oracle_case(), st.sampled_from(["lfu", "lru", "belady", "nocache"]))
+@given(oracle_case(), st.sampled_from(["lfu", "lru", "belady"]))
 @settings(max_examples=400, deadline=None)
 def test_batch_replay_matches_per_unit_oracle(case, kind):
     universe, capacity, trace = case
@@ -241,8 +246,10 @@ def test_batch_replay_matches_per_unit_oracle(case, kind):
         expected = ref.update(active, kind, trace=trace, position=pos)
         assert (stats.hits, stats.misses, stats.bypassed) == expected, f"token {pos}"
         assert _resident(state) == ref.resident, f"token {pos}"
-        if kind in ("lfu", "lru"):
+        # replay keeps only the fields its policy reads
+        if kind == "lfu":
             assert {u: int(state.freq[u]) for u in ref.resident} == ref.freq
+        if kind in ("lfu", "lru"):
             assert {u: int(state.last_use[u]) for u in ref.resident} == ref.last_use
 
 
@@ -262,7 +269,7 @@ def many_caches_case(draw, max_caches=4, max_units=6, max_steps=8):
     return universes, capacities, tokens
 
 
-@given(many_caches_case(), st.sampled_from(["lfu", "lru", "belady", "nocache"]))
+@given(many_caches_case(), st.sampled_from(["lfu", "lru", "belady"]))
 @settings(max_examples=300, deadline=None)
 def test_replay_of_many_caches_matches_one_oracle_per_cache(case, kind):
     # one batched replay of every cache equals each cache replayed alone
@@ -336,6 +343,7 @@ def test_replay_past_the_int64_key_bound_matches_one_oracle_per_cache(kind, monk
                 if kind != "belady":
                     assert {u: int(state.last_use[offsets[c] + u])
                             for u in refs[c].resident} == refs[c].last_use, where
+                if kind == "lfu":
                     assert {u: int(state.freq[offsets[c] + u])
                             for u in refs[c].resident} == refs[c].freq, where
     assert calls["argsort"] and calls["lexsort"], calls

@@ -474,6 +474,24 @@ def test_simulation_error_for_latency_underflow(tmp_path, capsys, per_token):
     assert metrics["throughput_tok_per_s"] == metrics["steady_state_throughput_tok_per_s"] == 0.0
 
 
+@pytest.mark.parametrize("per_token", [False, True])
+def test_simulation_error_for_throughput_overflow(tmp_path, capsys, per_token):
+    # 1e-320 B weights at 1 B/s: each token's latency is a tiny subnormal,
+    # not 0, so tokens / latency overflowed to inf and the JSON writer
+    # failed with exit 1
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        geometry={**GEOMETRY, "bytes_per_weight": 1e-320},
+        hardware={"dram_capacity_bytes": 3000.0, "dram_bandwidth": 1.0,
+                  "flash_bandwidth": 1.0}))
+    out = tmp_path / "r.json"
+    argv = ["run", "--config", cfg, "--out", str(out)] + ["--per-token"] * per_token
+    assert main(argv) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and "throughput overflows" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("geometry,dram", [
     ({"num_layers": 2, "d_model": 8, "d_ff": 16, "bytes_per_weight": 1e-12}, 1e300),
     ({**GEOMETRY, "bytes_per_weight": 1e-320}, HARDWARE["dram_capacity_bytes"]),

@@ -9,6 +9,7 @@ import oracles
 from oracles import ReferenceCache
 from sparsim import (
     GEOMETRY_PRESETS,
+    HARDWARE_PRESETS,
     Group,
     GroupSpec,
     SCHEMES,
@@ -615,26 +616,108 @@ def _oracle_run(trace, weights, scheme, policy, hw, geo):
     if not (SCHEMES[s].cache_aware and p == "belady")])  # the pairs simulate_run rejects
 def test_simulate_run_matches_per_unit_oracle(scheme, policy, monkeypatch):
     geo = GEOMETRY_PRESETS["desk-small"]
-    # a third of the MLP bytes fits, so the caches evict and bypass
-    hw = HardwareConfig(dram_capacity_bytes=geo.total_mlp_bytes / 3,
-                        dram_bandwidth=60e9, flash_bandwidth=1e9)
+    cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
+    static = geo.static_bytes + (predictor_static_bytes(geo, 4) if scheme == "predictive"
+                                 else 0.0)
+    groups = scheme_groups(scheme, geo)
     tr = _trace(num_tokens=10, geo=geo, seed=5)
     w = _weights(geo, seed=5)
-    cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=4)
-    expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
-    # the default _ROW_BLOCK streams all tokens as one block; 3 and 1 make
-    # one-token blocks, whose kernel errors are scored token by token
-    for row_block in (hwsim._ROW_BLOCK, 3, 1):
+    # DRAM for: a third of the MLP bytes, so the caches evict and bypass;
+    # the static bytes alone, so every capacity is 0; 4 d_model weights a
+    # layer, so the input bundles get 0 units and the intermediate bundles 1;
+    # and more than the model, so every unit fits
+    drams = (geo.total_mlp_bytes / 3, static,
+             static + 4 * geo.num_layers * geo.d_model * geo.bytes_per_weight,
+             2 * geo.total_bytes + static)
+    for dram in drams:
+        hw = HardwareConfig(dram_capacity_bytes=dram, dram_bandwidth=60e9, flash_bandwidth=1e9)
+        capacities = allocate_dram(hw, geo, groups, static_bytes=static)
+        if dram == static:
+            assert capacities == (0,) * len(groups)
+        if dram > geo.total_bytes:
+            assert capacities == tuple(g.universe for g in groups)
+        expected, mean_error = _oracle_run(tr, w, cfg, policy, hw, geo)
+        # the default _ROW_BLOCK streams all tokens as one block; 3 and 1 make
+        # one-token blocks, whose kernel errors are scored token by token
+        for row_block in (hwsim._ROW_BLOCK, 3, 1):
+            monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+            report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
+            case = (dram, row_block)
+            for t, (got, want) in enumerate(zip(report.tokens, expected)):
+                assert got == want, (t, *case)
+            assert len(report.tokens) == len(expected)
+            # bit for bit, same summation order
+            assert report.mean_error == mean_error, case
+            monkeypatch.undo()
+        if dram == drams[0] and policy != "nocache" and scheme != "dense":
+            assert any(tc.misses > tc.bypassed for tc in report.tokens[1:])
+    # the mixed case has a cache of each kind where the scheme streams both
+    mixed = allocate_dram(HardwareConfig(drams[2], 60e9, 1e9), geo, groups, static_bytes=static)
+    if SCHEMES[scheme].input_bundles:
+        assert mixed == (0, 1)
+
+
+def test_nocache_equals_every_policy_at_capacity_zero():
+    # nocache is the zero-capacity case: at DRAM equal to the static bytes
+    # every capacity is 0, and lfu, lru and belady give the nocache report
+    geo = GEOMETRY_PRESETS["medium-7.4gb"]
+    hw = HARDWARE_PRESETS["phone-4gb"]
+    tr = _trace(num_tokens=50, geo=geo, seed=1, sigma=1.5)
+    w = _weights(geo, seed=1)
+    for scheme in SCHEMES:
+        cfg = SchemeConfig(name=scheme, density_mid=0.5, predictor_hidden=8)
+        static = geo.static_bytes + (predictor_static_bytes(geo, 8) if scheme == "predictive"
+                                     else 0.0)
+        at_static = dataclasses.replace(hw, dram_capacity_bytes=static)
+        assert allocate_dram(at_static, geo, scheme_groups(scheme, geo),
+                             static_bytes=static) == (0,) * len(scheme_groups(scheme, geo))
+        want = simulate_run(tr, w, cfg, "nocache", hw, geo, kernel_eval=True)
+        assert want.hit_rate == 0.0 and want.mean_error is not None
+        for policy in ("lfu", "lru", "belady"):
+            if SCHEMES[scheme].cache_aware and policy == "belady":
+                continue
+            got = simulate_run(tr, w, cfg, policy, at_static, geo, kernel_eval=True)
+            assert got == want, (scheme, policy)
+
+
+def test_static_caches_run_no_replay(monkeypatch):
+    # a run whose caches are all static (nocache, or dense at any DRAM)
+    # replays nothing and precomputes no next uses; without kernel_eval it
+    # builds no masks either, and dip_ca's masks under nocache, whose
+    # residency is always zero, go one entry.rows call per block of tokens
+    calls = {"replay": 0, "belady_precompute": 0, "dip_ca_rows": 0}
+    for name, module in (("replay", hwsim), ("belady_precompute", hwsim),
+                         ("dip_ca_rows", masking)):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    tr, w = _trace(num_tokens=10), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    dip_ca = SchemeConfig(name="dip_ca", density_mid=0.5, gamma=0.3)
+    for scheme, policy in (("dense", "lfu"), ("dense", "belady"), ("dip", "nocache"),
+                           ("dip", "belady"), ("dip_ca", "nocache")):
+        if (scheme, policy) == ("dip", "belady"):
+            hw_run = dataclasses.replace(hw, dram_capacity_bytes=0.0)  # every capacity 0
+        else:
+            hw_run = hw
+        simulate_run(tr, w, SchemeConfig(name=scheme, density_mid=0.5), policy, hw_run, GEO)
+    assert calls == {"replay": 0, "belady_precompute": 0, "dip_ca_rows": 0}
+
+    want, default = [], hwsim._ROW_BLOCK
+    for row_block, blocks in ((default, 1), (4, 5), (1, 10)):
+        # a block is _ROW_BLOCK // layers tokens: 128, 2 and 1 here
         monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
-        report = simulate_run(tr, w, cfg, policy, hw, geo, kernel_eval=True)
-        for t, (got, want) in enumerate(zip(report.tokens, expected)):
-            assert got == want, f"token {t}, _ROW_BLOCK {row_block}"
-        assert len(report.tokens) == len(expected)
-        # bit for bit, same summation order
-        assert report.mean_error == mean_error, row_block
-        monkeypatch.undo()
-    if policy != "nocache" and scheme != "dense":
-        assert any(tc.misses > tc.bypassed for tc in report.tokens[1:])
+        calls["dip_ca_rows"] = 0
+        want.append(simulate_run(tr, w, dip_ca, "nocache", hw, GEO, kernel_eval=True))
+        assert calls["dip_ca_rows"] == blocks, row_block
+        assert want[-1] == want[0], row_block
+    monkeypatch.setattr(hwsim, "_ROW_BLOCK", default)
+    assert calls["replay"] == 0
+    # with live caches, dip_ca's masks follow each token's replay
+    calls["dip_ca_rows"] = 0
+    simulate_run(tr, w, dip_ca, "lfu", hw, GEO, kernel_eval=True)
+    assert calls["dip_ca_rows"] == calls["replay"] == tr.num_tokens
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

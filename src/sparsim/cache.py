@@ -149,8 +149,9 @@ def belady_precompute(trace: Sequence[Sequence[int]]) -> List[np.ndarray]:
     """Belady next-use data for a full access trace (the unit indices of
     each token), built in one backward pass: per token, an int64 array
     aligned with its units holding the position of each unit's next access
-    (len(trace) when it is never accessed again)."""
-    units = [np.asarray(t, dtype=np.intp) for t in trace]
+    (len(trace) when it is never accessed again).  Unit ids must be
+    integers: float and bool ids are a ValueError."""
+    units = [_unit_ids(t) for t in trace]
     size = max((int(u.max()) + 1 for u in units if u.size), default=0)
     upcoming = np.full(size, len(units), dtype=np.int64)
     next_use = [None] * len(units)
@@ -158,6 +159,16 @@ def belady_precompute(trace: Sequence[Sequence[int]]) -> List[np.ndarray]:
         next_use[pos] = upcoming[units[pos]]
         upcoming[units[pos]] = pos
     return next_use
+
+
+def _unit_ids(units) -> np.ndarray:
+    """units as an intp array; ValueError for float, bool or other
+    non-integer ids, which a cast would truncate or read as 0 and 1.  An
+    empty sequence is valid whatever its type."""
+    ids = np.asarray(units)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"unit ids must be integers, got {ids.dtype}")
+    return ids.astype(np.intp, copy=False)
 
 
 def _leading(counts: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -173,14 +184,15 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
 
     active_units holds the token's active flat unit ids cache by cache, in
     ascending cache order, each cache's in admission order (descending
-    priority); a cache may have none.  Returns (hits, misses, bypassed), int
+    priority); a cache may have none.  Ids must be integers: float and
+    bool ids are a ValueError.  Returns (hits, misses, bypassed), int
     arrays with one count per cache.  next_use, aligned with active_units,
     is this token's entry of belady_precompute; required for the Belady
     policy, ignored otherwise.
     """
     if policy not in _EVICTION_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_EVICTION_POLICIES}")
-    active = np.asarray(active_units, dtype=np.intp)
+    active = _unit_ids(active_units)
     if active.ndim != 1:
         raise ValueError("active units must be a flat sequence of unit indices")
     if active.size and (active.min() < 0 or active.max() >= state.universe):

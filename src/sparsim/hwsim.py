@@ -34,8 +34,11 @@ layers, its rows layer-major, so the layers' weights go as one stack (see
 mlp).  A row serves every point with its (k_in, k_mid); cache-aware masks
 read the caches, so their rows serve one point and their blocks are one
 token, unless every cache is static and the residency they read is always
-zero.  Each point keeps its own caches, so its report equals its own
-simulate_run bit for bit.
+zero.  A cache-aware row carries its own point's (k_in, k_mid) and gamma,
+so a chunk of points is one mask call per token, whatever their
+densities, and its active units come from one compress of each row's
+orders within its k.  Each point keeps its own caches, so its report
+equals its own simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
 as its reference.  The schemes that keep every input unit (glu, gate, up,
@@ -51,7 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -373,34 +377,36 @@ _ROW_BLOCK = 256
 
 
 class _Batch(NamedTuple):
-    """Mask rows of one k = (k_in, k_mid) over every layer, built by one call
-    over a block of tokens: per token, per_layer rows of each layer,
-    layer-major.  A mask row serves the (layer, point) pairs of its layer
-    and k, or its own pair when the masks read the caches.  Per served pair
-    s: row[s] is its mask row, and ids[s] each active-unit column's offset
-    onto the flat axis; when the masks read the caches, caches is the range
-    of the flat axis that holds the pairs' caches, pair by pair, group by
-    group."""
+    """Mask rows over every layer, built by one call over a block of tokens:
+    per token, per_layer rows of each layer, layer-major.  A batch serves
+    the (layer, point) pairs of a chunk of points, layer-major, S in all.
+    Unless the masks read the caches, the chunk's points share one (k_in,
+    k_mid) and a mask row serves every pair of its layer; a cache-aware
+    mask row serves its own pair, with the pair's own k_in, k_mid and
+    gamma, and per_layer is the chunk's points.  k_in and k_mid are one
+    int when every pair shares it, else one per pair.  Per pair s: row[s]
+    is its mask row within a token, and offset[s] the first flat id of its
+    cache of each live group.  Side by side, the live groups' mask orders give
+    each row columns of units; keep marks the columns within the row's k,
+    or is None when every column is.  When the masks read the caches,
+    caches is the range of the flat axis that holds the pairs' caches,
+    pair by pair, group by group."""
 
-    k: Tuple[int, int]
-    per_layer: int     # mask rows per layer and token
-    row: np.ndarray    # int [S]
-    point: np.ndarray  # int [S]
-    gamma: np.ndarray  # float [S], the point's gamma
-    ids: np.ndarray    # int [S, active units of a row]
+    per_layer: int      # mask rows per layer and token
+    row: np.ndarray     # int [S]
+    point: np.ndarray   # int [S]
+    k_in: Union[int, np.ndarray]   # int, or int [S]
+    k_mid: Union[int, np.ndarray]  # int, or int [S]
+    gamma: np.ndarray   # float [S], the point's gamma
+    offset: np.ndarray  # int [S, live groups]
+    keep: Optional[np.ndarray]  # bool [S * columns], or None
+    units: int          # active units of the pairs' caches per token
     caches: Optional[slice]  # flat ids of the pairs' caches, or None
 
 
 def _width(g: GroupSpec, k: Tuple[int, int]) -> int:
     """Units of group g active every token at k = (k_in, k_mid)."""
     return g.universe if g.always_active else k[0] if g.kind == Group.INPUT_BUNDLE else k[1]
-
-
-def _group_units(rows: masking.RowMasks, groups: Sequence[GroupSpec]) -> np.ndarray:
-    """The active units [rows, units] of mask rows, group by group, each
-    group's in admission order (unit indices within the group)."""
-    return np.concatenate([rows.input_order if g.kind == Group.INPUT_BUNDLE
-                           else rows.intermediate_order for g in groups], axis=1)
 
 
 def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entry: Scheme,
@@ -413,14 +419,14 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
 
     live marks the groups whose caches replay; a static cache (see the
     module docstring) has no place on the flat axis and no columns in the
-    stream.  The points go grouped by (k_in, k_mid), each k's split into
-    chunks, and each chunk's (layer, point) pairs layer-major; their caches
-    go in that order, group by group, so each token's active units come out
-    cache by cache in ascending order.  A chunk is one batch over every
-    layer.  Unless the scheme is cache aware, a chunk is all of its k's
-    points and a mask row serves every pair of its layer.  A cache-aware
-    mask row serves its own pair, with its own gamma, and a chunk is
-    _ROW_BLOCK // layers points.  Cache-aware masks follow the previous
+    stream.  The points go in chunks, and each chunk's (layer, point) pairs
+    layer-major; their caches go in that order, group by group, so each
+    token's active units come out cache by cache in ascending order.  A
+    chunk is one batch over every layer.  Unless the scheme is cache aware,
+    a chunk is the points of one (k_in, k_mid) and a mask row serves every
+    pair of its layer.  A cache-aware mask row serves its own pair, with
+    its own k and gamma, so its chunks are _ROW_BLOCK // layers points in
+    config order, whatever their k.  Cache-aware masks follow the previous
     token's replay, so their blocks are one token, unless no cache is live:
     then the residency they read is always zero, and their blocks are as
     long as the others'.  A block is _ROW_BLOCK // max(points, mask rows of
@@ -429,31 +435,38 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     """
     num_layers = geo.num_layers
     cached = [g for g, on in zip(groups, live) if on]
-    by_k: Dict[Tuple[int, int], List[int]] = {}
-    for p, k in enumerate(ks):
-        by_k.setdefault(k, []).append(p)
-    size = len(configs)
     if entry.cache_aware:
-        size = min(size, max(1, _ROW_BLOCK // num_layers))
-    chunks = [(k, points[c:c + size]) for k, points in by_k.items()
-              for c in range(0, len(points), size)]
+        size = min(len(configs), max(1, _ROW_BLOCK // num_layers))
+        chunks = [range(c, min(c + size, len(configs))) for c in range(0, len(configs), size)]
+    else:
+        by_k: Dict[Tuple[int, int], List[int]] = {}
+        for p, k in enumerate(ks):
+            by_k.setdefault(k, []).append(p)
+        chunks = list(by_k.values())
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
-        (l, p) for _, points in chunks for l in range(num_layers) for p in points]))
+        (l, p) for points in chunks for l in range(num_layers) for p in points]))
     caches = CacheState(np.tile(np.compress(live, capacities), len(layer)),
                         np.tile([g.universe for g in cached], len(layer)))
     follows = entry.cache_aware and caches.num_caches > 0  # masks read a live residency
     base = caches.offsets[:-1].reshape(len(layer), len(cached))
     cid = np.empty((len(configs), num_layers, len(cached)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
+    k_in, k_mid = np.array(ks, dtype=np.intp)[point].T
     gamma = np.array([configs[p].gamma for p in point])
+    width = np.array([[_width(g, ks[p]) for g in cached] for p in point],
+                     dtype=np.intp).reshape(len(point), len(cached))
     batches, start = [], 0
-    for k, points in chunks:
-        widths = [_width(g, k) for g in cached]
+    for points in chunks:
         per_layer = len(points) if entry.cache_aware else 1
         s = slice(start, start + num_layers * len(points))
+        top = width[s].max(axis=0)  # each live group's columns: the batch's largest k
+        position = np.arange(top.sum()) - np.repeat(np.cumsum(top) - top, top)
+        keep = position < width[s][:, np.repeat(np.arange(len(cached)), top)]
+        k = [int(v[0]) if (v == v[0]).all() else v for v in (k_in[s], k_mid[s])]
         batches.append(_Batch(
-            k, per_layer, np.arange(num_layers * per_layer).repeat(len(points) // per_layer),
-            point[s], gamma[s], np.repeat(base[s], widths, axis=1),
+            per_layer, np.arange(num_layers * per_layer).repeat(len(points) // per_layer),
+            point[s], *k, gamma[s], base[s],
+            None if keep.all() else keep.ravel(), int(width[s].sum()),
             slice(*caches.offsets[[s.start * len(cached), s.stop * len(cached)]].tolist())
             if follows else None))
         start = s.stop
@@ -463,17 +476,17 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
 
 
 def _residency(bits: Optional[np.ndarray], b: _Batch, groups: Sequence[GroupSpec],
-               live: np.ndarray) -> List[np.ndarray]:
+               live: np.ndarray, zero: np.ndarray) -> List[np.ndarray]:
     """Each group's residency for the cache-aware mask rows of batch b: for
-    a live group, each row's own caches on the flat axis (bits, one token
-    long); a static group has capacity 0, so it holds nothing."""
-    own = iter(())
-    if b.caches is not None:
-        sizes = [g.universe for g, on in zip(groups, live) if on]
-        own = iter(np.split(bits[b.caches].reshape(len(b.row), -1), np.cumsum(sizes[:-1]),
-                            axis=1))
-    return [next(own) if on else np.zeros(g.universe, dtype=np.int8)
-            for g, on in zip(groups, live)]
+    a live group, each row's own caches on the flat axis (a view of bits,
+    one token long); a static group has capacity 0, so it holds nothing
+    (a view of zero)."""
+    own = None if b.caches is None else bits[b.caches].reshape(len(b.point), -1)
+    out, at = [], 0
+    for g, on in zip(groups, live):
+        out.append(own[:, at:at + g.universe] if on else zero[:g.universe])
+        at += g.universe if on else 0
+    return out
 
 
 def _tiled(a: np.ndarray, i0: int, n: int, per_layer: int) -> np.ndarray:
@@ -517,8 +530,10 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     Each batch builds its rows' masks over a block in one call, its rows
     layer-major against the stack of layers.  Cache-aware masks read the
     residency when their block is requested, after the previous token's
-    replay when a block is one token; a static cache holds nothing.  A
-    scheme without row masks builds none.
+    replay when a block is one token: views of the caches' own 0/1 state,
+    and for a static cache, which holds nothing, a view of one zero vector.
+    A scheme without row masks builds none.  The block's ids go into one
+    array, each batch's columns written by _write_ids.
 
     Under kernel_eval with row masks, errors [points, tokens, layers] gets
     the errors of a span of tokens against the dense reference, one stacked
@@ -538,9 +553,12 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     cached = [g for g, on in zip(groups, live) if on]
     if not cached and errors is None:
         return
+    # past here the scheme has row masks: without them every group is static
     keep_glu = errors is not None and not entry.prunes_input
     span = block if errors is None or keep_glu else max(
         block, _ROW_BLOCK // (len(errors) * geo.num_layers))
+    zero = np.zeros(max(g.universe for g in groups), dtype=bool)  # every static residency
+    units = sum(b.units for b in batches)
     h = ref = None
     for t0 in range(0, acts.shape[0], span):
         x = acts[t0:t0 + span].transpose(1, 0, 2)  # [layers, tokens, d_model]
@@ -551,17 +569,18 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
         pending, held = [], 0
         for i0 in range(0, x.shape[1], block):
             n = min(block, x.shape[1] - i0)
-            bits = resident_bitvector(caches) if entry.cache_aware and cached else None
-            ids = []
+            # the caches' own bool residency: 0/1 by its type
+            bits = resident_bitvector(caches).view(bool) if entry.cache_aware and cached \
+                else None
+            ids, at = np.empty((n, units), dtype=np.intp), 0
             for b in batches:
-                m, rows = geo.num_layers * b.per_layer * n, None  # the batch's rows
-                if entry.rows is not None:
-                    extra = () if not entry.cache_aware else (
-                        *_residency(bits, b, groups, live), np.repeat(b.gamma, n))
-                    hb = None if h is None else _tiled(h, i0, n, b.per_layer)
-                    kept = {} if hb is None else {"glu": hb}
-                    rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer),
-                                      *b.k, *extra, **kept)
+                m = geo.num_layers * b.per_layer * n  # the batch's rows
+                args = [v if np.ndim(v) == 0 else np.repeat(v, n) for v in (b.k_in, b.k_mid)]
+                if entry.cache_aware:  # and a residency and gamma per mask row
+                    args += [*_residency(bits, b, groups, live, zero), np.repeat(b.gamma, n)]
+                hb = None if h is None else _tiled(h, i0, n, b.per_layer)
+                rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer), *args,
+                                  **({} if hb is None else {"glu": hb}))
                 if errors is not None:
                     if pending and held + m > _ROW_BLOCK:
                         _score(pending, weights, ref, t0, errors)
@@ -570,12 +589,35 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
                         hb if rows.glu is None else rows.glu, rows.intermediate_mask)))
                     held += m
                 if cached:
-                    units = _group_units(rows, cached).reshape(m // n, n, -1)[b.row]
-                    ids.append((units + b.ids[:, None]).transpose(1, 0, 2).reshape(n, -1))
+                    _write_ids(rows, b, cached, n, geo.num_layers, ids[:, at:at + b.units])
+                    at += b.units
             if pending and i0 + n == x.shape[1]:  # the span's errors, before its last tokens
                 _score(pending, weights, ref, t0, errors)
-            if ids:
-                yield from np.concatenate(ids, axis=1)
+            if cached:
+                yield from ids
+
+
+def _write_ids(rows: masking.RowMasks, b: _Batch, cached: Sequence[GroupSpec], n: int,
+               num_layers: int, out: np.ndarray) -> None:
+    """Write into out [tokens, b.units] the flat ids of each token's active
+    units in the caches of batch b, pair by pair, group by group, each
+    group's in admission order: each pair's mask row's order plus its
+    cache's offset, its columns side by side, then one compress keeping the
+    columns within each row's k."""
+    pairs = len(b.point) // num_layers
+    # out.reshape splits out's rows, so it is a view of out
+    buf = out.reshape(n, num_layers, pairs, -1) if b.keep is None else np.empty(
+        (n, num_layers, pairs, len(b.keep) // len(b.point)), dtype=np.intp)
+    at, view = 0, buf.transpose(1, 2, 0, 3)  # [layers, pairs, tokens, columns]
+    for g, offset in zip(cached, b.offset.T):
+        order = rows.input_order if g.kind == Group.INPUT_BUNDLE else rows.intermediate_order
+        w = order.shape[1]
+        # a row serves its own pair, or (per_layer 1) every pair of its layer
+        np.add(order.reshape(num_layers, b.per_layer, n, w),
+               offset.reshape(num_layers, pairs, 1, 1), out=view[..., at:at + w])
+        at += w
+    if b.keep is not None:
+        np.compress(b.keep, buf.reshape(n, -1), axis=1, out=out)
 
 
 def _running_sums(start, terms: np.ndarray) -> np.ndarray:

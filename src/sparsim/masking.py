@@ -21,7 +21,12 @@ Projections go through mlp's stacked matrix-vector product, so a row's
 masks do not depend on the batch around it, bit for bit.  Weights are one
 MlpWeights block for every row or a stack of layers, whose rows go
 layer-major with equal rows per layer (see mlp), so many layers and tokens
-go in one call; dip_ca_rows also takes per-row residency and gamma.
+go in one call; dip_ca_rows also takes per-row residency, gamma and k, so
+the rows of every point of a cache-aware sweep go in one call, whatever
+their densities: each side is ranked once, and each row keeps its own
+prefix.  dip_ca_rows checks its arguments once and scores both sides with
+a table, [gamma, 1][c] per unit, which equals dip_ca_scores' formula bit
+for bit; dip_ca_scores keeps the formula and its checks.
 """
 
 from __future__ import annotations
@@ -71,15 +76,17 @@ class RowMasks:
 
     Per side, order[i] holds row i's kept units in selection order (descending
     score, ties to the lower index), which is the order the caches admit them
-    in; mask[i] is the same selection as a bool array.  A side a scheme keeps
-    dense has every unit in index order.  glu holds the gated intermediates
+    in; mask[i] is the same selection as a bool array.  With one k per row
+    (dip_ca_rows), order is [n, max k] and row i keeps its first k[i]
+    picks, the ones mask[i] marks.  A side a scheme keeps dense has every
+    unit in index order.  glu holds the gated intermediates
     under the input mask when the scheme computed them to score with, so a
     forward pass can reuse them.
     """
 
-    input_order: np.ndarray           # int [n, k_in]
+    input_order: np.ndarray           # int [n, k_in], or [n, max k_in]
     input_mask: np.ndarray            # bool [n, d_model]
-    intermediate_order: np.ndarray    # int [n, k_mid]
+    intermediate_order: np.ndarray    # int [n, k_mid], or [n, max k_mid]
     intermediate_mask: np.ndarray     # bool [n, d_ff]
     glu: Optional[np.ndarray] = None  # [n, d_ff]
 
@@ -204,13 +211,32 @@ def _intermediate_rows(x: np.ndarray, scores: np.ndarray, k_mid: int,
     return RowMasks(in_order, in_mask, mid_order, mid_mask, glu)
 
 
+def _prefix_rows(keys: np.ndarray, k):
+    """topk_rows for one k, or for one k per row: then order [n, max k]
+    holds each row's first max k picks, and mask [n, dim] marks row i's
+    first k[i], so each row keeps its own prefix of one ranking."""
+    if np.ndim(k) == 0:
+        return topk_rows(keys, k)
+    k = np.asarray(k)
+    if k.shape != (len(keys),) or k.dtype.kind not in "iu":
+        raise ValueError("k must be one int or one per row")
+    if len(k) and k.min() < 0:
+        raise ValueError("k must be in [0, len(values)]")
+    order, mask = topk_rows(keys, int(k.max()) if len(k) else 0)
+    past = np.arange(order.shape[1]) >= k[:, None]  # picks past the row's own k
+    if past.any():
+        mask.reshape(-1)[_flat(order, mask.shape[1])[past]] = False
+    return order, mask
+
+
 def _input_pruning_rows(w, x: np.ndarray, in_scores: np.ndarray,
-                        k_in: int, mid_score, k_mid: int) -> RowMasks:
+                        k_in, mid_score, k_mid) -> RowMasks:
     """Top-k_in inputs by in_scores, then top-k_mid of mid_score(GLU) with
-    the GLU computed from the kept inputs only."""
-    in_order, in_mask = topk_rows(in_scores, k_in)
+    the GLU computed from the kept inputs only; k_in and k_mid are one int
+    or one per row (_prefix_rows)."""
+    in_order, in_mask = _prefix_rows(in_scores, k_in)
     h = glu_activations(w, x, in_mask)
-    mid_order, mid_mask = topk_rows(mid_score(h), k_mid)
+    mid_order, mid_mask = _prefix_rows(mid_score(h), k_mid)
     return RowMasks(in_order, in_mask, mid_order, mid_mask, h)
 
 
@@ -258,7 +284,7 @@ def dip_rows(w, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
 
 
 def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
-                intermediate_residency: np.ndarray, k_in: int, k_mid: int,
+                intermediate_residency: np.ndarray, k_in, k_mid,
                 gamma=DEFAULT_GAMMA, reweight_input: bool = True,
                 reweight_intermediate: bool = True) -> RowMasks:
     """Dynamic input pruning of x [n, d_model] with cache-aware re-weighted
@@ -269,14 +295,62 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     selections by default; the switches turn either side back into plain
     magnitude scoring.  gamma=1 reproduces dip_rows exactly.  Each
     residency is one vector for every row or one per row ([n, d_model] and
-    [n, d_ff]), and gamma one number or one per row.  Row i equals the
-    one-row call on its own layer's block, residency and gamma bit for bit.
+    [n, d_ff]), gamma one number or one per row, and k_in and k_mid one int
+    or one per row.  With a k per row, each side is ranked once and each
+    row keeps its own prefix: the orders are [n, max k], of which row i
+    keeps its first k[i], as its mask marks.  Row i equals the one-row call
+    on its own layer's block, residency, gamma and k bit for bit.
+
+    The arguments are checked once, as dip_ca_scores checks them, and both
+    sides score through _table_scores, which equals dip_ca_scores.
     """
     xs = np.asarray(x, dtype=float)
-    gamma_mid = gamma if reweight_intermediate else 1.0
-    return _input_pruning_rows(
-        w, xs, dip_ca_scores(xs, input_residency, gamma if reweight_input else 1.0),
-        k_in, lambda h: dip_ca_scores(h, intermediate_residency, gamma_mid), k_mid)
+    rows = xs.ndim == 2
+    c_in = _resident(input_residency, len(xs), w.d_model, rows)
+    c_mid = _resident(intermediate_residency, len(xs), w.d_ff, rows)
+    g = _gamma(gamma, len(xs), rows)
+    g_in = g if reweight_input else 1.0
+    g_mid = g if reweight_intermediate else 1.0
+    return _input_pruning_rows(w, xs, _table_scores(xs, c_in, g_in), k_in,
+                               lambda h: _table_scores(h, c_mid, g_mid), k_mid)
+
+
+def _resident(residency, n: int, dim: int, rows: bool) -> np.ndarray:
+    """residency as bool, one vector [dim] or, for rows, one per row [n,
+    dim]; ValueError for another shape or a value other than 0 and 1."""
+    c = np.asarray(residency)
+    if c.shape != (dim,) and not (rows and c.shape == (n, dim)):
+        raise ValueError("residency length must match x")
+    # a bool residency, as the caches keep it, is 0/1 by its type
+    if c.dtype != bool and not ((c == 0) | (c == 1)).all():
+        raise ValueError("residency must be 0 or 1 per unit")
+    return c.astype(bool, copy=False)
+
+
+def _gamma(gamma, n: int, rows: bool):
+    """gamma as a float or, one per row, a column [n, 1]; ValueError
+    unless it lies in [0, 1], one number or, for rows, one per row."""
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim and (g.ndim != 1 or not rows or len(g) != n):
+        raise ValueError("gamma must be one number or one per row")
+    if not ((0.0 <= g) & (g <= 1.0)).all():
+        raise ValueError("gamma must be in [0, 1]")
+    return g[:, None] if g.ndim else g
+
+
+def _table_scores(x: np.ndarray, resident: np.ndarray, gamma) -> np.ndarray:
+    """dip_ca_scores of x for a bool residency and gamma (a float or a
+    column [n, 1]), unchecked: |x| times the two-entry table [gamma, 1][c]
+    per unit, over max|x|.  For c in {0, 1} the table equals
+    c + gamma*(1 - c) bit for bit: 1 for c = 1 and 0 + gamma for c = 0,
+    where the 0 + turns -0.0 into 0.0 as the formula's sum does.  A zero
+    row's scores are +0.0 times the table, so dividing it by 1 in place of
+    its max keeps them the zeros dip_ca_scores gives."""
+    mag = np.abs(x)
+    xmax = mag.max(axis=-1, keepdims=True, initial=0.0)
+    xmax[xmax == 0.0] = 1.0
+    mag *= np.where(resident, 1.0, gamma + 0.0)  # now the scores, undivided
+    return np.divide(mag, xmax, out=mag)
 
 
 def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma=DEFAULT_GAMMA) -> np.ndarray:
@@ -284,22 +358,16 @@ def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma=DEFAULT_GAMMA) -> 
     vector or per row of [n, dim].
 
     residency c is 0/1 per unit, one vector for every row or one per row;
-    non-resident units are down-weighted by gamma, one number for every row
-    or one per row.  The max-norm denominator makes the scores insensitive
-    to the dynamic range of x.  A zero vector yields all-zero scores (ties
-    then resolve to the lowest indices).
+    any other value is a ValueError.  Non-resident units are down-weighted
+    by gamma, one number for every row or one per row.  The max-norm
+    denominator makes the scores insensitive to the dynamic range of x.  A
+    zero vector yields all-zero scores (ties then resolve to the lowest
+    indices).
     """
     x = np.asarray(x, dtype=float)
-    c = np.asarray(residency, dtype=float)
-    if c.shape != x.shape[-1:] and c.shape != x.shape:
-        raise ValueError("residency length must match x")
-    g = np.asarray(gamma, dtype=float)
-    if g.ndim and (g.ndim != 1 or x.ndim != 2 or len(g) != len(x)):
-        raise ValueError("gamma must be one number or one per row")
-    if not ((0.0 <= g) & (g <= 1.0)).all():
-        raise ValueError("gamma must be in [0, 1]")
+    c = _resident(residency, len(x), x.shape[-1], x.ndim == 2).astype(float)
+    g = _gamma(gamma, len(x), x.ndim == 2)
     mag = np.abs(x)
     xmax = np.max(mag, axis=-1, keepdims=True, initial=0.0)
-    scores = mag * (c + (g[:, None] if g.ndim else g) * (1.0 - c))
+    scores = mag * (c + g * (1.0 - c))
     return np.divide(scores, xmax, out=np.zeros_like(scores), where=xmax != 0.0)
-

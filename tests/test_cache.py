@@ -133,6 +133,30 @@ def test_out_of_range_units_rejected():
         replay(state, [-1], "lfu")
 
 
+def test_non_integer_unit_ids_rejected():
+    # a cast to int would truncate 0.5 and 2.9 to units 0 and 2, and read
+    # [True, False] as units [1, 0]
+    for ids in ([0.5, 2.9], np.array([0.0, 1.0]), [True, False], np.array([True]),
+                ["0"], [0, None]):
+        state = CacheState(2, 4)
+        with pytest.raises(ValueError):
+            replay(state, ids, "lfu")
+        assert state.resident.tolist() == [] and state.clock == 0
+        with pytest.raises(ValueError):
+            belady_precompute([[1, 2], ids])
+    with pytest.raises(ValueError, match="integers"):
+        belady_precompute([[0.5, 1]])
+    # empty lists stay valid, whatever numpy makes of their type
+    state = CacheState(2, 4)
+    for ids in ([], np.array([]), np.zeros(0, dtype=bool)):
+        hits, misses, bypassed = replay(state, ids, "lfu")
+        assert (hits.tolist(), misses.tolist(), bypassed.tolist()) == ([0], [0], [0])
+    assert [u.tolist() for u in belady_precompute([[], np.array([]), [3]])] == [[], [], [3]]
+    # every integer type is taken as is
+    for dtype in (np.int8, np.uint16, np.int64):
+        assert replay(CacheState(2, 4), np.array([3, 1], dtype=dtype), "lfu")[1].tolist() == [2]
+
+
 def test_belady_requires_position():
     # Belady needs the token's next-use positions, one per active unit
     trace = [[A], [B, C], [C]]

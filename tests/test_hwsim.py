@@ -815,6 +815,48 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
             assert wants[0][0].tokens != wants[0][1].tokens, scheme
 
 
+def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
+    # dip_ca with live caches under lfu and lru: 3 densities x 3 gammas in
+    # config order go in chunks of _ROW_BLOCK // layers points whatever
+    # their k, each chunk one dip_ca_rows call per token with a k per row;
+    # every point still equals its own run.  _ROW_BLOCK 14 leaves chunks of
+    # 7 and 2 points, the last of two k
+    tr, w = _trace(num_tokens=5), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    points = [(d, g) for g in (0.0, 0.3, 1.0) for d in (0.25, 0.5, 0.75)]
+    base = SchemeConfig(name="dip_ca", density_mid=0.5, reweight_input=True)
+    calls = []
+
+    def counted(w, x, c_in, c_mid, k_in, k_mid, *args):
+        calls.append((np.ndim(k_in), len(set(np.atleast_1d(k_in).tolist()))))
+        return dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid, *args)
+    dip_ca_rows = masking.dip_ca_rows
+    monkeypatch.setattr(masking, "dip_ca_rows", counted)
+    for policy in ("lfu", "lru"):
+        live = [c > 0 for c in allocate_dram(hw, GEO, scheme_groups("dip_ca", GEO))]
+        assert all(live)
+        wants = [simulate_run(tr, w, SchemeConfig(name="dip_ca", density_mid=d, gamma=g),
+                              policy, hw, GEO, kernel_eval=True) for d, g in points]
+        for row_block, ks in ((hwsim._ROW_BLOCK, [3]), (14, [3, 2])):
+            monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+            calls.clear()
+            got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
+            assert got == wants, (policy, row_block)
+            # one call per token and chunk, its rows of every k of the chunk
+            assert calls == [(1, k) for _ in range(tr.num_tokens) for k in ks], row_block
+            monkeypatch.setattr(hwsim, "_ROW_BLOCK", 256)
+        assert len({rep.hit_rate for rep in wants}) > 3, policy  # the points differ
+
+    # the benchmark's dip_ca sweep shape, 2 densities x 3 gammas on
+    # medium-7.4gb and phone-2gb: one call per token, not one per density
+    geo = GEOMETRY_PRESETS["medium-7.4gb"]
+    calls.clear()
+    sweep_runs(_trace(num_tokens=3, geo=geo), _weights(geo), base,
+               [(d, g) for d in (0.4, 0.5) for g in (0.2, 0.5, 1.0)], "lfu",
+               HARDWARE_PRESETS["phone-2gb"], geo)
+    assert calls == [(1, 2)] * 3
+
+
 def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):
     # a trace longer than one mask block gives the same run as one big block;
     # dip_ca scores its kernel errors per block, after the block's last token

@@ -243,6 +243,21 @@ def test_dip_ca_gamma_validation():
         dip_ca_scores(np.ones(2), c, gamma=np.array([0.2]))
 
 
+def test_dip_ca_residency_must_be_zero_or_one():
+    # a residency of 2 would score a unit above a resident one
+    w = MlpWeights.random(2, 4)
+    for bad in ([1, 2], [0.5, 1], [-1, 0], [float("nan"), 1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            dip_ca_scores([2.0, 0.0], bad, 0.5)
+        with pytest.raises(ValueError, match="0 or 1"):
+            dip_ca_rows(w, np.ones((1, 2)), bad, np.ones(4), 1, 2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            dip_ca_rows(w, np.ones((1, 2)), np.ones(2), bad * 2, 1, 2)
+    # 0 and 1 of any type are taken, bool and float included
+    for good in ([1, 0], [True, False], np.array([1.0, 0.0]), np.array([1, 0], dtype=np.int8)):
+        np.testing.assert_array_equal(dip_ca_scores([2.0, 1.0], good, 0.5), [1.0, 0.25])
+
+
 def test_dip_ca_gamma_one_equals_plain_dip():
     rng = np.random.default_rng(0)
     for _ in range(100):

@@ -21,8 +21,10 @@ from sparsim import (
     sweep_density_allocation,
     topk_binary_targets,
 )
+from sparsim import masking
 from sparsim.masking import (
     dip_ca_rows,
+    dip_ca_scores,
     dip_rows,
     gate_pruning_rows,
     glu_pruning_rows,
@@ -264,6 +266,71 @@ def test_scheme_rows_with_per_row_weights_match_per_row_calls(seed, kind, layers
                      lambda: dip_ca_rows(ws, x[1:], c_in[0], c_mid[0], k_in, k_mid)):
             with pytest.raises(ValueError, match="split evenly"):
                 call()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KEY_KINDS), st.integers(0, 6),
+       st.sampled_from([D_MODEL, D_FF]), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_table_scores_equal_dip_ca_scores(seed, kind, n, dim, reweight, per_row, as_bool):
+    # the engine's scorer against the public formula, bit for bit (signs of
+    # zeros and NaNs included): either side's width, a side re-weighted by
+    # a gamma per row (0, -0.0 and 1 among them) or not (gamma 1), one
+    # residency for every row or one per row, on rows with zeros, ties,
+    # +-0.0, infinities and NaNs
+    rng = np.random.default_rng(seed)
+    x = _keys(kind, n, dim, rng)
+    c = rng.integers(0, 2, (n, dim) if per_row else dim).astype(bool if as_bool else np.int8)
+    gamma = rng.choice([0.0, -0.0, 0.2, 0.5, 1.0], n) if reweight else 1.0
+    column = gamma[:, None] if reweight else gamma
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf
+        want = dip_ca_scores(x, c, gamma)
+        got = masking._table_scores(x, c.astype(bool), column)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(1, 3),
+       st.integers(1, 5), st.booleans(), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dip_ca_rows_with_a_k_per_row_match_one_row_calls(seed, kind, layers, per_layer, tied,
+                                                          re_in, re_mid, data):
+    # one call for rows of every layer with their own k_in, k_mid, gamma and
+    # residency, as the engine makes for a chunk of cache-aware points: row
+    # i keeps its own prefix, and equals the one-row call with its scalar k
+    # on its own layer bit for bit; its orders run on to the batch's
+    # largest k, as the one-row call at that k orders them
+    rng = np.random.default_rng(seed)
+    n = layers * per_layer
+    x = _rows(kind, n, D_MODEL, rng)
+    ws = _stack([_weights(rng, tied) for _ in range(layers)])
+    block = [_layer(ws, i // per_layer) for i in range(n)]
+    k_in = np.array(data.draw(st.lists(st.integers(0, D_MODEL), min_size=n, max_size=n)))
+    k_mid = np.array(data.draw(st.lists(st.integers(0, D_FF), min_size=n, max_size=n)))
+    gammas = rng.choice([0.0, 0.2, 0.5, 1.0], n)
+    c_in = rng.integers(0, 2, (n, D_MODEL)).astype(bool)
+    c_mid = rng.integers(0, 2, (n, D_FF)).astype(bool)
+    ranks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masking, "rank_rows", lambda keys: ranks.append(1) or rank_rows(keys))
+        rows = dip_ca_rows(ws, x, c_in, c_mid, k_in, k_mid, gammas, re_in, re_mid)
+    assert len(ranks) == 2  # each side ranked once, whatever the k
+    assert rows.input_order.shape == (n, k_in.max())
+    assert rows.intermediate_order.shape == (n, k_mid.max())
+    for i, row in enumerate(x):
+        args = (block[i], row[None], c_in[i], c_mid[i])
+        one = dip_ca_rows(*args, int(k_in[i]), int(k_mid[i]), gammas[i], re_in, re_mid)
+        assert np.array_equal(rows.input_order[i, :k_in[i]], one.input_order[0])
+        assert np.array_equal(rows.intermediate_order[i, :k_mid[i]], one.intermediate_order[0])
+        for field in ("input_mask", "intermediate_mask", "glu"):
+            assert np.array_equal(getattr(rows, field)[i], getattr(one, field)[0]), field
+        wide_in = dip_ca_rows(*args, int(k_in.max()), int(k_mid[i]), gammas[i], re_in, re_mid)
+        wide_mid = dip_ca_rows(*args, int(k_in[i]), int(k_mid.max()), gammas[i], re_in, re_mid)
+        assert np.array_equal(rows.input_order[i], wide_in.input_order[0])
+        assert np.array_equal(rows.intermediate_order[i], wide_mid.intermediate_order[0])
+    # a k per row is checked as one k is: its length, type and range
+    for bad in (k_in[1:], k_in + 0.0, np.append(k_in[1:], D_MODEL + 1), np.append(k_in[1:], -1)):
+        with pytest.raises(ValueError, match="k must be"):
+            dip_ca_rows(ws, x, c_in, c_mid, bad, k_mid, gammas)
 
 
 @given(batches(), st.booleans(),

@@ -365,6 +365,8 @@ def dip_ca_scores(x: np.ndarray, residency: np.ndarray, gamma=DEFAULT_GAMMA) -> 
     indices).
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be one vector or a 2-d batch of rows")
     c = _resident(residency, len(x), x.shape[-1], x.ndim == 2).astype(float)
     g = _gamma(gamma, len(x), x.ndim == 2)
     mag = np.abs(x)

@@ -253,6 +253,9 @@ def test_dip_ca_residency_must_be_zero_or_one():
             dip_ca_rows(w, np.ones((1, 2)), bad, np.ones(4), 1, 2)
         with pytest.raises(ValueError, match="0 or 1"):
             dip_ca_rows(w, np.ones((1, 2)), np.ones(2), bad * 2, 1, 2)
+    for x in (2.0, np.ones((1, 1, 2))):  # neither one vector nor a batch of rows
+        with pytest.raises(ValueError, match="x must be"):
+            dip_ca_scores(x, np.ones(2), 0.5)
     # 0 and 1 of any type are taken, bool and float included
     for good in ([1, 0], [True, False], np.array([1.0, 0.0]), np.array([1, 0], dtype=np.int8)):
         np.testing.assert_array_equal(dip_ca_scores([2.0, 1.0], good, 0.5), [1.0, 0.25])

@@ -451,22 +451,23 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     base = caches.offsets[:-1].reshape(len(layer), len(cached))
     cid = np.empty((len(configs), num_layers, len(cached)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
-    k_in, k_mid = np.array(ks, dtype=np.intp)[point].T
     gamma = np.array([configs[p].gamma for p in point])
-    width = np.array([[_width(g, ks[p]) for g in cached] for p in point],
-                     dtype=np.intp).reshape(len(point), len(cached))
+    width = np.array([[_width(g, k) for g in cached] for k in ks],
+                     dtype=np.intp).reshape(len(ks), len(cached))  # per point and live group
     batches, start = [], 0
     for points in chunks:
         per_layer = len(points) if entry.cache_aware else 1
         s = slice(start, start + num_layers * len(points))
-        top = width[s].max(axis=0)  # each live group's columns: the batch's largest k
-        position = np.arange(top.sum()) - np.repeat(np.cumsum(top) - top, top)
-        keep = position < width[s][:, np.repeat(np.arange(len(cached)), top)]
-        k = [int(v[0]) if (v == v[0]).all() else v for v in (k_in[s], k_mid[s])]
+        k, keep = ks[points[0]], None
+        if len({ks[p] for p in points}) > 1:  # a cache-aware chunk of mixed k
+            k = np.array(ks, dtype=np.intp)[point[s]].T
+            w = width[point[s]]
+            top = w.max(axis=0)  # each live group's columns: the chunk's largest k
+            position = np.arange(top.sum()) - np.repeat(np.cumsum(top) - top, top)
+            keep = (position < w[:, np.repeat(np.arange(len(cached)), top)]).ravel()
         batches.append(_Batch(
             per_layer, np.arange(num_layers * per_layer).repeat(len(points) // per_layer),
-            point[s], *k, gamma[s], base[s],
-            None if keep.all() else keep.ravel(), int(width[s].sum()),
+            point[s], *k, gamma[s], base[s], keep, num_layers * int(width[points].sum()),
             slice(*caches.offsets[[s.start * len(cached), s.stop * len(cached)]].tolist())
             if follows else None))
         start = s.stop

@@ -31,14 +31,14 @@ replay call advances the live caches of every (point, layer, unit group).
 Its mask stream is one loop for every scheme, in which a batch of mask rows
 builds its masks over a block of tokens in one call.  Every batch spans all
 layers, its rows layer-major, so the layers' weights go as one stack (see
-mlp).  A row serves every point with its (k_in, k_mid); cache-aware masks
-read the caches, so their rows serve one point and their blocks are one
-token, unless every cache is static and the residency they read is always
-zero.  A cache-aware row carries its own point's (k_in, k_mid) and gamma,
-so a chunk of points is one mask call per token, whatever their
-densities, and its active units come from one compress of each row's
-orders within its k.  Each point keeps its own caches, so its report
-equals its own simulate_run bit for bit.
+mlp).  A batch's rows are exactly the (layer, point) pairs of a chunk of
+points, each row with its own point's (k_in, k_mid) and gamma.  A chunk's
+points share one (k_in, k_mid), unless the masks read the caches: then a
+chunk is one mask call per token whatever its points' densities, and its
+active units come from one compress of each row's orders within its k.
+Cache-aware blocks are one token, unless every cache is static and the
+residency they read is always zero.  Each point keeps its own caches, so
+its report equals its own simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
 as its reference.  The schemes that keep every input unit (glu, gate, up,
@@ -240,11 +240,12 @@ class Scheme:
     cache_aware: masks read the caches' residency, so each token's follow
     the previous token's replay and Belady is ill-defined.
     rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
-    RowMasks of the rows x, layer-major over w's stack of layers; None for a
-    scheme that keeps every unit, which streams every unit, reads no
-    weights and has kernel error 0.  A scheme that keeps every input unit
-    also takes glu=, the rows' dense GLU when the caller has it, and glu
-    and predictive score on it in place of computing it again.
+    RowMasks of the rows x, layer-major over w's stack of layers, per token
+    one row per (layer, point) pair, with k_in and k_mid one int or one per
+    row; None for a scheme that keeps every unit, which streams every unit,
+    reads no weights and has kernel error 0.  A scheme that keeps every
+    input unit also takes glu=, the rows' dense GLU when the caller has it,
+    and glu and predictive score on it in place of computing it again.
     """
 
     mid_matrices: int
@@ -377,23 +378,19 @@ _ROW_BLOCK = 256
 
 
 class _Batch(NamedTuple):
-    """Mask rows over every layer, built by one call over a block of tokens:
-    per token, per_layer rows of each layer, layer-major.  A batch serves
-    the (layer, point) pairs of a chunk of points, layer-major, S in all.
-    Unless the masks read the caches, the chunk's points share one (k_in,
-    k_mid) and a mask row serves every pair of its layer; a cache-aware
-    mask row serves its own pair, with the pair's own k_in, k_mid and
-    gamma, and per_layer is the chunk's points.  k_in and k_mid are one
-    int when every pair shares it, else one per pair.  Per pair s: row[s]
-    is its mask row within a token, and offset[s] the first flat id of its
-    cache of each live group.  Side by side, the live groups' mask orders give
-    each row columns of units; keep marks the columns within the row's k,
-    or is None when every column is.  When the masks read the caches,
-    caches is the range of the flat axis that holds the pairs' caches,
-    pair by pair, group by group."""
+    """The mask rows of a chunk of points over every layer, built by one
+    call over a block of tokens.  Per token, its rows are exactly its
+    (layer, point) pairs, layer-major, S in all: per_layer rows (the
+    chunk's points) of each layer, each with its own pair's k_in, k_mid
+    and gamma.  k_in and k_mid are one int when every pair shares it, else
+    one per pair.  offset[s] is the first flat id of pair s's cache of each
+    live group.  Side by side, the live groups' mask orders give each row
+    columns of units; keep marks the columns within the row's k, or is None
+    when every column is.  When the masks read the caches, caches is the
+    range of the flat axis that holds the pairs' caches, pair by pair,
+    group by group."""
 
-    per_layer: int      # mask rows per layer and token
-    row: np.ndarray     # int [S]
+    per_layer: int      # mask rows per layer and token: the chunk's points
     point: np.ndarray   # int [S]
     k_in: Union[int, np.ndarray]   # int, or int [S]
     k_mid: Union[int, np.ndarray]  # int, or int [S]
@@ -422,27 +419,24 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     stream.  The points go in chunks, and each chunk's (layer, point) pairs
     layer-major; their caches go in that order, group by group, so each
     token's active units come out cache by cache in ascending order.  A
-    chunk is one batch over every layer.  Unless the scheme is cache aware,
-    a chunk is the points of one (k_in, k_mid) and a mask row serves every
-    pair of its layer.  A cache-aware mask row serves its own pair, with
-    its own k and gamma, so its chunks are _ROW_BLOCK // layers points in
-    config order, whatever their k.  Cache-aware masks follow the previous
-    token's replay, so their blocks are one token, unless no cache is live:
-    then the residency they read is always zero, and their blocks are as
-    long as the others'.  A block is _ROW_BLOCK // max(points, mask rows of
-    a token) tokens, so one call takes at most max(_ROW_BLOCK, one token's
-    layers) rows.
+    chunk is one batch over every layer, one mask row per pair, and holds
+    at most _ROW_BLOCK // layers points.  Unless the scheme is cache aware,
+    a chunk's points share one (k_in, k_mid); a cache-aware chunk's points
+    go in config order, whatever their k.  Cache-aware masks follow the
+    previous token's replay, so their blocks are one token, unless no cache
+    is live: then the residency they read is always zero, and their blocks
+    are as long as the others'.  A block is _ROW_BLOCK // max(points, mask
+    rows of a token) tokens, so one call takes at most max(_ROW_BLOCK, one
+    token's layers) rows.
     """
     num_layers = geo.num_layers
     cached = [g for g, on in zip(groups, live) if on]
-    if entry.cache_aware:
-        size = min(len(configs), max(1, _ROW_BLOCK // num_layers))
-        chunks = [range(c, min(c + size, len(configs))) for c in range(0, len(configs), size)]
-    else:
-        by_k: Dict[Tuple[int, int], List[int]] = {}
-        for p, k in enumerate(ks):
-            by_k.setdefault(k, []).append(p)
-        chunks = list(by_k.values())
+    size = max(1, _ROW_BLOCK // num_layers)
+    by_k: Dict[Optional[Tuple[int, int]], List[int]] = {}
+    for p, k in enumerate(ks):
+        by_k.setdefault(None if entry.cache_aware else k, []).append(p)
+    chunks = [points[c:c + size] for points in by_k.values()
+              for c in range(0, len(points), size)]
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
         (l, p) for points in chunks for l in range(num_layers) for p in points]))
     caches = CacheState(np.tile(np.compress(live, capacities), len(layer)),
@@ -456,7 +450,6 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
                      dtype=np.intp).reshape(len(ks), len(cached))  # per point and live group
     batches, start = [], 0
     for points in chunks:
-        per_layer = len(points) if entry.cache_aware else 1
         s = slice(start, start + num_layers * len(points))
         k, keep = ks[points[0]], None
         if len({ks[p] for p in points}) > 1:  # a cache-aware chunk of mixed k
@@ -466,12 +459,12 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
             position = np.arange(top.sum()) - np.repeat(np.cumsum(top) - top, top)
             keep = (position < w[:, np.repeat(np.arange(len(cached)), top)]).ravel()
         batches.append(_Batch(
-            per_layer, np.arange(num_layers * per_layer).repeat(len(points) // per_layer),
-            point[s], *k, gamma[s], base[s], keep, num_layers * int(width[points].sum()),
+            len(points), point[s], *k, gamma[s], base[s], keep,
+            num_layers * int(width[points].sum()),
             slice(*caches.offsets[[s.start * len(cached), s.stop * len(cached)]].tolist())
             if follows else None))
         start = s.stop
-    rows = num_layers * (size if entry.cache_aware else 1)
+    rows = num_layers * max(map(len, chunks))
     block = 1 if follows else max(1, _ROW_BLOCK // max(len(configs), rows))
     return caches, batches, block, cid
 
@@ -513,9 +506,9 @@ def _score(pending, weights: MlpWeights, ref: np.ndarray, t0: int,
         weights, hm.reshape(-1, hm.shape[2]))).reshape(num_layers, -1)
     start = 0
     for b, i0, n, _ in pending:
-        rows = err[:, start:start + b.per_layer * n].reshape(-1, n)  # [mask rows, tokens]
+        rows = err[:, start:start + b.per_layer * n].reshape(-1, n)  # [pairs, tokens]
         errors[b.point[:, None], t0 + i0 + np.arange(n),
-               b.row[:, None] // b.per_layer] = rows[b.row]
+               np.arange(len(b.point))[:, None] // b.per_layer] = rows
         start += b.per_layer * n
 
 
@@ -525,16 +518,17 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
                  geo: ModelGeometry, errors: Optional[np.ndarray]):
     """Stage 1: per token, the flat ids of every point's active units in
     the live groups' caches, cache by cache in ascending order, each cache's
-    in admission order.  With no live cache it yields nothing, and only
-    builds the masks that errors needs.
+    in admission order.  The scheme has row masks, and a cache is live or
+    errors is given; with no live cache it yields nothing, and only builds
+    the masks that errors needs.
 
     Each batch builds its rows' masks over a block in one call, its rows
     layer-major against the stack of layers.  Cache-aware masks read the
     residency when their block is requested, after the previous token's
     replay when a block is one token: views of the caches' own 0/1 state,
     and for a static cache, which holds nothing, a view of one zero vector.
-    A scheme without row masks builds none.  The block's ids go into one
-    array, each batch's columns written by _write_ids.
+    The block's ids go into one array, each batch's columns written by
+    _write_ids.
 
     Under kernel_eval with row masks, errors [points, tokens, layers] gets
     the errors of a span of tokens against the dense reference, one stacked
@@ -552,9 +546,6 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     """
     entry = SCHEMES[scheme.name]
     cached = [g for g, on in zip(groups, live) if on]
-    if not cached and errors is None:
-        return
-    # past here the scheme has row masks: without them every group is static
     keep_glu = errors is not None and not entry.prunes_input
     span = block if errors is None or keep_glu else max(
         block, _ROW_BLOCK // (len(errors) * geo.num_layers))
@@ -590,7 +581,7 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
                         hb if rows.glu is None else rows.glu, rows.intermediate_mask)))
                     held += m
                 if cached:
-                    _write_ids(rows, b, cached, n, geo.num_layers, ids[:, at:at + b.units])
+                    _write_ids(rows, b, cached, n, ids[:, at:at + b.units])
                     at += b.units
             if pending and i0 + n == x.shape[1]:  # the span's errors, before its last tokens
                 _score(pending, weights, ref, t0, errors)
@@ -599,23 +590,22 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
 
 
 def _write_ids(rows: masking.RowMasks, b: _Batch, cached: Sequence[GroupSpec], n: int,
-               num_layers: int, out: np.ndarray) -> None:
+               out: np.ndarray) -> None:
     """Write into out [tokens, b.units] the flat ids of each token's active
     units in the caches of batch b, pair by pair, group by group, each
     group's in admission order: each pair's mask row's order plus its
     cache's offset, its columns side by side, then one compress keeping the
     columns within each row's k."""
-    pairs = len(b.point) // num_layers
+    layers, pairs = len(b.point) // b.per_layer, b.per_layer
     # out.reshape splits out's rows, so it is a view of out
-    buf = out.reshape(n, num_layers, pairs, -1) if b.keep is None else np.empty(
-        (n, num_layers, pairs, len(b.keep) // len(b.point)), dtype=np.intp)
+    buf = out.reshape(n, layers, pairs, -1) if b.keep is None else np.empty(
+        (n, layers, pairs, len(b.keep) // len(b.point)), dtype=np.intp)
     at, view = 0, buf.transpose(1, 2, 0, 3)  # [layers, pairs, tokens, columns]
     for g, offset in zip(cached, b.offset.T):
         order = rows.input_order if g.kind == Group.INPUT_BUNDLE else rows.intermediate_order
         w = order.shape[1]
-        # a row serves its own pair, or (per_layer 1) every pair of its layer
-        np.add(order.reshape(num_layers, b.per_layer, n, w),
-               offset.reshape(num_layers, pairs, 1, 1), out=view[..., at:at + w])
+        np.add(order.reshape(layers, pairs, n, w),
+               offset.reshape(layers, pairs, 1, 1), out=view[..., at:at + w])
         at += w
     if b.keep is not None:
         np.compress(b.keep, buf.reshape(n, -1), axis=1, out=out)
@@ -705,8 +695,8 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
     replay call advances the live caches of every point, layer and unit
     group.  nocache gives every cache capacity 0.  Static caches (see the
     module docstring) are priced in closed form (_static_counts), so a run
-    without a live cache runs no replay and no Belady precompute, and
-    builds masks only for kernel_eval."""
+    without a live cache lays out no stream, runs no replay and no Belady
+    precompute, and builds masks only to score them under kernel_eval."""
     acts = np.asarray(getattr(trace, "activations", trace), dtype=float)
     if acts.ndim != 3 or acts.shape[1] != geo.num_layers or acts.shape[2] != geo.d_model:
         raise SimulationError(
@@ -739,25 +729,27 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
     live = np.array([cap > 0 and not g.always_active for g, cap in zip(groups, capacities)],
                     dtype=bool)
     ks = [cfg.k_values(geo) for cfg in configs]
-    caches, batches, block, cid = _layout(configs, ks, entry, groups, capacities, live, geo)
     num_tokens = acts.shape[0]
-
-    # the dense block's own output has error 0: only row masks are scored
-    errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
-    stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, live, geo,
-                          errors if entry.rows is not None else None)
     widths = np.array([[_width(g, k) for g in groups] for k in ks])
     counts = _static_counts(np.repeat(widths[:, None], geo.num_layers, axis=1), capacities,
                             num_tokens)  # [3, tokens, points, layers, groups]
-    next_use = [None] * num_tokens
-    if policy == "belady" and caches.num_caches:
-        stream = list(stream)
-        next_use = belady_precompute(stream)
-    replayed = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
-    # without a live cache the stream yields nothing, and runs only for kernel_eval
-    for t, (active, upcoming) in enumerate(zip(stream, next_use)):
-        replayed[:, t] = replay(caches, active, policy, upcoming)
-    counts[..., live] = replayed[:, :, cid]
+
+    # the dense block's own output has error 0: only row masks are scored
+    errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
+    scored = errors if entry.rows is not None else None
+    if live.any() or scored is not None:
+        caches, batches, block, cid = _layout(configs, ks, entry, groups, capacities, live, geo)
+        stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, live,
+                              geo, scored)
+        next_use = [None] * num_tokens
+        if policy == "belady" and caches.num_caches:
+            stream = list(stream)
+            next_use = belady_precompute(stream)
+        replayed = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
+        # without a live cache the stream yields nothing, and runs only for kernel_eval
+        for t, (active, upcoming) in enumerate(zip(stream, next_use)):
+            replayed[:, t] = replay(caches, active, policy, upcoming)
+        counts[..., live] = replayed[:, :, cid]
     return [_report(counts[:, :, p], groups, static, hw,
                     errors[p] if errors is not None else None)
             for p in range(len(configs))]

@@ -11,7 +11,8 @@ units, so it calls that function.
 Masks are bool arrays.  There is one row order (rank_rows): each row's
 units from the largest key down, ties to the lower index, i.e. a stable
 descending argsort, found exactly by a faster sort for rows without ties.
-Every top-k is a prefix of it (topk_rows), so one sort serves every k.
+Every top-k is a prefix of it (topk_rows), so one sort serves every k:
+topk_rows takes one k or one k per row, and each row keeps its own prefix.
 
 Each scheme is one function over a batch of rows, one row per input vector,
 returning RowMasks, the one mask type: per side, bool masks plus each row's
@@ -21,12 +22,12 @@ Projections go through mlp's stacked matrix-vector product, so a row's
 masks do not depend on the batch around it, bit for bit.  Weights are one
 MlpWeights block for every row or a stack of layers, whose rows go
 layer-major with equal rows per layer (see mlp), so many layers and tokens
-go in one call; dip_ca_rows also takes per-row residency, gamma and k, so
-the rows of every point of a cache-aware sweep go in one call, whatever
-their densities: each side is ranked once, and each row keeps its own
-prefix.  dip_ca_rows checks its arguments once and scores both sides with
-a table, [gamma, 1][c] per unit, which equals dip_ca_scores' formula bit
-for bit; dip_ca_scores keeps the formula and its checks.
+go in one call.  Every scheme takes its k as one int or one per row
+(topk_rows), and dip_ca_rows also takes per-row residency and gamma, so
+the rows of many points go in one call whatever their densities, each side
+ranked once.  dip_ca_rows checks its arguments once and scores both sides
+with a table, [gamma, 1][c] per unit, which equals dip_ca_scores' formula
+bit for bit; dip_ca_scores keeps the formula and its checks.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ class RowMasks:
     Per side, order[i] holds row i's kept units in selection order (descending
     score, ties to the lower index), which is the order the caches admit them
     in; mask[i] is the same selection as a bool array.  With one k per row
-    (dip_ca_rows), order is [n, max k] and row i keeps its first k[i]
-    picks, the ones mask[i] marks.  A side a scheme keeps dense has every
-    unit in index order.  glu holds the gated intermediates
-    under the input mask when the scheme computed them to score with, so a
-    forward pass can reuse them.
+    (topk_rows), order is [n, max k] and row i keeps its first k[i] picks,
+    the ones mask[i] marks.  A side a scheme keeps dense has every unit in
+    index order.  glu holds the gated intermediates under the input mask
+    when the scheme computed them to score with, so a forward pass can
+    reuse them.
     """
 
     input_order: np.ndarray           # int [n, k_in], or [n, max k_in]
@@ -112,20 +113,29 @@ def rank_rows(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def topk_rows(keys: np.ndarray, k: int):
-    """The top-k selection: per row of keys [n, dim], the k largest keys.
+def topk_rows(keys: np.ndarray, k):
+    """The top-k selection: per row of keys [n, dim], the k largest keys,
+    for one k or one k per row.
 
-    Returns (order, mask): order [n, k] is the first k columns of rank_rows,
-    each row's picks from the largest key down with ties to the lower index,
-    and mask [n, dim] marks them.
+    Returns (order, mask): order [n, max k] is the first max k columns of
+    rank_rows, each row's picks from the largest key down with ties to the
+    lower index, and mask [n, dim] marks row i's first k[i] of them, so
+    each row keeps its own prefix of one ranking.
     """
     ranked = rank_rows(keys)
-    if not 0 <= k <= ranked.shape[1]:
+    ks = np.asarray(k)
+    if ks.ndim and (ks.shape != (len(ranked),) or ks.dtype.kind not in "iu"):
+        raise ValueError("k must be one int or one per row")
+    low, top = (ks.min(initial=0), ks.max(initial=0)) if ks.ndim else (k, k)
+    if not 0 <= low <= top <= ranked.shape[1]:
         raise ValueError("k must be in [0, len(values)]")
     # a compact copy: a view would keep all dim columns alive
-    order = np.ascontiguousarray(ranked[:, :k])
+    order = np.ascontiguousarray(ranked[:, :top])
+    flat = _flat(order, ranked.shape[1])
+    if ks.ndim:  # only the picks within each row's own k
+        flat = flat[np.arange(order.shape[1]) < ks[:, None]]
     mask = np.zeros(ranked.shape, dtype=bool)
-    mask.reshape(-1)[_flat(order, mask.shape[1])] = True
+    mask.reshape(-1)[flat] = True
     return order, mask
 
 
@@ -194,16 +204,16 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # ---------------------------------------------------------------------------
 #
 # Each scheme is one function over a batch of rows X [n, d_model] that
-# returns RowMasks; w is one MlpWeights block or a stack.  Every score is >= 0
-# or, for predictor logits, ranked by value, so the scores are the top-k
-# keys themselves.
+# returns RowMasks; w is one MlpWeights block or a stack, and each k one int
+# or one per row (topk_rows).  Every score is >= 0 or, for predictor logits,
+# ranked by value, so the scores are the top-k keys themselves.
 
 def _full_side(n: int, dim: int):
     """(order, mask) of a side kept dense: every unit, in index order."""
     return np.broadcast_to(np.arange(dim), (n, dim)), np.ones((n, dim), dtype=bool)
 
 
-def _intermediate_rows(x: np.ndarray, scores: np.ndarray, k_mid: int,
+def _intermediate_rows(x: np.ndarray, scores: np.ndarray, k_mid,
                        glu: Optional[np.ndarray] = None) -> RowMasks:
     """Dense input side of the rows x, top-k_mid intermediate units by score."""
     in_order, in_mask = _full_side(len(scores), np.shape(x)[-1])
@@ -211,36 +221,17 @@ def _intermediate_rows(x: np.ndarray, scores: np.ndarray, k_mid: int,
     return RowMasks(in_order, in_mask, mid_order, mid_mask, glu)
 
 
-def _prefix_rows(keys: np.ndarray, k):
-    """topk_rows for one k, or for one k per row: then order [n, max k]
-    holds each row's first max k picks, and mask [n, dim] marks row i's
-    first k[i], so each row keeps its own prefix of one ranking."""
-    if np.ndim(k) == 0:
-        return topk_rows(keys, k)
-    k = np.asarray(k)
-    if k.shape != (len(keys),) or k.dtype.kind not in "iu":
-        raise ValueError("k must be one int or one per row")
-    if len(k) and k.min() < 0:
-        raise ValueError("k must be in [0, len(values)]")
-    order, mask = topk_rows(keys, int(k.max()) if len(k) else 0)
-    past = np.arange(order.shape[1]) >= k[:, None]  # picks past the row's own k
-    if past.any():
-        mask.reshape(-1)[_flat(order, mask.shape[1])[past]] = False
-    return order, mask
-
-
 def _input_pruning_rows(w, x: np.ndarray, in_scores: np.ndarray,
                         k_in, mid_score, k_mid) -> RowMasks:
     """Top-k_in inputs by in_scores, then top-k_mid of mid_score(GLU) with
-    the GLU computed from the kept inputs only; k_in and k_mid are one int
-    or one per row (_prefix_rows)."""
-    in_order, in_mask = _prefix_rows(in_scores, k_in)
+    the GLU computed from the kept inputs only."""
+    in_order, in_mask = topk_rows(in_scores, k_in)
     h = glu_activations(w, x, in_mask)
-    mid_order, mid_mask = _prefix_rows(mid_score(h), k_mid)
+    mid_order, mid_mask = topk_rows(mid_score(h), k_mid)
     return RowMasks(in_order, in_mask, mid_order, mid_mask, h)
 
 
-def glu_pruning_rows(w, x: np.ndarray, k_mid: int, glu: Optional[np.ndarray] = None) -> RowMasks:
+def glu_pruning_rows(w, x: np.ndarray, k_mid, glu: Optional[np.ndarray] = None) -> RowMasks:
     """Keep the k_mid largest |gated intermediate| values of each row of x
     [n, d_model].  Needs the full up and gate products to score, so only the
     down projection is pruned.  glu, the rows' gated intermediates
@@ -250,21 +241,21 @@ def glu_pruning_rows(w, x: np.ndarray, k_mid: int, glu: Optional[np.ndarray] = N
     return _intermediate_rows(x, np.abs(h), k_mid, h)
 
 
-def gate_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
+def gate_pruning_rows(w, x: np.ndarray, k_mid) -> RowMasks:
     """Score intermediate units by |silu(gate x)|; the gate product itself
     stays dense, the up and down weights are pruned by the mask."""
     xs, _ = _rows(x, w.d_model)
     return _intermediate_rows(xs, np.abs(silu(_matvec(w.gate, xs))), k_mid)
 
 
-def up_pruning_rows(w, x: np.ndarray, k_mid: int) -> RowMasks:
+def up_pruning_rows(w, x: np.ndarray, k_mid) -> RowMasks:
     """Score intermediate units by |up x|; the up product stays dense, the
     gate and down weights are pruned by the mask."""
     xs, _ = _rows(x, w.d_model)
     return _intermediate_rows(xs, np.abs(_matvec(w.up, xs)), k_mid)
 
 
-def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
+def predictive_rows(p: Predictor, x: np.ndarray, k_mid) -> RowMasks:
     """Keep the k_mid intermediate units with the largest predictor logits.
 
     Logits are ranked by value, not magnitude: a strongly negative logit
@@ -274,7 +265,7 @@ def predictive_rows(p: Predictor, x: np.ndarray, k_mid: int) -> RowMasks:
     return _intermediate_rows(x, predictor_forward(p, x), k_mid)
 
 
-def dip_rows(w, x: np.ndarray, k_in: int, k_mid: int) -> RowMasks:
+def dip_rows(w, x: np.ndarray, k_in, k_mid) -> RowMasks:
     """Dynamic input pruning of x [n, d_model]: top-k_in |x| picks input
     columns of up/gate, then top-k_mid of the gated intermediate computed
     with only those columns picks down columns.  Both selections need no
@@ -296,10 +287,9 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     magnitude scoring.  gamma=1 reproduces dip_rows exactly.  Each
     residency is one vector for every row or one per row ([n, d_model] and
     [n, d_ff]), gamma one number or one per row, and k_in and k_mid one int
-    or one per row.  With a k per row, each side is ranked once and each
-    row keeps its own prefix: the orders are [n, max k], of which row i
-    keeps its first k[i], as its mask marks.  Row i equals the one-row call
-    on its own layer's block, residency, gamma and k bit for bit.
+    or one per row, as every scheme takes them (topk_rows).  Row i equals
+    the one-row call on its own layer's block, residency, gamma and k bit
+    for bit.
 
     The arguments are checked once, as dip_ca_scores checks them, and both
     sides score through _table_scores, which equals dip_ca_scores.

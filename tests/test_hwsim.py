@@ -683,11 +683,12 @@ def test_nocache_equals_every_policy_at_capacity_zero():
 def test_static_caches_run_no_replay(monkeypatch):
     # a run whose caches are all static (nocache, or dense at any DRAM)
     # replays nothing and precomputes no next uses; without kernel_eval it
-    # builds no masks either, and dip_ca's masks under nocache, whose
-    # residency is always zero, go one entry.rows call per block of tokens
-    calls = {"replay": 0, "belady_precompute": 0, "dip_ca_rows": 0}
+    # lays out no stream and builds no masks either, and dip_ca's masks
+    # under nocache, whose residency is always zero, go one entry.rows call
+    # per block of tokens
+    calls = {"replay": 0, "belady_precompute": 0, "dip_ca_rows": 0, "_layout": 0}
     for name, module in (("replay", hwsim), ("belady_precompute", hwsim),
-                         ("dip_ca_rows", masking)):
+                         ("dip_ca_rows", masking), ("_layout", hwsim)):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -702,7 +703,13 @@ def test_static_caches_run_no_replay(monkeypatch):
         else:
             hw_run = hw
         simulate_run(tr, w, SchemeConfig(name=scheme, density_mid=0.5), policy, hw_run, GEO)
-    assert calls == {"replay": 0, "belady_precompute": 0, "dip_ca_rows": 0}
+    # dense under every policy, scored or not, and nocache unscored
+    for policy in POLICY_NAMES:
+        for kernel_eval in (False, True):
+            simulate_run(tr, w, SchemeConfig(name="dense"), policy, hw, GEO, kernel_eval)
+    for scheme in SCHEMES:
+        simulate_run(tr, w, SchemeConfig(name=scheme, density_mid=0.5), "nocache", hw, GEO)
+    assert calls == {"replay": 0, "belady_precompute": 0, "dip_ca_rows": 0, "_layout": 0}
 
     want, default = [], hwsim._ROW_BLOCK
     for row_block, blocks in ((default, 1), (4, 5), (1, 10)):
@@ -816,45 +823,79 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
 
 
 def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
-    # dip_ca with live caches under lfu and lru: 3 densities x 3 gammas in
-    # config order go in chunks of _ROW_BLOCK // layers points whatever
-    # their k, each chunk one dip_ca_rows call per token with a k per row;
-    # every point still equals its own run.  _ROW_BLOCK 14 leaves chunks of
-    # 7 and 2 points, the last of two k
+    # the one layout rule, for every scheme with row masks under lfu and
+    # lru with live caches: a batch's rows are exactly its chunk's (layer,
+    # point) pairs, a chunk at most _ROW_BLOCK // layers points.  3
+    # densities x 3 gammas give three points of each k; a chunk of a scheme
+    # that does not read the caches takes points of one k, and dip_ca's go
+    # in config order whatever their k, each chunk one dip_ca_rows call per
+    # token with a k per row.  Every point still equals its own run.
+    # _ROW_BLOCK 14 leaves dip_ca chunks of 7 and 2 points, the last of two
+    # k; _ROW_BLOCK 4 leaves chunks of at most 2 points, so each k's three
+    # points split in two
     tr, w = _trace(num_tokens=5), _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
     points = [(d, g) for g in (0.0, 0.3, 1.0) for d in (0.25, 0.5, 0.75)]
-    base = SchemeConfig(name="dip_ca", density_mid=0.5, reweight_input=True)
-    calls = []
+    calls, layouts, default = [], [], hwsim._ROW_BLOCK
 
-    def counted(w, x, c_in, c_mid, k_in, k_mid, *args):
-        calls.append((np.ndim(k_in), len(set(np.atleast_1d(k_in).tolist()))))
-        return dip_ca_rows(w, x, c_in, c_mid, k_in, k_mid, *args)
-    dip_ca_rows = masking.dip_ca_rows
-    monkeypatch.setattr(masking, "dip_ca_rows", counted)
-    for policy in ("lfu", "lru"):
-        live = [c > 0 for c in allocate_dram(hw, GEO, scheme_groups("dip_ca", GEO))]
-        assert all(live)
-        wants = [simulate_run(tr, w, SchemeConfig(name="dip_ca", density_mid=d, gamma=g),
-                              policy, hw, GEO, kernel_eval=True) for d, g in points]
-        for row_block, ks in ((hwsim._ROW_BLOCK, [3]), (14, [3, 2])):
-            monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
-            calls.clear()
-            got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
-            assert got == wants, (policy, row_block)
-            # one call per token and chunk, its rows of every k of the chunk
-            assert calls == [(1, k) for _ in range(tr.num_tokens) for k in ks], row_block
-            monkeypatch.setattr(hwsim, "_ROW_BLOCK", 256)
-        assert len({rep.hit_rate for rep in wants}) > 3, policy  # the points differ
+    def counted(fn, at):  # args[at] is the call's k_mid
+        def call(w, x, *args):
+            calls.append(len(set(np.atleast_1d(args[at]).tolist())))
+            return fn(w, x, *args)
+        return call
+    for name, at in (("glu_pruning_rows", 0), ("gate_pruning_rows", 0),
+                     ("up_pruning_rows", 0), ("dip_rows", 1), ("dip_ca_rows", 3)):
+        monkeypatch.setattr(masking, name, counted(getattr(masking, name), at))
+    layout = hwsim._layout
+    monkeypatch.setattr(hwsim, "_layout", lambda *a: layouts.append(layout(*a)) or layouts[-1])
+    for scheme in [s for s in SCHEMES if SCHEMES[s].rows is not None]:
+        base = SchemeConfig(name=scheme, density_mid=0.5)
+        configs = [dataclasses.replace(base, density_mid=d, density_in=None, gamma=g)
+                   for d, g in points]
+        ks = [cfg.k_values(GEO) for cfg in configs]
+        assert len(set(ks)) == 3
+        for policy in ("lfu", "lru"):
+            wants = [simulate_run(tr, w, cfg, policy, hw, GEO, kernel_eval=True)
+                     for cfg in configs]
+            for row_block, ca_sizes, sizes in ((default, [9], [3, 3, 3]),
+                                               (14, [7, 2], [3, 3, 3]),
+                                               (4, [2, 2, 2, 2, 1], [2, 1] * 3)):
+                monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
+                calls.clear(), layouts.clear()
+                got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
+                assert got == wants, (scheme, policy, row_block)
+                (caches, batches, block, _), = layouts
+                assert caches.num_caches > 0
+                for b in batches:
+                    assert len(b.point) == GEO.num_layers * b.per_layer
+                    assert b.per_layer <= row_block // GEO.num_layers
+                    assert np.array_equal(b.point[:b.per_layer], b.point[-b.per_layer:])
+                    if scheme != "dip_ca":
+                        assert len({ks[p] for p in b.point}) == 1, (scheme, row_block)
+                if scheme == "dip_ca":
+                    # one call per token and chunk, its rows of every k of the chunk
+                    assert [b.per_layer for b in batches] == ca_sizes
+                    assert calls == [len({ks[p] for p in b.point})
+                                     for _ in range(tr.num_tokens) for b in batches]
+                else:
+                    # one call of one k per chunk and block of tokens
+                    assert [b.per_layer for b in batches] == sizes
+                    assert block == max(1, row_block // max(len(points),
+                                                            GEO.num_layers * max(sizes)))
+                    blocks = -(-tr.num_tokens // block)
+                    assert calls == [1] * (len(batches) * blocks), (scheme, row_block)
+            monkeypatch.setattr(hwsim, "_ROW_BLOCK", default)
+            assert len({rep.hit_rate for rep in wants}) > 2, (scheme, policy)  # the points differ
 
     # the benchmark's dip_ca sweep shape, 2 densities x 3 gammas on
     # medium-7.4gb and phone-2gb: one call per token, not one per density
     geo = GEOMETRY_PRESETS["medium-7.4gb"]
     calls.clear()
-    sweep_runs(_trace(num_tokens=3, geo=geo), _weights(geo), base,
+    sweep_runs(_trace(num_tokens=3, geo=geo), _weights(geo),
+               SchemeConfig(name="dip_ca", density_mid=0.5),
                [(d, g) for d in (0.4, 0.5) for g in (0.2, 0.5, 1.0)], "lfu",
                HARDWARE_PRESETS["phone-2gb"], geo)
-    assert calls == [(1, 2)] * 3
+    assert calls == [2] * 3
 
 
 def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):

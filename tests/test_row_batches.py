@@ -12,6 +12,7 @@ from sparsim import (
     MlpWeights,
     PerLayerThreshold,
     PerTokenTopK,
+    Predictor,
     apply_threshold,
     approx_error,
     glu_activations,
@@ -28,6 +29,7 @@ from sparsim.masking import (
     dip_rows,
     gate_pruning_rows,
     glu_pruning_rows,
+    predictive_rows,
     rank_rows,
     topk_rows,
     up_pruning_rows,
@@ -124,6 +126,24 @@ def test_topk_rows_match_per_vector_oracle(batch, data):
         for i, row in enumerate(x):
             keep = oracles.keep_mask(D_FF, oracles.topk_indices(row, math.ceil(k / D_FF * D_FF)))
             np.testing.assert_array_equal(targets[i], keep.astype(float))
+
+    # one k per row, 0 and D_FF among them: each row keeps its own prefix of
+    # one ranking, the order running on to the largest k
+    ks = np.array(data.draw(st.lists(st.sampled_from([0, D_FF]) | st.integers(0, D_FF),
+                                     min_size=len(x), max_size=len(x))))
+    for magnitude in (True, False):
+        keys = np.abs(x) if magnitude else x
+        order, mask = topk_rows(keys, ks)
+        assert order.shape == (len(x), ks.max())
+        for i, row in enumerate(x):
+            expected = oracles.topk_indices(row, ks[i], magnitude)
+            np.testing.assert_array_equal(mask[i], oracles.keep_mask(D_FF, expected))
+            np.testing.assert_array_equal(order[i, :ks[i]], topk_rows(keys, ks[i])[0][i])
+    # a k per row is checked as one k is: its length, type and range
+    for bad in (ks[1:], np.append(ks, 0), ks + 0.0, np.append(ks[1:], -1),
+                np.append(ks[1:], D_FF + 1)):
+        with pytest.raises(ValueError, match="k must be"):
+            topk_rows(x, bad)
 
 
 @given(batches(), st.booleans())
@@ -289,16 +309,18 @@ def test_table_scores_equal_dip_ca_scores(seed, kind, n, dim, reweight, per_row,
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("scheme", ("glu", "gate", "up", "predictive", "dip", "dip_ca"))
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(1, 3),
        st.integers(1, 5), st.booleans(), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_dip_ca_rows_with_a_k_per_row_match_one_row_calls(seed, kind, layers, per_layer, tied,
-                                                          re_in, re_mid, data):
-    # one call for rows of every layer with their own k_in, k_mid, gamma and
-    # residency, as the engine makes for a chunk of cache-aware points: row
-    # i keeps its own prefix, and equals the one-row call with its scalar k
-    # on its own layer bit for bit; its orders run on to the batch's
-    # largest k, as the one-row call at that k orders them
+def test_scheme_rows_with_a_k_per_row_match_one_row_calls(scheme, seed, kind, layers, per_layer,
+                                                          tied, re_in, re_mid, data):
+    # one call for rows of every layer with their own k_in, k_mid (and for
+    # dip_ca gamma and residency), as the engine makes for a chunk of
+    # cache-aware points: row i keeps its own prefix, and equals the
+    # one-row call with its scalar k on its own layer bit for bit; its
+    # orders run on to the batch's largest k, as the one-row call at that
+    # k orders them
     rng = np.random.default_rng(seed)
     n = layers * per_layer
     x = _rows(kind, n, D_MODEL, rng)
@@ -309,28 +331,48 @@ def test_dip_ca_rows_with_a_k_per_row_match_one_row_calls(seed, kind, layers, pe
     gammas = rng.choice([0.0, 0.2, 0.5, 1.0], n)
     c_in = rng.integers(0, 2, (n, D_MODEL)).astype(bool)
     c_mid = rng.integers(0, 2, (n, D_FF)).astype(bool)
+    p = Predictor.create(D_MODEL, D_FF, hidden=3, seed=seed % 2**31)
+    call = {  # the scheme's masks of rows r of x, r all rows or one
+        "glu": lambda w, r, k_in, k_mid: glu_pruning_rows(w, x[r].reshape(-1, D_MODEL), k_mid),
+        "gate": lambda w, r, k_in, k_mid: gate_pruning_rows(w, x[r].reshape(-1, D_MODEL), k_mid),
+        "up": lambda w, r, k_in, k_mid: up_pruning_rows(w, x[r].reshape(-1, D_MODEL), k_mid),
+        "predictive": lambda w, r, k_in, k_mid: predictive_rows(
+            p, x[r].reshape(-1, D_MODEL), k_mid),
+        "dip": lambda w, r, k_in, k_mid: dip_rows(w, x[r].reshape(-1, D_MODEL), k_in, k_mid),
+        "dip_ca": lambda w, r, k_in, k_mid: dip_ca_rows(
+            w, x[r].reshape(-1, D_MODEL), c_in[r], c_mid[r], k_in, k_mid, gammas[r], re_in,
+            re_mid),
+    }[scheme]
+    prunes_input = scheme in ("dip", "dip_ca")
     ranks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(masking, "rank_rows", lambda keys: ranks.append(1) or rank_rows(keys))
-        rows = dip_ca_rows(ws, x, c_in, c_mid, k_in, k_mid, gammas, re_in, re_mid)
-    assert len(ranks) == 2  # each side ranked once, whatever the k
-    assert rows.input_order.shape == (n, k_in.max())
+        rows = call(ws, slice(None), k_in, k_mid)
+    assert len(ranks) == (2 if prunes_input else 1)  # each ranked side once, whatever the k
+    assert rows.input_order.shape == (n, k_in.max() if prunes_input else D_MODEL)
     assert rows.intermediate_order.shape == (n, k_mid.max())
-    for i, row in enumerate(x):
-        args = (block[i], row[None], c_in[i], c_mid[i])
-        one = dip_ca_rows(*args, int(k_in[i]), int(k_mid[i]), gammas[i], re_in, re_mid)
-        assert np.array_equal(rows.input_order[i, :k_in[i]], one.input_order[0])
-        assert np.array_equal(rows.intermediate_order[i, :k_mid[i]], one.intermediate_order[0])
+    for i in range(n):
+        one = call(block[i], i, int(k_in[i]), int(k_mid[i]))
+        for field in ("input_order", "intermediate_order"):
+            got, want = getattr(rows, field)[i], getattr(one, field)[0]
+            assert np.array_equal(got[:len(want)], want), field
         for field in ("input_mask", "intermediate_mask", "glu"):
-            assert np.array_equal(getattr(rows, field)[i], getattr(one, field)[0]), field
-        wide_in = dip_ca_rows(*args, int(k_in.max()), int(k_mid[i]), gammas[i], re_in, re_mid)
-        wide_mid = dip_ca_rows(*args, int(k_in[i]), int(k_mid.max()), gammas[i], re_in, re_mid)
+            got, want = getattr(rows, field), getattr(one, field)
+            assert (got is None) == (want is None), field
+            assert got is None or np.array_equal(got[i], want[0]), field
+        wide_in = call(block[i], i, int(k_in.max()), int(k_mid[i]))
+        wide_mid = call(block[i], i, int(k_in[i]), int(k_mid.max()))
         assert np.array_equal(rows.input_order[i], wide_in.input_order[0])
         assert np.array_equal(rows.intermediate_order[i], wide_mid.intermediate_order[0])
     # a k per row is checked as one k is: its length, type and range
-    for bad in (k_in[1:], k_in + 0.0, np.append(k_in[1:], D_MODEL + 1), np.append(k_in[1:], -1)):
+    def bad(k, dim):
+        return k[1:], k + 0.0, np.append(k[1:], dim + 1), np.append(k[1:], -1)
+    cases = [(k_in, b) for b in bad(k_mid, D_FF)]
+    if prunes_input:
+        cases += [(b, k_mid) for b in bad(k_in, D_MODEL)]
+    for ks in cases:
         with pytest.raises(ValueError, match="k must be"):
-            dip_ca_rows(ws, x, c_in, c_mid, bad, k_mid, gammas)
+            call(ws, slice(None), *ks)
 
 
 @given(batches(), st.booleans(),

@@ -332,16 +332,16 @@ def test_scheme_rows_with_a_k_per_row_match_one_row_calls(scheme, seed, kind, la
     c_in = rng.integers(0, 2, (n, D_MODEL)).astype(bool)
     c_mid = rng.integers(0, 2, (n, D_FF)).astype(bool)
     p = Predictor.create(D_MODEL, D_FF, hidden=3, seed=seed % 2**31)
-    call = {  # the scheme's masks of rows r of x, r all rows or one
-        "glu": lambda w, r, k_in, k_mid: glu_pruning_rows(w, x[r].reshape(-1, D_MODEL), k_mid),
-        "gate": lambda w, r, k_in, k_mid: gate_pruning_rows(w, x[r].reshape(-1, D_MODEL), k_mid),
-        "up": lambda w, r, k_in, k_mid: up_pruning_rows(w, x[r].reshape(-1, D_MODEL), k_mid),
-        "predictive": lambda w, r, k_in, k_mid: predictive_rows(
-            p, x[r].reshape(-1, D_MODEL), k_mid),
-        "dip": lambda w, r, k_in, k_mid: dip_rows(w, x[r].reshape(-1, D_MODEL), k_in, k_mid),
+    def xs(r):  # rows r of x, r all rows or one, as a batch
+        return x[r].reshape(-1, D_MODEL)
+    call = {  # the scheme's masks of rows r of x
+        "glu": lambda w, r, k_in, k_mid: glu_pruning_rows(w, xs(r), k_mid),
+        "gate": lambda w, r, k_in, k_mid: gate_pruning_rows(w, xs(r), k_mid),
+        "up": lambda w, r, k_in, k_mid: up_pruning_rows(w, xs(r), k_mid),
+        "predictive": lambda w, r, k_in, k_mid: predictive_rows(p, xs(r), k_mid),
+        "dip": lambda w, r, k_in, k_mid: dip_rows(w, xs(r), k_in, k_mid),
         "dip_ca": lambda w, r, k_in, k_mid: dip_ca_rows(
-            w, x[r].reshape(-1, D_MODEL), c_in[r], c_mid[r], k_in, k_mid, gammas[r], re_in,
-            re_mid),
+            w, xs(r), c_in[r], c_mid[r], k_in, k_mid, gammas[r], re_in, re_mid),
     }[scheme]
     prunes_input = scheme in ("dip", "dip_ca")
     ranks = []

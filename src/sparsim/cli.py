@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -483,20 +484,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one tree per process: main reuses it on every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sparsim",
         description="Trace-driven simulator for dynamic activation sparsity "
                     "under flash/DRAM memory constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "run": _cmd_run,
-        "gen-trace": _cmd_gen_trace,
-        "sweep": _cmd_sweep,
-        "calibrate-allocation": _cmd_calibrate_allocation,
-        "gamma-sweep": _cmd_gamma_sweep,
-    }
-    for name, fn in specs.items():
+    for name, fn in (("run", _cmd_run), ("gen-trace", _cmd_gen_trace), ("sweep", _cmd_sweep),
+                     ("calibrate-allocation", _cmd_calibrate_allocation),
+                     ("gamma-sweep", _cmd_gamma_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output file")

@@ -27,18 +27,12 @@ charge, mask stream and Belady rejection all read from that entry.
 
 There is one engine, and simulate_run is its one-point case.  sweep_runs
 runs every (density, gamma) point of a grid in lockstep: per token, one
-replay call advances the live caches of every (point, layer, unit group).
-Its mask stream is one loop for every scheme, in which a batch of mask rows
-builds its masks over a block of tokens in one call.  Every batch spans all
-layers, its rows layer-major, so the layers' weights go as one stack (see
-mlp).  A batch's rows are exactly the (layer, point) pairs of a chunk of
-points, each row with its own point's (k_in, k_mid) and gamma.  A chunk's
-points share one (k_in, k_mid), unless the masks read the caches: then a
-chunk is one mask call per token whatever its points' densities, and its
-active units come from one compress of each row's orders within its k.
-Cache-aware blocks are one token, unless every cache is static and the
-residency they read is always zero.  Each point keeps its own caches, so
-its report equals its own simulate_run bit for bit.
+replay call advances the live caches of every (point, layer, unit group),
+and points whose runs read the same key run once (_simulate).  Its mask
+stream is one loop for every scheme, in batches of mask rows over every
+layer, so the layers' weights go as one stack (see mlp); _layout states
+how points go into batches and tokens into blocks.  Each point keeps its
+own caches, so its report equals its own simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
 as its reference.  The schemes that keep every input unit (glu, gate, up,
@@ -240,12 +234,12 @@ class Scheme:
     cache_aware: masks read the caches' residency, so each token's follow
     the previous token's replay and Belady is ill-defined.
     rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
-    RowMasks of the rows x, layer-major over w's stack of layers, per token
-    one row per (layer, point) pair, with k_in and k_mid one int or one per
-    row; None for a scheme that keeps every unit, which streams every unit,
-    reads no weights and has kernel error 0.  A scheme that keeps every
-    input unit also takes glu=, the rows' dense GLU when the caller has it,
-    and glu and predictive score on it in place of computing it again.
+    RowMasks of the rows x over w's stack of layers, as _layout lays them
+    out, with k_in and k_mid one int or one per row; None for a scheme that
+    keeps every unit, which streams every unit, reads no weights and has
+    kernel error 0.  A scheme that keeps every input unit also takes glu=,
+    the rows' dense GLU when the caller has it, and glu and predictive
+    score on it in place of computing it again.
     """
 
     mid_matrices: int
@@ -378,17 +372,14 @@ _ROW_BLOCK = 256
 
 
 class _Batch(NamedTuple):
-    """The mask rows of a chunk of points over every layer, built by one
-    call over a block of tokens.  Per token, its rows are exactly its
-    (layer, point) pairs, layer-major, S in all: per_layer rows (the
-    chunk's points) of each layer, each with its own pair's k_in, k_mid
-    and gamma.  k_in and k_mid are one int when every pair shares it, else
-    one per pair.  offset[s] is the first flat id of pair s's cache of each
-    live group.  Side by side, the live groups' mask orders give each row
-    columns of units; keep marks the columns within the row's k, or is None
-    when every column is.  When the masks read the caches, caches is the
-    range of the flat axis that holds the pairs' caches, pair by pair,
-    group by group."""
+    """One chunk's mask rows, S a token, as _layout lays them out: per_layer
+    rows (the chunk's points) of each layer.  k_in and k_mid are one int
+    when every pair shares it, else one per pair.  offset[s] is the first
+    flat id of pair s's cache of each live group.  Side by side, the live
+    groups' mask orders give each row columns of units; keep marks the
+    columns within the row's k, or is None when every column is.  When the
+    masks read the caches, caches is the range of the flat axis that holds
+    the pairs' caches, pair by pair, group by group."""
 
     per_layer: int      # mask rows per layer and token: the chunk's points
     point: np.ndarray   # int [S]
@@ -411,32 +402,30 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
             geo: ModelGeometry):
     """The caches of every (point, layer, live group) on one flat axis, the
     mask batches that stream into them, the block length in tokens and each
-    point's cache ids [points, layers, live groups]; ks holds each point's
-    (k_in, k_mid).
+    point's cache ids [points, layers, live groups]; configs are distinct
+    points (_simulate runs equal ones once), and ks holds their (k_in,
+    k_mid).
 
-    live marks the groups whose caches replay; a static cache (see the
-    module docstring) has no place on the flat axis and no columns in the
-    stream.  The points go in chunks, and each chunk's (layer, point) pairs
-    layer-major; their caches go in that order, group by group, so each
-    token's active units come out cache by cache in ascending order.  A
-    chunk is one batch over every layer, one mask row per pair, and holds
-    at most _ROW_BLOCK // layers points.  Unless the scheme is cache aware,
-    a chunk's points share one (k_in, k_mid); a cache-aware chunk's points
-    go in config order, whatever their k.  Cache-aware masks follow the
-    previous token's replay, so their blocks are one token, unless no cache
-    is live: then the residency they read is always zero, and their blocks
-    are as long as the others'.  A block is _ROW_BLOCK // max(points, mask
-    rows of a token) tokens, so one call takes at most max(_ROW_BLOCK, one
-    token's layers) rows.
+    The layout rule, stated here once: the points go in chunks of
+    consecutive points, one point a chunk when the masks do not read the
+    caches, and up to _ROW_BLOCK // layers whatever their k when they do.
+    A chunk is one batch: one mask call per block of tokens against the
+    stack of layers, with one mask row per (layer, point) pair,
+    layer-major, each with its own point's (k_in, k_mid) and gamma.  The
+    pairs' caches go in that order, group by group, so each token's active
+    units come out cache by cache in ascending order.  live marks the
+    groups whose caches replay; a static cache (see the module docstring)
+    has no place on the flat axis and no columns in the stream.
+    Cache-aware masks follow the previous token's replay, so their blocks
+    are one token, unless no cache is live: then the residency they read
+    is always zero, and their blocks are as long as the others'.  A block
+    is _ROW_BLOCK // max(points, mask rows of a token) tokens, so one call
+    takes at most max(_ROW_BLOCK, one token's layers) rows.
     """
     num_layers = geo.num_layers
     cached = [g for g, on in zip(groups, live) if on]
-    size = max(1, _ROW_BLOCK // num_layers)
-    by_k: Dict[Optional[Tuple[int, int]], List[int]] = {}
-    for p, k in enumerate(ks):
-        by_k.setdefault(None if entry.cache_aware else k, []).append(p)
-    chunks = [points[c:c + size] for points in by_k.values()
-              for c in range(0, len(points), size)]
+    size = max(1, _ROW_BLOCK // num_layers) if entry.cache_aware else 1
+    chunks = [list(range(c, min(c + size, len(ks)))) for c in range(0, len(ks), size)]
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
         (l, p) for points in chunks for l in range(num_layers) for p in points]))
     caches = CacheState(np.tile(np.compress(live, capacities), len(layer)),
@@ -448,9 +437,9 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     gamma = np.array([configs[p].gamma for p in point])
     width = np.array([[_width(g, k) for g in cached] for k in ks],
                      dtype=np.intp).reshape(len(ks), len(cached))  # per point and live group
-    batches, start = [], 0
-    for points in chunks:
-        s = slice(start, start + num_layers * len(points))
+    batches = []
+    for points in chunks:  # a chunk's rows follow the rows of the points before it
+        s = slice(num_layers * points[0], num_layers * (points[-1] + 1))
         k, keep = ks[points[0]], None
         if len({ks[p] for p in points}) > 1:  # a cache-aware chunk of mixed k
             k = np.array(ks, dtype=np.intp)[point[s]].T
@@ -463,8 +452,7 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
             num_layers * int(width[points].sum()),
             slice(*caches.offsets[[s.start * len(cached), s.stop * len(cached)]].tolist())
             if follows else None))
-        start = s.stop
-    rows = num_layers * max(map(len, chunks))
+    rows = num_layers * len(chunks[0])  # the first chunk is the largest
     block = 1 if follows else max(1, _ROW_BLOCK // max(len(configs), rows))
     return caches, batches, block, cid
 
@@ -522,8 +510,8 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     errors is given; with no live cache it yields nothing, and only builds
     the masks that errors needs.
 
-    Each batch builds its rows' masks over a block in one call, its rows
-    layer-major against the stack of layers.  Cache-aware masks read the
+    Each batch builds its rows' masks over a block in one call (see
+    _layout).  Cache-aware masks read the
     residency when their block is requested, after the previous token's
     replay when a block is one token: views of the caches' own 0/1 state,
     and for a static cache, which holds nothing, a view of one zero vector.
@@ -691,8 +679,11 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
               configs: Sequence[SchemeConfig], policy: str, hw: HardwareConfig,
               geo: ModelGeometry, kernel_eval: bool) -> List[RunReport]:
     """The engine: every point of configs (scheme with its own density_mid,
-    density_in and gamma) over one trace, in lockstep.  Per token, one
-    replay call advances the live caches of every point, layer and unit
+    density_in and gamma) over one trace, in lockstep.  A point's run reads
+    its (k_in, k_mid), and its gamma when the masks read the caches; the
+    rest comes from scheme.  So points of one such key run once, and each
+    point gets a report of its own from its key's run.  Per token, one
+    replay call advances the live caches of every run, layer and unit
     group.  nocache gives every cache capacity 0.  Static caches (see the
     module docstring) are priced in closed form (_static_counts), so a run
     without a live cache lays out no stream, runs no replay and no Belady
@@ -728,11 +719,15 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
         return []
     live = np.array([cap > 0 and not g.always_active for g, cap in zip(groups, capacities)],
                     dtype=bool)
-    ks = [cfg.k_values(geo) for cfg in configs]
+    keys = [cfg.k_values(geo) + ((cfg.gamma,) if entry.cache_aware else ()) for cfg in configs]
+    runs: Dict[tuple, int] = {}  # each distinct key's run, in the order of first use
+    run_of = [runs.setdefault(key, len(runs)) for key in keys]
+    configs = [configs[p] for p in np.unique(run_of, return_index=True)[1]]  # first points
+    ks = [key[:2] for key in runs]  # (k_in, k_mid)
     num_tokens = acts.shape[0]
     widths = np.array([[_width(g, k) for g in groups] for k in ks])
     counts = _static_counts(np.repeat(widths[:, None], geo.num_layers, axis=1), capacities,
-                            num_tokens)  # [3, tokens, points, layers, groups]
+                            num_tokens)  # [3, tokens, runs, layers, groups]
 
     # the dense block's own output has error 0: only row masks are scored
     errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
@@ -750,9 +745,9 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
         for t, (active, upcoming) in enumerate(zip(stream, next_use)):
             replayed[:, t] = replay(caches, active, policy, upcoming)
         counts[..., live] = replayed[:, :, cid]
-    return [_report(counts[:, :, p], groups, static, hw,
-                    errors[p] if errors is not None else None)
-            for p in range(len(configs))]
+    return [_report(counts[:, :, r], groups, static, hw,
+                    errors[r] if errors is not None else None)
+            for r in run_of]
 
 
 def simulate_run(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,

@@ -24,10 +24,11 @@ MlpWeights block for every row or a stack of layers, whose rows go
 layer-major with equal rows per layer (see mlp), so many layers and tokens
 go in one call.  Every scheme takes its k as one int or one per row
 (topk_rows), and dip_ca_rows also takes per-row residency and gamma, so
-the rows of many points go in one call whatever their densities, each side
-ranked once.  dip_ca_rows checks its arguments once and scores both sides
-with a table, [gamma, 1][c] per unit, which equals dip_ca_scores' formula
-bit for bit; dip_ca_scores keeps the formula and its checks.
+one call can take the rows of many points (which ones: hwsim._layout),
+each side ranked once.  dip_ca_rows checks its arguments once and scores
+both sides with a table, [gamma, 1][c] per unit, which equals
+dip_ca_scores' formula bit for bit; dip_ca_scores keeps the formula and
+its checks.
 """
 
 from __future__ import annotations
@@ -287,7 +288,8 @@ def dip_ca_rows(w, x: np.ndarray, input_residency: np.ndarray,
     magnitude scoring.  gamma=1 reproduces dip_rows exactly.  Each
     residency is one vector for every row or one per row ([n, d_model] and
     [n, d_ff]), gamma one number or one per row, and k_in and k_mid one int
-    or one per row, as every scheme takes them (topk_rows).  Row i equals
+    or one per row, as every scheme takes them (topk_rows), so one call can
+    take a chunk of the simulator's points (hwsim._layout).  Row i equals
     the one-row call on its own layer's block, residency, gamma and k bit
     for bit.
 

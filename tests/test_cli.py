@@ -21,6 +21,7 @@ from sparsim.cli import (
     EXIT_VALIDATION,
     MAX_ARRAY_BYTES,
     ConfigError,
+    _build_parser,
     _check_bytes,
     _write_report,
     main,
@@ -627,6 +628,35 @@ def test_per_token_is_a_run_flag_only(tmp_path, capsys, verb):
     assert main([verb, "--config", cfg, "--out", str(out), "--per-token"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "validation error: unrecognized arguments: --per-token\n"
     assert not out.exists()
+
+
+def test_calls_in_one_process_equal_separate_calls(tmp_path, capsys):
+    # main builds the parser once per process: a run, a usage error and a
+    # gen-trace in a row give the exit codes, stderr lines and report bytes
+    # (timestamp aside) of the same calls each with a parser of its own
+    run_cfg = _write_config(tmp_path, "run.json", _run_config(kernel_eval=True))
+    sweep_cfg = _write_config(tmp_path, "sweep.json", _FUZZ_CONFIGS["sweep"])
+    gen_cfg = _write_config(tmp_path, "gen.json", _FUZZ_CONFIGS["gen-trace"])
+    calls = [("run", run_cfg, []), ("sweep", sweep_cfg, ["--per-token"]),
+             ("gen-trace", gen_cfg, [])]
+
+    def outcomes(tag, fresh):
+        got = []
+        for verb, cfg, extra in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            out = tmp_path / f"{tag}-{verb}.out"
+            code = main([verb, "--config", cfg, "--out", str(out), *extra])
+            report = re.sub(rb'"timestamp": "[^"]*"', b"", out.read_bytes()) \
+                if out.exists() else None
+            got.append((code, capsys.readouterr().err, report))
+        return got
+    separate = outcomes("separate", fresh=True)
+    assert _build_parser() is _build_parser()
+    assert outcomes("shared", fresh=False) == separate
+    assert [code for code, *_ in separate] == [EXIT_OK, EXIT_VALIDATION, EXIT_OK]
+    assert separate[1][1] == "validation error: unrecognized arguments: --per-token\n"
+    assert [err for _, err, _ in separate[::2]] == ["", ""]
 
 
 def test_validation_error_for_unknown_preset(tmp_path):

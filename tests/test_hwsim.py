@@ -1,9 +1,11 @@
 """Flash/DRAM timing model: unit-group byte accounting, DRAM allocation,
 per-token costs, and full-trace simulation."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import ReferenceCache
@@ -822,17 +824,59 @@ def test_sweep_runs_equal_one_run_per_point(monkeypatch):
             assert wants[0][0].tokens != wants[0][1].tokens, scheme
 
 
+# densities that round to one (k_in, k_mid) on GEO: 0.25 and 0.26 keep 2 of
+# 8 inputs and 6 of 24 units, 0.5 and 0.51 keep 4 and 12
+_SHARED_K = (0.25, 0.26, 0.5, 0.51, 0.75)
+
+
+@given(scheme=st.sampled_from([s for s in SCHEMES if SCHEMES[s].rows is not None]),
+       policy=st.sampled_from(POLICY_NAMES), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sweeps_run_each_distinct_point_once(scheme, policy, data):
+    # repeated densities, densities that round to one k and, under dip_ca,
+    # repeated (density, gamma) points: every sweep row equals its own run
+    # bit for bit, in a report of its own, and _layout lays out each
+    # distinct key once: (k_in, k_mid), plus gamma when the masks read the
+    # caches
+    cache_aware = SCHEMES[scheme].cache_aware
+    if cache_aware and policy == "belady":
+        policy = "lfu"
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(_SHARED_K),
+                                         st.sampled_from((None, 0.0, 0.3, 1.0))),
+                               min_size=1, max_size=4))
+    repeats = data.draw(st.lists(st.sampled_from(drawn), min_size=1, max_size=4))
+    points = data.draw(st.permutations(drawn + repeats))
+    tr, w = _trace(num_tokens=4), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    base = SchemeConfig(name=scheme, density_mid=0.5, gamma=0.3)
+    configs = [dataclasses.replace(base, density_mid=d, density_in=None,
+                                   gamma=0.3 if g is None else g)
+               for d, g in points]
+
+    def key(cfg):
+        return cfg.k_values(GEO) + ((cfg.gamma,) if cache_aware else ())
+    with mock.patch.object(hwsim, "_layout", wraps=hwsim._layout) as layout:
+        got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
+    laid_out = [key(cfg) for cfg in layout.call_args.args[0]]
+    assert layout.call_count == 1
+    assert len(laid_out) == len(set(laid_out)) == len({key(cfg) for cfg in configs})
+    assert len({id(rep) for rep in got}) == len(points)
+    for cfg, rep in zip(configs, got):
+        assert rep == simulate_run(tr, w, cfg, policy, hw, GEO, kernel_eval=True), cfg
+
+
 def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
-    # the one layout rule, for every scheme with row masks under lfu and
-    # lru with live caches: a batch's rows are exactly its chunk's (layer,
-    # point) pairs, a chunk at most _ROW_BLOCK // layers points.  3
-    # densities x 3 gammas give three points of each k; a chunk of a scheme
-    # that does not read the caches takes points of one k, and dip_ca's go
-    # in config order whatever their k, each chunk one dip_ca_rows call per
-    # token with a k per row.  Every point still equals its own run.
-    # _ROW_BLOCK 14 leaves dip_ca chunks of 7 and 2 points, the last of two
-    # k; _ROW_BLOCK 4 leaves chunks of at most 2 points, so each k's three
-    # points split in two
+    # the one layout rule (hwsim._layout), for every scheme with row masks
+    # under lfu and lru with live caches: a batch's rows are exactly its
+    # chunk's (layer, point) pairs.  3 densities x 3 gammas give three
+    # points of each k.  A scheme that does not read the caches ignores
+    # gamma, so only its three k run, one point a chunk, each chunk one call
+    # of one k per block of tokens.  dip_ca runs all nine in config order,
+    # at most _ROW_BLOCK // layers points a chunk whatever their k, each
+    # chunk one dip_ca_rows call per token with a k per row.  Every point
+    # still equals its own run.  _ROW_BLOCK 14 leaves dip_ca chunks of 7
+    # and 2 points, the last of two k; _ROW_BLOCK 4 leaves chunks of at
+    # most 2 points
     tr, w = _trace(num_tokens=5), _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
     points = [(d, g) for g in (0.0, 0.3, 1.0) for d in (0.25, 0.5, 0.75)]
@@ -846,8 +890,9 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
     for name, at in (("glu_pruning_rows", 0), ("gate_pruning_rows", 0),
                      ("up_pruning_rows", 0), ("dip_rows", 1), ("dip_ca_rows", 3)):
         monkeypatch.setattr(masking, name, counted(getattr(masking, name), at))
-    layout = hwsim._layout
-    monkeypatch.setattr(hwsim, "_layout", lambda *a: layouts.append(layout(*a)) or layouts[-1])
+    layout = hwsim._layout  # records the ks it lays out with its result
+    monkeypatch.setattr(hwsim, "_layout",
+                        lambda *a: layouts.append((a[1], layout(*a))) or layouts[-1][1])
     for scheme in [s for s in SCHEMES if SCHEMES[s].rows is not None]:
         base = SchemeConfig(name=scheme, density_mid=0.5)
         configs = [dataclasses.replace(base, density_mid=d, density_in=None, gamma=g)
@@ -857,33 +902,32 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
         for policy in ("lfu", "lru"):
             wants = [simulate_run(tr, w, cfg, policy, hw, GEO, kernel_eval=True)
                      for cfg in configs]
-            for row_block, ca_sizes, sizes in ((default, [9], [3, 3, 3]),
-                                               (14, [7, 2], [3, 3, 3]),
-                                               (4, [2, 2, 2, 2, 1], [2, 1] * 3)):
+            for row_block, ca_sizes in ((default, [9]), (14, [7, 2]), (4, [2, 2, 2, 2, 1])):
                 monkeypatch.setattr(hwsim, "_ROW_BLOCK", row_block)
                 calls.clear(), layouts.clear()
                 got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
                 assert got == wants, (scheme, policy, row_block)
-                (caches, batches, block, _), = layouts
+                (run_ks, (caches, batches, block, _)), = layouts
                 assert caches.num_caches > 0
                 for b in batches:
                     assert len(b.point) == GEO.num_layers * b.per_layer
                     assert b.per_layer <= row_block // GEO.num_layers
                     assert np.array_equal(b.point[:b.per_layer], b.point[-b.per_layer:])
-                    if scheme != "dip_ca":
-                        assert len({ks[p] for p in b.point}) == 1, (scheme, row_block)
                 if scheme == "dip_ca":
-                    # one call per token and chunk, its rows of every k of the chunk
+                    # every point runs; one call per token and chunk, its
+                    # rows of every k of the chunk
+                    assert run_ks == ks
                     assert [b.per_layer for b in batches] == ca_sizes
                     assert calls == [len({ks[p] for p in b.point})
                                      for _ in range(tr.num_tokens) for b in batches]
                 else:
-                    # one call of one k per chunk and block of tokens
-                    assert [b.per_layer for b in batches] == sizes
-                    assert block == max(1, row_block // max(len(points),
-                                                            GEO.num_layers * max(sizes)))
+                    # the three densities at the first gamma run, one point
+                    # a chunk, one call of one k per chunk and block of tokens
+                    assert run_ks == ks[:3]
+                    assert [b.per_layer for b in batches] == [1, 1, 1]
+                    assert block == max(1, row_block // max(3, GEO.num_layers))
                     blocks = -(-tr.num_tokens // block)
-                    assert calls == [1] * (len(batches) * blocks), (scheme, row_block)
+                    assert calls == [1] * (3 * blocks), (scheme, row_block)
             monkeypatch.setattr(hwsim, "_ROW_BLOCK", default)
             assert len({rep.hit_rate for rep in wants}) > 2, (scheme, policy)  # the points differ
 

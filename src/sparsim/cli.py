@@ -491,9 +491,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Trace-driven simulator for dynamic activation sparsity "
                     "under flash/DRAM memory constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", _cmd_run), ("gen-trace", _cmd_gen_trace), ("sweep", _cmd_sweep),
-                     ("calibrate-allocation", _cmd_calibrate_allocation),
-                     ("gamma-sweep", _cmd_gamma_sweep)):
+    specs = {
+        "run": _cmd_run,
+        "gen-trace": _cmd_gen_trace,
+        "sweep": _cmd_sweep,
+        "calibrate-allocation": _cmd_calibrate_allocation,
+        "gamma-sweep": _cmd_gamma_sweep,
+    }
+    for name, fn in specs.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output file")

@@ -27,12 +27,11 @@ charge, mask stream and Belady rejection all read from that entry.
 
 There is one engine, and simulate_run is its one-point case.  sweep_runs
 runs every (density, gamma) point of a grid in lockstep: per token, one
-replay call advances the live caches of every (point, layer, unit group),
-and points whose runs read the same key run once (_simulate).  Its mask
-stream is one loop for every scheme, in batches of mask rows over every
-layer, so the layers' weights go as one stack (see mlp); _layout states
-how points go into batches and tokens into blocks.  Each point keeps its
-own caches, so its report equals its own simulate_run bit for bit.
+replay call advances the live caches of every (point, layer, unit group).
+Its mask stream is one loop for every scheme, in batches of mask rows over
+every layer, so the layers' weights go as one stack (see mlp); _layout
+states how points go into batches and tokens into blocks.  Each point keeps
+its own caches, so its report equals its own simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
 as its reference.  The schemes that keep every input unit (glu, gate, up,
@@ -402,9 +401,8 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
             geo: ModelGeometry):
     """The caches of every (point, layer, live group) on one flat axis, the
     mask batches that stream into them, the block length in tokens and each
-    point's cache ids [points, layers, live groups]; configs are distinct
-    points (_simulate runs equal ones once), and ks holds their (k_in,
-    k_mid).
+    point's cache ids [points, layers, live groups]; ks holds each point's
+    (k_in, k_mid).
 
     The layout rule, stated here once: the points go in chunks of
     consecutive points, one point a chunk when the masks do not read the
@@ -679,11 +677,8 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
               configs: Sequence[SchemeConfig], policy: str, hw: HardwareConfig,
               geo: ModelGeometry, kernel_eval: bool) -> List[RunReport]:
     """The engine: every point of configs (scheme with its own density_mid,
-    density_in and gamma) over one trace, in lockstep.  A point's run reads
-    its (k_in, k_mid), and its gamma when the masks read the caches; the
-    rest comes from scheme.  So points of one such key run once, and each
-    point gets a report of its own from its key's run.  Per token, one
-    replay call advances the live caches of every run, layer and unit
+    density_in and gamma) over one trace, in lockstep.  Per token, one
+    replay call advances the live caches of every point, layer and unit
     group.  nocache gives every cache capacity 0.  Static caches (see the
     module docstring) are priced in closed form (_static_counts), so a run
     without a live cache lays out no stream, runs no replay and no Belady
@@ -719,15 +714,11 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
         return []
     live = np.array([cap > 0 and not g.always_active for g, cap in zip(groups, capacities)],
                     dtype=bool)
-    keys = [cfg.k_values(geo) + ((cfg.gamma,) if entry.cache_aware else ()) for cfg in configs]
-    runs: Dict[tuple, int] = {}  # each distinct key's run, in the order of first use
-    run_of = [runs.setdefault(key, len(runs)) for key in keys]
-    configs = [configs[p] for p in np.unique(run_of, return_index=True)[1]]  # first points
-    ks = [key[:2] for key in runs]  # (k_in, k_mid)
+    ks = [cfg.k_values(geo) for cfg in configs]
     num_tokens = acts.shape[0]
     widths = np.array([[_width(g, k) for g in groups] for k in ks])
     counts = _static_counts(np.repeat(widths[:, None], geo.num_layers, axis=1), capacities,
-                            num_tokens)  # [3, tokens, runs, layers, groups]
+                            num_tokens)  # [3, tokens, points, layers, groups]
 
     # the dense block's own output has error 0: only row masks are scored
     errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
@@ -745,9 +736,9 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
         for t, (active, upcoming) in enumerate(zip(stream, next_use)):
             replayed[:, t] = replay(caches, active, policy, upcoming)
         counts[..., live] = replayed[:, :, cid]
-    return [_report(counts[:, :, r], groups, static, hw,
-                    errors[r] if errors is not None else None)
-            for r in run_of]
+    return [_report(counts[:, :, p], groups, static, hw,
+                    errors[p] if errors is not None else None)
+            for p in range(len(configs))]
 
 
 def simulate_run(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,

@@ -832,12 +832,11 @@ _SHARED_K = (0.25, 0.26, 0.5, 0.51, 0.75)
 @given(scheme=st.sampled_from([s for s in SCHEMES if SCHEMES[s].rows is not None]),
        policy=st.sampled_from(POLICY_NAMES), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_sweeps_run_each_distinct_point_once(scheme, policy, data):
+def test_sweeps_with_repeated_points_equal_their_own_runs(scheme, policy, data):
     # repeated densities, densities that round to one k and, under dip_ca,
     # repeated (density, gamma) points: every sweep row equals its own run
-    # bit for bit, in a report of its own, and _layout lays out each
-    # distinct key once: (k_in, k_mid), plus gamma when the masks read the
-    # caches
+    # bit for bit.  _layout lays out every point, and a scheme that does not
+    # read the caches puts each in a chunk of its own, whatever its k
     cache_aware = SCHEMES[scheme].cache_aware
     if cache_aware and policy == "belady":
         policy = "lfu"
@@ -852,15 +851,14 @@ def test_sweeps_run_each_distinct_point_once(scheme, policy, data):
     configs = [dataclasses.replace(base, density_mid=d, density_in=None,
                                    gamma=0.3 if g is None else g)
                for d, g in points]
-
-    def key(cfg):
-        return cfg.k_values(GEO) + ((cfg.gamma,) if cache_aware else ())
-    with mock.patch.object(hwsim, "_layout", wraps=hwsim._layout) as layout:
+    layout, layouts = hwsim._layout, []  # each call's ks with its result
+    with mock.patch.object(hwsim, "_layout",
+                           lambda *a: layouts.append((a[1], layout(*a))) or layouts[-1][1]):
         got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
-    laid_out = [key(cfg) for cfg in layout.call_args.args[0]]
-    assert layout.call_count == 1
-    assert len(laid_out) == len(set(laid_out)) == len({key(cfg) for cfg in configs})
-    assert len({id(rep) for rep in got}) == len(points)
+    (ks, (_, batches, _, _)), = layouts
+    assert ks == [cfg.k_values(GEO) for cfg in configs]
+    if not cache_aware:
+        assert [b.per_layer for b in batches] == [1] * len(points)
     for cfg, rep in zip(configs, got):
         assert rep == simulate_run(tr, w, cfg, policy, hw, GEO, kernel_eval=True), cfg
 
@@ -869,14 +867,14 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
     # the one layout rule (hwsim._layout), for every scheme with row masks
     # under lfu and lru with live caches: a batch's rows are exactly its
     # chunk's (layer, point) pairs.  3 densities x 3 gammas give three
-    # points of each k.  A scheme that does not read the caches ignores
-    # gamma, so only its three k run, one point a chunk, each chunk one call
-    # of one k per block of tokens.  dip_ca runs all nine in config order,
-    # at most _ROW_BLOCK // layers points a chunk whatever their k, each
-    # chunk one dip_ca_rows call per token with a k per row.  Every point
-    # still equals its own run.  _ROW_BLOCK 14 leaves dip_ca chunks of 7
-    # and 2 points, the last of two k; _ROW_BLOCK 4 leaves chunks of at
-    # most 2 points
+    # points of each k, and all nine are laid out.  A scheme that does not
+    # read the caches puts one point in a chunk, each chunk one call of one
+    # k per block of tokens.  dip_ca's chunks hold at most _ROW_BLOCK //
+    # layers points in config order whatever their k, each chunk one
+    # dip_ca_rows call per token with a k per row.  Every point still
+    # equals its own run.  _ROW_BLOCK 14 leaves dip_ca chunks of 7 and 2
+    # points, the last of two k; _ROW_BLOCK 4 leaves chunks of at most 2
+    # points
     tr, w = _trace(num_tokens=5), _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
     points = [(d, g) for g in (0.0, 0.3, 1.0) for d in (0.25, 0.5, 0.75)]
@@ -907,27 +905,26 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
                 calls.clear(), layouts.clear()
                 got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
                 assert got == wants, (scheme, policy, row_block)
-                (run_ks, (caches, batches, block, _)), = layouts
+                (laid_ks, (caches, batches, block, _)), = layouts
+                assert laid_ks == ks
                 assert caches.num_caches > 0
                 for b in batches:
                     assert len(b.point) == GEO.num_layers * b.per_layer
                     assert b.per_layer <= row_block // GEO.num_layers
                     assert np.array_equal(b.point[:b.per_layer], b.point[-b.per_layer:])
                 if scheme == "dip_ca":
-                    # every point runs; one call per token and chunk, its
-                    # rows of every k of the chunk
-                    assert run_ks == ks
+                    # one call per token and chunk, its rows of every k of
+                    # the chunk
                     assert [b.per_layer for b in batches] == ca_sizes
                     assert calls == [len({ks[p] for p in b.point})
                                      for _ in range(tr.num_tokens) for b in batches]
                 else:
-                    # the three densities at the first gamma run, one point
-                    # a chunk, one call of one k per chunk and block of tokens
-                    assert run_ks == ks[:3]
-                    assert [b.per_layer for b in batches] == [1, 1, 1]
-                    assert block == max(1, row_block // max(3, GEO.num_layers))
+                    # one point a chunk, one call of one k per chunk and
+                    # block of tokens
+                    assert [b.per_layer for b in batches] == [1] * len(points)
+                    assert block == max(1, row_block // max(len(points), GEO.num_layers))
                     blocks = -(-tr.num_tokens // block)
-                    assert calls == [1] * (3 * blocks), (scheme, row_block)
+                    assert calls == [1] * (len(points) * blocks), (scheme, row_block)
             monkeypatch.setattr(hwsim, "_ROW_BLOCK", default)
             assert len({rep.hit_rate for rep in wants}) > 2, (scheme, policy)  # the points differ
 

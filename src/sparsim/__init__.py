@@ -9,7 +9,7 @@ from .mlp import (MlpWeights, LoraAdapter, MlpAdapters, Predictor, ErrorMetrics,
                   PredictorTrainResult, predictor_train, TrainingDivergedError)
 from .masking import (GlobalThreshold, PerLayerThreshold, PerTokenTopK, apply_threshold,
                       dip_rows, dip_ca_rows, dip_ca_scores, density_to_k, DEFAULT_GAMMA)
-from .cache import Group, CacheState, replay, belady_precompute, resident_bitvector
+from .cache import Group, CacheState, replay, belady_precompute
 from .hwsim import (HardwareConfig, ModelGeometry, GroupSpec, Scheme, SCHEMES, SchemeConfig,
                     TokenCost, RunReport, SimulationError,
                     scheme_groups, allocate_dram, simulate_run,
@@ -19,7 +19,7 @@ from .traces import (SyntheticTraceSpec, Trace, TraceFormatError,
                      write_trace, read_trace)
 from .calibration import (calibrate_per_layer_thresholds, global_threshold_for_density,
                           layer_densities, AllocationPoint, sweep_density_allocation,
-                          pareto_front, AllocationModel, fit_logit_linear,
+                          InputOverflowError, pareto_front, AllocationModel, fit_logit_linear,
                           Allocation, optimal_allocation, memory_fraction)
 from .presets import HARDWARE_PRESETS, GEOMETRY_PRESETS, GB
 

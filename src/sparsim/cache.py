@@ -79,7 +79,6 @@ __all__ = [
     "CacheState",
     "belady_precompute",
     "replay",
-    "resident_bitvector",
 ]
 
 POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
@@ -107,7 +106,8 @@ class CacheState:
     replayed under one eviction policy, and of the per-unit arrays replay
     keeps only what that policy reads, exactly for resident units: freq
     (lfu; admission resets it, so counts are per residency span), last_use
-    (lfu and lru) and next_use (belady).  is_active marks the token's active
+    (lfu and lru) and next_use (belady).  is_resident is updated in place,
+    so a view of it follows every replay.  is_active marks the token's active
     units during a replay and is all False between replays.  clock advances
     once per replay (one token).
     """
@@ -271,11 +271,3 @@ def _eviction_order(state: CacheState, units: np.ndarray, owner: np.ndarray,
         key = key * width + field
     return np.argsort(key, kind="stable")
 
-
-def resident_bitvector(state: CacheState) -> np.ndarray:
-    """0/1 residency vector over the flat unit axis of every cache.
-
-    A live int8 view of the cache's residency: it follows later updates, so
-    copy it to keep a snapshot.
-    """
-    return state.is_resident.view(np.int8)

@@ -34,6 +34,7 @@ __all__ = [
     "layer_densities",
     "memory_fraction",
     "AllocationPoint",
+    "InputOverflowError",
     "sweep_density_allocation",
     "pareto_front",
     "AllocationModel",
@@ -114,6 +115,10 @@ class AllocationPoint:
     error: float
 
 
+class InputOverflowError(ValueError):
+    """A grid point's error is not finite: the inputs overflow the forward."""
+
+
 def memory_fraction(k_in: int, k_mid: int, d_model: int, d_ff: int) -> float:
     """Fraction of MLP weight bytes kept: up and gate keep k_in columns of
     d_ff rows each, down keeps k_mid columns of d_model rows."""
@@ -135,17 +140,19 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     intermediates H and the rank of |H| once per input density (H does not
     depend on the intermediate density), then one down projection and one
     row-error call per grid point.  The selections are those of masking.dip_rows.
+    A grid point whose error is not finite raises InputOverflowError.
     """
     if len(inputs) == 0:
         raise ValueError("need at least one calibration input")
     xs = np.asarray(inputs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != w.d_model:
         raise ValueError("input length must equal d_model")
-    dense_outs = mlp_dense_forward(w, xs)
-    in_rank = _ranks(np.abs(xs))
-    points = []
-    for din in densities_in:
-        points += _points_at_input_density(w, xs, dense_outs, in_rank, din, densities_mid)
+    with np.errstate(over="ignore", invalid="ignore"):  # each error is checked below
+        dense_outs = mlp_dense_forward(w, xs)
+        in_rank = _ranks(np.abs(xs))
+        points = []
+        for din in densities_in:
+            points += _points_at_input_density(w, xs, dense_outs, in_rank, din, densities_mid)
     return points
 
 
@@ -169,12 +176,13 @@ def _points_at_input_density(w: MlpWeights, xs: np.ndarray, dense_outs: np.ndarr
     for dmid in densities_mid:
         k_mid = masking.density_to_k(dmid, w.d_ff)
         mid_mask = mid_rank < k_mid
-        errs = rel_l2_rows(dense_outs, down_projection(w, h, mid_mask))
+        error = float(np.mean(rel_l2_rows(dense_outs, down_projection(w, h, mid_mask))))
+        if not math.isfinite(error):
+            raise InputOverflowError(f"the inputs overflow the block's forward: the error at "
+                                     f"density_in {din}, density_mid {dmid} is not finite")
         points.append(AllocationPoint(
-            density_in=float(din), density_mid=float(dmid),
-            k_in=k_in, k_mid=k_mid,
-            memory_fraction=memory_fraction(k_in, k_mid, w.d_model, w.d_ff),
-            error=float(np.mean(errs))))
+            density_in=float(din), density_mid=float(dmid), k_in=k_in, k_mid=k_mid,
+            memory_fraction=memory_fraction(k_in, k_mid, w.d_model, w.d_ff), error=error))
     return points
 
 

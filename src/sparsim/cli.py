@@ -433,8 +433,11 @@ def _cmd_calibrate_allocation(args) -> None:
                    ("densities_in", "densities_mid"))
     targets = _floats(cfg["targets"], "targets")
 
-    points = calibration.sweep_density_allocation(w, inputs, grid["densities_in"],
-                                                  grid["densities_mid"])
+    try:
+        points = calibration.sweep_density_allocation(w, inputs, grid["densities_in"],
+                                                      grid["densities_mid"])
+    except calibration.InputOverflowError as e:
+        raise ConfigError(f"calibration.sigma is too large: {e}") from None
     front = calibration.pareto_front(points)
     model = calibration.fit_logit_linear(front)
     allocations = []

@@ -29,9 +29,10 @@ There is one engine, and simulate_run is its one-point case.  sweep_runs
 runs every (density, gamma) point of a grid in lockstep: per token, one
 replay call advances the live caches of every (point, layer, unit group).
 Its mask stream is one loop for every scheme, in batches of mask rows over
-every layer, so the layers' weights go as one stack (see mlp); _layout
-states how points go into batches and tokens into blocks.  Each point keeps
-its own caches, so its report equals its own simulate_run bit for bit.
+every layer, so the layers' weights go as one stack (see mlp); _layout puts
+points into batches and tokens into blocks, and lays out once the residency
+views that cache-aware masks read.  Each point keeps its own caches, so its
+report equals its own simulate_run bit for bit.
 
 kernel_eval computes the dense block forward of each (layer, token) once,
 as its reference.  The schemes that keep every input unit (glu, gate, up,
@@ -53,8 +54,7 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Seque
 import numpy as np
 
 from . import masking
-from .cache import (POLICY_NAMES, CacheState, Group, belady_precompute, replay,
-                    resident_bitvector)
+from .cache import POLICY_NAMES, CacheState, Group, belady_precompute, replay
 from .mlp import MlpWeights, _masked, down_projection, glu_activations, rel_l2_rows
 
 __all__ = [
@@ -377,8 +377,9 @@ class _Batch(NamedTuple):
     flat id of pair s's cache of each live group.  Side by side, the live
     groups' mask orders give each row columns of units; keep marks the
     columns within the row's k, or is None when every column is.  When the
-    masks read the caches, caches is the range of the flat axis that holds
-    the pairs' caches, pair by pair, group by group."""
+    masks read the caches, residency is each group's residency of the rows,
+    laid out once by _layout: a live view of the pairs' own caches, or of
+    one zero vector for a static group, which holds nothing."""
 
     per_layer: int      # mask rows per layer and token: the chunk's points
     point: np.ndarray   # int [S]
@@ -388,7 +389,7 @@ class _Batch(NamedTuple):
     offset: np.ndarray  # int [S, live groups]
     keep: Optional[np.ndarray]  # bool [S * columns], or None
     units: int          # active units of the pairs' caches per token
-    caches: Optional[slice]  # flat ids of the pairs' caches, or None
+    residency: List[np.ndarray]  # per group, bool [S, universe] or [universe]
 
 
 def _width(g: GroupSpec, k: Tuple[int, int]) -> int:
@@ -400,9 +401,9 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
             groups: Sequence[GroupSpec], capacities: Sequence[int], live: np.ndarray,
             geo: ModelGeometry):
     """The caches of every (point, layer, live group) on one flat axis, the
-    mask batches that stream into them, the block length in tokens and each
-    point's cache ids [points, layers, live groups]; ks holds each point's
-    (k_in, k_mid).
+    mask batches that stream into them with their residency views (see
+    _Batch), the block length in tokens and each point's cache ids [points,
+    layers, live groups]; ks holds each point's (k_in, k_mid).
 
     The layout rule, stated here once: the points go in chunks of
     consecutive points, one point a chunk when the masks do not read the
@@ -430,6 +431,9 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
                         np.tile([g.universe for g in cached], len(layer)))
     follows = entry.cache_aware and caches.num_caches > 0  # masks read a live residency
     base = caches.offsets[:-1].reshape(len(layer), len(cached))
+    resident = caches.is_resident.reshape(len(layer), -1)  # a view, one row per pair
+    zero = np.zeros(max(g.universe for g in groups), dtype=bool)  # every static residency
+    start = np.cumsum([0] + [g.universe * on for g, on in zip(groups, live)])
     cid = np.empty((len(configs), num_layers, len(cached)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
     gamma = np.array([configs[p].gamma for p in point])
@@ -448,25 +452,11 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
         batches.append(_Batch(
             len(points), point[s], *k, gamma[s], base[s], keep,
             num_layers * int(width[points].sum()),
-            slice(*caches.offsets[[s.start * len(cached), s.stop * len(cached)]].tolist())
-            if follows else None))
+            [resident[s, a:a + g.universe] if on else zero[:g.universe]
+             for g, on, a in zip(groups, live, start)] if entry.cache_aware else []))
     rows = num_layers * len(chunks[0])  # the first chunk is the largest
     block = 1 if follows else max(1, _ROW_BLOCK // max(len(configs), rows))
     return caches, batches, block, cid
-
-
-def _residency(bits: Optional[np.ndarray], b: _Batch, groups: Sequence[GroupSpec],
-               live: np.ndarray, zero: np.ndarray) -> List[np.ndarray]:
-    """Each group's residency for the cache-aware mask rows of batch b: for
-    a live group, each row's own caches on the flat axis (a view of bits,
-    one token long); a static group has capacity 0, so it holds nothing
-    (a view of zero)."""
-    own = None if b.caches is None else bits[b.caches].reshape(len(b.point), -1)
-    out, at = [], 0
-    for g, on in zip(groups, live):
-        out.append(own[:, at:at + g.universe] if on else zero[:g.universe])
-        at += g.universe if on else 0
-    return out
 
 
 def _tiled(a: np.ndarray, i0: int, n: int, per_layer: int) -> np.ndarray:
@@ -498,10 +488,9 @@ def _score(pending, weights: MlpWeights, ref: np.ndarray, t0: int,
         start += b.per_layer * n
 
 
-def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
-                 acts: np.ndarray, caches: CacheState, batches: Sequence[_Batch],
-                 block: int, groups: Sequence[GroupSpec], live: np.ndarray,
-                 geo: ModelGeometry, errors: Optional[np.ndarray]):
+def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights], acts: np.ndarray,
+                 batches: Sequence[_Batch], block: int, groups: Sequence[GroupSpec],
+                 live: np.ndarray, geo: ModelGeometry, errors: Optional[np.ndarray]):
     """Stage 1: per token, the flat ids of every point's active units in
     the live groups' caches, cache by cache in ascending order, each cache's
     in admission order.  The scheme has row masks, and a cache is live or
@@ -509,12 +498,10 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     the masks that errors needs.
 
     Each batch builds its rows' masks over a block in one call (see
-    _layout).  Cache-aware masks read the
-    residency when their block is requested, after the previous token's
-    replay when a block is one token: views of the caches' own 0/1 state,
-    and for a static cache, which holds nothing, a view of one zero vector.
-    The block's ids go into one array, each batch's columns written by
-    _write_ids.
+    _layout).  Cache-aware masks read the batch's residency, the views
+    _layout laid out once, when their block is requested: after the
+    previous token's replay when a block is one token.  The block's ids go
+    into one array, each batch's columns written by _write_ids.
 
     Under kernel_eval with row masks, errors [points, tokens, layers] gets
     the errors of a span of tokens against the dense reference, one stacked
@@ -535,7 +522,6 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
     keep_glu = errors is not None and not entry.prunes_input
     span = block if errors is None or keep_glu else max(
         block, _ROW_BLOCK // (len(errors) * geo.num_layers))
-    zero = np.zeros(max(g.universe for g in groups), dtype=bool)  # every static residency
     units = sum(b.units for b in batches)
     h = ref = None
     for t0 in range(0, acts.shape[0], span):
@@ -547,15 +533,12 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights],
         pending, held = [], 0
         for i0 in range(0, x.shape[1], block):
             n = min(block, x.shape[1] - i0)
-            # the caches' own bool residency: 0/1 by its type
-            bits = resident_bitvector(caches).view(bool) if entry.cache_aware and cached \
-                else None
             ids, at = np.empty((n, units), dtype=np.intp), 0
             for b in batches:
                 m = geo.num_layers * b.per_layer * n  # the batch's rows
                 args = [v if np.ndim(v) == 0 else np.repeat(v, n) for v in (b.k_in, b.k_mid)]
                 if entry.cache_aware:  # and a residency and gamma per mask row
-                    args += [*_residency(bits, b, groups, live, zero), np.repeat(b.gamma, n)]
+                    args += [*b.residency, np.repeat(b.gamma, n)]
                 hb = None if h is None else _tiled(h, i0, n, b.per_layer)
                 rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer), *args,
                                   **({} if hb is None else {"glu": hb}))
@@ -725,8 +708,8 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
     scored = errors if entry.rows is not None else None
     if live.any() or scored is not None:
         caches, batches, block, cid = _layout(configs, ks, entry, groups, capacities, live, geo)
-        stream = _unit_stream(scheme, weights, acts, caches, batches, block, groups, live,
-                              geo, scored)
+        stream = _unit_stream(scheme, weights, acts, batches, block, groups, live, geo,
+                              scored)
         next_use = [None] * num_tokens
         if policy == "belady" and caches.num_caches:
             stream = list(stream)

@@ -8,10 +8,10 @@ drawn by the same function.  Generation is deterministic per seed, and generated
 are quantized through float32 so an in-memory trace equals its file
 round-trip bit-for-bit.
 
-Trace files ('DSTR' magic) carry float32 activation vectors (payload kind
-0; files of the unit-index payload, kind 1, are rejected).  All integers
-little-endian.  Values widen to float64 in memory.  Files are written
-atomically (temp file + rename).
+A trace file is a header (_HEADER names its fields in order) and then the
+float32 activations [tokens, layers, d_model], little-endian.  Only payload
+kind 0 is read (the unit-index payload, kind 1, is rejected).  Values widen
+to float64 in memory.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def generate_synthetic_trace(spec: SyntheticTraceSpec) -> Trace:
     for l in range(spec.num_layers):
         acts[:, l, :] = signed_lognormal(rng, (spec.num_tokens, spec.d_model),
                                          spec.mu[l], spec.sigma[l])
-    acts = acts.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # the check below rejects what overflows
+        acts = acts.astype(np.float32).astype(np.float64)
     if not np.isfinite(acts).all():
         raise ValueError("mu and sigma give activations beyond the float32 range")
     return Trace(num_layers=spec.num_layers, d_model=spec.d_model, d_ff=spec.d_ff,
@@ -159,57 +160,40 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TraceFormatError(f"truncated trace file: wanted {n} bytes at "
-                                   f"offset {self.pos}, file has {len(self.data)}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise TraceFormatError(
-                f"trailing data in trace file: {len(self.data) - self.pos} extra bytes")
+# The file header, in order: magic, version, payload kind, num_layers,
+# d_model, d_ff, num_tokens.  The float32 payload follows it.
+_HEADER = struct.Struct("<4sIBIIII")
 
 
 def write_trace(path, trace: Trace) -> None:
     dims = (trace.num_layers, trace.d_model, trace.d_ff, trace.num_tokens)
     if max(dims) >= 1 << 32:
         raise ValueError("trace dimensions must be below 2**32 to fit the file header")
-    out = bytearray()
-    out += TRACE_MAGIC
-    out += struct.pack("<IB", TRACE_VERSION, KIND_ACTIVATIONS)
-    out += struct.pack("<IIII", trace.num_layers, trace.d_model, trace.d_ff,
-                       trace.num_tokens)
-    out += np.ascontiguousarray(trace.activations, dtype="<f4").tobytes()
-    atomic_write(path, bytes(out))
+    atomic_write(path, _HEADER.pack(TRACE_MAGIC, TRACE_VERSION, KIND_ACTIVATIONS, *dims)
+                 + np.ascontiguousarray(trace.activations, dtype="<f4").tobytes())
 
 
 def read_trace(path) -> Trace:
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    magic = r.take(4)
-    if magic != TRACE_MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
-    version, kind = r.unpack("<IB")
+        data = f.read()
+    if data[:4] != TRACE_MAGIC:
+        raise TraceFormatError(f"bad magic {data[:4]!r}: not a trace file")
+    if len(data) < _HEADER.size:
+        raise TraceFormatError(f"truncated trace file: the header takes {_HEADER.size} "
+                               f"bytes, file has {len(data)}")
+    _, version, kind, num_layers, d_model, d_ff, num_tokens = _HEADER.unpack_from(data)
     if version != TRACE_VERSION:
         raise TraceFormatError(f"unsupported trace version {version}")
     if kind != KIND_ACTIVATIONS:
         raise TraceFormatError(f"unsupported payload kind {kind}: only activation "
                                f"traces (kind {KIND_ACTIVATIONS}) are read")
-    num_layers, d_model, d_ff, num_tokens = r.unpack("<IIII")
-    raw = r.take(4 * num_tokens * num_layers * d_model)
-    r.done()
-    acts = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    size = _HEADER.size + 4 * num_tokens * num_layers * d_model
+    if len(data) < size:
+        raise TraceFormatError(f"truncated trace file: the header gives {size} bytes, "
+                               f"file has {len(data)}")
+    if len(data) > size:
+        raise TraceFormatError(f"trailing data in trace file: {len(data) - size} extra bytes")
+    acts = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).astype(np.float64)
     if not np.isfinite(acts).all():
         raise TraceFormatError("trace file holds non-finite activations")
     return Trace(num_layers=num_layers, d_model=d_model, d_ff=d_ff,

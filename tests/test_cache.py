@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import ReferenceCache, brute_force_best_hits as _brute_force_best_hits
 
-from sparsim import CacheState, belady_precompute, replay, resident_bitvector
+from sparsim import CacheState, belady_precompute, replay
 
 
 A, B, C = range(3)
@@ -197,14 +197,6 @@ def test_next_use_table_semantics():
     assert all(u.dtype == np.int64 for u in next_use)
     assert belady_precompute([]) == []
     assert [u.tolist() for u in belady_precompute([[], [C, A], []])] == [[], [3, 3], []]
-
-
-def test_resident_bitvector():
-    state = CacheState(capacity_units=4, universe=UNIVERSE)
-    replay(state, [1, 3], "lfu")
-    bits = resident_bitvector(state)
-    np.testing.assert_array_equal(bits, [0, 1, 0, 1, 0])
-    assert bits.dtype == np.int8
 
 
 # ---------------------------------------------------------------------------

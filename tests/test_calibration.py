@@ -2,6 +2,7 @@
 logit-space linear allocation model, and the re-weighting strength sweep
 that the gamma-sweep verb and script run through hwsim.sweep_runs."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sparsim import (
     AllocationModel,
     AllocationPoint,
     HardwareConfig,
+    InputOverflowError,
     MlpWeights,
     ModelGeometry,
     PerLayerThreshold,
@@ -121,6 +123,19 @@ def test_sweep_density_allocation_grid():
     assert one.error > 0
     full = next(p for p in pts if p.density_in == 0.5 and p.density_mid == 1.0)
     assert full.error >= 0
+
+
+def test_sweep_density_allocation_rejects_a_forward_that_overflows():
+    # finite inputs whose forward overflows give no NaN error: a ValueError
+    # names the first grid point, and numpy warns nothing on the way
+    w = MlpWeights.random(8, 24, seed=0)
+    inputs = 1e200 * np.random.default_rng(1).standard_normal((5, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="density_in 0.25, density_mid 0.5 is not finite"):
+            sweep_density_allocation(w, inputs, [0.25, 0.5], [0.5, 1.0])
+        with pytest.raises(InputOverflowError):
+            sweep_density_allocation(w, inputs, [1.0], [1.0])
 
 
 def test_error_shrinks_with_density_statistically():

@@ -728,14 +728,26 @@ def test_validation_error_when_config_exceeds_memory(tmp_path, capsys, monkeypat
     # NaN to integer"
     ("run", _run_config(geometry={"num_layers": 2, "d_model": 100, "d_ff": 100,
                                   "bytes_per_weight": 1e306}), "bytes_per_weight"),
+    # exp(700) is a finite float64 draw that overflows float32
+    ("gen-trace", {"num_tokens": 2, "num_layers": 1, "d_model": 2, "d_ff": 2, "mu": 700},
+     "float32 range"),
+    ("run", _run_config(trace={"synthetic": {"num_tokens": 2, "mu": 700}}), "float32 range"),
+    # finite inputs whose forward overflows
+    ("calibrate-allocation", {"block": {"d_model": 8, "d_ff": 24},
+                              "calibration": {"sigma": 60},
+                              "grid": {"densities_in": [0.5], "densities_mid": [0.5]},
+                              "targets": [0.5]}, "calibration.sigma"),
 ])
 def test_validation_error_for_inputs_that_overflow(tmp_path, capsys, verb, cfg, what):
-    # a huge mu or sigma overflows the generated data, and a huge
-    # bytes_per_weight the model's bytes: rejected where they are made,
+    # a huge mu or sigma overflows the generated data or the forward, and a
+    # huge bytes_per_weight the model's bytes: rejected where they are made,
     # with one stderr line and no numpy warning
     out = tmp_path / "out"
-    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
-                 "--out", str(out)]) == EXIT_VALIDATION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)])
+    assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error") and what in err
     assert err.count("\n") == 1

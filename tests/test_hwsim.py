@@ -939,6 +939,39 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
     assert calls == [2] * 3
 
 
+def test_layout_gives_cache_aware_batches_views_of_their_caches(monkeypatch):
+    # _layout lays out each cache-aware batch's residency once: per group,
+    # a view of the batch's own caches in CacheState.is_resident, row by
+    # row, so it follows every replay without a read per token; a static
+    # group (here every group under nocache) gets a view of one zero vector.
+    # Masks that do not read the caches get none
+    tr, w = _trace(num_tokens=3), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    layout, layouts = hwsim._layout, []
+    monkeypatch.setattr(hwsim, "_layout", lambda *a: layouts.append(layout(*a)) or layouts[-1])
+    for scheme, policy in (("dip_ca", "lfu"), ("dip_ca", "nocache"), ("dip", "lfu")):
+        layouts.clear()
+        sweep_runs(tr, w, SchemeConfig(name=scheme, density_mid=0.5),
+                   [(0.25, 0.3), (0.5, 1.0), (0.75, 0.0)], policy, hw, GEO, kernel_eval=True)
+        (caches, batches, _, _), = layouts
+        universes = [g.universe for g in scheme_groups(scheme, GEO)]
+        for b in batches:
+            if not SCHEMES[scheme].cache_aware:
+                assert b.residency == []
+                continue
+            assert [r.shape[-1] for r in b.residency] == universes
+            if policy == "nocache":
+                assert all(r.ndim == 1 and not r.any() for r in b.residency)
+                assert np.shares_memory(*b.residency)
+                continue
+            assert [r.shape for r in b.residency] == [(len(b.point), u) for u in universes]
+            for r, offset, u in zip(b.residency, b.offset.T, universes):
+                assert np.shares_memory(r, caches.is_resident)
+                for row, start in zip(r, offset):  # the caches' state after the run
+                    assert np.array_equal(row, caches.is_resident[start:start + u])
+            assert any(r.any() for r in b.residency)
+
+
 def test_simulate_run_blocks_of_tokens_match_one_block(monkeypatch):
     # a trace longer than one mask block gives the same run as one big block;
     # dip_ca scores its kernel errors per block, after the block's last token

@@ -115,6 +115,17 @@ def test_activation_trace_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.activations, tr.activations)
 
 
+def test_written_bytes_follow_the_file_format(tmp_path):
+    # the format as bytes built by hand, apart from traces._HEADER: a drift
+    # shared by the writer and the reader would pass every round trip
+    acts = np.arange(12, dtype=float).reshape(3, 2, 2) - 5.5
+    path = tmp_path / "t.bin"
+    write_trace(path, Trace(num_layers=2, d_model=2, d_ff=7, activations=acts))
+    want = (b"DSTR" + struct.pack("<IB", 1, 0) + struct.pack("<IIII", 2, 2, 7, 3)
+            + acts.astype("<f4").tobytes())
+    assert path.read_bytes() == want
+
+
 def unit_access_trace_file(path):
     """A file of the old unit-access payload (kind 1): per token and layer,
     a varint count and varint unit indices."""
@@ -163,7 +174,7 @@ def test_read_rejects_truncated_file(tmp_path):
     path = tmp_path / "t.bin"
     write_trace(path, tr)
     data = path.read_bytes()
-    for cut in (5, 12, len(data) - 3):
+    for cut in (4, 5, 12, 24, 25, len(data) - 3):
         short = tmp_path / f"cut{cut}.bin"
         short.write_bytes(data[:cut])
         with pytest.raises(TraceFormatError, match="truncated"):

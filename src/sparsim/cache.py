@@ -10,13 +10,13 @@ are admitted while capacity remains, evicting only among residents that are
 not active this token; when nothing is evictable the miss is bypassed
 (streamed without caching).
 
-POLICY_NAMES are the simulator's policies.  replay takes the three eviction
-policies: "lfu" (access count within the current residency span, reset on
-eviction; ties by recency then lowest unit index), "lru" (ties by lowest
-index) and "belady", the offline oracle (farthest next use, never-used-again
-first, ties by lowest index).  "nocache" is no cache: the simulator gives
-every cache capacity 0, which admits nothing, so every access misses and is
-bypassed under any eviction policy.  replay is the one entry point.
+POLICY_NAMES are the simulator's policies; a CacheState has one.  replay,
+the one entry point, takes the three eviction policies: "lfu" (access count
+within the current residency span, reset on eviction; ties by recency then
+lowest unit index), "lru" (ties by lowest index) and "belady", the offline
+oracle (farthest next use, never-used-again first, ties by lowest index).
+"nocache" is no cache: the simulator gives every cache capacity 0, which
+admits nothing, so every access misses and is bypassed under any policy.
 
 One token is replayed as one batch over arrays indexed by unit.  This equals
 offering the units one at a time: a resident that is not active this token
@@ -102,32 +102,36 @@ class CacheState:
     Cache i holds units offsets[i] up to offsets[i + 1] (its group's unit
     indices, shifted by offsets[i]) and at most capacity_units[i] of them.
     capacity_units and universe give one entry per cache, or one int each
-    for a single cache, whose flat ids are its unit indices.  A state is
-    replayed under one eviction policy, and of the per-unit arrays replay
-    keeps only what that policy reads, exactly for resident units: freq
+    for a single cache, whose flat ids are its unit indices.  policy, one of
+    POLICY_NAMES, is every cache's, and of the per-unit int64 fields the
+    state holds only what that policy reads, exact for resident units: freq
     (lfu; admission resets it, so counts are per residency span), last_use
-    (lfu and lru) and next_use (belady).  is_resident is updated in place,
-    so a view of it follows every replay.  is_active marks the token's active
-    units during a replay and is all False between replays.  clock advances
-    once per replay (one token).
+    (lfu and lru) and next_use (belady); the others are None.  So a unit
+    takes 26 bytes for lfu and 18 for lru and belady.  is_resident is
+    updated in place, so a view of it follows every replay.  is_active
+    marks the token's active units during a replay and is all False
+    between replays.  clock advances once per replay (one token).
     """
 
-    def __init__(self, capacity_units, universe):
+    def __init__(self, capacity_units, universe, policy: str):
+        if policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
         caps = np.atleast_1d(np.asarray(capacity_units, dtype=np.int64))
         sizes = np.atleast_1d(np.asarray(universe, dtype=np.int64))
         if caps.ndim != 1 or caps.shape != sizes.shape:
             raise ValueError("need one capacity per cache universe")
         if (caps < 0).any() or (sizes < 0).any():
             raise ValueError("capacity and universe must be >= 0")
+        self.policy = policy
         self.capacity_units = caps
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.cache_of = np.repeat(np.arange(len(sizes)), sizes)
         self.count = np.zeros(len(sizes), dtype=np.int64)  # residents per cache
         self.is_resident = np.zeros(self.universe, dtype=bool)
         self.is_active = np.zeros(self.universe, dtype=bool)
-        self.freq = np.zeros(self.universe, dtype=np.int64)
-        self.last_use = np.zeros(self.universe, dtype=np.int64)
-        self.next_use = np.zeros(self.universe, dtype=np.int64)
+        self.freq, self.last_use, self.next_use = (  # each with the policies reading it
+            np.zeros(self.universe, dtype=np.int64) if policy in readers else None
+            for readers in (("lfu",), ("lfu", "lru"), ("belady",)))
         self.clock = 0
 
     @property
@@ -177,10 +181,10 @@ def _leading(counts: np.ndarray, taken: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) < np.repeat(np.cumsum(counts) - counts + taken, counts)
 
 
-def replay(state: CacheState, active_units: Sequence[int], policy: str,
+def replay(state: CacheState, active_units: Sequence[int],
            next_use: Optional[Sequence[int]] = None):
-    """Advance every cache of state by one token, in place, under the
-    eviction policy named policy ("lfu", "lru" or "belady").
+    """Advance every cache of state by one token, in place, under its
+    policy: "lfu", "lru" or "belady" (a nocache state is a ValueError).
 
     active_units holds the token's active flat unit ids cache by cache, in
     ascending cache order, each cache's in admission order (descending
@@ -190,8 +194,9 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
     is this token's entry of belady_precompute; required for the Belady
     policy, ignored otherwise.
     """
+    policy = state.policy
     if policy not in _EVICTION_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {_EVICTION_POLICIES}")
+        raise ValueError(f"replay takes {_EVICTION_POLICIES} states, not {policy!r}")
     active = _unit_ids(active_units)
     if active.ndim != 1:
         raise ValueError("active units must be a flat sequence of unit indices")
@@ -234,7 +239,7 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
         if candidates.size:
             n_cand = np.bincount(cand_owner, minlength=n)
             n_evict = np.minimum(short, n_cand)
-            order = _eviction_order(state, candidates, cand_owner, policy)
+            order = _eviction_order(state, candidates, cand_owner)
             resident[candidates[order[_leading(n_cand, n_evict)]]] = False
             state.count -= n_evict
             admitted += n_evict
@@ -246,24 +251,20 @@ def replay(state: CacheState, active_units: Sequence[int], policy: str,
     return n_hits, n_misses, bypassed
 
 
-def _eviction_order(state: CacheState, units: np.ndarray, owner: np.ndarray,
-                    policy: str) -> np.ndarray:
+def _eviction_order(state: CacheState, units: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """The order in which the candidates units (ascending flat ids, owner
-    their cache ids) are evicted: cache by cache, each cache's by its
-    eviction key, ties to the lowest id.  The key's fields, most significant
-    first, each with its width, make one int64 key for one stable argsort,
-    or go to np.lexsort when the key could reach 2^63 (see the module
-    docstring)."""
-    if policy == "belady":  # farthest next use first
+    their cache ids) are evicted: cache by cache, each cache's by the
+    state's policy's eviction key, ties to the lowest id.  The key's fields,
+    most significant first, each with its width, make one int64 key for one
+    stable argsort, or go to np.lexsort when the key could reach 2^63 (see
+    the module docstring)."""
+    if state.policy == "belady":  # farthest next use first
         upcoming = state.next_use[units]
         top = int(upcoming.max())
         fields = [(owner, state.num_caches), (top - upcoming, top - int(upcoming.min()) + 1)]
-    else:  # freq and last_use lie in [0, clock]
-        width = state.clock + 1
-        fields = [(owner, state.num_caches)]
-        if policy == "lfu":
-            fields.append((state.freq[units], width))
-        fields.append((state.last_use[units], width))
+    else:  # the state's fields, lfu's freq then last_use, lie in [0, clock]
+        fields = [(owner, state.num_caches)] + [
+            (f[units], state.clock + 1) for f in (state.freq, state.last_use) if f is not None]
     if math.prod(w for _, w in fields) >= _KEY_LIMIT:
         return np.lexsort([f for f, _ in reversed(fields)])
     key = fields[0][0]

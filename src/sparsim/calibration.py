@@ -10,8 +10,9 @@ Two calibration paths:
   (input density, intermediate density) pairs on a reference block, score
   each by (MLP memory fraction, output error), keep the Pareto front, and fit
   per-dimension linear models in logit space mapping a target overall MLP
-  density to the two component densities.  The fitted model turns one memory
-  knob into a concrete (k_in, k_mid) allocation.
+  density to the two component densities; the masks are prefixes of one
+  row order per side (masking.prefix_masks).  The fitted model turns one
+  memory knob into a concrete (k_in, k_mid) allocation.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     Every (input, intermediate) density pair is scored by the mean relative-
     L2 error of the masked forward against the dense forward over the
     calibration inputs.  The up and gate projections share the input density.
-    The inputs run as one batch of rows.  Every top-k is a prefix of one row
-    order (masking.rank_rows), so a row's rank of each unit in that order
-    gives the mask of every k at once: keep the units ranked below k.  The
-    dense outputs and the rank of |x| are made once, the gated
-    intermediates H and the rank of |H| once per input density (H does not
-    depend on the intermediate density), then one down projection and one
-    row-error call per grid point.  The selections are those of masking.dip_rows.
-    A grid point whose error is not finite raises InputOverflowError.
+    The inputs run as one batch of rows, and each side's masks are prefixes
+    of one row order (masking.rank_rows, masking.prefix_masks): the dense
+    outputs and the order of |x| are made once, the gated intermediates H
+    and the order of |H| once per input density (H does not depend on the
+    intermediate density), then one down projection and one row-error call
+    per grid point.  The selections are those of masking.dip_rows.  A grid
+    point whose error is not finite raises InputOverflowError.
     """
     if len(inputs) == 0:
         raise ValueError("need at least one calibration input")
@@ -149,33 +149,24 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
         raise ValueError("input length must equal d_model")
     with np.errstate(over="ignore", invalid="ignore"):  # each error is checked below
         dense_outs = mlp_dense_forward(w, xs)
-        in_rank = _ranks(np.abs(xs))
+        in_order = masking.rank_rows(np.abs(xs))
         points = []
         for din in densities_in:
-            points += _points_at_input_density(w, xs, dense_outs, in_rank, din, densities_mid)
+            points += _points_at_input_density(w, xs, dense_outs, in_order, din, densities_mid)
     return points
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each unit's place in its row's order: the inverse of rank_rows, so
-    the top-k mask of every k is ranks < k."""
-    ranks = np.empty(keys.shape, dtype=np.intp)
-    np.put_along_axis(ranks, masking.rank_rows(keys), np.arange(keys.shape[1])[None, :],
-                      axis=1)
-    return ranks
-
-
 def _points_at_input_density(w: MlpWeights, xs: np.ndarray, dense_outs: np.ndarray,
-                             in_rank: np.ndarray, din: float,
+                             in_order: np.ndarray, din: float,
                              densities_mid: Sequence[float]) -> List[AllocationPoint]:
     # a function of its own so that H is freed before the next density's
     k_in = masking.density_to_k(din, w.d_model)
-    h = glu_activations(w, xs, in_rank < k_in)
-    mid_rank = _ranks(np.abs(h))
+    h = glu_activations(w, xs, masking.prefix_masks(in_order[:, :k_in], w.d_model))
+    mid_order = masking.rank_rows(np.abs(h))
     points = []
     for dmid in densities_mid:
         k_mid = masking.density_to_k(dmid, w.d_ff)
-        mid_mask = mid_rank < k_mid
+        mid_mask = masking.prefix_masks(mid_order[:, :k_mid], w.d_ff)
         error = float(np.mean(rel_l2_rows(dense_outs, down_projection(w, h, mid_mask))))
         if not math.isfinite(error):
             raise InputOverflowError(f"the inputs overflow the block's forward: the error at "

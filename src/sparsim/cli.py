@@ -287,7 +287,7 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     scheme, policy, points, kernel_eval = runs(fields)
     groups = hwsim.scheme_groups(scheme, geo)
     units = sum(g.universe for g in groups)  # the units of one layer's caches
-    # 16 words per unit of every (point, layer)'s caches: 33 B of CacheState, an
+    # 16 words per unit of every (point, layer)'s caches: 26 B of CacheState, an
     # 8 B flat id per active unit, and the stream's and replay's per-token arrays
     # (68-106 B per unit in all, measured as tracemalloc peak slopes)
     _check_bytes("the engine's caches", points, geo.num_layers, units, 16)
@@ -422,6 +422,8 @@ def _cmd_calibrate_allocation(args) -> None:
                  "num_inputs": _int, "sigma": _float, "seed": _int})}
     if calib["num_inputs"] < 1:
         raise ConfigError("calibration.num_inputs must be >= 1")
+    if calib["sigma"] <= 0:
+        raise ConfigError("calibration.sigma must be > 0")
     _check_bytes("the MLP weights", 3, d_model, d_ff)
     _check_bytes("the calibration inputs", calib["num_inputs"], d_model)
     w = MlpWeights.random(d_model, d_ff, seed=block["seed"])

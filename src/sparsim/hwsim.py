@@ -397,13 +397,14 @@ def _width(g: GroupSpec, k: Tuple[int, int]) -> int:
     return g.universe if g.always_active else k[0] if g.kind == Group.INPUT_BUNDLE else k[1]
 
 
-def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entry: Scheme,
-            groups: Sequence[GroupSpec], capacities: Sequence[int], live: np.ndarray,
-            geo: ModelGeometry):
-    """The caches of every (point, layer, live group) on one flat axis, the
-    mask batches that stream into them with their residency views (see
-    _Batch), the block length in tokens and each point's cache ids [points,
-    layers, live groups]; ks holds each point's (k_in, k_mid).
+def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], width: np.ndarray,
+            entry: Scheme, groups: Sequence[GroupSpec], capacities: Sequence[int],
+            live: np.ndarray, policy: str, geo: ModelGeometry):
+    """The caches of every (point, layer, live group) on one flat axis under
+    policy, the mask batches that stream into them with their residency
+    views (see _Batch), the block and span lengths in tokens, and each
+    point's cache ids [points, layers, live groups].  Per point, ks holds
+    (k_in, k_mid) and width the active units of each live group.
 
     The layout rule, stated here once: the points go in chunks of
     consecutive points, one point a chunk when the masks do not read the
@@ -419,7 +420,10 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     are one token, unless no cache is live: then the residency they read
     is always zero, and their blocks are as long as the others'.  A block
     is _ROW_BLOCK // max(points, mask rows of a token) tokens, so one call
-    takes at most max(_ROW_BLOCK, one token's layers) rows.
+    takes at most max(_ROW_BLOCK, one token's layers) rows.  kernel_eval
+    scores a span of max(block, _ROW_BLOCK // (points * layers)) tokens at
+    a time (see _unit_stream); when the masks do not read the caches, that
+    is the block.
     """
     num_layers = geo.num_layers
     cached = [g for g, on in zip(groups, live) if on]
@@ -428,7 +432,7 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
         (l, p) for points in chunks for l in range(num_layers) for p in points]))
     caches = CacheState(np.tile(np.compress(live, capacities), len(layer)),
-                        np.tile([g.universe for g in cached], len(layer)))
+                        np.tile([g.universe for g in cached], len(layer)), policy)
     follows = entry.cache_aware and caches.num_caches > 0  # masks read a live residency
     base = caches.offsets[:-1].reshape(len(layer), len(cached))
     resident = caches.is_resident.reshape(len(layer), -1)  # a view, one row per pair
@@ -437,8 +441,6 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
     cid = np.empty((len(configs), num_layers, len(cached)), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
     gamma = np.array([configs[p].gamma for p in point])
-    width = np.array([[_width(g, k) for g in cached] for k in ks],
-                     dtype=np.intp).reshape(len(ks), len(cached))  # per point and live group
     batches = []
     for points in chunks:  # a chunk's rows follow the rows of the points before it
         s = slice(num_layers * points[0], num_layers * (points[-1] + 1))
@@ -456,7 +458,8 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], entr
              for g, on, a in zip(groups, live, start)] if entry.cache_aware else []))
     rows = num_layers * len(chunks[0])  # the first chunk is the largest
     block = 1 if follows else max(1, _ROW_BLOCK // max(len(configs), rows))
-    return caches, batches, block, cid
+    span = max(block, _ROW_BLOCK // (len(configs) * num_layers))
+    return caches, batches, block, span, cid
 
 
 def _tiled(a: np.ndarray, i0: int, n: int, per_layer: int) -> np.ndarray:
@@ -489,13 +492,13 @@ def _score(pending, weights: MlpWeights, ref: np.ndarray, t0: int,
 
 
 def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights], acts: np.ndarray,
-                 batches: Sequence[_Batch], block: int, groups: Sequence[GroupSpec],
-                 live: np.ndarray, geo: ModelGeometry, errors: Optional[np.ndarray]):
+                 batches: Sequence[_Batch], block: int, span: int,
+                 cached: Sequence[GroupSpec], geo: ModelGeometry, errors: Optional[np.ndarray]):
     """Stage 1: per token, the flat ids of every point's active units in
-    the live groups' caches, cache by cache in ascending order, each cache's
-    in admission order.  The scheme has row masks, and a cache is live or
-    errors is given; with no live cache it yields nothing, and only builds
-    the masks that errors needs.
+    the caches of the live groups cached, cache by cache in ascending order,
+    each cache's in admission order.  The scheme has row masks, and a cache
+    is live or errors is given; with no live cache it yields nothing, and
+    only builds the masks that errors needs.
 
     Each batch builds its rows' masks over a block in one call (see
     _layout).  Cache-aware masks read the batch's residency, the views
@@ -504,24 +507,21 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights], acts: np.n
     into one array, each batch's columns written by _write_ids.
 
     Under kernel_eval with row masks, errors [points, tokens, layers] gets
-    the errors of a span of tokens against the dense reference, one stacked
-    forward over the span's layers and tokens; without row masks, errors is
-    None.  A scheme that keeps every input unit (glu, gate, up, predictive)
-    also keeps the reference's GLU H: glu and predictive score on it, and
-    the others' outputs are down @ H under their intermediate masks.  Its
-    span is then one block; the other schemes' spans are _ROW_BLOCK //
-    (points * layers) tokens.  So the forward, H and each batch's rows stay
-    within max(_ROW_BLOCK, one token's layers) rows.  The errors of a span's
+    the errors of a span of tokens (_layout) against the dense reference,
+    one stacked forward over the span's layers and tokens; without row
+    masks, errors is None.  A scheme that keeps every input unit (glu, gate,
+    up, predictive) also keeps the reference's GLU H: glu and predictive
+    score on it, and the others' outputs are down @ H under their
+    intermediate masks; their masks do not read the caches, so a span is one
+    block.  So the forward, H and each batch's rows stay within
+    max(_ROW_BLOCK, one token's layers) rows.  The errors of a span's
     mask rows are computed before its last block is yielded, or sooner when
     more than _ROW_BLOCK rows would wait (_score), so the one-token blocks of
     cache-aware masks share one down projection too, and errors is complete
     once the last token is yielded.
     """
     entry = SCHEMES[scheme.name]
-    cached = [g for g, on in zip(groups, live) if on]
     keep_glu = errors is not None and not entry.prunes_input
-    span = block if errors is None or keep_glu else max(
-        block, _ROW_BLOCK // (len(errors) * geo.num_layers))
     units = sum(b.units for b in batches)
     h = ref = None
     for t0 in range(0, acts.shape[0], span):
@@ -605,14 +605,15 @@ def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
         latency = flash / hw.flash_bandwidth + dram / hw.dram_bandwidth
         layer_flash, layer_dram = _running_sums(0.0, traffic.transpose(0, 2, 1, 3).reshape(
             2, num_layers, num_tokens * num_groups))
+        # the run's totals add up over tokens, in token order
+        total_latency, flash_bytes, dram_bytes = _running_sums(
+            0.0, np.stack([latency, flash, dram])).tolist()
+        tail_latency = float(_running_sums(0.0, latency[1:]))
     tokens = [TokenCost(*cost) for cost in zip(
         flash.tolist(), dram.tolist(), latency.tolist(), *counts.sum(axis=(2, 3)).tolist())]
     per_layer = [LayerStats(l, *stats) for l, stats in enumerate(zip(
         *counts.sum(axis=(1, 3)).tolist(), layer_flash.tolist(), layer_dram.tolist()))]
 
-    total_latency = sum(tc.latency_s for tc in tokens)
-    flash_bytes = sum(tc.flash_bytes for tc in tokens)
-    dram_bytes = sum(tc.dram_bytes for tc in tokens)
     if not all(map(math.isfinite, (total_latency, flash_bytes, dram_bytes))):
         raise SimulationError("modelled latency or traffic overflows the float range: "
                               "check the bandwidths and byte sizes")
@@ -621,19 +622,17 @@ def _report(counts: np.ndarray, groups: Sequence[GroupSpec], static: float,
         raise SimulationError("modelled latency of a token underflows to 0: "
                               "check the bandwidths and byte sizes")
     throughput = num_tokens / total_latency if num_tokens else 0.0
-    tail_latency = sum(tc.latency_s for tc in tokens[1:])
     steady = (num_tokens - 1) / tail_latency if num_tokens > 1 else throughput
     if not (math.isfinite(throughput) and math.isfinite(steady)):
         raise SimulationError("modelled throughput overflows the float range: "
                               "check the bandwidths and byte sizes")
-    total_hits = sum(tc.hits for tc in tokens)
-    total_accesses = sum(tc.hits + tc.misses for tc in tokens)
+    hits, misses = counts[:2].sum(axis=(1, 2, 3)).tolist()
     return RunReport(
         num_tokens=num_tokens,
         tokens=tokens,
         throughput=throughput,
         steady_state_throughput=steady,
-        hit_rate=total_hits / total_accesses if total_accesses else 0.0,
+        hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         flash_bytes=flash_bytes,
         dram_bytes=dram_bytes,
         per_layer=per_layer,
@@ -707,9 +706,10 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
     errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
     scored = errors if entry.rows is not None else None
     if live.any() or scored is not None:
-        caches, batches, block, cid = _layout(configs, ks, entry, groups, capacities, live, geo)
-        stream = _unit_stream(scheme, weights, acts, batches, block, groups, live, geo,
-                              scored)
+        caches, batches, block, span, cid = _layout(configs, ks, widths[:, live], entry, groups,
+                                                    capacities, live, policy, geo)
+        stream = _unit_stream(scheme, weights, acts, batches, block, span,
+                              [g for g, on in zip(groups, live) if on], geo, scored)
         next_use = [None] * num_tokens
         if policy == "belady" and caches.num_caches:
             stream = list(stream)
@@ -717,7 +717,7 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
         replayed = np.zeros((3, num_tokens, caches.num_caches), dtype=np.int64)
         # without a live cache the stream yields nothing, and runs only for kernel_eval
         for t, (active, upcoming) in enumerate(zip(stream, next_use)):
-            replayed[:, t] = replay(caches, active, policy, upcoming)
+            replayed[:, t] = replay(caches, active, upcoming)
         counts[..., live] = replayed[:, :, cid]
     return [_report(counts[:, :, p], groups, static, hw,
                     errors[p] if errors is not None else None)

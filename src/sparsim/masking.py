@@ -11,8 +11,10 @@ units, so it calls that function.
 Masks are bool arrays.  There is one row order (rank_rows): each row's
 units from the largest key down, ties to the lower index, i.e. a stable
 descending argsort, found exactly by a faster sort for rows without ties.
-Every top-k is a prefix of it (topk_rows), so one sort serves every k:
-topk_rows takes one k or one k per row, and each row keeps its own prefix.
+Every top-k mask is a prefix of it, marked by prefix_masks, so one sort
+serves every k: topk_rows takes one k or one k per row, and each row keeps
+its own prefix.  The density sweep of calibration takes its masks the same
+way, as prefixes of one order per side.
 
 Each scheme is one function over a batch of rows, one row per input vector,
 returning RowMasks, the one mask type: per side, bool masks plus each row's
@@ -45,6 +47,7 @@ __all__ = [
     "density_to_k",
     "RowMasks",
     "rank_rows",
+    "prefix_masks",
     "topk_rows",
     "GlobalThreshold",
     "PerLayerThreshold",
@@ -120,8 +123,8 @@ def topk_rows(keys: np.ndarray, k):
 
     Returns (order, mask): order [n, max k] is the first max k columns of
     rank_rows, each row's picks from the largest key down with ties to the
-    lower index, and mask [n, dim] marks row i's first k[i] of them, so
-    each row keeps its own prefix of one ranking.
+    lower index, and mask [n, dim] marks row i's first k[i] of them
+    (prefix_masks), so each row keeps its own prefix of one ranking.
     """
     ranked = rank_rows(keys)
     ks = np.asarray(k)
@@ -132,12 +135,18 @@ def topk_rows(keys: np.ndarray, k):
         raise ValueError("k must be in [0, len(values)]")
     # a compact copy: a view would keep all dim columns alive
     order = np.ascontiguousarray(ranked[:, :top])
-    flat = _flat(order, ranked.shape[1])
-    if ks.ndim:  # only the picks within each row's own k
-        flat = flat[np.arange(order.shape[1]) < ks[:, None]]
-    mask = np.zeros(ranked.shape, dtype=bool)
+    return order, prefix_masks(order, ranked.shape[1], ks if ks.ndim else None)
+
+
+def prefix_masks(order: np.ndarray, dim: int, ks: Optional[np.ndarray] = None) -> np.ndarray:
+    """Top-k masks [n, dim] from the leading columns order [n, m] of each
+    row's order (rank_rows): all of order[i], or its first ks[i] units."""
+    flat = _flat(order, dim)
+    if ks is not None:  # only the picks within each row's own k
+        flat = flat[np.arange(order.shape[1]) < np.asarray(ks)[:, None]]
+    mask = np.zeros((len(order), dim), dtype=bool)
     mask.reshape(-1)[flat] = True
-    return order, mask
+    return mask
 
 
 def _flat(cols: np.ndarray, dim: int) -> np.ndarray:
@@ -209,17 +218,13 @@ def apply_threshold(values: np.ndarray, spec: ThresholdSpec, layer: int = 0) -> 
 # or one per row (topk_rows).  Every score is >= 0 or, for predictor logits,
 # ranked by value, so the scores are the top-k keys themselves.
 
-def _full_side(n: int, dim: int):
-    """(order, mask) of a side kept dense: every unit, in index order."""
-    return np.broadcast_to(np.arange(dim), (n, dim)), np.ones((n, dim), dtype=bool)
-
-
 def _intermediate_rows(x: np.ndarray, scores: np.ndarray, k_mid,
                        glu: Optional[np.ndarray] = None) -> RowMasks:
-    """Dense input side of the rows x, top-k_mid intermediate units by score."""
-    in_order, in_mask = _full_side(len(scores), np.shape(x)[-1])
-    mid_order, mid_mask = topk_rows(scores, k_mid)
-    return RowMasks(in_order, in_mask, mid_order, mid_mask, glu)
+    """Dense input side of the rows x (every unit, in index order), top-k_mid
+    intermediate units by score."""
+    n, dim = len(scores), np.shape(x)[-1]
+    return RowMasks(np.broadcast_to(np.arange(dim), (n, dim)), np.ones((n, dim), dtype=bool),
+                    *topk_rows(scores, k_mid), glu)
 
 
 def _input_pruning_rows(w, x: np.ndarray, in_scores: np.ndarray,

@@ -106,10 +106,10 @@ def test_criterion_2_belady_optimality():
         trace = [[int(rng.integers(n_units))] for _ in range(steps)]
 
         def run(kind):
-            state = CacheState(capacity_units=capacity, universe=n_units)
+            state = CacheState(capacity_units=capacity, universe=n_units, policy=kind)
             next_use = (belady_precompute(trace) if kind == "belady"
                         else [None] * len(trace))
-            return sum(int(replay(state, active, kind, upcoming)[0].sum())
+            return sum(int(replay(state, active, upcoming)[0].sum())
                        for active, upcoming in zip(trace, next_use))
 
         optimal = brute_force_best_hits(trace, capacity)

@@ -2,6 +2,7 @@
 (the simulator's no-cache policy), hit/miss/bypass accounting, and the
 offline policy's optimality against an exhaustive-search oracle."""
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -27,18 +28,18 @@ def _resident(state):
     return set(state.resident.tolist())
 
 
-def _step(state, active, policy, next_use=None):
+def _step(state, active, next_use=None):
     """One token through replay, its counts summed over the caches."""
-    return Stats(*(int(v.sum()) for v in replay(state, active, policy, next_use)))
+    return Stats(*(int(v.sum()) for v in replay(state, active, next_use)))
 
 
 def _run(trace, policy, capacity):
     """Drive a unit-access trace through a fresh cache; returns (stats, state)."""
-    state = CacheState(capacity_units=capacity, universe=UNIVERSE)
+    state = CacheState(capacity_units=capacity, universe=UNIVERSE, policy=policy)
     next_use = belady_precompute(trace) if policy == "belady" else [None] * len(trace)
     total = Stats(0, 0, 0)
     for active, upcoming in zip(trace, next_use):
-        step = _step(state, list(active), policy, upcoming)
+        step = _step(state, list(active), upcoming)
         total = Stats(*(a + b for a, b in zip(total, step)))
     return total, state
 
@@ -74,23 +75,29 @@ def test_lru_evicts_least_recently_used():
 
 def test_lfu_tie_breaks_by_lru_then_index():
     # equal counts: B older than C, so B goes first
-    state = CacheState(capacity_units=2, universe=UNIVERSE)
+    state = CacheState(capacity_units=2, universe=UNIVERSE, policy="lfu")
     for unit in (B, C, A):
-        replay(state, [unit], "lfu")
+        replay(state, [unit])
     assert _resident(state) == {C, A}
 
 
 def test_nocache_always_bypasses():
-    # nocache is capacity 0, which bypasses every access under any policy;
-    # replay itself takes only the eviction policies
+    # nocache is capacity 0, which bypasses every access under any policy
     for kind in ("lfu", "lru", "belady"):
         stats, state = _run([[A, B], [A, B]], kind, capacity=0)
         assert stats.hits == 0
         assert stats.misses == 4
         assert stats.bypassed == 4
         assert _resident(state) == set()
-        with pytest.raises(ValueError, match="unknown policy"):
-            replay(state, [A], "nocache")
+
+
+def test_replay_rejects_a_nocache_state():
+    # replay takes the three eviction policies: a state made for nocache
+    # replays nothing, and the rejected token changes nothing
+    state = CacheState(capacity_units=0, universe=UNIVERSE, policy="nocache")
+    with pytest.raises(ValueError, match="nocache"):
+        replay(state, [A])
+    assert state.clock == 0 and not state.is_active.any()
 
 
 def test_capacity_zero_bypasses_everything():
@@ -120,17 +127,17 @@ def test_admission_order_matters_at_capacity():
 # ---------------------------------------------------------------------------
 
 def test_duplicate_active_units_rejected():
-    state = CacheState(capacity_units=2, universe=UNIVERSE)
+    state = CacheState(capacity_units=2, universe=UNIVERSE, policy="lfu")
     with pytest.raises(ValueError):
-        replay(state, [A, A], "lfu")
+        replay(state, [A, A])
 
 
 def test_out_of_range_units_rejected():
-    state = CacheState(capacity_units=2, universe=1)
+    state = CacheState(capacity_units=2, universe=1, policy="lfu")
     with pytest.raises(ValueError):
-        replay(state, [B], "lfu")  # B is outside [0, 1)
+        replay(state, [B])  # B is outside [0, 1)
     with pytest.raises(ValueError):
-        replay(state, [-1], "lfu")
+        replay(state, [-1])
 
 
 def test_non_integer_unit_ids_rejected():
@@ -138,48 +145,81 @@ def test_non_integer_unit_ids_rejected():
     # [True, False] as units [1, 0]
     for ids in ([0.5, 2.9], np.array([0.0, 1.0]), [True, False], np.array([True]),
                 ["0"], [0, None]):
-        state = CacheState(2, 4)
+        state = CacheState(2, 4, "lfu")
         with pytest.raises(ValueError):
-            replay(state, ids, "lfu")
+            replay(state, ids)
         assert state.resident.tolist() == [] and state.clock == 0
         with pytest.raises(ValueError):
             belady_precompute([[1, 2], ids])
     with pytest.raises(ValueError, match="integers"):
         belady_precompute([[0.5, 1]])
     # empty lists stay valid, whatever numpy makes of their type
-    state = CacheState(2, 4)
+    state = CacheState(2, 4, "lfu")
     for ids in ([], np.array([]), np.zeros(0, dtype=bool)):
-        hits, misses, bypassed = replay(state, ids, "lfu")
+        hits, misses, bypassed = replay(state, ids)
         assert (hits.tolist(), misses.tolist(), bypassed.tolist()) == ([0], [0], [0])
     assert [u.tolist() for u in belady_precompute([[], np.array([]), [3]])] == [[], [], [3]]
     # every integer type is taken as is
     for dtype in (np.int8, np.uint16, np.int64):
-        assert replay(CacheState(2, 4), np.array([3, 1], dtype=dtype), "lfu")[1].tolist() == [2]
+        assert replay(CacheState(2, 4, "lfu"), np.array([3, 1], dtype=dtype))[1].tolist() == [2]
+
+
+@pytest.mark.parametrize("policy,fields", [
+    ("lfu", {"freq", "last_use"}), ("lru", {"last_use"}), ("belady", {"next_use"}),
+    ("nocache", set())])
+def test_cache_state_holds_only_its_policy_fields(policy, fields):
+    # the fields its eviction key reads, one int64 per unit; the rest are None
+    state = CacheState(capacity_units=[1, 2], universe=[3, 4], policy=policy)
+    assert state.policy == policy
+    held = {f for f in ("freq", "last_use", "next_use") if getattr(state, f) is not None}
+    assert held == fields
+    for f in fields:
+        assert getattr(state, f).dtype == np.int64 and getattr(state, f).shape == (7,)
+
+
+@pytest.mark.parametrize("policy,per_unit", [
+    ("lfu", 26), ("lru", 18), ("belady", 18), ("nocache", 10)])
+def test_cache_state_bytes_per_unit(policy, per_unit):
+    # cache_of (int64) and the two bool arrays, 10 bytes a unit, plus 8 for
+    # each field the policy reads; what a state holds per cache is a few
+    # hundred bytes here
+    universe = 1 << 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = CacheState(capacity_units=[8] * 4, universe=[universe // 4] * 4,
+                           policy=policy)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.universe == universe
+    assert per_unit * universe <= held < per_unit * universe + 4096, held / universe
 
 
 def test_belady_requires_position():
     # Belady needs the token's next-use positions, one per active unit
     trace = [[A], [B, C], [C]]
     next_use = belady_precompute(trace)
-    state = CacheState(capacity_units=1, universe=UNIVERSE)
-    replay(state, [A], "belady", next_use[0])
+    state = CacheState(capacity_units=1, universe=UNIVERSE, policy="belady")
+    replay(state, [A], next_use[0])
     with pytest.raises(ValueError, match="next use"):
-        replay(state, [B, C], "belady")
+        replay(state, [B, C])
     with pytest.raises(ValueError, match="next use"):
-        replay(state, [B, C], "belady", next_use[0])  # one position for two units
+        replay(state, [B, C], next_use[0])  # one position for two units
     assert state.clock == 1  # a rejected token changes nothing
-    replay(state, [B, C], "belady", next_use[1])
+    replay(state, [B, C], next_use[1])
 
 
 def test_eviction_policy_validation():
-    state = CacheState(capacity_units=1, universe=UNIVERSE)
+    # a state checks its policy once, when it is made
     for policy in ("random", "LFU", ""):
         with pytest.raises(ValueError, match="unknown policy"):
-            replay(state, [A], policy)
+            CacheState(capacity_units=1, universe=UNIVERSE, policy=policy)
+    state = CacheState(capacity_units=1, universe=UNIVERSE, policy="belady")
     with pytest.raises(ValueError, match="next use"):
-        replay(state, [A], "belady")  # no next-use array
+        replay(state, [A])  # no next-use array
     with pytest.raises(ValueError, match="next use"):
-        replay(state, [A], "belady", [1, 2])  # wrong length
+        replay(state, [A], [1, 2])  # wrong length
     assert state.clock == 0 and _resident(state) == set()
 
 
@@ -233,7 +273,10 @@ def test_cache_update_is_deterministic(trace, capacity, kind):
     s2, st2 = _run(trace, kind, capacity)
     assert (s1.hits, s1.misses, s1.bypassed) == (s2.hits, s2.misses, s2.bypassed)
     np.testing.assert_array_equal(st1.resident, st2.resident)
-    np.testing.assert_array_equal(st1.freq[st1.resident], st2.freq[st2.resident])
+    for field in ("freq", "last_use", "next_use"):
+        if getattr(st1, field) is not None:
+            np.testing.assert_array_equal(getattr(st1, field)[st1.resident],
+                                          getattr(st2, field)[st2.resident])
 
 
 @st.composite
@@ -254,15 +297,15 @@ def oracle_case(draw, max_units=8, max_steps=10):
 @settings(max_examples=400, deadline=None)
 def test_batch_replay_matches_per_unit_oracle(case, kind):
     universe, capacity, trace = case
-    state = CacheState(capacity_units=capacity, universe=universe)
+    state = CacheState(capacity_units=capacity, universe=universe, policy=kind)
     next_use = belady_precompute(trace) if kind == "belady" else [None] * len(trace)
     ref = ReferenceCache(capacity)
     for pos, active in enumerate(trace):
-        stats = _step(state, active, kind, next_use[pos])
+        stats = _step(state, active, next_use[pos])
         expected = ref.update(active, kind, trace=trace, position=pos)
         assert (stats.hits, stats.misses, stats.bypassed) == expected, f"token {pos}"
         assert _resident(state) == ref.resident, f"token {pos}"
-        # replay keeps only the fields its policy reads
+        # the state keeps only the fields its policy reads
         if kind == "lfu":
             assert {u: int(state.freq[u]) for u in ref.resident} == ref.freq
         if kind in ("lfu", "lru"):
@@ -290,13 +333,13 @@ def many_caches_case(draw, max_caches=4, max_units=6, max_steps=8):
 def test_replay_of_many_caches_matches_one_oracle_per_cache(case, kind):
     # one batched replay of every cache equals each cache replayed alone
     universes, capacities, tokens = case
-    state = CacheState(capacity_units=capacities, universe=universes)
+    state = CacheState(capacity_units=capacities, universe=universes, policy=kind)
     offsets = np.concatenate(([0], np.cumsum(universes)))
     flat = [[offsets[c] + u for c, units in enumerate(tok) for u in units] for tok in tokens]
     next_use = belady_precompute(flat) if kind == "belady" else [None] * len(flat)
     refs = [ReferenceCache(cap) for cap in capacities]
     for pos, (tok, active) in enumerate(zip(tokens, flat)):
-        hits, misses, bypassed = replay(state, active, kind, next_use[pos])
+        hits, misses, bypassed = replay(state, active, next_use[pos])
         resident = state.resident
         for c, units in enumerate(tok):
             expected = refs[c].update(units, kind, trace=[t[c] for t in tokens],
@@ -340,14 +383,14 @@ def test_replay_past_the_int64_key_bound_matches_one_oracle_per_cache(kind, monk
         next_use = [None] * len(flat)
         if kind == "belady":
             next_use = [np.where(u == len(flat), 2**62, u) for u in belady_precompute(flat)]
-        state = CacheState(capacity_units=capacities, universe=universes)
+        state = CacheState(capacity_units=capacities, universe=universes, policy=kind)
         refs = [ReferenceCache(cap) for cap in capacities]
         if kind != "belady":
             state.clock = _last_clock_that_fits(kind, len(universes)) - 8
             for ref in refs:
                 ref.clock = state.clock
         for pos, (tok, active) in enumerate(zip(tokens, flat)):
-            hits, misses, bypassed = replay(state, active, kind, next_use[pos])
+            hits, misses, bypassed = replay(state, active, next_use[pos])
             resident = state.resident
             for c, units in enumerate(tok):
                 where = f"case {case} token {pos} cache {c}"
@@ -366,18 +409,18 @@ def test_replay_past_the_int64_key_bound_matches_one_oracle_per_cache(kind, monk
 
 
 def test_replay_validates_the_flat_units():
-    state = CacheState(capacity_units=[1, 2], universe=[2, 3])  # flat ids 0-1, 2-4
+    state = CacheState(capacity_units=[1, 2], universe=[2, 3], policy="lfu")  # ids 0-1, 2-4
     with pytest.raises(ValueError, match="ascending cache order"):
-        replay(state, [2, 0], "lfu")  # cache 1's unit before cache 0's
+        replay(state, [2, 0])  # cache 1's unit before cache 0's
     with pytest.raises(ValueError, match="outside"):
-        replay(state, [5], "lfu")
+        replay(state, [5])
     with pytest.raises(ValueError, match="distinct"):
-        replay(state, [3, 3], "lfu")
+        replay(state, [3, 3])
     with pytest.raises(ValueError):
-        CacheState(capacity_units=[1, 2], universe=[2])
+        CacheState(capacity_units=[1, 2], universe=[2], policy="lfu")
     with pytest.raises(ValueError):
-        CacheState(capacity_units=[1, -1], universe=[2, 2])
-    hits, misses, bypassed = replay(state, [1, 0, 4, 2, 3], "lfu")
+        CacheState(capacity_units=[1, -1], universe=[2, 2], policy="lfu")
+    hits, misses, bypassed = replay(state, [1, 0, 4, 2, 3])
     assert (hits.tolist(), misses.tolist(), bypassed.tolist()) == ([0, 0], [2, 3], [1, 1])
     assert state.resident.tolist() == [1, 2, 4]  # first-offered misses admitted
 

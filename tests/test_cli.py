@@ -1,8 +1,10 @@
 """Command-line experiment runner: every verb, report schema, determinism,
 and exit-code mapping."""
+import builtins
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -125,6 +127,30 @@ def test_run_reports_are_deterministic_modulo_timestamp(tmp_path):
     strip = lambda p: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null',
                              p.read_text())
     assert strip(out1) == strip(out2)
+
+
+def test_report_totals_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # a report's float totals add up in token order, as its per-token and
+    # per-layer sums do; the builtin sum's float path is compensated from
+    # Python 3.12, so a total that used it would change with the Python
+    # version.  Shadowing it in hwsim with a compensated sum changes no byte
+    def compensated(values, start=0):
+        values = list(values)
+        if any(isinstance(v, float) for v in values):
+            return math.fsum([start, *values])
+        return builtins.sum(values, start)
+
+    cfg = _write_config(tmp_path, "c.json", _run_config(
+        trace={"synthetic": {"num_tokens": 40, "sigma": 2.0}}))
+    out = tmp_path / "r.json"
+
+    def report():
+        assert main(["run", "--config", cfg, "--out", str(out), "--per-token"]) == EXIT_OK
+        return re.sub(rb'"timestamp": "[^"]*"', b"", out.read_bytes())
+
+    want = report()
+    monkeypatch.setattr(hwsim, "sum", compensated, raising=False)
+    assert report() == want
 
 
 def test_run_config_echo(tmp_path):
@@ -473,6 +499,8 @@ def test_simulation_error_for_latency_underflow(tmp_path, capsys, per_token):
     assert capsys.readouterr().err == ""
     metrics = _load(out)["metrics"]
     assert metrics["throughput_tok_per_s"] == metrics["steady_state_throughput_tok_per_s"] == 0.0
+    # nor traffic: the totals are float sums, as the per-layer ones are
+    assert [type(metrics[k]) for k in ("flash_bytes", "dram_bytes")] == [float, float]
 
 
 @pytest.mark.parametrize("per_token", [False, True])
@@ -748,6 +776,33 @@ def test_validation_error_for_inputs_that_overflow(tmp_path, capsys, verb, cfg, 
         code = main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
                      "--out", str(out)])
     assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and what in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_CALIBRATE = {"block": {"d_model": 8, "d_ff": 24},
+              "grid": {"densities_in": [0.25, 0.75], "densities_mid": [0.25, 0.75]},
+              "targets": [0.5]}
+
+
+@pytest.mark.parametrize("verb,cfg,what", [
+    ("calibrate-allocation", {**_CALIBRATE, "calibration": {"sigma": 0}},
+     "calibration.sigma must be > 0"),
+    ("calibrate-allocation", {**_CALIBRATE, "calibration": {"sigma": -1}},
+     "calibration.sigma must be > 0"),
+    ("gen-trace", {"num_tokens": 3, "num_layers": 2, "d_model": 8, "d_ff": 24, "sigma": 0},
+     "sigma must be > 0"),
+    ("run", _run_config(trace={"synthetic": {"num_tokens": 3, "sigma": 0}}),
+     "sigma must be > 0"),
+], ids=["calibration-sigma-0", "calibration-sigma-negative", "gen-trace", "run"])
+def test_validation_error_for_a_sigma_not_above_zero(tmp_path, capsys, verb, cfg, what):
+    # every verb that draws lognormal data rejects sigma <= 0 in one line;
+    # calibrate-allocation once ran sigma 0 as exit 0 and passed -1 to numpy
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error") and what in err
     assert err.count("\n") == 1

@@ -855,7 +855,7 @@ def test_sweeps_with_repeated_points_equal_their_own_runs(scheme, policy, data):
     with mock.patch.object(hwsim, "_layout",
                            lambda *a: layouts.append((a[1], layout(*a))) or layouts[-1][1]):
         got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
-    (ks, (_, batches, _, _)), = layouts
+    (ks, (_, batches, _, _, _)), = layouts
     assert ks == [cfg.k_values(GEO) for cfg in configs]
     if not cache_aware:
         assert [b.per_layer for b in batches] == [1] * len(points)
@@ -905,7 +905,7 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
                 calls.clear(), layouts.clear()
                 got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
                 assert got == wants, (scheme, policy, row_block)
-                (laid_ks, (caches, batches, block, _)), = layouts
+                (laid_ks, (caches, batches, block, span, _)), = layouts
                 assert laid_ks == ks
                 assert caches.num_caches > 0
                 for b in batches:
@@ -914,7 +914,9 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
                     assert np.array_equal(b.point[:b.per_layer], b.point[-b.per_layer:])
                 if scheme == "dip_ca":
                     # one call per token and chunk, its rows of every k of
-                    # the chunk
+                    # the chunk; kernel_eval scores spans of tokens
+                    assert block == 1
+                    assert span == max(1, row_block // (len(points) * GEO.num_layers))
                     assert [b.per_layer for b in batches] == ca_sizes
                     assert calls == [len({ks[p] for p in b.point})
                                      for _ in range(tr.num_tokens) for b in batches]
@@ -923,6 +925,7 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
                     # block of tokens
                     assert [b.per_layer for b in batches] == [1] * len(points)
                     assert block == max(1, row_block // max(len(points), GEO.num_layers))
+                    assert span == block  # kernel_eval scores a block at a time
                     blocks = -(-tr.num_tokens // block)
                     assert calls == [1] * (len(points) * blocks), (scheme, row_block)
             monkeypatch.setattr(hwsim, "_ROW_BLOCK", default)
@@ -953,7 +956,7 @@ def test_layout_gives_cache_aware_batches_views_of_their_caches(monkeypatch):
         layouts.clear()
         sweep_runs(tr, w, SchemeConfig(name=scheme, density_mid=0.5),
                    [(0.25, 0.3), (0.5, 1.0), (0.75, 0.0)], policy, hw, GEO, kernel_eval=True)
-        (caches, batches, _, _), = layouts
+        (caches, batches, _, _, _), = layouts
         universes = [g.universe for g in scheme_groups(scheme, GEO)]
         for b in batches:
             if not SCHEMES[scheme].cache_aware:

@@ -110,6 +110,26 @@ def test_rank_rows_is_the_stable_descending_order(seed, kind, n, dim):
         np.testing.assert_array_equal(mask, keep)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KEY_KINDS), st.integers(0, 6),
+       st.sampled_from([1, 2, 7, D_FF]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_prefix_masks_equal_per_row_topk_masks(seed, kind, n, dim, data):
+    # masks as prefixes of one order per batch, a k per row, on keys with
+    # ties and +-0.0: each row's mask is topk_rows' mask at its own k
+    keys = _keys(kind, n, dim, np.random.default_rng(seed))
+    ks = np.array(data.draw(st.lists(st.integers(0, dim), min_size=n, max_size=n)),
+                  dtype=np.intp)
+    order = rank_rows(keys)
+    mask = masking.prefix_masks(order[:, :ks.max(initial=0)], dim, ks)
+    assert mask.shape == keys.shape and mask.dtype == bool
+    for i, k in enumerate(ks.tolist()):
+        np.testing.assert_array_equal(mask[i], topk_rows(keys[i:i + 1], k)[1][0])
+    # without ks every row keeps every column given: one k for all rows
+    for k in range(dim + 1):
+        np.testing.assert_array_equal(masking.prefix_masks(order[:, :k], dim),
+                                      topk_rows(keys, k)[1])
+
+
 @given(batches(dim=D_FF), st.data())
 @settings(max_examples=80, deadline=None)
 def test_topk_rows_match_per_vector_oracle(batch, data):

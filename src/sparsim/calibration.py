@@ -140,8 +140,11 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     and the order of |H| once per input density (H does not depend on the
     intermediate density), then one down projection and one row-error call
     per grid point.  The selections are those of masking.dip_rows.  A grid
-    point whose error is not finite raises InputOverflowError.
+    point whose error is not finite raises InputOverflowError.  w must be
+    one block: a stack of layers is a ValueError.
     """
+    if w.up.ndim != 2:
+        raise ValueError("need one block of MlpWeights, not a stack of layers")
     if len(inputs) == 0:
         raise ValueError("need at least one calibration input")
     xs = np.asarray(inputs, dtype=float)

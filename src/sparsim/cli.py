@@ -10,7 +10,10 @@ Configs are JSON, and _fields reads each config object through a schema of
 typed converters, one per key.  The hardware, geometry, scheme and
 synthetic-trace objects build their dataclasses, which hold the defaults, and
 reports echo every dataclass field.  A scheme key that the named scheme never
-reads (hwsim.Scheme.reads) is rejected.  Reports are JSON written atomically
+reads (hwsim.Scheme.reads) is rejected.  run, sweep and gamma-sweep read
+their keys (_read), check them and build their points before _setup builds
+the trace and the weights, so a verb's own config error exits before either
+is built.  Reports are JSON written atomically
 (temp file + rename) with sorted keys, so re-running an identical config and
 seed reproduces the report byte-for-byte except the timestamp field.
 
@@ -29,7 +32,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -102,6 +105,12 @@ def _float(v, what: str) -> float:
 def _int(v, what: str) -> int:
     if not _float(v, what).is_integer():
         raise ConfigError(f"{what} must be an integer")
+    return int(v)
+
+
+def _seed(v, what: str) -> int:
+    if _int(v, what) < 0:
+        raise ConfigError(f"{what} must be >= 0")
     return int(v)
 
 
@@ -182,7 +191,7 @@ def _build(cls, d, what: str, schema: dict, **given):
 # The dimensions a geometry shares with a synthetic trace.
 _DIMS = {"num_layers": _int, "d_model": _int, "d_ff": _int}
 _SYNTHETIC = {"num_tokens": _int, **_DIMS, "mu": _float_or_floats,
-              "sigma": _float_or_floats, "seed": _int}
+              "sigma": _float_or_floats, "seed": _seed}
 _SCHEME = {"name": _str, "density_mid": _optional_number, "density_in": _optional_number,
            "gamma": _float, "reweight_input": _bool, "reweight_intermediate": _bool,
            "predictor_hidden": _int}
@@ -265,26 +274,29 @@ class _Setup(NamedTuple):
     hw: HardwareConfig
     trace: traces.Trace
     weights: Optional[MlpWeights]  # the layers' stack; None unless the scheme has row masks
-    kernel_eval: bool
-    fields: dict  # the verb's own keys, read through its schema
     config: dict  # the echo of seed, trace, geometry and hardware
 
 
-def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -> _Setup:
+def _read(args, schema: dict, required: tuple) -> dict:
     """The config of run, sweep or gamma-sweep: the keys they share (seed,
-    geometry, hardware, trace) and the verb's own schema and required keys.
-    runs(fields) gives the engine's scheme, policy, points and kernel_eval.
-    The caches and per-token state (with per-token records if records) are
-    checked before the trace is built, and the synthetic layer weights are
-    built when the engine reads them: for row masks.  A scheme without them
-    is the dense block, whose kernel error is 0 without a forward."""
-    fields = _fields(_load_config(args), "", {
-        "seed": _int, "geometry": _geometry, "hardware": _hardware, **schema,
+    geometry, hardware, trace) and the verb's own schema and required
+    keys.  The trace is read by _setup."""
+    return _fields(_load_config(args), "", {
+        "seed": _seed, "geometry": _geometry, "hardware": _hardware, **schema,
         "trace": _raw}, ("trace", "geometry", "hardware") + required)
-    seed = fields.pop("seed", 0)
-    (geo, geo_echo), (hw, hw_echo) = fields.pop("geometry"), fields.pop("hardware")
+
+
+def _setup(fields: dict, scheme: str, policy: str, points: int, records=False) -> _Setup:
+    """The trace and the weights of a verb's config fields (_read), once the
+    verb has checked its own keys, for points runs of the scheme under
+    policy.  The caches and per-token state (with per-token records if
+    records) are checked before the trace is built, and the synthetic layer
+    weights are built when the engine reads them: for row masks.  A scheme
+    without them is the dense block, whose kernel error is 0 without a
+    forward."""
+    seed = fields.get("seed", 0)
+    (geo, geo_echo), (hw, hw_echo) = fields["geometry"], fields["hardware"]
     _check_bytes("the MLP weights", 3, geo.num_layers, geo.d_model, geo.d_ff)
-    scheme, policy, points, kernel_eval = runs(fields)
     groups = hwsim.scheme_groups(scheme, geo)
     units = sum(g.universe for g in groups)  # the units of one layer's caches
     # 16 words per unit of every (point, layer)'s caches: 26 B of CacheState, an
@@ -296,10 +308,10 @@ def _setup(args, schema: dict, required: tuple, runs: Callable, records=False) -
     # 64 (0.35-0.55 kB measured, mostly a TokenCost), 256 per record (~2 kB)
     stream = 2 * units if policy == "belady" else 0
     words = geo.num_layers * (3 * len(groups) + 1 + stream) + 64 + 256 * records
-    trace, trace_echo = _resolve_trace(fields.pop("trace"), geo, seed, (points, words))
+    trace, trace_echo = _resolve_trace(fields["trace"], geo, seed, (points, words))
     weights = (traces.synthetic_layer_weights(geo.num_layers, geo.d_model, geo.d_ff, seed=seed)
                if SCHEMES[scheme].rows is not None else None)
-    return _Setup(geo, hw, trace, weights, kernel_eval, fields, {
+    return _Setup(geo, hw, trace, weights, {
         "seed": seed, "trace": trace_echo, "geometry": geo_echo, "hardware": hw_echo})
 
 
@@ -334,15 +346,15 @@ def _metrics(report: hwsim.RunReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> None:
-    s = _setup(args, {"scheme": _scheme, "policy": _policy, "kernel_eval": _bool},
-               ("scheme", "policy"), lambda f: (f["scheme"][0].name, f["policy"], 1,
-                                                f.get("kernel_eval", False)),
-               args.per_token)
-    (scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
+    f = _read(args, {"scheme": _scheme, "policy": _policy, "kernel_eval": _bool},
+              ("scheme", "policy"))
+    (scheme, scheme_echo), policy = f["scheme"], f["policy"]
+    kernel_eval = f.get("kernel_eval", False)
+    s = _setup(f, scheme.name, policy, 1, args.per_token)
     report = hwsim.simulate_run(s.trace, s.weights, scheme, policy, s.hw, s.geo,
-                                kernel_eval=s.kernel_eval)
+                                kernel_eval=kernel_eval)
     out = _report_skeleton("run", {**s.config, "scheme": scheme_echo, "policy": policy,
-                                   "kernel_eval": s.kernel_eval})
+                                   "kernel_eval": kernel_eval})
     out["metrics"] = _metrics(report)
     out["per_layer"] = [{**dataclasses.asdict(ls), "hit_rate": ls.hit_rate}
                         for ls in report.per_layer]
@@ -358,38 +370,38 @@ def _cmd_gen_trace(args) -> None:
     traces.write_trace(args.out, trace)
 
 
-def _sweep_rows(s: _Setup, scheme: SchemeConfig, points, policy: str,
-                error_key: str) -> List[dict]:
-    """One report row per (density, gamma) point of one hwsim.sweep_runs
-    pass; the row names the point's gamma when it sets one, and its mean
-    kernel error under error_key."""
+def _sweep_rows(fields: dict, scheme: SchemeConfig, points, policy: str, kernel_eval: bool,
+                error_key: str) -> tuple[_Setup, List[dict]]:
+    """The setup of a sweep verb's config fields (_read) and one report row
+    per (density, gamma) point of one hwsim.sweep_runs pass; the row names
+    the point's gamma when it sets one, and its mean kernel error under
+    error_key.  A point out of range exits before the trace is built."""
+    hwsim.sweep_configs(scheme, points)
+    s = _setup(fields, scheme.name, policy, len(points))
     reports = hwsim.sweep_runs(s.trace, s.weights, scheme, points, policy, s.hw, s.geo,
-                               kernel_eval=s.kernel_eval)
-    return [{"density": density, "throughput": rep.throughput,
-             "steady_state_throughput": rep.steady_state_throughput,
-             error_key: rep.mean_error, "hit_rate": rep.hit_rate,
-             **({} if gamma is None else {"gamma": gamma})}
-            for (density, gamma), rep in zip(points, reports)]
+                               kernel_eval=kernel_eval)
+    return s, [{"density": density, "throughput": rep.throughput,
+                "steady_state_throughput": rep.steady_state_throughput,
+                error_key: rep.mean_error, "hit_rate": rep.hit_rate,
+                **({} if gamma is None else {"gamma": gamma})}
+               for (density, gamma), rep in zip(points, reports)]
 
 
 _GRID = {"densities": _nonempty_floats, "gammas": _nonempty_floats, "error_budgets": _floats}
 
 
 def _cmd_sweep(args) -> None:
-    # error budgets need the kernel error, so the sweep always evaluates it
-    s = _setup(args, {"scheme": _sweep_scheme, "policy": _policy,
-                      "sweep": lambda v, what: _fields(v, what, _GRID, ("densities",))},
-               ("scheme", "policy", "sweep"), lambda f: (
-                   f["scheme"][0].name, f["policy"],
-                   len(f["sweep"]["densities"]) * len(f["sweep"].get("gammas", [None])), True))
-    (base_scheme, scheme_echo), policy = s.fields["scheme"], s.fields["policy"]
-    grid = s.fields["sweep"]
+    f = _read(args, {"scheme": _sweep_scheme, "policy": _policy,
+                     "sweep": lambda v, what: _fields(v, what, _GRID, ("densities",))},
+              ("scheme", "policy", "sweep"))
+    (base_scheme, scheme_echo), policy, grid = f["scheme"], f["policy"], f["sweep"]
     densities, gammas = grid["densities"], grid.get("gammas")
     budgets = grid.get("error_budgets", [])
     if gammas is not None and not SCHEMES[base_scheme.name].cache_aware:
         raise ConfigError("sweep.gammas only applies to cache-aware schemes (dip_ca)")
     points = [(d, g) for d in densities for g in (gammas if gammas is not None else [None])]
-    rows = _sweep_rows(s, base_scheme, points, policy, "error")
+    # error budgets need the kernel error, so the sweep always evaluates it
+    s, rows = _sweep_rows(f, base_scheme, points, policy, True, "error")
 
     summaries = []
     for budget in budgets:
@@ -411,15 +423,15 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_calibrate_allocation(args) -> None:
     cfg = _fields(_load_config(args), "", {
-        "seed": _int, "block": _raw, "calibration": _raw, "grid": _raw, "targets": _raw},
+        "seed": _seed, "block": _raw, "calibration": _raw, "grid": _raw, "targets": _raw},
         ("block", "grid", "targets"))
     seed = cfg.get("seed", 0)
     block = {"seed": seed, **_fields(cfg["block"], "block", {
-        "d_model": _int, "d_ff": _int, "seed": _int}, ("d_model", "d_ff"))}
+        "d_model": _int, "d_ff": _int, "seed": _seed}, ("d_model", "d_ff"))}
     d_model, d_ff = block["d_model"], block["d_ff"]
     calib = {"num_inputs": 32, "sigma": 1.5, "seed": seed,
              **_fields(cfg.get("calibration", {}), "calibration", {
-                 "num_inputs": _int, "sigma": _float, "seed": _int})}
+                 "num_inputs": _int, "sigma": _float, "seed": _seed})}
     if calib["num_inputs"] < 1:
         raise ConfigError("calibration.num_inputs must be >= 1")
     if calib["sigma"] <= 0:
@@ -459,20 +471,17 @@ def _cmd_calibrate_allocation(args) -> None:
 
 
 def _cmd_gamma_sweep(args) -> None:
-    s = _setup(args, {"policy": _policy, "kernel_eval": _bool, "gammas": _nonempty_floats,
-                      "densities": _nonempty_floats}, ("gammas", "densities"),
-               lambda f: ("dip_ca", f.get("policy", "lfu"),
-                          len(f["gammas"]) * len(f["densities"]), f.get("kernel_eval", True)))
-    policy = s.fields.get("policy", "lfu")
-    gammas, densities = s.fields["gammas"], s.fields["densities"]
+    f = _read(args, {"policy": _policy, "kernel_eval": _bool, "gammas": _nonempty_floats,
+                     "densities": _nonempty_floats}, ("gammas", "densities"))
+    policy, kernel_eval = f.get("policy", "lfu"), f.get("kernel_eval", True)
     # dip_ca, gamma by gamma (gamma = 1 rows equal dip); belady is rejected
     # by hwsim._simulate, since dip_ca masks depend on the cache
-    points = [(density, gamma) for gamma in gammas for density in densities]
-    rows = _sweep_rows(s, SchemeConfig(name="dip_ca", density_mid=1.0), points, policy,
-                       "mean_error")
+    scheme = SchemeConfig(name="dip_ca", density_mid=1.0)
+    points = [(density, gamma) for gamma in f["gammas"] for density in f["densities"]]
+    s, rows = _sweep_rows(f, scheme, points, policy, kernel_eval, "mean_error")
     out = _report_skeleton("gamma-sweep", {
-        **s.config, "policy": policy, "gammas": gammas, "densities": densities,
-        "kernel_eval": s.kernel_eval})
+        **s.config, "policy": policy, "gammas": f["gammas"], "densities": f["densities"],
+        "kernel_eval": kernel_eval})
     out["rows"] = rows
     _write_report(args.out, out)
 

@@ -20,7 +20,9 @@ counts follow in closed form from the units it sees per token, w, and
 kept = min(w, capacity): token 0 has 0 hits, w misses and w - kept
 bypassed, and every later token kept hits, w - kept misses and w - kept
 bypassed.  Only the other caches replay, so every dense and nocache run
-replays nothing.
+replays nothing.  Every run builds one CacheState of the live caches, an
+empty one when none is live, and that state is the engine's one check of
+the policy name.
 
 Each scheme is one entry of SCHEMES, and its unit groups, k values, static
 charge, mask stream and Belady rejection all read from that entry.
@@ -54,7 +56,7 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Seque
 import numpy as np
 
 from . import masking
-from .cache import POLICY_NAMES, CacheState, Group, belady_precompute, replay
+from .cache import CacheState, Group, belady_precompute, replay
 from .mlp import MlpWeights, _masked, down_projection, glu_activations, rel_l2_rows
 
 __all__ = [
@@ -73,6 +75,7 @@ __all__ = [
     "RunReport",
     "simulate_run",
     "sweep_runs",
+    "sweep_configs",
     "throughput_at_error",
 ]
 
@@ -229,23 +232,27 @@ class Scheme:
     (all three only with a predictor, whose bytes join the static set).
     input_bundles: up and gate stream as input bundles; otherwise what the
     intermediate mask leaves dense streams as always-active column chunks.
-    prunes_input: an input mask (density_in) picks the input bundles.
     cache_aware: masks read the caches' residency, so each token's follow
     the previous token's replay and Belady is ill-defined.
-    rows(cfg, w, x, k_in, k_mid[, residency per group, gamma per row]): the
-    RowMasks of the rows x over w's stack of layers, as _layout lays them
-    out, with k_in and k_mid one int or one per row; None for a scheme that
-    keeps every unit, which streams every unit, reads no weights and has
-    kernel error 0.  A scheme that keeps every input unit also takes glu=,
-    the rows' dense GLU when the caller has it, and glu and predictive
-    score on it in place of computing it again.
+    rows(cfg, w, x, k_in, k_mid, residency, gamma, glu): the RowMasks of the
+    rows x over w's stack of layers, as _layout lays them out, with k_in
+    and k_mid one int or one per row, residency one array per unit group
+    (empty unless cache_aware), gamma one per row, and glu the rows' dense
+    GLU when the caller has it, else None: glu and predictive score on it
+    in place of computing it again.  rows is None for a scheme that keeps
+    every unit, which streams every unit, reads no weights and has kernel
+    error 0.
     """
 
     mid_matrices: int
     rows: Optional[Callable[..., masking.RowMasks]]
     input_bundles: bool = False
-    prunes_input: bool = False
     cache_aware: bool = False
+
+    @property
+    def prunes_input(self) -> bool:
+        """An input mask (density_in) picks the input bundles."""
+        return self.input_bundles and self.rows is not None
 
     @property
     def reads(self) -> FrozenSet[str]:
@@ -262,22 +269,25 @@ class Scheme:
         return frozenset(keys)
 
 
+def _glu_rows(cfg, w, x, k_in, k_mid, residency, gamma, glu):
+    return masking.glu_pruning_rows(w, x, k_mid, glu)
+
+
 SCHEMES: Dict[str, Scheme] = {
     "dense": Scheme(1, None, input_bundles=True),
-    "glu": Scheme(1, lambda cfg, w, x, k_in, k_mid, glu=None: masking.glu_pruning_rows(
-        w, x, k_mid, glu)),
-    "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid, glu=None: masking.gate_pruning_rows(
-        w, x, k_mid)),
-    "up": Scheme(2, lambda cfg, w, x, k_in, k_mid, glu=None: masking.up_pruning_rows(
-        w, x, k_mid)),
+    "glu": Scheme(1, _glu_rows),
+    "gate": Scheme(2, lambda cfg, w, x, k_in, k_mid, residency, gamma, glu:
+                   masking.gate_pruning_rows(w, x, k_mid)),
+    "up": Scheme(2, lambda cfg, w, x, k_in, k_mid, residency, gamma, glu:
+                 masking.up_pruning_rows(w, x, k_mid)),
     # oracle logits |GLU(x)| stand in for a trained predictor: glu's selection
-    "predictive": Scheme(3, lambda cfg, w, x, k_in, k_mid, glu=None: masking.glu_pruning_rows(
-        w, x, k_mid, glu)),
-    "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid: masking.dip_rows(w, x, k_in, k_mid),
-                  input_bundles=True, prunes_input=True),
-    "dip_ca": Scheme(1, lambda cfg, w, x, k_in, k_mid, c_in, c_mid, gamma: masking.dip_ca_rows(
-        w, x, c_in, c_mid, k_in, k_mid, gamma, cfg.reweight_input, cfg.reweight_intermediate),
-        input_bundles=True, prunes_input=True, cache_aware=True),
+    "predictive": Scheme(3, _glu_rows),
+    "dip": Scheme(1, lambda cfg, w, x, k_in, k_mid, residency, gamma, glu:
+                  masking.dip_rows(w, x, k_in, k_mid), input_bundles=True),
+    "dip_ca": Scheme(1, lambda cfg, w, x, k_in, k_mid, residency, gamma, glu:
+                     masking.dip_ca_rows(w, x, *residency, k_in, k_mid, gamma,
+                                         cfg.reweight_input, cfg.reweight_intermediate),
+                     input_bundles=True, cache_aware=True),
 }
 
 
@@ -320,10 +330,8 @@ class SchemeConfig:
         entry = SCHEMES[self.name]
         if entry.rows is None:
             return geo.d_model, geo.d_ff
-        k_mid = masking.density_to_k(self.density_mid, geo.d_ff)
-        if entry.prunes_input:
-            return masking.density_to_k(self.density_in, geo.d_model), k_mid
-        return geo.d_model, k_mid
+        return (masking.density_to_k(self.density_in, geo.d_model) if entry.prunes_input
+                else geo.d_model), masking.density_to_k(self.density_mid, geo.d_ff)
 
 
 @dataclass
@@ -398,13 +406,13 @@ def _width(g: GroupSpec, k: Tuple[int, int]) -> int:
 
 
 def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], width: np.ndarray,
-            entry: Scheme, groups: Sequence[GroupSpec], capacities: Sequence[int],
-            live: np.ndarray, policy: str, geo: ModelGeometry):
-    """The caches of every (point, layer, live group) on one flat axis under
-    policy, the mask batches that stream into them with their residency
-    views (see _Batch), the block and span lengths in tokens, and each
-    point's cache ids [points, layers, live groups].  Per point, ks holds
-    (k_in, k_mid) and width the active units of each live group.
+            entry: Scheme, groups: Sequence[GroupSpec], live: np.ndarray, caches: CacheState,
+            geo: ModelGeometry):
+    """The mask batches, with their residency views (see _Batch), that
+    stream into caches, the run's CacheState of one tile of live-group
+    caches per (point, layer) pair; the block and span lengths in tokens;
+    and each point's cache ids [points, layers, live groups].  Per point,
+    ks holds (k_in, k_mid) and width the active units of each live group.
 
     The layout rule, stated here once: the points go in chunks of
     consecutive points, one point a chunk when the masks do not read the
@@ -412,10 +420,11 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], widt
     A chunk is one batch: one mask call per block of tokens against the
     stack of layers, with one mask row per (layer, point) pair,
     layer-major, each with its own point's (k_in, k_mid) and gamma.  The
-    pairs' caches go in that order, group by group, so each token's active
-    units come out cache by cache in ascending order.  live marks the
-    groups whose caches replay; a static cache (see the module docstring)
-    has no place on the flat axis and no columns in the stream.
+    pairs take the state's tiles in that order, each tile's caches group by
+    group, so each token's active units come out cache by cache in
+    ascending order.  live marks the groups whose caches replay; a static
+    cache (see the module docstring) has no place on the flat axis and no
+    columns in the stream.
     Cache-aware masks follow the previous token's replay, so their blocks
     are one token, unless no cache is live: then the residency they read
     is always zero, and their blocks are as long as the others'.  A block
@@ -425,20 +434,17 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], widt
     a time (see _unit_stream); when the masks do not read the caches, that
     is the block.
     """
-    num_layers = geo.num_layers
-    cached = [g for g, on in zip(groups, live) if on]
+    num_layers, num_live = geo.num_layers, width.shape[1]
     size = max(1, _ROW_BLOCK // num_layers) if entry.cache_aware else 1
     chunks = [list(range(c, min(c + size, len(ks)))) for c in range(0, len(ks), size)]
     layer, point = (np.array(v, dtype=np.intp) for v in zip(*[
         (l, p) for points in chunks for l in range(num_layers) for p in points]))
-    caches = CacheState(np.tile(np.compress(live, capacities), len(layer)),
-                        np.tile([g.universe for g in cached], len(layer)), policy)
     follows = entry.cache_aware and caches.num_caches > 0  # masks read a live residency
-    base = caches.offsets[:-1].reshape(len(layer), len(cached))
+    base = caches.offsets[:-1].reshape(len(layer), num_live)
     resident = caches.is_resident.reshape(len(layer), -1)  # a view, one row per pair
     zero = np.zeros(max(g.universe for g in groups), dtype=bool)  # every static residency
     start = np.cumsum([0] + [g.universe * on for g, on in zip(groups, live)])
-    cid = np.empty((len(configs), num_layers, len(cached)), dtype=np.intp)
+    cid = np.empty((len(configs), num_layers, num_live), dtype=np.intp)
     cid[point, layer] = np.arange(base.size).reshape(base.shape)
     gamma = np.array([configs[p].gamma for p in point])
     batches = []
@@ -450,7 +456,7 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], widt
             w = width[point[s]]
             top = w.max(axis=0)  # each live group's columns: the chunk's largest k
             position = np.arange(top.sum()) - np.repeat(np.cumsum(top) - top, top)
-            keep = (position < w[:, np.repeat(np.arange(len(cached)), top)]).ravel()
+            keep = (position < w[:, np.repeat(np.arange(num_live), top)]).ravel()
         batches.append(_Batch(
             len(points), point[s], *k, gamma[s], base[s], keep,
             num_layers * int(width[points].sum()),
@@ -459,7 +465,7 @@ def _layout(configs: Sequence[SchemeConfig], ks: Sequence[Tuple[int, int]], widt
     rows = num_layers * len(chunks[0])  # the first chunk is the largest
     block = 1 if follows else max(1, _ROW_BLOCK // max(len(configs), rows))
     span = max(block, _ROW_BLOCK // (len(configs) * num_layers))
-    return caches, batches, block, span, cid
+    return batches, block, span, cid
 
 
 def _tiled(a: np.ndarray, i0: int, n: int, per_layer: int) -> np.ndarray:
@@ -536,12 +542,11 @@ def _unit_stream(scheme: SchemeConfig, weights: Optional[MlpWeights], acts: np.n
             ids, at = np.empty((n, units), dtype=np.intp), 0
             for b in batches:
                 m = geo.num_layers * b.per_layer * n  # the batch's rows
-                args = [v if np.ndim(v) == 0 else np.repeat(v, n) for v in (b.k_in, b.k_mid)]
-                if entry.cache_aware:  # and a residency and gamma per mask row
-                    args += [*b.residency, np.repeat(b.gamma, n)]
+                k_in, k_mid = (v if np.ndim(v) == 0 else np.repeat(v, n)
+                               for v in (b.k_in, b.k_mid))
                 hb = None if h is None else _tiled(h, i0, n, b.per_layer)
-                rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer), *args,
-                                  **({} if hb is None else {"glu": hb}))
+                rows = entry.rows(scheme, weights, _tiled(x, i0, n, b.per_layer), k_in, k_mid,
+                                  b.residency, np.repeat(b.gamma, n), hb)
                 if errors is not None:
                     if pending and held + m > _ROW_BLOCK:
                         _score(pending, weights, ref, t0, errors)
@@ -672,8 +677,6 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
             f"[*, {geo.num_layers}, {geo.d_model}]")
     if not np.isfinite(acts).all():
         raise ValueError("trace activations must be finite")
-    if policy not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
     entry = SCHEMES[scheme.name]
     if policy == "belady" and entry.cache_aware:
         raise SimulationError(
@@ -692,10 +695,14 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
     capacities = allocate_dram(hw, geo, groups, static_bytes=static)
     if policy == "nocache":  # allocate_dram has checked that the static set fits
         capacities = (0,) * len(groups)
+    cached = [g for g, cap in zip(groups, capacities) if cap > 0 and not g.always_active]
+    live = np.array([g in cached for g in groups], dtype=bool)
+    # the run's one state, which checks the policy name: each (point, layer)
+    # pair's caches of the live groups, and no cache in a run without one
+    caches = CacheState(*(np.tile(v, len(configs) * geo.num_layers) for v in (
+        np.compress(live, capacities), [g.universe for g in cached])), policy)
     if not configs:
         return []
-    live = np.array([cap > 0 and not g.always_active for g, cap in zip(groups, capacities)],
-                    dtype=bool)
     ks = [cfg.k_values(geo) for cfg in configs]
     num_tokens = acts.shape[0]
     widths = np.array([[_width(g, k) for g in groups] for k in ks])
@@ -706,10 +713,9 @@ def _simulate(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
     errors = np.zeros((len(configs), num_tokens, geo.num_layers)) if kernel_eval else None
     scored = errors if entry.rows is not None else None
     if live.any() or scored is not None:
-        caches, batches, block, span, cid = _layout(configs, ks, widths[:, live], entry, groups,
-                                                    capacities, live, policy, geo)
-        stream = _unit_stream(scheme, weights, acts, batches, block, span,
-                              [g for g, on in zip(groups, live) if on], geo, scored)
+        batches, block, span, cid = _layout(configs, ks, widths[:, live], entry, groups, live,
+                                            caches, geo)
+        stream = _unit_stream(scheme, weights, acts, batches, block, span, cached, geo, scored)
         next_use = [None] * num_tokens
         if policy == "belady" and caches.num_caches:
             stream = list(stream)
@@ -755,17 +761,22 @@ def sweep_runs(trace, weights: Optional[MlpWeights], scheme: SchemeConfig,
                hw: HardwareConfig, geo: ModelGeometry,
                kernel_eval: bool = False) -> List[RunReport]:
     """The simulate_run report of every (density, gamma) point, in the order
-    given, from one lockstep pass over the trace.
-
-    Each point runs the base scheme with density_mid set to the density,
-    density_in back at its default (it follows density_mid), and gamma
-    replaced unless the point's gamma is None.  Each point keeps its own
-    caches, so its report equals its own simulate_run bit for bit.
+    given, from one lockstep pass over the trace.  Each point runs its
+    sweep_configs entry and keeps its own caches, so its report equals its
+    own simulate_run bit for bit.
     """
-    configs = [replace(scheme, density_mid=density, density_in=None,
-                       gamma=scheme.gamma if gamma is None else gamma)
-               for density, gamma in points]
-    return _simulate(trace, weights, scheme, configs, policy, hw, geo, kernel_eval)
+    return _simulate(trace, weights, scheme, sweep_configs(scheme, points), policy, hw, geo,
+                     kernel_eval)
+
+
+def sweep_configs(scheme: SchemeConfig,
+                  points: Sequence[Tuple[float, Optional[float]]]) -> List[SchemeConfig]:
+    """The SchemeConfig of every (density, gamma) point of a sweep: the base
+    scheme with density_mid set to the density, density_in back at its
+    default (it follows density_mid), and gamma replaced unless the point's
+    gamma is None.  A point out of range is SchemeConfig's ValueError."""
+    return [replace(scheme, density_mid=d, density_in=None, gamma=scheme.gamma if g is None else g)
+            for d, g in points]
 
 
 def throughput_at_error(rows: Sequence, error_budget: float) -> Tuple[float, float]:

@@ -125,6 +125,17 @@ def test_sweep_density_allocation_grid():
     assert full.error >= 0
 
 
+@pytest.mark.parametrize("num_inputs", [2, 3])
+def test_sweep_density_allocation_rejects_a_stack_of_layers(num_inputs):
+    # the sweep scores one block: a stack would pair input i with layer i,
+    # or fail when the inputs do not split over the layers
+    from sparsim.traces import synthetic_layer_weights
+    w = synthetic_layer_weights(2, 8, 24, seed=0)
+    inputs = np.random.default_rng(1).standard_normal((num_inputs, 8))
+    with pytest.raises(ValueError, match="one block"):
+        sweep_density_allocation(w, inputs, [0.5], [0.5])
+
+
 def test_sweep_density_allocation_rejects_a_forward_that_overflows():
     # finite inputs whose forward overflows give no NaN error: a ValueError
     # names the first grid point, and numpy warns nothing on the way

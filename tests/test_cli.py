@@ -313,6 +313,30 @@ def test_sweep_rejects_scheme_density_in(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb,cfg,what", [
+    ("sweep", _run_config(sweep={"densities": [0.5], "gammas": [0.2]}),
+     "sweep.gammas only applies to cache-aware schemes"),
+    ("sweep", _run_config(sweep={"densities": [2.0]}), "densities must be in (0, 1]"),
+    ("gamma-sweep", {**_run_config(gammas=[1.5], densities=[0.5]), "scheme": None},
+     "gamma must be in [0, 1]"),
+], ids=["gammas-on-dip", "density-2", "gamma-1.5"])
+def test_sweep_point_errors_exit_before_the_trace_is_built(tmp_path, capsys, monkeypatch,
+                                                           verb, cfg, what):
+    # a verb checks its own points before it draws the trace or the weights
+    built = []
+    for name in ("generate_synthetic_trace", "synthetic_layer_weights"):
+        monkeypatch.setattr(traces, name, lambda *a, _name=name, **k: built.append(_name))
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and what in err
+    assert err.count("\n") == 1
+    assert built == []
+    assert not out.exists()
+
+
 def test_sweep_single_point_grid(tmp_path):
     cfg = _write_config(tmp_path, "s.json", _run_config(
         sweep={"densities": [0.5]}))
@@ -807,6 +831,38 @@ def test_validation_error_for_a_sigma_not_above_zero(tmp_path, capsys, verb, cfg
     assert err.startswith("validation error") and what in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+_GEN_TRACE = {"num_tokens": 3, "num_layers": 2, "d_model": 8, "d_ff": 24}
+
+
+@pytest.mark.parametrize("verb,cfg,argv,what", [
+    ("run", _run_config(seed=-1), [], "seed"),
+    ("run", _run_config(), ["--seed", "-1"], "seed"),
+    ("run", _run_config(trace={"synthetic": {"num_tokens": 3, "seed": -1}}), [],
+     "trace.synthetic.seed"),
+    ("calibrate-allocation", {**_CALIBRATE, "block": {"d_model": 8, "d_ff": 24, "seed": -1}},
+     [], "block.seed"),
+    ("calibrate-allocation", {**_CALIBRATE, "calibration": {"seed": -1}}, [],
+     "calibration.seed"),
+    ("gen-trace", {**_GEN_TRACE, "seed": -1}, [], "seed"),
+], ids=["seed", "seed-flag", "trace-synthetic-seed", "block-seed", "calibration-seed",
+        "gen-trace-seed"])
+def test_validation_error_for_a_negative_seed_names_its_key(tmp_path, capsys, verb, cfg,
+                                                             argv, what):
+    # numpy's own message for a negative seed names no key
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out), *argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {what} must be >= 0\n"
+    assert not out.exists()
+
+
+def test_seeds_beyond_64_bits_stay_valid(tmp_path):
+    out = tmp_path / "out"
+    assert main(["gen-trace", "--config", _write_config(tmp_path, "c.json", _GEN_TRACE),
+                 "--out", str(out), "--seed", str(2**70)]) == EXIT_OK
+    assert read_trace(out).num_tokens == 3
 
 
 def _never_called(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Flash/DRAM timing model: unit-group byte accounting, DRAM allocation,
 per-token costs, and full-trace simulation."""
 import dataclasses
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ from sparsim import (
     throughput_at_error,
 )
 from sparsim import cache, hwsim, masking, mlp
-from sparsim.hwsim import POLICY_NAMES
+from sparsim.cache import POLICY_NAMES
 
 
 GEO = ModelGeometry(num_layers=2, d_model=8, d_ff=24, bytes_per_weight=2.0)
@@ -735,6 +736,47 @@ def test_prunes_input_flag_matches_k_in(scheme):
     assert SCHEMES[scheme].prunes_input == (k_in < GEO.d_model)
 
 
+def test_every_row_function_takes_one_signature():
+    # _unit_stream calls every scheme's rows the same way; prunes_input
+    # follows from the entry's other fields
+    for name, entry in SCHEMES.items():
+        if entry.rows is not None:
+            assert list(inspect.signature(entry.rows).parameters) == [
+                "cfg", "w", "x", "k_in", "k_mid", "residency", "gamma", "glu"], name
+        assert entry.prunes_input == (entry.input_bundles and entry.rows is not None), name
+    assert "prunes_input" not in {f.name for f in dataclasses.fields(hwsim.Scheme)}
+
+
+def test_every_run_builds_one_cache_state(monkeypatch):
+    # _simulate builds each run's one CacheState, also when no cache is
+    # live (dense, and nocache without kernel_eval): then it holds no cache
+    built, real = [], hwsim.CacheState
+    monkeypatch.setattr(hwsim, "CacheState", lambda *a: built.append(real(*a)) or built[-1])
+    tr, w = _trace(num_tokens=4), _weights()
+    hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
+    for scheme, policy in (("dense", "lfu"), ("glu", "nocache"), ("dip", "lfu")):
+        built.clear()
+        simulate_run(tr, w, SchemeConfig(name=scheme, density_mid=0.5), policy, hw, GEO)
+        assert [(c.policy, c.num_caches > 0) for c in built] == [(policy, scheme == "dip")]
+    built.clear()
+    sweep_runs(tr, w, SchemeConfig(name="dip_ca", density_mid=0.5),
+               [(0.25, 0.3), (0.5, None), (0.75, 1.0)], "lru", hw, GEO, kernel_eval=True)
+    groups = len(scheme_groups("dip_ca", GEO))
+    assert [(c.policy, c.num_caches) for c in built] == [("lru", 3 * GEO.num_layers * groups)]
+
+
+def test_unknown_policy_is_the_cache_states_error():
+    # the cache state is the engine's one check of the policy name, also in
+    # a run without a live cache and in a sweep of no points
+    tr, w = _trace(), _weights()
+    for run in (lambda: simulate_run(tr, None, SchemeConfig(name="dense"), "fifo", ROOMY, GEO),
+                lambda: sweep_runs(tr, w, SchemeConfig(name="dip", density_mid=0.5), [],
+                                   "fifo", ROOMY, GEO)):
+        with pytest.raises(ValueError, match="unknown policy 'fifo'; expected one of") as e:
+            run()
+        assert e.traceback[-1].frame.code.raw is cache.CacheState.__init__.__code__
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_cache_aware_flag_matches_belady_rejection(scheme):
     cfg = SchemeConfig(name=scheme, density_mid=0.5)
@@ -855,7 +897,7 @@ def test_sweeps_with_repeated_points_equal_their_own_runs(scheme, policy, data):
     with mock.patch.object(hwsim, "_layout",
                            lambda *a: layouts.append((a[1], layout(*a))) or layouts[-1][1]):
         got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
-    (ks, (_, batches, _, _, _)), = layouts
+    (ks, (batches, _, _, _)), = layouts
     assert ks == [cfg.k_values(GEO) for cfg in configs]
     if not cache_aware:
         assert [b.per_layer for b in batches] == [1] * len(points)
@@ -888,9 +930,9 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
     for name, at in (("glu_pruning_rows", 0), ("gate_pruning_rows", 0),
                      ("up_pruning_rows", 0), ("dip_rows", 1), ("dip_ca_rows", 3)):
         monkeypatch.setattr(masking, name, counted(getattr(masking, name), at))
-    layout = hwsim._layout  # records the ks it lays out with its result
+    layout = hwsim._layout  # records the ks and the state it lays out with its result
     monkeypatch.setattr(hwsim, "_layout",
-                        lambda *a: layouts.append((a[1], layout(*a))) or layouts[-1][1])
+                        lambda *a: layouts.append((a[1], a[6], layout(*a))) or layouts[-1][2])
     for scheme in [s for s in SCHEMES if SCHEMES[s].rows is not None]:
         base = SchemeConfig(name=scheme, density_mid=0.5)
         configs = [dataclasses.replace(base, density_mid=d, density_in=None, gamma=g)
@@ -905,7 +947,7 @@ def test_cache_aware_sweep_chunks_points_of_every_k(monkeypatch):
                 calls.clear(), layouts.clear()
                 got = sweep_runs(tr, w, base, points, policy, hw, GEO, kernel_eval=True)
                 assert got == wants, (scheme, policy, row_block)
-                (laid_ks, (caches, batches, block, span, _)), = layouts
+                (laid_ks, caches, (batches, block, span, _)), = layouts
                 assert laid_ks == ks
                 assert caches.num_caches > 0
                 for b in batches:
@@ -950,13 +992,14 @@ def test_layout_gives_cache_aware_batches_views_of_their_caches(monkeypatch):
     # Masks that do not read the caches get none
     tr, w = _trace(num_tokens=3), _weights()
     hw = HardwareConfig(GEO.total_mlp_bytes / 3, 60e9, 1e9)
-    layout, layouts = hwsim._layout, []
-    monkeypatch.setattr(hwsim, "_layout", lambda *a: layouts.append(layout(*a)) or layouts[-1])
+    layout, layouts = hwsim._layout, []  # each call's state with its result
+    monkeypatch.setattr(hwsim, "_layout",
+                        lambda *a: layouts.append((a[6], layout(*a))) or layouts[-1][1])
     for scheme, policy in (("dip_ca", "lfu"), ("dip_ca", "nocache"), ("dip", "lfu")):
         layouts.clear()
         sweep_runs(tr, w, SchemeConfig(name=scheme, density_mid=0.5),
                    [(0.25, 0.3), (0.5, 1.0), (0.75, 0.0)], policy, hw, GEO, kernel_eval=True)
-        (caches, batches, _, _, _), = layouts
+        (caches, (batches, _, _, _)), = layouts
         universes = [g.universe for g in scheme_groups(scheme, GEO)]
         for b in batches:
             if not SCHEMES[scheme].cache_aware:

@@ -84,6 +84,14 @@ __all__ = [
 POLICY_NAMES = ("lfu", "lru", "belady", "nocache")
 _EVICTION_POLICIES = POLICY_NAMES[:3]  # what replay takes; nocache is capacity 0
 
+
+def _check_policy(policy: str) -> None:
+    """ValueError unless policy is one of POLICY_NAMES: the one check of a
+    policy name, which every CacheState and the CLI's config read make."""
+    if policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+
+
 # Every eviction key lies below this bound, or the keys go to np.lexsort.
 _KEY_LIMIT = 1 << 63
 
@@ -114,8 +122,7 @@ class CacheState:
     """
 
     def __init__(self, capacity_units, universe, policy: str):
-        if policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+        _check_policy(policy)
         caps = np.atleast_1d(np.asarray(capacity_units, dtype=np.int64))
         sizes = np.atleast_1d(np.asarray(universe, dtype=np.int64))
         if caps.ndim != 1 or caps.shape != sizes.shape:

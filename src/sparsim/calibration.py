@@ -25,8 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import masking
-from .mlp import (MlpWeights, down_projection, glu_activations, mlp_dense_forward,
-                  rel_l2_rows)
+from .mlp import _EPS, MlpWeights, _row_norms, down_projection, glu_activations
 from .traces import Trace
 
 __all__ = [
@@ -135,13 +134,16 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     L2 error of the masked forward against the dense forward over the
     calibration inputs.  The up and gate projections share the input density.
     The inputs run as one batch of rows, and each side's masks are prefixes
-    of one row order (masking.rank_rows, masking.prefix_masks): the dense
-    outputs and the order of |x| are made once, the gated intermediates H
-    and the order of |H| once per input density (H does not depend on the
-    intermediate density), then one down projection and one row-error call
-    per grid point.  The selections are those of masking.dip_rows.  A grid
-    point whose error is not finite raises InputOverflowError.  w must be
-    one block: a stack of layers is a ValueError.
+    of one row order (masking.rank_rows, masking.prefix_masks).  Each
+    forward runs once: the dense H and output, their reference norms and
+    the order of |x| once per sweep, the gated intermediates H and the
+    order of |H| once per input density (H does not depend on the
+    intermediate density), and one down projection per grid point.  An
+    all-True mask keeps every float's bits, so an input density that keeps
+    all d_model inputs takes the dense H, and its point that keeps all d_ff
+    units the dense output.  The selections are those of masking.dip_rows.
+    A grid point whose error is not finite raises InputOverflowError.  w
+    must be one block: a stack of layers is a ValueError.
     """
     if w.up.ndim != 2:
         raise ValueError("need one block of MlpWeights, not a stack of layers")
@@ -151,26 +153,33 @@ def sweep_density_allocation(w: MlpWeights, inputs: Sequence[np.ndarray],
     if xs.ndim != 2 or xs.shape[1] != w.d_model:
         raise ValueError("input length must equal d_model")
     with np.errstate(over="ignore", invalid="ignore"):  # each error is checked below
-        dense_outs = mlp_dense_forward(w, xs)
+        dense_h = glu_activations(w, xs)
+        dense_outs = down_projection(w, dense_h)
+        ref_norms = np.maximum(_row_norms(dense_outs), _EPS)  # as rel_l2_rows floors them
         in_order = masking.rank_rows(np.abs(xs))
         points = []
         for din in densities_in:
-            points += _points_at_input_density(w, xs, dense_outs, in_order, din, densities_mid)
+            points += _points_at_input_density(w, xs, in_order, dense_h, dense_outs, ref_norms,
+                                               din, densities_mid)
     return points
 
 
-def _points_at_input_density(w: MlpWeights, xs: np.ndarray, dense_outs: np.ndarray,
-                             in_order: np.ndarray, din: float,
+def _points_at_input_density(w: MlpWeights, xs: np.ndarray, in_order: np.ndarray,
+                             dense_h: np.ndarray, dense_outs: np.ndarray,
+                             ref_norms: np.ndarray, din: float,
                              densities_mid: Sequence[float]) -> List[AllocationPoint]:
     # a function of its own so that H is freed before the next density's
     k_in = masking.density_to_k(din, w.d_model)
-    h = glu_activations(w, xs, masking.prefix_masks(in_order[:, :k_in], w.d_model))
+    h = dense_h if k_in == w.d_model else glu_activations(
+        w, xs, masking.prefix_masks(in_order[:, :k_in], w.d_model))
     mid_order = masking.rank_rows(np.abs(h))
     points = []
     for dmid in densities_mid:
         k_mid = masking.density_to_k(dmid, w.d_ff)
-        mid_mask = masking.prefix_masks(mid_order[:, :k_mid], w.d_ff)
-        error = float(np.mean(rel_l2_rows(dense_outs, down_projection(w, h, mid_mask))))
+        y = dense_outs if k_in == w.d_model and k_mid == w.d_ff else down_projection(
+            w, h, masking.prefix_masks(mid_order[:, :k_mid], w.d_ff))
+        # rel_l2_rows(dense_outs, y), bit for bit
+        error = float(np.mean(_row_norms(y - dense_outs) / ref_norms))
         if not math.isfinite(error):
             raise InputOverflowError(f"the inputs overflow the block's forward: the error at "
                                      f"density_in {din}, density_mid {dmid} is not finite")

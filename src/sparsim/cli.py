@@ -37,7 +37,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import calibration, hwsim, traces
-from .cache import POLICY_NAMES
+from .cache import _check_policy
 from .hwsim import SCHEMES, HardwareConfig, ModelGeometry, SchemeConfig, SimulationError
 from .mlp import MlpWeights
 from .presets import GEOMETRY_PRESETS, HARDWARE_PRESETS
@@ -151,8 +151,8 @@ def _optional_number(v, what: str):
 
 
 def _policy(v, what: str) -> str:
-    if _str(v, what) not in POLICY_NAMES:
-        raise ConfigError(f"unknown policy {v!r}; known: {POLICY_NAMES}")
+    # read with the config, so a bad name fails before the trace is built
+    _check_policy(_str(v, what))
     return v
 
 

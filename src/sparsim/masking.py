@@ -10,7 +10,11 @@ units, so it calls that function.
 
 Masks are bool arrays.  There is one row order (rank_rows): each row's
 units from the largest key down, ties to the lower index, i.e. a stable
-descending argsort, found exactly by a faster sort for rows without ties.
+descending argsort.  rank_rows finds it with one direct sort of a packed
+uint64 per unit, the key's bits above and the column in the low bits,
+which is exact for a row of keys >= +0.0 whose packed high parts all
+differ; every other row (ties, keys a few ulps apart, -0.0, negative or
+NaN keys) takes the stable argsort.
 Every top-k mask is a prefix of it, marked by prefix_masks, so one sort
 serves every k: topk_rows takes one k or one k per row, and each row keeps
 its own prefix.  The density sweep of calibration takes its masks the same
@@ -101,20 +105,39 @@ def rank_rows(keys: np.ndarray) -> np.ndarray:
     largest key down, ties to the lower index; equal, bit for bit, to
     np.argsort(-keys, axis=1, kind="stable").
 
-    Rows whose keys all differ have one sorted order, which the faster
-    default sort finds too; any row that is not strictly increasing once
-    sorted (ties, +0.0/-0.0, NaN) is sorted again with the stable sort.
+    Each unit is one packed uint64, and each row is sorted directly.  For
+    keys k >= +0.0 (+inf too) the bits of k rise with k, so +inf's bits
+    minus k's fall as k rises; the low b = max(1, bit length of dim - 1)
+    bits of that difference are replaced with the column.  Once a row is
+    sorted its low bits are its order, and that order is exact where the
+    high parts strictly increase: no two keys then share a high part, so
+    the high parts fall as the keys rise.  Every other row takes the stable
+    argsort: ties, keys a few ulps apart (their high parts collide), and
+    -0.0, negative or NaN keys, whose bits lie above +inf's, so that their
+    differences wrap above +inf's bits, where the row max of the packed
+    values before the low bits are replaced finds them.
     """
     keys = np.asarray(keys, dtype=float)
     if keys.ndim != 2:
         raise ValueError("keys must be a 2-d batch of rows")
-    neg = -keys
-    order = np.argsort(neg, axis=1)
-    s = np.take(neg, _flat(order, neg.shape[1]))
-    redo = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    dim = keys.shape[1]
+    # np.uint64 scalars throughout: numpy 1.x makes uint64 and int a float
+    b = np.uint64(max(1, (dim - 1).bit_length()))
+    low = (np.uint64(1) << b) - np.uint64(1)
+    packed = _INF_BITS - keys.view(np.uint64)
+    redo = packed.max(axis=1, initial=np.uint64(0)) > _INF_BITS
+    packed &= ~low
+    packed |= np.arange(dim, dtype=np.uint64)
+    packed.sort(axis=1)
+    high = packed >> b
+    redo |= (high[:, 1:] <= high[:, :-1]).any(axis=1)
+    order = np.bitwise_and(packed, low, out=packed).view(np.int64)
     if redo.any():
-        order[redo] = np.argsort(neg[redo], axis=1, kind="stable")
+        order[redo] = np.argsort(-keys[redo], axis=1, kind="stable")
     return order
+
+
+_INF_BITS = np.float64(np.inf).view(np.uint64)  # 0x7FF0000000000000
 
 
 def topk_rows(keys: np.ndarray, k):

@@ -1,7 +1,8 @@
 """Independent oracles used by the unit and acceptance tests: the per-unit
 cache replay that the simulator's batch replay must equal, the per-vector
 top-k, GLU, scheme selections, thresholds, per-layer densities and
-density-allocation sweep that the row-batched kernels must equal, an
+density-allocation sweep that the row-batched kernels must equal, the
+density sweep's per-point formula on those kernels, an
 exhaustive search over demand-fill eviction schedules, and a
 central-finite-difference gradient checker.  Kept separate from any test
 module so both the per-module tests and the acceptance suite share one
@@ -10,6 +11,9 @@ import functools
 import math
 
 import numpy as np
+
+from sparsim import mlp
+from sparsim.calibration import AllocationPoint, memory_fraction
 
 
 class ReferenceCache:
@@ -246,12 +250,13 @@ def dip_masks(w, x, k_in, k_mid):
     return keep_mask(w.d_model, in_order), keep_mask(w.d_ff, mid_order)
 
 
+def density_to_k(density, dim):
+    return max(1, int(np.floor(density * dim + 0.5)))
+
+
 def sweep_density_allocation(w, inputs, densities_in, densities_mid):
     """(density_in, density_mid, k_in, k_mid, mean error) per grid point,
     one input vector at a time."""
-    def density_to_k(density, dim):
-        return max(1, int(np.floor(density * dim + 0.5)))
-
     out = []
     for din in densities_in:
         k_in = density_to_k(din, w.d_model)
@@ -265,6 +270,34 @@ def sweep_density_allocation(w, inputs, densities_in, densities_mid):
                             / max(float(np.linalg.norm(y_ref)), 1e-12))
             out.append((float(din), float(dmid), k_in, k_mid, float(np.mean(errs))))
     return out
+
+
+def allocation_points(w, inputs, densities_in, densities_mid):
+    """The density sweep's AllocationPoints by the per-point formula on the
+    batch kernels: every grid point runs its own masked GLU (the top-k_in
+    |x|) and down projection (the top-k_mid |H|) and takes the mean of
+    rel_l2_rows against mlp_dense_forward, the masks marked from the stable
+    descending argsort.  sweep_density_allocation must equal it bit for
+    bit."""
+    def keep(keys, k):
+        mask = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(mask, np.argsort(-keys, axis=1, kind="stable")[:, :k], True, axis=1)
+        return mask
+
+    xs = np.asarray(inputs, dtype=float)
+    dense = mlp.mlp_dense_forward(w, xs)
+    points = []
+    for din in densities_in:
+        k_in = density_to_k(din, w.d_model)
+        for dmid in densities_mid:
+            k_mid = density_to_k(dmid, w.d_ff)
+            h = mlp.glu_activations(w, xs, keep(np.abs(xs), k_in))
+            y = mlp.down_projection(w, h, keep(np.abs(h), k_mid))
+            points.append(AllocationPoint(
+                density_in=float(din), density_mid=float(dmid), k_in=k_in, k_mid=k_mid,
+                memory_fraction=memory_fraction(k_in, k_mid, w.d_model, w.d_ff),
+                error=float(np.mean(mlp.rel_l2_rows(dense, y)))))
+    return points
 
 
 def threshold_keep(values, spec, layer=0):

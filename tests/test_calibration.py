@@ -32,6 +32,10 @@ from sparsim import (
     sweep_runs,
     synthetic_layer_weights,
 )
+from sparsim import mlp
+from sparsim.traces import signed_lognormal
+
+import oracles
 
 
 def _trace(num_tokens=64, num_layers=2, d_model=48, mu=0.0, sigma=1.0, seed=0):
@@ -147,6 +151,47 @@ def test_sweep_density_allocation_rejects_a_forward_that_overflows():
             sweep_density_allocation(w, inputs, [0.25, 0.5], [0.5, 1.0])
         with pytest.raises(InputOverflowError):
             sweep_density_allocation(w, inputs, [1.0], [1.0])
+
+
+@pytest.mark.parametrize("d_model,d_ff,num_inputs,densities_in,densities_mid", [
+    (8, 24, 5, [0.25, 0.5], [0.5, 0.75]),
+    (8, 24, 5, [0.25, 1.0], [0.5, 0.75]),
+    (8, 24, 5, [0.25, 0.5], [0.5, 1.0]),
+    (8, 24, 5, [1.0, 0.25, 1.0], [1.0, 0.5]),
+    (8, 24, 1, [0.95], [0.99, 0.05]),  # both round to every unit
+    (128, 384, 32, [0.25, 0.5, 0.75, 1.0], [0.25, 0.5, 0.75, 1.0]),
+])
+def test_sweep_equals_the_per_point_formula(d_model, d_ff, num_inputs, densities_in,
+                                            densities_mid):
+    # with and without the dense edge on either axis: the sweep's shared H,
+    # dense output and reference norms give each point's own forward
+    w = MlpWeights.random(d_model, d_ff, seed=d_model)
+    inputs = signed_lognormal(np.random.default_rng(3), (num_inputs, d_model), 0.0, 1.5)
+    assert sweep_density_allocation(w, inputs, densities_in, densities_mid) == \
+        oracles.allocation_points(w, inputs, densities_in, densities_mid)
+
+
+@pytest.mark.parametrize("grid,gemv_rows", [
+    ((0.25, 0.5, 0.75, 1.0), 96 + 3 * 64 + 15 * 32),
+    ((0.2, 0.4, 0.6, 0.8), 96 + 4 * 64 + 16 * 32),
+])
+def test_sweep_computes_each_forward_once(grid, gemv_rows, monkeypatch):
+    # the benchmark's block and inputs: the dense forward's three products,
+    # the gate and up products once per input density and one down
+    # projection per grid point, but none again at the dense edge, where
+    # the dense H and output serve
+    rows = []
+    matvec = mlp._matvec
+
+    def counted(m, x):
+        rows.append(len(x))
+        return matvec(m, x)
+
+    monkeypatch.setattr(mlp, "_matvec", counted)
+    w = MlpWeights.random(128, 384, seed=0)
+    inputs = signed_lognormal(np.random.default_rng(0), (32, 128), 0.0, 1.5)
+    assert len(sweep_density_allocation(w, inputs, grid, grid)) == 16
+    assert sum(rows) == gemv_rows
 
 
 def test_error_shrinks_with_density_statistically():

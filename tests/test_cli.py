@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsim import MlpWeights, Trace, hwsim, read_trace, traces, write_trace
+from sparsim import MlpWeights, Trace, cache, hwsim, read_trace, traces, write_trace
 from sparsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -438,6 +438,30 @@ def test_validation_error_for_bad_density(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,cfg", [
+    ("run", _run_config(policy="fifo")),
+    ("sweep", _run_config(policy="fifo", sweep={"densities": [0.5]})),
+    ("gamma-sweep", {**_run_config(policy="fifo"), "scheme": None, "gammas": [0.5],
+                     "densities": [0.5]}),
+])
+def test_validation_error_for_an_unknown_policy_is_the_cache_states(tmp_path, capsys,
+                                                                    monkeypatch, verb, cfg):
+    # the config read checks the name with the cache state's own check,
+    # before any trace or weights are built
+    for mod, name in ((traces, "generate_synthetic_trace"),
+                      (traces, "synthetic_layer_weights"), (MlpWeights, "random")):
+        monkeypatch.setattr(mod, name, _never_called)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "out"
+    assert main([verb, "--config", _write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    with pytest.raises(ValueError) as e:
+        cache.CacheState(0, 0, "fifo")
+    assert capsys.readouterr().err == f"validation error: {e.value}\n"
+    assert "unknown policy 'fifo'; expected one of" in str(e.value)
     assert not out.exists()
 
 

@@ -774,7 +774,8 @@ def test_unknown_policy_is_the_cache_states_error():
                                    "fifo", ROOMY, GEO)):
         with pytest.raises(ValueError, match="unknown policy 'fifo'; expected one of") as e:
             run()
-        assert e.traceback[-1].frame.code.raw is cache.CacheState.__init__.__code__
+        assert [f.frame.code.raw for f in e.traceback[-2:]] == [
+            cache.CacheState.__init__.__code__, cache._check_policy.__code__]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -74,17 +74,31 @@ def _weights(rng, tied):
     return w
 
 
-KEY_KINDS = KINDS + ("signed_zeros", "infinite", "nan")
+KEY_KINDS = KINDS + ("signed_zeros", "infinite", "nan", "near_ties", "float32",
+                     "inf_among_finite")
 
 
 def _keys(kind, n, dim, rng):
     """Keys for the row order: the rows above, or rows of +-0.0, of +-inf
-    among a few finite values, or of normals with NaNs; "mixed" mixes every
-    kind, so fast and stable rows meet in one batch."""
+    among a few finite values, of normals with NaNs, of magnitudes a few
+    ulps apart (so rank_rows' packed high parts collide), of magnitudes
+    rounded to float32 (as trace activations are), or of magnitudes with
+    one or two +inf; "mixed" mixes every kind, so fast and stable rows meet
+    in one batch."""
     if kind == "signed_zeros":
         return rng.choice([0.0, -0.0], (n, dim))
     if kind == "infinite":
         return rng.choice([np.inf, -np.inf, 1.0, 0.0, -2.0], (n, dim))
+    if kind == "near_ties":
+        base = np.abs(rng.standard_normal((n, 1)))
+        return base + rng.integers(0, 4 * dim, (n, dim)) * np.spacing(base)
+    if kind == "float32":
+        return np.abs(rng.standard_normal((n, dim)).astype(np.float32)).astype(float)
+    if kind == "inf_among_finite":
+        x = np.abs(rng.standard_normal((n, dim)))
+        x[np.arange(n), rng.integers(dim, size=n)] = np.inf
+        x[np.arange(0, n, 2), rng.integers(dim, size=(n + 1) // 2)] = np.inf
+        return x
     if kind == "nan":
         x = rng.standard_normal((n, dim))
         x[rng.random((n, dim)) < 0.3] = np.nan
@@ -96,18 +110,21 @@ def _keys(kind, n, dim, rng):
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KEY_KINDS), st.integers(0, 6),
-       st.sampled_from([1, 2, 7, D_FF, 100]))
+       st.sampled_from([1, 2, 7, D_FF, 100, 511, 512, 513, 1025]))
 @settings(max_examples=150, deadline=None)
 def test_rank_rows_is_the_stable_descending_order(seed, kind, n, dim):
-    keys = _keys(kind, n, dim, np.random.default_rng(seed))
-    want = np.argsort(-keys, axis=1, kind="stable")
-    np.testing.assert_array_equal(rank_rows(keys), want)
-    for k in range(dim + 1):
-        order, mask = topk_rows(keys, k)
-        np.testing.assert_array_equal(order, want[:, :k])
-        keep = np.zeros(keys.shape, dtype=bool)
-        np.put_along_axis(keep, want[:, :k], True, axis=1)
-        np.testing.assert_array_equal(mask, keep)
+    # the keys and their magnitudes: rows of keys >= +0.0 take the packed
+    # sort, and the widths around a power of two need every index bit
+    raw = _keys(kind, n, dim, np.random.default_rng(seed))
+    for keys in (raw, np.abs(raw)):
+        want = np.argsort(-keys, axis=1, kind="stable")
+        np.testing.assert_array_equal(rank_rows(keys), want)
+        for k in range(dim + 1) if dim <= 100 else (0, 1, dim // 2, dim - 1, dim):
+            order, mask = topk_rows(keys, k)
+            np.testing.assert_array_equal(order, want[:, :k])
+            keep = np.zeros(keys.shape, dtype=bool)
+            np.put_along_axis(keep, want[:, :k], True, axis=1)
+            np.testing.assert_array_equal(mask, keep)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KEY_KINDS), st.integers(0, 6),

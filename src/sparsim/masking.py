@@ -70,6 +70,8 @@ __all__ = [
 # Re-weighting strength for cache-aware selection; 1.0 disables the bias.
 DEFAULT_GAMMA = 0.2
 
+_INF_BITS = np.float64(np.inf).view(np.uint64)  # 0x7FF0000000000000, rank_rows' packing
+
 
 def density_to_k(density: float, dim: int) -> int:
     """Unit count for a keep-fraction: max(1, round(density * dim)), with
@@ -113,9 +115,9 @@ def rank_rows(keys: np.ndarray) -> np.ndarray:
     high parts strictly increase: no two keys then share a high part, so
     the high parts fall as the keys rise.  Every other row takes the stable
     argsort: ties, keys a few ulps apart (their high parts collide), and
-    -0.0, negative or NaN keys, whose bits lie above +inf's, so that their
-    differences wrap above +inf's bits, where the row max of the packed
-    values before the low bits are replaced finds them.
+    -0.0, negative or NaN keys: their bits lie above +inf's, so their
+    differences wrap round to above +inf's bits, where the row max, taken
+    before the columns go in, finds them.
     """
     keys = np.asarray(keys, dtype=float)
     if keys.ndim != 2:
@@ -135,9 +137,6 @@ def rank_rows(keys: np.ndarray) -> np.ndarray:
     if redo.any():
         order[redo] = np.argsort(-keys[redo], axis=1, kind="stable")
     return order
-
-
-_INF_BITS = np.float64(np.inf).view(np.uint64)  # 0x7FF0000000000000
 
 
 def topk_rows(keys: np.ndarray, k):

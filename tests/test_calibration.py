@@ -158,7 +158,7 @@ def test_sweep_density_allocation_rejects_a_forward_that_overflows():
     (8, 24, 5, [0.25, 1.0], [0.5, 0.75]),
     (8, 24, 5, [0.25, 0.5], [0.5, 1.0]),
     (8, 24, 5, [1.0, 0.25, 1.0], [1.0, 0.5]),
-    (8, 24, 1, [0.95], [0.99, 0.05]),  # both round to every unit
+    (8, 24, 1, [0.95], [0.99, 0.05]),  # 0.95 and 0.99 round to every unit
     (128, 384, 32, [0.25, 0.5, 0.75, 1.0], [0.25, 0.5, 0.75, 1.0]),
 ])
 def test_sweep_equals_the_per_point_formula(d_model, d_ff, num_inputs, densities_in,
